@@ -4,13 +4,15 @@
     python3 perfbench/steady.py spread runs.jsonl [...]
     python3 perfbench/steady.py compare first.jsonl second.jsonl
 
-`run` invokes perfbench/run.py once per seed (sequentially) and appends one
-JSON line per run.  `spread` prints, per workload and metric, the median,
-the quartiles (statistics.quantiles(values, n=4)) and the spread
-(Q3 - Q1) / median next to a third of the metric's bound.  `compare` checks
+`run` invokes perfbench/run.py once per seed (sequentially), for the
+run_seconds of BENCHMARK.json, and appends one JSON line per run.  `spread`
+prints, per workload and metric, the median, the quartiles
+(statistics.quantiles(values, n=4)) and the spread (Q3 - Q1) / median next
+to a third of the metric's bound.  `compare` checks
 two sets of runs of the same commit against BENCHMARK.json: each spread
-within its bound (setup_s exempt) and the second median no worse than the
-first by more than the bound.  It exits 1 when a check fails.
+within its bound, setup_s included, and the second median no worse than the
+first by more than the bound.  It refuses sets taken with different run
+lengths, and exits 1 when a check fails.
 """
 from __future__ import annotations
 
@@ -39,16 +41,16 @@ def _seeds(text: str) -> list[int]:
 
 def cmd_run(args) -> int:
     _, spec = _bench()
-    seconds = str(args.seconds or spec["run_seconds"])
+    seconds = spec["run_seconds"]
     with open(args.out, "a") as fh:
         for seed in _seeds(args.seeds):
-            cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed), "--seconds", seconds, "--trace", str(args.trace)]
+            cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(args.trace)]
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=900)
             if proc.returncode != 0:
                 print(proc.stdout[-2000:], proc.stderr[-2000:], file=sys.stderr)
                 return 1
             result = json.loads(proc.stdout.strip().splitlines()[-1])
-            result.update(workload=args.workload, seed=seed, trace=args.trace)
+            result.update(workload=args.workload, seed=seed, trace=args.trace, seconds=seconds)
             fh.write(json.dumps(result) + "\n")
             fh.flush()
             vals = " ".join(f"{k}={v['value']:.5g}" for k, v in result["metrics"].items())
@@ -88,8 +90,12 @@ def cmd_spread(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    metrics, spec = _bench()
+    _, spec = _bench()
     first, second = _load([args.first]), _load([args.second])
+    lengths = {r["seconds"] for runs in (*first.values(), *second.values()) for r in runs}
+    if len(lengths) != 1:
+        print(f"error: the sets were taken with different run lengths {sorted(lengths)}", file=sys.stderr)
+        return 1
     ok = True
     for workload in first:
         if workload not in second:
@@ -102,8 +108,7 @@ def cmd_compare(args) -> int:
             mb, _, _, sb = _stats(b)
             change = (mb - ma) / abs(ma) if ma else 0.0
             worse = change if m["better"] == "lower" else -change
-            spread_ok = name == "setup_s" or (sa <= bound and sb <= bound)
-            good = spread_ok and worse <= bound
+            good = sa <= bound and sb <= bound and worse <= bound
             ok &= good
             print(
                 f"{workload:14s} {name:16s} first {ma:.6g} second {mb:.6g} change {change:+.4f} "
@@ -118,7 +123,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("run")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", default="1-10")
-    p.add_argument("--seconds", type=int, default=None, help="default: run_seconds of BENCHMARK.json")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", required=True)
     p = sub.add_parser("spread")

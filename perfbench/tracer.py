@@ -126,18 +126,14 @@ class Tracer:
                 self_s[key] += dt - frame[1]
                 if stack:
                     stack[-1][1] += dt
-            after(key, args, result)
+            after(key, result)
             return result
 
         return timed
 
-    def _after(self, key: str, args, result) -> None:
+    def _after(self, key: str, result) -> None:
         # Work counters measured where the work happens.
-        if key == "numerics.bessel_j":
-            self.extra["numerics.bessel_j.points"] += int(getattr(args[1], "size", 1)) if len(args) > 1 else 1
-        elif key == "numerics.bessel_zeros_upto":
-            self.extra["numerics.zeros_found"] += sum(len(z) for _, z in result)
-        elif key == "grids.harmonic_node_matrix":
+        if key == "grids.harmonic_node_matrix":
             self._last_node_shape = tuple(result.shape)
             self.extra["grids.node_matrix_mb"] = max(
                 self.extra["grids.node_matrix_mb"], result.nbytes / 1e6

@@ -6,8 +6,11 @@
 The worker imports `harmotop.cli`, builds its parser and prints `ready`; the
 parent times that as set-up.  With a job it then runs the job's invocations
 through `harmotop.cli.main(argv)` in a closed loop: one round is the whole
-list in order, and rounds repeat until the job's time is used.  Every exception out of `cli.main` is caught and recorded, and the
-loop keeps going.
+list in order, and rounds repeat until the job's time is used.  After each
+round but the last it prints `round` and waits for a line on stdin, so that
+the parent can take set-up probes while no invocation runs.  Every
+exception out of `cli.main` is caught and recorded, and the loop keeps
+going.
 """
 from __future__ import annotations
 
@@ -56,18 +59,18 @@ def run_op(argv: list[str]) -> tuple[dict, str]:
 def run_job(job: dict) -> dict:
     """Run rounds until job["seconds"] is used (at least one round).
 
-    job["trace"] is "off", "on", or "alternate": untraced and traced rounds
-    take turns, starting untraced, so the untraced rounds are the reference
-    for the tracing overhead.
+    With job["trace"] untraced and traced rounds take turns, starting
+    untraced, so the untraced rounds are the reference for the tracing
+    overhead.
     """
-    ops, mode = job["ops"], job.get("trace", "off")
+    ops, trace = job["ops"], job["trace"]
     rounds: list[list[dict]] = []
     traced_flags: list[bool] = []
     texts: dict[str, str] = {}  # "<op>:<digest>" -> output
-    tracer = Tracer() if mode != "off" else None
+    tracer = Tracer() if trace else None
     t_start = time.perf_counter()
     while True:
-        traced = mode == "on" or (mode == "alternate" and len(rounds) % 2 == 1)
+        traced = trace and len(rounds) % 2 == 1
         if traced:
             tracer.install()
         try:
@@ -83,8 +86,11 @@ def run_job(job: dict) -> dict:
         rounds.append(recs)
         traced_flags.append(traced)
         elapsed = time.perf_counter() - t_start
-        if elapsed + 0.5 * elapsed / len(rounds) >= job["seconds"] and (mode != "alternate" or any(traced_flags)):
+        if elapsed + 0.5 * elapsed / len(rounds) >= job["seconds"] and (not trace or any(traced_flags)):
             break
+        # Between rounds the parent may take a set-up probe; wait for its go.
+        print("round", flush=True)
+        sys.stdin.readline()
     result = {
         "rounds": rounds,
         "traced": traced_flags,

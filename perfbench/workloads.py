@@ -21,9 +21,6 @@ import numpy as np
 
 from oracles import tensor_grid
 
-# Workloads that run every invocation in its own fresh interpreter.
-FRESH_PROCESS_PER_OP = {"buckling"}
-
 
 def _num(x: float, digits: int = 4) -> float:
     """Round to a short decimal, so descriptor text and oracle agree exactly."""
@@ -47,89 +44,11 @@ def _step(b: float, c: float) -> tuple[str, dict]:
     return f"step:b={_fmt(b)},c={_fmt(c)}", {"kind": "step", "b": b, "c": c}
 
 
-def _sum(*parts) -> tuple[str, dict]:
-    return "sum:[" + "; ".join(p[0] for p in parts) + "]", {"kind": "sum", "parts": [p[1] for p in parts]}
-
-
-def _power_step(rng: random.Random, gamma: float) -> tuple[str, dict]:
-    return _sum(
-        _power(_num(rng.uniform(0.5, 2.0)), gamma),
-        _step(_num(rng.uniform(0.2, 1.0)), _num(rng.uniform(0.2, 0.6))),
-    )
-
-
-def _sampled(rng: random.Random, tmp: Path, name: str) -> tuple[str, dict]:
-    """Decreasing piecewise-linear profile that reaches 0 before r = 1."""
-    n = rng.randint(4, 6)
-    r_last = _num(rng.uniform(0.9, 0.97))
-    inner = sorted(_num(rng.uniform(0.05, r_last - 0.05)) for _ in range(n - 2))
-    r = [0.0] + inner + [r_last]
-    v = sorted((_num(rng.uniform(0.1, 2.0)) for _ in range(n - 1)), reverse=True) + [0.0]
-    if len(set(r)) != len(r):
-        return _sampled(rng, tmp, name)
-    path = tmp / f"{name}.csv"
-    path.write_text("# r,v\n" + "".join(f"{_fmt(a)},{_fmt(b)}\n" for a, b in zip(r, v)))
-    return f"sampled:@{path}", {"kind": "sampled", "r": r, "v": v}
-
-
 def _grid_arg(lo: float, hi: float, n: int) -> str:
     return f"{_fmt(lo)}:{_fmt(hi)}:{n}"
 
 
-# --- radial-enum -------------------------------------------------------------
-
-
-def radial_enum(rng: random.Random, tmp: Path) -> list[dict]:
-    ops = []
-    for i, (d, gamma) in enumerate(zip((2, 3, 2, 3), _strata(rng, 1.4, 1.8, 4))):
-        desc, sym = _power_step(rng, gamma)
-        lo = _num(rng.uniform(-12.5, -11.5))
-        grid = (lo, _num(lo + rng.uniform(5.0, 7.0)), 8)
-        ops.append(_counting(d, desc, sym, grid))
-    for i, d in enumerate((2, 3)):
-        desc, sym = _sampled(rng, tmp, f"sampled{i}")
-        lo = _num(rng.uniform(-12.5, -11.5))
-        ops.append(_counting(d, desc, sym, (lo, _num(lo + rng.uniform(5.0, 7.0)), 8)))
-    # Strong norms: p*gamma - (d-1) in [2.9, 3.1] keeps the certified cutoff
-    # near 10^4 degrees; weak norms always enumerate 40,000 degrees.
-    for d, gamma in zip((2, 3), _strata(rng, 1.5, 3.0, 2)):
-        desc, sym = _power_step(rng, gamma)
-        p = _num((d - 1 + rng.uniform(2.9, 3.1)) / gamma)
-        ops.append(_schatten(d, desc, sym, p, False))
-    for d, gamma in zip((2, 3), _strata(rng, 1.5, 3.0, 2)):
-        desc, sym = _power_step(rng, gamma)
-        p = _num(rng.uniform(max(1.2, 1.5 * (d - 1) / gamma), 3.0))
-        ops.append(_schatten(d, desc, sym, p, True))
-    # The two re-anchor cases, verbatim: both series converge.
-    for argv, gamma, p, d, form in (
-        ("schatten --d 2 --symbol power:a=1,gamma=1 --p 1.5", 1.0, 1.5, 2, "hurwitz-d2-gamma1"),
-        ("schatten --d 3 --symbol power:a=1,gamma=3 --p 1", 3.0, 1.0, 3, "hurwitz-d3-gamma3"),
-    ):
-        check = {"kind": "schatten-radial", "d": d, "symbol": {"kind": "power", "a": 1.0, "gamma": gamma}, "p": p, "weak": False, "closed_form": form}
-        ops.append({"argv": argv.split(), "check": check})
-    # Quadrature routes: the cost grows like K^4, so K is drawn from narrow strata.
-    ks = [int(k) for k in _strata(rng, 130, 150, 2)]
-    for d, K, symbol in zip((2, 3), ks, ("power", "sum")):
-        gamma = _num(rng.uniform(1.0, 3.0))
-        desc, sym = _power(_num(rng.uniform(0.5, 2.0)), gamma) if symbol == "power" else _power_step(rng, gamma)
-        radii = sorted(_num(rng.uniform(0.05, 0.95), 3) for _ in range(2))
-        ops.append(
-            {
-                "argv": ["berezin", "--d", str(d), "--symbol", desc, "--K", str(K), "--radii", ",".join(map(_fmt, radii))],
-                "check": {"kind": "berezin-radial", "d": d, "K": K, "symbol": sym, "radii": radii},
-            }
-        )
-    ks = [int(k) for k in _strata(rng, 150, 170, 2)]
-    for d, K, symbol in zip((3, 2), ks, ("power", "sum")):
-        gamma = _num(rng.uniform(0.5, 3.0))
-        desc, sym = _power(_num(rng.uniform(0.5, 2.0)), gamma) if symbol == "power" else _power_step(rng, gamma)
-        ops.append(
-            {
-                "argv": ["spectrum", "--d", str(d), "--symbol", desc, "--K", str(K)],
-                "check": {"kind": "spectrum-radial", "d": d, "K": K, "symbol": sym},
-            }
-        )
-    return ops
+# --- radial-closed -----------------------------------------------------------
 
 
 def _counting(d: int, desc: str, sym: dict, grid: tuple) -> dict:
@@ -139,32 +58,36 @@ def _counting(d: int, desc: str, sym: dict, grid: tuple) -> dict:
     }
 
 
-def _schatten(d, desc, sym, p, weak) -> dict:
-    argv = ["schatten", "--d", str(d), "--symbol", desc, "--p", _fmt(p)] + (["--weak"] if weak else [])
-    return {"argv": argv, "check": {"kind": "schatten-radial", "d": d, "symbol": sym, "p": p, "weak": weak}}
-
-
-# --- radial-closed -----------------------------------------------------------
-
-
 def radial_closed(rng: random.Random, tmp: Path) -> list[dict]:
     ops = []
-    # gamma = 0.5 at d = 2 always, then one draw per stratum of [0.5, 3].
-    gammas = [0.5] + _strata(rng, 0.5, 3.0, 19)
-    dims = [2] + [2 + (i % 2) for i in range(19)]
-    for d, gamma in zip(dims, gammas):
+    # Power counting is wrong from ln lambda ~ -8 down for gamma = 0.5 and
+    # from ~ -13 for gamma = 0.7; from gamma ~ 0.75 to 1 whether any row of a
+    # grid reaching -14 is wrong depends on a and d.  So the power symbols
+    # are drawn on either side of that band: five below it (gamma = 0.5 at
+    # d = 2 first), each drawn from a narrow range so that its number of
+    # wrong rows changes little between seeds, and fifteen from [1, 3].
+    # The same invocations fail for every seed, so ok_frac and
+    # right_row_frac measure the program and not the draw.
+    for d, gamma in zip((2, 3, 2, 3, 2), (0.5, 0.55, 0.6, 0.65, 0.7)):
+        g = gamma if gamma == 0.5 else _num(gamma + rng.uniform(0.0, 0.02))
+        desc, sym = _power(_num(rng.uniform(0.8, 1.25)), g)
+        grid = (_num(rng.uniform(-14.0, -13.8)), _num(rng.uniform(-1.2, -1.0)), 200)
+        ops.append(_counting(d, desc, sym, grid))
+    for i, gamma in enumerate(_strata(rng, 1.0, 3.0, 15)):
         desc, sym = _power(_num(rng.uniform(0.5, 2.0)), gamma)
         grid = (_num(rng.uniform(-14.0, -13.0)), _num(rng.uniform(-2.0, -1.0)), 200)
-        ops.append(_counting(d, desc, sym, grid))
+        ops.append(_counting(3 - i % 2, desc, sym, grid))
     for d in (2, 3, 2, 3):
         desc, sym = _step(_num(rng.uniform(0.2, 2.0)), _num(rng.uniform(0.1, 0.9)))
         grid = (_num(rng.uniform(-200.0, -190.0)), _num(rng.uniform(-11.0, -10.0)), 200)
         ops.append(_counting(d, desc, sym, grid))
-    power_gammas = _strata(rng, 0.5, 3.0, 4)
+    # One power-model fit below the band (wrong from about -8.5), three above it.
+    power_gammas = [_num(rng.uniform(0.5, 0.52))] + _strata(rng, 1.0, 3.0, 3)
     for i, (d, model) in enumerate(((2, "power"), (3, "power")) * 2 + ((2, "log-power"), (3, "log-power")) * 2):
         if model == "power":
-            desc, sym = _power(_num(rng.uniform(0.5, 2.0)), power_gammas[i])
-            grid = (_num(rng.uniform(-13.0, -12.0)), _num(rng.uniform(-5.0, -4.0)), 100)
+            a = _num(rng.uniform(0.8, 1.25)) if i == 0 else _num(rng.uniform(0.5, 2.0))
+            desc, sym = _power(a, power_gammas[i])
+            grid = (_num(rng.uniform(-13.0, -12.8)), _num(rng.uniform(-5.0, -4.8)), 100)
         else:
             desc, sym = _step(_num(rng.uniform(0.2, 2.0)), _num(rng.uniform(0.1, 0.9)))
             grid = (_num(rng.uniform(-130.0, -120.0)), _num(rng.uniform(-12.0, -10.0)), 100)
@@ -174,6 +97,7 @@ def radial_closed(rng: random.Random, tmp: Path) -> list[dict]:
                 "check": {"kind": "asymptotics", "d": d, "symbol": sym, "model": model, "grid": list(grid)},
             }
         )
+    # Energies up to 1e5 reach ln lambda = -gamma ln E >= -11.5 * gamma: no wrong rows.
     for d, gamma in zip((2, 3, 2, 3), _strata(rng, 0.5, 3.0, 4)):
         desc, sym = _power(_num(rng.uniform(0.5, 2.0)), gamma)
         grid = (1000.0, _num(rng.uniform(5e4, 1e5)), 100)
@@ -183,18 +107,17 @@ def radial_closed(rng: random.Random, tmp: Path) -> list[dict]:
                 "check": {"kind": "boundary-e", "d": d, "symbol": sym, "grid": list(grid)},
             }
         )
+    # d = 3 only: there the remainder is a formula, so no Bessel work runs.
     for gamma in _strata(rng, 1.0, 3.0, 4):
         desc, sym = _power(_num(rng.uniform(0.5, 2.0)), gamma)
         grid = (_num(rng.uniform(-9.5, -8.5)), _num(rng.uniform(-2.5, -1.5)), 50)
-        ops.append(_krein_lnlambda(3, desc, sym, grid))
+        ops.append(
+            {
+                "argv": ["krein", "--d", "3", "--symbol", desc, "--lnlambda", _grid_arg(*grid)],
+                "check": {"kind": "krein-lnlambda", "d": 3, "symbol": sym, "grid": list(grid)},
+            }
+        )
     return ops
-
-
-def _krein_lnlambda(d, desc, sym, grid) -> dict:
-    return {
-        "argv": ["krein", "--d", str(d), "--symbol", desc, "--lnlambda", _grid_arg(*grid)],
-        "check": {"kind": "krein-lnlambda", "d": d, "symbol": sym, "grid": list(grid)},
-    }
 
 
 # --- galerkin ------------------------------------------------------------------
@@ -278,28 +201,7 @@ def galerkin(rng: random.Random, tmp: Path) -> list[dict]:
     return ops
 
 
-# --- buckling ------------------------------------------------------------------
-
-
-def buckling(rng: random.Random, tmp: Path) -> list[dict]:
-    ops = []
-    for emax in _strata(rng, 4e4, 1e5, 2):
-        grid = (2000.0, float(round(emax)), 5)
-        desc, _ = _power(1.0, 1.0)
-        ops.append(
-            {
-                "argv": ["krein", "--d", "2", "--symbol", desc, "--E", _grid_arg(*grid)],
-                "check": {"kind": "krein-e", "grid": list(grid)},
-            }
-        )
-    desc, sym = _power(_num(rng.uniform(0.5, 2.0)), _num(rng.uniform(1.0, 2.0)))
-    ops.append(_krein_lnlambda(2, desc, sym, (_num(rng.uniform(-9.5, -8.5)), _num(rng.uniform(-5.5, -4.5)), 20)))
-    return ops
-
-
 WORKLOADS = {
-    "radial-enum": radial_enum,
     "radial-closed": radial_closed,
     "galerkin": galerkin,
-    "buckling": buckling,
 }
