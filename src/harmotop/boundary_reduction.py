@@ -20,7 +20,7 @@ from .grids import TruncationSpec, extension_node_matrix
 from .harmonic_basis import basis_indices, multiplicity
 from .numerics import log_gamma
 from .radial_toeplitz import AsymptoticFit, counting, power_eigenvalue
-from .symbols import Power
+from .symbols import Power, symbol_on_grid
 
 __all__ = [
     "BoundaryOperator",
@@ -90,10 +90,7 @@ def assemble_weighted_gram(V, d: int, spec: TruncationSpec) -> BoundaryOperator:
     Entries int_B V(x) |x|^(k+k') psi_{k,l}(x^) psi_{k',l'}(x^) dx on the
     same tensor grid as the Galerkin assembly.
     """
-    from .galerkin_toeplitz import _node_values, _symbol_grid  # same symbol resolution rules
-
-    grid = _symbol_grid(V, d, spec)
-    vals = _node_values(V, d, spec, grid)
+    grid, vals = symbol_on_grid(V, d, spec)
     basis = extension_node_matrix(d, spec.max_degree, grid)
     JV = (basis * (grid.weights * vals)) @ basis.T
     return BoundaryOperator(d=d, max_degree=spec.max_degree, matrix=0.5 * (JV + JV.T))

@@ -10,9 +10,9 @@ Symbol descriptors:
     sampled:@<path.csv>        (two columns r,v)
     sum:[<desc>; <desc> ...]   general:@<path.json>
 
-Outputs are deterministic for a fixed configuration (reductions run in a
-fixed order regardless of --threads).  Exit codes: 0 success, 2 malformed
-configuration or descriptor, 3 numerical certification failure.
+Outputs are deterministic for a fixed configuration.  Exit codes: 0
+success, 2 malformed configuration or descriptor, 3 numerical certification
+failure.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from . import krein_counting as kc
 from . import radial_toeplitz as rt
 from .errors import QuadratureDivergenceError, TailNotCertifiedError
 from .grids import TruncationSpec
-from .symbols import GeneralSymbol, Power, Sampled, Step, SymbolSum, radial_sup
+from .symbols import GeneralSymbol, Power, RadialSymbol, Sampled, Step, SymbolSum, TabulatedSymbol
 
 FULL = ".17g"
 
@@ -125,7 +124,7 @@ def parse_symbol(text: str, base_dir: str | Path = "."):
                 parts.append(parse_symbol(chunk, base_dir))
             except SymbolSyntaxError as exc:
                 raise SymbolSyntaxError(text, offset + 1 + rel + exc.pos, str(exc).splitlines()[0]) from None
-        if any(not isinstance(p, (Step, Power, Sampled, SymbolSum)) for p in parts):
+        if any(not isinstance(p, RadialSymbol) for p in parts):
             raise SymbolSyntaxError(text, offset, "sums may only combine radial symbols")
         return SymbolSum(parts)
     if head == "general":
@@ -137,14 +136,8 @@ def parse_symbol(text: str, base_dir: str | Path = "."):
             spec = TruncationSpec(
                 max_degree=int(payload["K"]), n_r=int(payload["n_r"]), n_ang=int(payload["n_ang"])
             )
-            return gt.TabulatedSymbol(
-                d=int(payload["d"]),
-                spec=spec,
-                values=np.asarray(payload["values"], dtype=float),
-                boundary_gamma=payload.get("gamma"),
-                boundary_trace_values=(
-                    np.asarray(payload["a0"], dtype=float) if "a0" in payload else None
-                ),
+            return TabulatedSymbol(
+                d=int(payload["d"]), spec=spec, values=np.asarray(payload["values"], dtype=float)
             )
         except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
             raise SymbolSyntaxError(text, offset + 1, f"bad symbol file {path}: {exc}") from None
@@ -180,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nang", type=int, default=None, help="angular grid size")
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("spectrum", help="eigenvalues with multiplicities")
     common(p)
@@ -237,11 +229,11 @@ def _spec_for(args, default_degree: int) -> TruncationSpec:
     )
 
 
-def _pmap(fn, items, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+def _radial_symbol(args) -> RadialSymbol:
+    symbol = parse_symbol(args.symbol)
+    if not isinstance(symbol, RadialSymbol):
+        raise ValueError(f"{args.command} requires a radial symbol; use spectrum for general symbols")
+    return symbol
 
 
 def _config_dict(args) -> dict:
@@ -255,11 +247,11 @@ COUNTING_FORMULA = "n_plus(lambda) = #{eigenvalues > lambda} = M_(nu-1), nu = #{
 
 def _cmd_spectrum(args):
     symbol = parse_symbol(args.symbol)
-    if isinstance(symbol, (Step, Power, Sampled, SymbolSum)):
+    if isinstance(symbol, RadialSymbol):
         k = args.K if args.K is not None else 12
         spectrum = rt.radial_spectrum(symbol, args.d, k)
     else:
-        spec = _spec_for(args, symbol.spec.max_degree if isinstance(symbol, gt.TabulatedSymbol) else 12)
+        spec = _spec_for(args, symbol.spec.max_degree if isinstance(symbol, TabulatedSymbol) else 12)
         spectrum = gt.spectrum(symbol, args.d, spec)
     if args.matrix_output:
         spec = _spec_for(args, spectrum.max_degree)
@@ -280,9 +272,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_counting(args):
-    symbol = parse_symbol(args.symbol)
-    if not isinstance(symbol, (Step, Power, Sampled, SymbolSum)):
-        raise ValueError("counting requires a radial symbol; use spectrum for general symbols")
+    symbol = _radial_symbol(args)
     sign = 1 if args.sign == "plus" else -1
     if (args.lam is None) == (args.lnlambda is None):
         raise ValueError("provide exactly one of --lambda, --lnlambda")
@@ -296,7 +286,7 @@ def _cmd_counting(args):
         # display column only; counting itself stays in the log domain and
         # the emitted value never goes sub-normal
         lam_grid = [math.exp(l) if l > -700.0 else 0.0 for l in ln_grid]
-    counts = _pmap(lambda l: rt.counting(symbol, args.d, sign=sign, ln_lam=l), ln_grid, args.threads)
+    counts = [rt.counting(symbol, args.d, sign=sign, ln_lam=l) for l in ln_grid]
     rows = [
         {"lambda": lam, "ln_lambda": l, "n": int(n)}
         for lam, l, n in zip(lam_grid, ln_grid, counts)
@@ -310,9 +300,7 @@ def _cmd_counting(args):
 
 
 def _cmd_asymptotics(args):
-    symbol = parse_symbol(args.symbol)
-    if not isinstance(symbol, (Step, Power, Sampled, SymbolSum)):
-        raise ValueError("asymptotics requires a radial symbol")
+    symbol = _radial_symbol(args)
     sign = 1 if args.sign == "plus" else -1
     ln_grid = np.sort(np.unique(_parse_range(args.lnlambda, "lnlambda")))[::-1]
     fit = rt.asymptotic_fit(
@@ -350,7 +338,7 @@ def _cmd_berezin(args):
     except ValueError:
         raise ValueError(f"--radii expects a comma-separated list, got {args.radii!r}") from None
     k = args.K if args.K is not None else 12
-    spec = _spec_for(args, k) if not isinstance(symbol, (Step, Power, Sampled, SymbolSum)) else None
+    spec = None if isinstance(symbol, RadialSymbol) else _spec_for(args, k)
     x0 = np.zeros(args.d)
 
     def at(r: float) -> float:
@@ -358,7 +346,7 @@ def _cmd_berezin(args):
         x[0] = r
         return kb.berezin_transform(symbol, args.d, x, k, spec=spec)
 
-    vals = _pmap(at, radii, args.threads)
+    vals = [at(r) for r in radii]
     rows = [{"radius": r, "berezin": v} for r, v in zip(radii, vals)]
     meta = {
         "columns": ["radius", "berezin"],
@@ -370,11 +358,11 @@ def _cmd_berezin(args):
 
 def _cmd_schatten(args):
     symbol = parse_symbol(args.symbol)
-    if isinstance(symbol, (Step, Power, Sampled, SymbolSum)):
+    if isinstance(symbol, RadialSymbol):
         value = rt.schatten_radial(symbol, args.d, args.p, weak=args.weak, k_stop=args.K)
         route = "radial-series"
     else:
-        spec = _spec_for(args, symbol.spec.max_degree if isinstance(symbol, gt.TabulatedSymbol) else 12)
+        spec = _spec_for(args, symbol.spec.max_degree if isinstance(symbol, TabulatedSymbol) else 12)
         value = gt.schatten_galerkin(gt.spectrum(symbol, args.d, spec), args.p, weak=args.weak)
         route = "galerkin"
     rows = [{"p": args.p, "weak": int(args.weak), "value": value, "route": route}]
@@ -387,7 +375,7 @@ def _cmd_boundary(args):
     symbol = parse_symbol(args.symbol)
     k_max = args.K if args.K is not None else 12
     rows = []
-    radial = isinstance(symbol, (Step, Power, Sampled, SymbolSum))
+    radial = isinstance(symbol, RadialSymbol)
     for k in range(k_max + 1):
         row = {
             "k": k,
@@ -432,9 +420,7 @@ def _cmd_boundary(args):
 
 
 def _cmd_krein(args):
-    symbol = parse_symbol(args.symbol)
-    if not isinstance(symbol, (Step, Power, Sampled, SymbolSum)):
-        raise ValueError("krein requires a radial symbol")
+    symbol = _radial_symbol(args)
     if (args.lnlambda is None) == (args.e_grid is None):
         raise ValueError("provide exactly one of --lnlambda, --E")
     if args.e_grid is not None:
@@ -452,7 +438,7 @@ def _cmd_krein(args):
         }
         return rows, meta
     ln_grid = [float(x) for x in _parse_range(args.lnlambda, "lnlambda")]
-    v_sup = args.vsup if args.vsup is not None else radial_sup(symbol)
+    v_sup = args.vsup if args.vsup is not None else symbol.sup()
     gamma = symbol.gamma if isinstance(symbol, Power) else None
     theta = 2.0 * (args.d - 1) / (gamma * (args.d + 2)) if gamma else 0.5
 
@@ -467,7 +453,7 @@ def _cmd_krein(args):
             row["envelope_main"] = kc.counting_envelope(args.d, gamma, symbol.a, lam).main
         return row
 
-    rows = _pmap(one, ln_grid, args.threads)
+    rows = [one(l) for l in ln_grid]
     meta = {
         "columns": list(rows[0].keys()),
         "comments": [

@@ -11,24 +11,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import BallGrid, TruncationSpec, ball_grid, harmonic_node_matrix
+from .grids import TruncationSpec, harmonic_node_matrix
 from .harmonic_basis import cumulative_multiplicity
 from .kernel_berezin import density_radial
 from .numerics import symmetric_eigen
 from .radial_toeplitz import Spectrum
-from .symbols import (
-    GeneralSymbol,
-    Power,
-    Sampled,
-    Step,
-    SymbolSum,
-    radial_breakpoints,
-    radial_values,
-)
+from .symbols import TabulatedSymbol, symbol_on_grid
 
 __all__ = [
     "TruncationSpec",
@@ -44,50 +35,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TabulatedSymbol:
-    """Symbol given by its values on the tensor quadrature grid of `spec`.
-
-    Wire format for externally supplied general symbols: the value array is
-    radial-major (all angular nodes of the first radius first) and must
-    match the grid implied by (d, spec) exactly.
-    """
-
-    d: int
-    spec: TruncationSpec
-    values: np.ndarray
-    boundary_gamma: float | None = None
-    boundary_trace_values: np.ndarray | None = None
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        expected = ball_grid(self.d, self.spec).weights.size
-        if vals.shape != (expected,):
-            raise ValueError(
-                f"tabulated symbol carries {vals.shape} values; the grid has {expected} nodes"
-            )
-
-
-def _node_values(V, d: int, spec: TruncationSpec, grid: BallGrid) -> np.ndarray:
-    if isinstance(V, (Step, Power, Sampled, SymbolSum)):
-        return radial_values(V, grid.radii)
-    if isinstance(V, TabulatedSymbol):
-        if V.d != d or V.spec != spec:
-            raise ValueError("tabulated symbol was sampled on a different grid")
-        return V.values
-    if isinstance(V, GeneralSymbol):
-        return V(grid.points)
-    if callable(V):
-        return np.asarray(V(grid.points), dtype=float)
-    raise TypeError(f"cannot evaluate symbol of type {type(V).__name__}")
-
-
-def _symbol_grid(V, d: int, spec: TruncationSpec) -> BallGrid:
-    breaks = radial_breakpoints(V) if isinstance(V, (Step, Power, Sampled, SymbolSum)) else ()
-    return ball_grid(d, spec, radial_breaks=breaks)
-
-
 def assemble(V, d: int, spec: TruncationSpec) -> np.ndarray:
     """Section matrix with entries int_B V phi_i phi_j dx on degrees <= max_degree.
 
@@ -97,8 +44,7 @@ def assemble(V, d: int, spec: TruncationSpec) -> np.ndarray:
     """
     if d not in (2, 3):
         raise ValueError(f"general-symbol assembly supports d in {{2, 3}}, got d={d}")
-    grid = _symbol_grid(V, d, spec)
-    vals = _node_values(V, d, spec, grid)
+    grid, vals = symbol_on_grid(V, d, spec)
     basis = harmonic_node_matrix(d, spec.max_degree, grid)
     A = (basis * (grid.weights * vals)) @ basis.T
     asym = float(np.max(np.abs(A - A.T)))
@@ -142,8 +88,7 @@ def norm_domination_check(V, d: int, spec: TruncationSpec, p: float, weak: bool 
             raise ValueError(f"weak exponent must be > 1, got {p}")
     elif p < 1.0:
         raise ValueError(f"exponent must be >= 1, got {p}")
-    grid = _symbol_grid(V, d, spec)
-    vals = _node_values(V, d, spec, grid)
+    grid, vals = symbol_on_grid(V, d, spec)
     if np.min(vals) < -1e-12:
         raise ValueError("norm domination check requires a nonnegative symbol")
     vals = np.maximum(vals, 0.0)

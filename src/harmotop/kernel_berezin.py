@@ -14,10 +14,10 @@ import math
 import numpy as np
 
 from .errors import QuadratureDivergenceError
-from .grids import BallGrid, TruncationSpec, ball_grid
+from .grids import TruncationSpec
 from .harmonic_basis import multiplicity, sphere_surface_area, zonal_table
 from .radial_toeplitz import radial_eigenvalue
-from .symbols import GeneralSymbol, Power, Sampled, Step, SymbolSum, radial_values
+from .symbols import RadialSymbol, symbol_on_grid
 
 __all__ = [
     "boundary_distance",
@@ -100,16 +100,6 @@ def _radial_density_integral(v: RadialSymbol, d: int, max_degree: int) -> float:
     )
 
 
-def _tensor_values(V, grid: BallGrid) -> np.ndarray:
-    if isinstance(V, (Step, Power, Sampled, SymbolSum)):
-        return radial_values(V, grid.radii)
-    if isinstance(V, GeneralSymbol):
-        return V(grid.points)
-    if callable(V):
-        return np.asarray(V(grid.points), dtype=float)
-    raise TypeError(f"cannot evaluate symbol of type {type(V).__name__} on a grid")
-
-
 def density_integral(
     V,
     d: int,
@@ -124,7 +114,7 @@ def density_integral(
     raises QuadratureDivergenceError when two refinements differ by more
     than 1e-6 relative.
     """
-    if isinstance(V, (Step, Power, Sampled, SymbolSum)):
+    if isinstance(V, RadialSymbol):
         return _radial_density_integral(V, d, max_degree)
     if spec is None:
         spec = TruncationSpec.for_degree(max_degree)
@@ -141,9 +131,9 @@ def density_integral(
 
 
 def _tensor_density_integral(V, d: int, max_degree: int, spec: TruncationSpec) -> float:
-    grid = ball_grid(d, spec)
+    grid, vals = symbol_on_grid(V, d, spec)
     rho = density_radial(d, grid.radii, max_degree)
-    return float(np.dot(grid.weights, rho * _tensor_values(V, grid)))
+    return float(np.dot(grid.weights, rho * vals))
 
 
 def berezin_transform(
@@ -163,14 +153,13 @@ def berezin_transform(
     rx = float(np.linalg.norm(x))
     if rx >= 1.0:
         raise ValueError("point must lie inside the unit ball")
-    if isinstance(V, (Step, Power, Sampled, SymbolSum)):
+    if isinstance(V, RadialSymbol):
         coeff = _degree_weights(d, max_degree) * rx ** (2 * np.arange(max_degree + 1))
         mus = np.array([radial_eigenvalue(V, d, k) for k in range(max_degree + 1)])
         return float(np.dot(coeff, mus) / np.sum(coeff))
     if spec is None:
         spec = TruncationSpec.for_degree(max_degree)
-    grid = ball_grid(d, spec)
-    vals = _tensor_values(V, grid)
+    grid, vals = symbol_on_grid(V, d, spec)
     # R_K(x, y_j) over all nodes via the zonal table in t = x^ . y^.
     if rx > 0.0:
         t = grid.points @ (x / rx) / np.where(grid.radii > 0.0, grid.radii, 1.0)

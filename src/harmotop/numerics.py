@@ -184,8 +184,7 @@ def _j01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a, b = _j01_series(x[small])
         j0[small], j1[small] = a, b
     if np.any(mid):
-        j0[mid] = _bessel_miller(0, x[mid])
-        j1[mid] = _bessel_miller(1, x[mid])
+        j0[mid], j1[mid] = _miller_pair(1, x[mid])
     if np.any(large):
         a, b = _j01_asymptotic(x[large])
         j0[large], j1[large] = a, b
@@ -208,13 +207,7 @@ def bessel_j(k: int, x):
     res = np.zeros_like(xa)
     pos = xa > 0.0
     if np.any(pos):
-        xp = xa[pos]
-        if float(np.min(xp)) >= k:
-            # Oscillatory region: upward order recurrence from J_0, J_1 is
-            # stable for all intermediate orders n < k <= x.
-            res[pos] = _upward_pair(k, xp)[1]
-        else:
-            res[pos] = _bessel_miller(k, xp)
+        res[pos] = _jk_pair(k, xa[pos])[1]
     return float(res[0]) if scalar else res
 
 
@@ -228,42 +221,23 @@ def _upward_pair(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prev, cur
 
 
-def _bessel_miller(k: int, x: np.ndarray) -> np.ndarray:
+def _jk_pair(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J_{k-1}(x), J_k(x)) for k >= 1, or (-J_1, J_0) for k = 0."""
+    if k <= 1 or float(np.min(x)) >= k:
+        # Oscillatory region: upward order recurrence from J_0, J_1 is
+        # stable for all intermediate orders n < k <= x.
+        return _upward_pair(k, x)
+    return _miller_pair(k, x)
+
+
+def _miller_pair(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J_{k-1}(x), J_k(x)) for k >= 1 from one normalised backward sweep."""
     xmax = float(np.max(x))
     start = int(max(k, xmax) + 16.0 * math.sqrt(max(k, xmax) + 1.0) + 24)
     if start % 2 == 1:
         start += 1
     bp = np.zeros_like(x)          # J~_{n+1}
     bc = np.full_like(x, 1e-30)    # J~_{n}
-    norm = np.zeros_like(x)
-    jk = np.zeros_like(x)
-    for n in range(start, 0, -1):
-        bm = (2.0 * n / x) * bc - bp
-        bp, bc = bc, bm
-        if n - 1 == k:
-            jk = bc.copy()
-        if (n - 1) % 2 == 0:
-            norm += bc if n - 1 == 0 else 2.0 * bc
-        big = np.abs(bc) > 1e250
-        if np.any(big):
-            scale = np.where(big, 1e-250, 1.0)
-            bp *= scale
-            bc *= scale
-            norm *= scale
-            jk *= scale
-    return jk / norm
-
-
-def _jk_pair(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J_{k-1}(x), J_k(x)) for k >= 1, or (-J_1, J_0) for k = 0."""
-    if k <= 1 or float(np.min(x)) >= k:
-        return _upward_pair(k, x)
-    xmax = float(np.max(x))
-    start = int(max(k, xmax) + 16.0 * math.sqrt(max(k, xmax) + 1.0) + 24)
-    if start % 2 == 1:
-        start += 1
-    bp = np.zeros_like(x)
-    bc = np.full_like(x, 1e-30)
     norm = np.zeros_like(x)
     jk = np.zeros_like(x)
     jkm1 = np.zeros_like(x)

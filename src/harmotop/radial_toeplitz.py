@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureDivergenceError, TailNotCertifiedError
+from .errors import TailNotCertifiedError
 from .harmonic_basis import cumulative_multiplicity, multiplicity
-from .numerics import gauss_jacobi01, gauss_legendre, log_gamma
-from .symbols import Power, RadialSymbol, Sampled, Step, SymbolSum, boundary_value
+from .numerics import log_gamma
+from .symbols import RadialSymbol
 
 __all__ = [
     "Spectrum",
@@ -44,32 +44,6 @@ __all__ = [
 _NEG_INF = float("-inf")
 
 
-# --- signed log arithmetic ---------------------------------------------------
-
-
-def _signed_log_add(terms) -> tuple[int, float]:
-    """Sum of s_i * exp(l_i) represented as (sign, log abs)."""
-    live = [(s, l) for s, l in terms if s != 0 and l != _NEG_INF]
-    if not live:
-        return 0, _NEG_INF
-    top = max(l for _, l in live)
-    acc = 0.0
-    for s, l in live:
-        acc += s * math.exp(l - top)
-    if acc == 0.0:
-        return 0, _NEG_INF
-    return (1 if acc > 0.0 else -1), top + math.log(abs(acc))
-
-
-def _log_pow_diff(a: float, r_hi: float, r_lo: float) -> float:
-    """log(r_hi^a - r_lo^a) for 0 <= r_lo < r_hi <= 1."""
-    if r_lo == 0.0:
-        return a * math.log(r_hi) if r_hi < 1.0 else 0.0
-    hi = a * math.log(r_hi) if r_hi < 1.0 else 0.0
-    lo = a * math.log(r_lo)
-    return hi + math.log1p(-math.exp(lo - hi))
-
-
 # --- eigenvalues -------------------------------------------------------------
 
 
@@ -83,7 +57,7 @@ def step_eigenvalue(b: float, c: float, d: int, k: int) -> float:
 def power_eigenvalue(a: float, gamma: float, d: int, k: int) -> float:
     """Closed form a Gamma(gamma+1) Gamma(n+1)/Gamma(n+1+gamma), n = 2k+d.
 
-    Log-domain evaluation, stable for k up to 1e6 and far beyond.
+    Log-domain evaluation, stable for k up to 1e6.
     """
     if a <= 0.0 or gamma <= 0.0:
         raise ValueError("power symbol needs a > 0 and gamma > 0")
@@ -91,46 +65,9 @@ def power_eigenvalue(a: float, gamma: float, d: int, k: int) -> float:
     return a * math.exp(log_gamma(gamma + 1.0) + log_gamma(n + 1.0) - log_gamma(n + 1.0 + gamma))
 
 
-def _sampled_log_terms(v: Sampled, n: int):
-    """Signed log terms of mu = n * int_0^1 v r^(n-1) dr for the sampled profile."""
-    terms: list[tuple[int, float]] = []
-    r, vals = v.r, v.v
-    if r[0] > 0.0 and vals[0] != 0.0:
-        terms.append((1 if vals[0] > 0 else -1, math.log(abs(vals[0])) + n * math.log(r[0])))
-    for (r0, v0), (r1, v1) in zip(zip(r, vals), zip(r[1:], vals[1:])):
-        slope = (v1 - v0) / (r1 - r0)
-        f1 = v0 - slope * r0
-        if f1 != 0.0:
-            terms.append((1 if f1 > 0 else -1, math.log(abs(f1)) + _log_pow_diff(n, r1, r0)))
-        if slope != 0.0:
-            log_f2 = math.log(abs(slope)) + math.log(n / (n + 1.0))
-            terms.append((1 if slope > 0 else -1, log_f2 + _log_pow_diff(n + 1, r1, r0)))
-    v_last = vals[-1]
-    if v_last != 0.0:
-        log_tail = math.log(abs(v_last)) + math.log1p(-math.exp(n * math.log(r[-1])))
-        terms.append((1 if v_last > 0 else -1, log_tail))
-    return terms
-
-
 def log_radial_eigenvalue(v: RadialSymbol, d: int, k: int) -> tuple[int, float]:
     """(sign, log |mu_k(v)|), exact in the log domain for every variant."""
-    n = 2 * k + d
-    if isinstance(v, Step):
-        if v.b == 0.0:
-            return 0, _NEG_INF
-        return (1 if v.b > 0 else -1), math.log(abs(v.b)) + n * math.log(v.c)
-    if isinstance(v, Power):
-        return 1, (
-            math.log(v.a)
-            + log_gamma(v.gamma + 1.0)
-            + log_gamma(n + 1.0)
-            - log_gamma(n + 1.0 + v.gamma)
-        )
-    if isinstance(v, Sampled):
-        return _signed_log_add(_sampled_log_terms(v, n))
-    if isinstance(v, SymbolSum):
-        return _signed_log_add(log_radial_eigenvalue(p, d, k) for p in v.parts)
-    raise TypeError(f"not a radial symbol: {v!r}")
+    return v.log_mu(d, k)
 
 
 def radial_eigenvalue(v: RadialSymbol, d: int, k: int, order: int | None = None) -> float:
@@ -140,49 +77,15 @@ def radial_eigenvalue(v: RadialSymbol, d: int, k: int, order: int | None = None)
     with a Gauss-Jacobi rule carrying the (1-r)^gamma endpoint weight, so the
     relative error stays below 1e-10 for every gamma > 0.  Piecewise-linear
     profiles integrate segment by segment in closed form (the interpolant is
-    the model, and its moments are exact).
+    the model, and its moments are exact).  An explicit `order` is checked
+    against a refinement by 7 and raises QuadratureDivergenceError when the
+    two disagree beyond 1e-9 relative.
     """
     if d < 2:
         raise ValueError(f"space dimension must be >= 2, got {d}")
     if k < 0:
         raise ValueError(f"degree must be nonnegative, got {k}")
-    n = 2 * k + d
-    if isinstance(v, Step):
-        value = _step_quadrature(v, n, order)
-        if order is not None:
-            refined = _step_quadrature(v, n, order + 7)
-            _check_refinement(value, refined)
-        return value
-    if isinstance(v, Power):
-        value = _power_quadrature(v, n, order)
-        if order is not None:
-            refined = _power_quadrature(v, n, order + 7)
-            _check_refinement(value, refined)
-        return value
-    if isinstance(v, Sampled):
-        sign, log_abs = log_radial_eigenvalue(v, d, k)
-        return sign * math.exp(log_abs) if sign != 0 else 0.0
-    if isinstance(v, SymbolSum):
-        return sum(radial_eigenvalue(p, d, k, order) for p in v.parts)
-    raise TypeError(f"not a radial symbol: {v!r}")
-
-
-def _step_quadrature(v: Step, n: int, order: int | None) -> float:
-    rule = gauss_legendre(order if order is not None else (n // 2 + 6), 0.0, v.c)
-    return n * v.b * float(np.dot(rule.weights, rule.nodes ** (n - 1)))
-
-
-def _power_quadrature(v: Power, n: int, order: int | None) -> float:
-    rule = gauss_jacobi01(order if order is not None else (n // 2 + 6), v.gamma)
-    return n * v.a * float(np.dot(rule.weights, (1.0 - rule.nodes) ** (n - 1)))
-
-
-def _check_refinement(value: float, refined: float) -> None:
-    scale = max(abs(value), abs(refined), 1e-300)
-    if abs(value - refined) > 1e-9 * scale:
-        raise QuadratureDivergenceError(
-            f"quadrature refinements disagree: {value!r} vs {refined!r}"
-        )
+    return v.mu(d, k, order)
 
 
 # --- spectra -----------------------------------------------------------------
@@ -242,38 +145,6 @@ def radial_spectrum(v: RadialSymbol, d: int, max_degree: int, order: int | None 
 # --- certified tail bounds ---------------------------------------------------
 
 
-def _tail_profiles(v: RadialSymbol, d: int) -> list[tuple[str, float, float]]:
-    """Certified bounds |mu_k| <= exp(logS + k*logq) or exp(logA) (2k+d)^-gamma.
-
-    Returns a list of ("geometric", logS, logq) / ("power", logA, gamma)
-    descriptors whose sum dominates |mu_k| for every k.  A profile that does
-    not vanish at the boundary contributes ("floor", log|v(1-)|, 0).
-    """
-    if isinstance(v, Step):
-        if v.b == 0.0:
-            return []
-        return [("geometric", math.log(abs(v.b)) + d * math.log(v.c), 2.0 * math.log(v.c))]
-    if isinstance(v, Power):
-        # Gamma(x)/Gamma(x+gamma) <= x^-gamma (1 + 1/x) for x >= 1 gives the
-        # certified constant 4/3 at x = 2k+d+1 >= 3.
-        log_a = math.log(4.0 / 3.0) + math.log(v.a) + log_gamma(v.gamma + 1.0)
-        return [("power", log_a, v.gamma)]
-    if isinstance(v, Sampled):
-        out = []
-        sup_inner = max(abs(x) for x in v.v)
-        if sup_inner > 0.0:
-            out.append(
-                ("geometric", math.log(sup_inner) + d * math.log(v.r[-1]), 2.0 * math.log(v.r[-1]))
-            )
-        v_last = boundary_value(v)
-        if v_last != 0.0:
-            out.append(("floor", math.log(abs(v_last)), 0.0))
-        return out
-    if isinstance(v, SymbolSum):
-        return [p for part in v.parts for p in _tail_profiles(part, d)]
-    raise TypeError(f"not a radial symbol: {v!r}")
-
-
 def _log_tail_sup(profiles, d: int, k: int) -> float:
     """log of a certified bound for sup_{j > k} |mu_j|."""
     logs = []
@@ -295,10 +166,6 @@ def _log_tail_sup(profiles, d: int, k: int) -> float:
 _MONOTONE_CAP = 10**15
 
 
-def _is_monotone_closed_form(v: RadialSymbol) -> bool:
-    return isinstance(v, (Step, Power))
-
-
 def counting(
     v: RadialSymbol,
     d: int,
@@ -313,8 +180,8 @@ def counting(
 
     Strict inequality (a threshold equal to an eigenvalue excludes it); all
     comparisons happen between log mu_k and log lam, so thresholds down to
-    exp(-200) are handled exactly.  For the monotone closed-form profiles
-    (Step, Power) the first non-exceeding degree is located by bisection and
+    exp(-200) are handled exactly.  For monotone profiles (`v.monotone`:
+    Step, Power) the first non-exceeding degree is located by bisection and
     the count is the cumulative multiplicity below it; otherwise degrees are
     enumerated until the certified tail bound drops below the threshold.
     Raises TailNotCertifiedError when no such cutoff can be certified.
@@ -329,9 +196,9 @@ def counting(
         ln_lam = math.log(lam)
     assert ln_lam is not None
 
-    if _is_monotone_closed_form(v):
+    if v.monotone:
         def exceeds(k: int) -> bool:
-            s, log_abs = log_radial_eigenvalue(v, d, k)
+            s, log_abs = v.log_mu(d, k)
             return s == sign and log_abs > ln_lam
 
         if not exceeds(0):
@@ -349,7 +216,7 @@ def counting(
                 hi = mid
         return cumulative_multiplicity(d, hi - 1)
 
-    profiles = _tail_profiles(v, d)
+    profiles = v.tail_profiles(d)
     floor_logs = [c0 for kind, c0, _ in profiles if kind == "floor"]
     if floor_logs and max(floor_logs) > ln_lam:
         raise TailNotCertifiedError(
@@ -359,7 +226,7 @@ def counting(
     total = 0
     limit = k_stop if k_stop is not None else max_terms
     for k in range(limit + 1):
-        s, log_abs = log_radial_eigenvalue(v, d, k)
+        s, log_abs = v.log_mu(d, k)
         if s == sign and log_abs > ln_lam:
             total += multiplicity(d, k)
         if k_stop is None and _log_tail_sup(profiles, d, k) <= ln_lam:
@@ -503,10 +370,6 @@ def asymptotic_fit(
 # --- Schatten norms and decay ------------------------------------------------
 
 
-def _enumerate_log_mu(v: RadialSymbol, d: int, k_stop: int):
-    return [log_radial_eigenvalue(v, d, k) for k in range(k_stop + 1)]
-
-
 def _tail_p_sum_log(profiles, d: int, k: int, p: float) -> float:
     """log of a certified bound for sum_{j>k} m_j |mu_j|^p (Minkowski over parts)."""
     if not profiles:
@@ -549,6 +412,16 @@ def _tail_p_sum_log(profiles, d: int, k: int, p: float) -> float:
     return p * (top + math.log(sum(math.exp(r - top) for r in roots)))
 
 
+def _sorted_log_blocks(v: RadialSymbol, d: int, k_stop: int):
+    """(log |mu_k|, m_k) for the degrees k <= k_stop with mu_k != 0, |mu|-descending."""
+    logs = (v.log_mu(d, k) for k in range(k_stop + 1))
+    return sorted(
+        ((log_abs, multiplicity(d, k)) for k, (s, log_abs) in enumerate(logs) if s != 0),
+        key=lambda t: t[0],
+        reverse=True,
+    )
+
+
 def schatten_radial(
     v: RadialSymbol,
     d: int,
@@ -569,7 +442,7 @@ def schatten_radial(
             raise ValueError(f"weak Schatten exponent must be > 1, got {p}")
     elif p < 1.0:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
-    profiles = _tail_profiles(v, d)
+    profiles = v.tail_profiles(d)
 
     if not weak:
         partial = 0.0
@@ -577,7 +450,7 @@ def schatten_radial(
         limit = k_stop if k_stop is not None else 400_000
         while k < limit:
             k += 1
-            s, log_abs = log_radial_eigenvalue(v, d, k)
+            s, log_abs = v.log_mu(d, k)
             if s != 0:
                 partial += multiplicity(d, k) * math.exp(p * log_abs)
             if k_stop is None and k >= 8:
@@ -593,15 +466,9 @@ def schatten_radial(
 
     # Weak quasinorm: expand, sort by |mu| descending, take sup j^(1/p) s_j.
     limit = k_stop if k_stop is not None else 40_000
-    logs = _enumerate_log_mu(v, d, limit)
-    blocks = sorted(
-        ((log_abs, multiplicity(d, k)) for k, (s, log_abs) in enumerate(logs) if s != 0),
-        key=lambda t: t[0],
-        reverse=True,
-    )
     best_log = _NEG_INF
     count = 0
-    for log_abs, m in blocks:
+    for log_abs, m in _sorted_log_blocks(v, d, limit):
         count += m
         best_log = max(best_log, math.log(count) / p + log_abs)
     tail_log = _weak_tail_sup_log(profiles, d, limit, p)
@@ -645,15 +512,6 @@ class DecayCheck:
     k_stop: int
 
 
-def _sorted_log_blocks(v: RadialSymbol, d: int, k_stop: int):
-    logs = _enumerate_log_mu(v, d, k_stop)
-    return sorted(
-        ((log_abs, multiplicity(d, k)) for k, (s, log_abs) in enumerate(logs) if s != 0),
-        key=lambda t: t[0],
-        reverse=True,
-    )
-
-
 def superpolynomial_decay_check(v: RadialSymbol, d: int, alpha: float, k_stop: int) -> DecayCheck:
     """sup over j of j^alpha s_j for a compactly supported radial symbol.
 
@@ -663,7 +521,7 @@ def superpolynomial_decay_check(v: RadialSymbol, d: int, alpha: float, k_stop: i
     """
     if alpha <= 0.0:
         raise ValueError(f"decay exponent must be positive, got {alpha}")
-    profiles = _tail_profiles(v, d)
+    profiles = v.tail_profiles(d)
     if any(kind != "geometric" for kind, _, _ in profiles):
         raise TailNotCertifiedError("superpolynomial decay needs a compactly supported profile")
     best_log = _NEG_INF

@@ -1,6 +1,6 @@
 """Symbol types: radial profiles on [0, 1) and general multipliers on the ball.
 
-Radial variants:
+Radial variants (subclasses of RadialSymbol):
   Step(b, c)        v(r) = b on [0, c], 0 beyond (c in (0, 1))
   Power(a, gamma)   v(r) = a (1 - r)^gamma
   Sampled(r, v)     piecewise-linear through strictly increasing nodes in
@@ -8,44 +8,169 @@ Radial variants:
                     after the last one (so v(1-) is the last sample)
   SymbolSum(parts)  pointwise sum of radial symbols
 
+For V(x) = v(|x|) the Toeplitz operator acts on the degree-k harmonics as
+multiplication by mu_k = (2k+d) int_0^1 v(r) r^(2k+d-1) dr, so each variant
+is described by its profile, its mu_k and a certified bound on |mu_k| for
+large k; SymbolSum composes the results of its parts.
+
 General symbols evaluate pointwise on the open unit ball and may declare
-power-type boundary behaviour V(x) ~ (1-|x|)^gamma a0(x/|x|).
+power-type boundary behaviour V(x) ~ (1-|x|)^gamma a0(x/|x|); tabulated
+symbols carry their values on one tensor quadrature grid.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
+from .errors import QuadratureDivergenceError
+from .grids import BallGrid, TruncationSpec, ball_grid
+from .numerics import gauss_jacobi01, gauss_legendre, log_gamma
+
 __all__ = [
+    "RadialSymbol",
     "Step",
     "Power",
     "Sampled",
     "SymbolSum",
-    "RadialSymbol",
-    "radial_values",
-    "radial_sup",
-    "boundary_value",
     "GeneralSymbol",
+    "TabulatedSymbol",
     "from_radial",
+    "symbol_on_grid",
 ]
+
+_NEG_INF = float("-inf")
+
+
+# --- signed log arithmetic ---------------------------------------------------
+
+
+def _signed_log_add(terms) -> tuple[int, float]:
+    """Sum of s_i * exp(l_i) represented as (sign, log abs)."""
+    live = [(s, l) for s, l in terms if s != 0 and l != _NEG_INF]
+    if not live:
+        return 0, _NEG_INF
+    top = max(l for _, l in live)
+    acc = 0.0
+    for s, l in live:
+        acc += s * math.exp(l - top)
+    if acc == 0.0:
+        return 0, _NEG_INF
+    return (1 if acc > 0.0 else -1), top + math.log(abs(acc))
+
+
+def _log_pow_diff(a: float, r_hi: float, r_lo: float) -> float:
+    """log(r_hi^a - r_lo^a) for 0 <= r_lo < r_hi <= 1."""
+    if r_lo == 0.0:
+        return a * math.log(r_hi) if r_hi < 1.0 else 0.0
+    hi = a * math.log(r_hi) if r_hi < 1.0 else 0.0
+    lo = a * math.log(r_lo)
+    return hi + math.log1p(-math.exp(lo - hi))
+
+
+# --- radial symbols ----------------------------------------------------------
+
+
+class RadialSymbol:
+    """Radial profile v on [0, 1), acting as the multiplier V(x) = v(|x|).
+
+    Tail profiles are descriptors whose bounds sum to a certified bound on
+    |mu_k| for every k: ("geometric", logS, logq) stands for
+    exp(logS + k*logq), ("power", logA, gamma) for exp(logA) (2k+d)^-gamma,
+    and ("floor", log|v(1-)|, 0) for a profile that does not vanish at the
+    boundary.
+    """
+
+    #: |mu_k| is nonincreasing in k with a fixed sign, so counting may bisect.
+    monotone = False
+
+    def values(self, r) -> np.ndarray:
+        """Evaluate the profile at radii r in [0, 1)."""
+        raise NotImplementedError
+
+    def sup(self) -> float:
+        """An upper bound for sup |v| on [0, 1)."""
+        raise NotImplementedError
+
+    def breakpoints(self) -> tuple[float, ...]:
+        """Interior radii where the profile is not smooth (jumps and kinks).
+
+        Quadrature rules split at these radii so that piecewise-polynomial
+        profiles integrate exactly.
+        """
+        return ()
+
+    def boundary_value(self) -> float:
+        """v(1-) under the profile's continuation."""
+        return 0.0
+
+    def log_mu(self, d: int, k: int) -> tuple[int, float]:
+        """(sign, log |mu_k|), exact in the log domain."""
+        raise NotImplementedError
+
+    def mu(self, d: int, k: int, order: int | None = None) -> float:
+        """mu_k by quadrature; an explicit order is checked against order + 7."""
+        n = 2 * k + d
+        value = self._quadrature(n, order)
+        if order is not None:
+            refined = self._quadrature(n, order + 7)
+            if abs(value - refined) > 1e-9 * max(abs(value), abs(refined), 1e-300):
+                raise QuadratureDivergenceError(
+                    f"quadrature refinements disagree: {value!r} vs {refined!r}"
+                )
+        return value
+
+    def _quadrature(self, n: int, order: int | None) -> float:
+        raise NotImplementedError
+
+    def tail_profiles(self, d: int) -> list[tuple[str, float, float]]:
+        """Certified tail descriptors (see the class docstring)."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class Step:
+class Step(RadialSymbol):
     b: float
     c: float
+
+    monotone = True
 
     def __post_init__(self):
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"step radius must lie in (0, 1), got {self.c}")
 
+    def values(self, r) -> np.ndarray:
+        return np.where(np.asarray(r, dtype=float) <= self.c, self.b, 0.0)
+
+    def sup(self) -> float:
+        return abs(self.b)
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return (self.c,)
+
+    def log_mu(self, d: int, k: int) -> tuple[int, float]:
+        if self.b == 0.0:
+            return 0, _NEG_INF
+        return (1 if self.b > 0 else -1), math.log(abs(self.b)) + (2 * k + d) * math.log(self.c)
+
+    def _quadrature(self, n: int, order: int | None) -> float:
+        rule = gauss_legendre(order if order is not None else (n // 2 + 6), 0.0, self.c)
+        return n * self.b * float(np.dot(rule.weights, rule.nodes ** (n - 1)))
+
+    def tail_profiles(self, d: int) -> list[tuple[str, float, float]]:
+        if self.b == 0.0:
+            return []
+        return [("geometric", math.log(abs(self.b)) + d * math.log(self.c), 2.0 * math.log(self.c))]
+
 
 @dataclass(frozen=True)
-class Power:
+class Power(RadialSymbol):
     a: float
     gamma: float
+
+    monotone = True
 
     def __post_init__(self):
         if self.a <= 0.0:
@@ -53,9 +178,36 @@ class Power:
         if self.gamma <= 0.0:
             raise ValueError(f"decay rate must be positive, got {self.gamma}")
 
+    def values(self, r) -> np.ndarray:
+        return self.a * (1.0 - np.asarray(r, dtype=float)) ** self.gamma
+
+    def sup(self) -> float:
+        return self.a
+
+    def log_mu(self, d: int, k: int) -> tuple[int, float]:
+        n = 2 * k + d
+        return 1, (
+            math.log(self.a)
+            + log_gamma(self.gamma + 1.0)
+            + log_gamma(n + 1.0)
+            - log_gamma(n + 1.0 + self.gamma)
+        )
+
+    def _quadrature(self, n: int, order: int | None) -> float:
+        # Gauss-Jacobi carries the (1-r)^gamma endpoint weight, so the
+        # relative error stays below 1e-10 for every gamma > 0.
+        rule = gauss_jacobi01(order if order is not None else (n // 2 + 6), self.gamma)
+        return n * self.a * float(np.dot(rule.weights, (1.0 - rule.nodes) ** (n - 1)))
+
+    def tail_profiles(self, d: int) -> list[tuple[str, float, float]]:
+        # Gamma(x)/Gamma(x+gamma) <= x^-gamma (1 + 1/x) for x >= 1 gives the
+        # certified constant 4/3 at x = 2k+d+1 >= 3.
+        log_a = math.log(4.0 / 3.0) + math.log(self.a) + log_gamma(self.gamma + 1.0)
+        return [("power", log_a, self.gamma)]
+
 
 @dataclass(frozen=True)
-class Sampled:
+class Sampled(RadialSymbol):
     r: tuple[float, ...]
     v: tuple[float, ...]
 
@@ -71,10 +223,62 @@ class Sampled:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "v", v)
 
+    def values(self, r) -> np.ndarray:
+        return np.interp(np.asarray(r, dtype=float), self.r, self.v)
+
+    def sup(self) -> float:
+        return max(abs(x) for x in self.v)
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return tuple(r for r in self.r if 0.0 < r < 1.0)
+
+    def boundary_value(self) -> float:
+        return self.v[-1]
+
+    def _log_terms(self, n: int) -> list[tuple[int, float]]:
+        """Signed log terms of mu = n * int_0^1 v r^(n-1) dr, segment by segment."""
+        terms: list[tuple[int, float]] = []
+        r, vals = self.r, self.v
+        if r[0] > 0.0 and vals[0] != 0.0:
+            terms.append((1 if vals[0] > 0 else -1, math.log(abs(vals[0])) + n * math.log(r[0])))
+        for (r0, v0), (r1, v1) in zip(zip(r, vals), zip(r[1:], vals[1:])):
+            slope = (v1 - v0) / (r1 - r0)
+            f1 = v0 - slope * r0
+            if f1 != 0.0:
+                terms.append((1 if f1 > 0 else -1, math.log(abs(f1)) + _log_pow_diff(n, r1, r0)))
+            if slope != 0.0:
+                log_f2 = math.log(abs(slope)) + math.log(n / (n + 1.0))
+                terms.append((1 if slope > 0 else -1, log_f2 + _log_pow_diff(n + 1, r1, r0)))
+        v_last = vals[-1]
+        if v_last != 0.0:
+            log_tail = math.log(abs(v_last)) + math.log1p(-math.exp(n * math.log(r[-1])))
+            terms.append((1 if v_last > 0 else -1, log_tail))
+        return terms
+
+    def log_mu(self, d: int, k: int) -> tuple[int, float]:
+        return _signed_log_add(self._log_terms(2 * k + d))
+
+    def mu(self, d: int, k: int, order: int | None = None) -> float:
+        # The interpolant is the model, and its moments are exact.
+        sign, log_abs = self.log_mu(d, k)
+        return sign * math.exp(log_abs) if sign != 0 else 0.0
+
+    def tail_profiles(self, d: int) -> list[tuple[str, float, float]]:
+        out = []
+        sup_inner = self.sup()
+        if sup_inner > 0.0:
+            out.append(
+                ("geometric", math.log(sup_inner) + d * math.log(self.r[-1]), 2.0 * math.log(self.r[-1]))
+            )
+        v_last = self.boundary_value()
+        if v_last != 0.0:
+            out.append(("floor", math.log(abs(v_last)), 0.0))
+        return out
+
 
 @dataclass(frozen=True)
-class SymbolSum:
-    parts: tuple["RadialSymbol", ...]
+class SymbolSum(RadialSymbol):
+    parts: tuple[RadialSymbol, ...]
 
     def __init__(self, parts):
         parts = tuple(parts)
@@ -82,63 +286,29 @@ class SymbolSum:
             raise ValueError("empty symbol sum")
         object.__setattr__(self, "parts", parts)
 
+    def values(self, r) -> np.ndarray:
+        return sum(p.values(r) for p in self.parts)
 
-RadialSymbol = Union[Step, Power, Sampled, SymbolSum]
+    def sup(self) -> float:
+        return sum(p.sup() for p in self.parts)
 
+    def breakpoints(self) -> tuple[float, ...]:
+        return tuple(sorted({b for p in self.parts for b in p.breakpoints()}))
 
-def radial_values(v: RadialSymbol, r) -> np.ndarray:
-    """Evaluate the radial profile at radii r in [0, 1)."""
-    r = np.asarray(r, dtype=float)
-    if isinstance(v, Step):
-        return np.where(r <= v.c, v.b, 0.0)
-    if isinstance(v, Power):
-        return v.a * (1.0 - r) ** v.gamma
-    if isinstance(v, Sampled):
-        return np.interp(r, v.r, v.v)
-    if isinstance(v, SymbolSum):
-        return sum(radial_values(p, r) for p in v.parts)
-    raise TypeError(f"not a radial symbol: {v!r}")
+    def boundary_value(self) -> float:
+        return sum(p.boundary_value() for p in self.parts)
 
+    def log_mu(self, d: int, k: int) -> tuple[int, float]:
+        return _signed_log_add(p.log_mu(d, k) for p in self.parts)
 
-def radial_sup(v: RadialSymbol) -> float:
-    """An upper bound for sup |v| on [0, 1)."""
-    if isinstance(v, Step):
-        return abs(v.b)
-    if isinstance(v, Power):
-        return v.a
-    if isinstance(v, Sampled):
-        return max(abs(x) for x in v.v)
-    if isinstance(v, SymbolSum):
-        return sum(radial_sup(p) for p in v.parts)
-    raise TypeError(f"not a radial symbol: {v!r}")
+    def mu(self, d: int, k: int, order: int | None = None) -> float:
+        return sum(p.mu(d, k, order) for p in self.parts)
+
+    def tail_profiles(self, d: int) -> list[tuple[str, float, float]]:
+        return [t for p in self.parts for t in p.tail_profiles(d)]
 
 
-def radial_breakpoints(v: RadialSymbol) -> tuple[float, ...]:
-    """Interior radii where the profile is not smooth (jumps and kinks).
-
-    Quadrature rules split at these radii so that piecewise-polynomial
-    profiles integrate exactly.
-    """
-    if isinstance(v, Step):
-        return (v.c,)
-    if isinstance(v, Power):
-        return ()
-    if isinstance(v, Sampled):
-        return tuple(r for r in v.r if 0.0 < r < 1.0)
-    if isinstance(v, SymbolSum):
-        return tuple(sorted({b for p in v.parts for b in radial_breakpoints(p)}))
-    raise TypeError(f"not a radial symbol: {v!r}")
-
-
-def boundary_value(v: RadialSymbol) -> float:
-    """v(1-) under the profile's continuation (0 for Step/Power)."""
-    if isinstance(v, (Step, Power)):
-        return 0.0
-    if isinstance(v, Sampled):
-        return v.v[-1]
-    if isinstance(v, SymbolSum):
-        return sum(boundary_value(p) for p in v.parts)
-    raise TypeError(f"not a radial symbol: {v!r}")
+# --- general symbols ---------------------------------------------------------
 
 
 @dataclass
@@ -176,7 +346,50 @@ def from_radial(v: RadialSymbol) -> GeneralSymbol:
     if isinstance(v, Power):
         trace = lambda dirs: np.full(np.atleast_2d(dirs).shape[0], v.a)
     return GeneralSymbol(
-        func=lambda pts: radial_values(v, np.linalg.norm(np.atleast_2d(pts), axis=1)),
+        func=lambda pts: v.values(np.linalg.norm(np.atleast_2d(pts), axis=1)),
         boundary_gamma=meta_gamma,
         boundary_trace=trace,
     )
+
+
+@dataclass(frozen=True)
+class TabulatedSymbol:
+    """Symbol given by its values on the tensor quadrature grid of `spec`.
+
+    Wire format for externally supplied general symbols: the value array is
+    radial-major (all angular nodes of the first radius first) and must
+    match the grid implied by (d, spec) exactly.
+    """
+
+    d: int
+    spec: TruncationSpec
+    values: np.ndarray
+
+    def __post_init__(self):
+        vals = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", vals)
+        expected = ball_grid(self.d, self.spec).weights.size
+        if vals.shape != (expected,):
+            raise ValueError(
+                f"tabulated symbol carries {vals.shape} values; the grid has {expected} nodes"
+            )
+
+
+def symbol_on_grid(V, d: int, spec: TruncationSpec) -> tuple[BallGrid, np.ndarray]:
+    """The tensor grid of (d, spec) and the values of V at its nodes.
+
+    Radial profiles split the radial rule at their breakpoints; a
+    TabulatedSymbol must have been sampled on exactly this grid; any other
+    callable (a GeneralSymbol, say) is evaluated on the (n, d) node array.
+    """
+    if isinstance(V, RadialSymbol):
+        grid = ball_grid(d, spec, radial_breaks=V.breakpoints())
+        return grid, V.values(grid.radii)
+    grid = ball_grid(d, spec)
+    if isinstance(V, TabulatedSymbol):
+        if V.d != d or V.spec != spec:
+            raise ValueError("tabulated symbol was sampled on a different grid")
+        return grid, V.values
+    if callable(V):
+        return grid, np.asarray(V(grid.points), dtype=float)
+    raise TypeError(f"cannot evaluate symbol of type {type(V).__name__} on a grid")

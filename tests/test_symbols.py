@@ -7,11 +7,7 @@ from harmotop.symbols import (
     Sampled,
     Step,
     SymbolSum,
-    boundary_value,
     from_radial,
-    radial_breakpoints,
-    radial_sup,
-    radial_values,
 )
 
 
@@ -42,26 +38,26 @@ def test_sampled_validation():
 
 def test_radial_values():
     r = np.array([0.0, 0.3, 0.5, 0.7])
-    assert radial_values(Step(2.0, 0.5), r) == pytest.approx([2.0, 2.0, 2.0, 0.0])
-    assert radial_values(Power(1.0, 2.0), r) == pytest.approx((1.0 - r) ** 2)
+    assert Step(2.0, 0.5).values(r) == pytest.approx([2.0, 2.0, 2.0, 0.0])
+    assert Power(1.0, 2.0).values(r) == pytest.approx((1.0 - r) ** 2)
     prof = Sampled([0.2, 0.6], [1.0, 0.0])
     # constant continuation on both sides of the sample range
-    assert radial_values(prof, np.array([0.0, 0.2, 0.4, 0.6, 0.9])) == pytest.approx(
+    assert prof.values(np.array([0.0, 0.2, 0.4, 0.6, 0.9])) == pytest.approx(
         [1.0, 1.0, 0.5, 0.0, 0.0]
     )
     both = SymbolSum([Step(1.0, 0.5), Power(1.0, 1.0)])
-    assert radial_values(both, r) == pytest.approx([2.0, 1.7, 1.5, 0.3])
+    assert both.values(r) == pytest.approx([2.0, 1.7, 1.5, 0.3])
 
 
 def test_breakpoints_and_boundary_data():
-    assert radial_breakpoints(Step(1.0, 0.5)) == (0.5,)
-    assert radial_breakpoints(Power(1.0, 1.0)) == ()
-    assert radial_breakpoints(Sampled([0.0, 0.3, 0.9], [1.0, 2.0, 0.5])) == (0.3, 0.9)
+    assert Step(1.0, 0.5).breakpoints() == (0.5,)
+    assert Power(1.0, 1.0).breakpoints() == ()
+    assert Sampled([0.0, 0.3, 0.9], [1.0, 2.0, 0.5]).breakpoints() == (0.3, 0.9)
     s = SymbolSum([Step(1.0, 0.5), Sampled([0.0, 0.5, 0.7], [1.0, 1.0, 0.0])])
-    assert radial_breakpoints(s) == (0.5, 0.7)
-    assert boundary_value(Step(1.0, 0.5)) == 0.0
-    assert boundary_value(Sampled([0.0, 0.9], [1.0, 0.3])) == 0.3
-    assert radial_sup(s) == 2.0
+    assert s.breakpoints() == (0.5, 0.7)
+    assert Step(1.0, 0.5).boundary_value() == 0.0
+    assert Sampled([0.0, 0.9], [1.0, 0.3]).boundary_value() == 0.3
+    assert s.sup() == 2.0
 
 
 def test_general_symbol_boundary_meta():
