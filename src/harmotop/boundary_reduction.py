@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import TruncationSpec, extension_node_matrix
+from .grids import TruncationSpec, weighted_gram
 from .harmonic_basis import basis_indices, multiplicity
 from .numerics import log_gamma
 from .radial_toeplitz import AsymptoticFit, counting, power_eigenvalue
@@ -91,8 +91,7 @@ def assemble_weighted_gram(V, d: int, spec: TruncationSpec) -> BoundaryOperator:
     same tensor grid as the Galerkin assembly.
     """
     grid, vals = symbol_on_grid(V, d, spec)
-    basis = extension_node_matrix(d, spec.max_degree, grid)
-    JV = (basis * (grid.weights * vals)) @ basis.T
+    JV = weighted_gram(d, spec.max_degree, grid, grid.weights * vals)
     return BoundaryOperator(d=d, max_degree=spec.max_degree, matrix=0.5 * (JV + JV.T))
 
 

@@ -337,7 +337,8 @@ def _cmd_berezin(args):
         radii = [float(x) for x in args.radii.split(",") if x.strip()]
     except ValueError:
         raise ValueError(f"--radii expects a comma-separated list, got {args.radii!r}") from None
-    k = args.K if args.K is not None else 12
+    default_k = symbol.spec.max_degree if isinstance(symbol, TabulatedSymbol) else 12
+    k = args.K if args.K is not None else default_k
     spec = None if isinstance(symbol, RadialSymbol) else _spec_for(args, k)
     x0 = np.zeros(args.d)
 

@@ -14,8 +14,8 @@ import warnings
 
 import numpy as np
 
-from .grids import TruncationSpec, harmonic_node_matrix
-from .harmonic_basis import cumulative_multiplicity
+from .grids import TruncationSpec, weighted_gram
+from .harmonic_basis import basis_indices, cumulative_multiplicity
 from .kernel_berezin import density_radial
 from .numerics import symmetric_eigen
 from .radial_toeplitz import Spectrum
@@ -45,8 +45,8 @@ def assemble(V, d: int, spec: TruncationSpec) -> np.ndarray:
     if d not in (2, 3):
         raise ValueError(f"general-symbol assembly supports d in {{2, 3}}, got d={d}")
     grid, vals = symbol_on_grid(V, d, spec)
-    basis = harmonic_node_matrix(d, spec.max_degree, grid)
-    A = (basis * (grid.weights * vals)) @ basis.T
+    norm = np.array([math.sqrt(2 * idx.k + d) for idx in basis_indices(d, spec.max_degree)])
+    A = weighted_gram(d, spec.max_degree, grid, grid.weights * vals) * norm[:, None] * norm[None, :]
     asym = float(np.max(np.abs(A - A.T)))
     scale = max(float(np.max(np.abs(A))), 1e-300)
     if asym > 1e-8 * scale:

@@ -16,7 +16,14 @@ import numpy as np
 from .harmonic_basis import angular_basis_matrix, multiplicity
 from .numerics import gauss_legendre
 
-__all__ = ["TruncationSpec", "BallGrid", "ball_grid", "harmonic_node_matrix", "extension_node_matrix"]
+__all__ = [
+    "TruncationSpec",
+    "BallGrid",
+    "ball_grid",
+    "harmonic_node_matrix",
+    "extension_node_matrix",
+    "weighted_gram",
+]
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,14 @@ class TruncationSpec:
     @classmethod
     def for_degree(cls, max_degree: int) -> "TruncationSpec":
         return cls(max_degree=max_degree, n_r=max_degree + 16, n_ang=2 * max_degree + 4)
+
+    def node_count(self, d: int) -> int:
+        """Number of nodes of ball_grid(d, self) when the radial rule is not split."""
+        if d == 2:
+            return self.n_r * self.n_ang
+        if d == 3:
+            return self.n_r * self.n_ang * (self.n_ang // 2 + 1)
+        raise ValueError(f"tensor grids are implemented for d in {{2, 3}}, got d={d}")
 
 
 @dataclass(frozen=True)
@@ -125,3 +140,31 @@ def harmonic_node_matrix(d: int, max_degree: int, grid: BallGrid) -> np.ndarray:
 def extension_node_matrix(d: int, max_degree: int, grid: BallGrid) -> np.ndarray:
     """Rows: harmonic extensions r^k psi_{k,l} (no normalisation) at the grid nodes."""
     return _node_matrix(d, max_degree, grid, normalized=False)
+
+
+def weighted_gram(d: int, max_degree: int, grid: BallGrid, node_weights: np.ndarray) -> np.ndarray:
+    """Extension Gram sum_n w_n r_n^(k+k') psi_{k,l}(a_n) psi_{k',l'}(a_n).
+
+    `node_weights` holds one weight per grid node (radial-major), usually the
+    quadrature weights times the symbol values.  The factor r^(k+k') depends
+    on s = k + k' only, so the radial sum runs first: the moments
+    W_s(a) = sum_r r^s w(r, a) for s <= 2*max_degree take one small product,
+    and each degree's block row is then one angular GEMM.  The work is
+    2 M^2 n_ang flops against 2 M^2 n_r n_ang for the dense node matrix, and
+    no array exceeds M x n_ang.  Both triangles are computed independently,
+    so the result is symmetric only up to quadrature and rounding error.
+    """
+    psi = angular_basis_matrix(d, max_degree, grid.ang_dirs)
+    weights = np.asarray(node_weights, dtype=float).reshape(grid.r_nodes.size, -1)
+    moments = (grid.r_nodes[None, :] ** np.arange(2 * max_degree + 1)[:, None]) @ weights
+    sizes = [multiplicity(d, k) for k in range(max_degree + 1)]
+    degs = np.repeat(np.arange(max_degree + 1), sizes)
+    out = np.empty((psi.shape[0], psi.shape[0]))
+    start = 0
+    for k, size in enumerate(sizes):
+        rows = slice(start, start + size)
+        weighted = moments[k + degs]
+        weighted *= psi
+        out[rows] = psi[rows] @ weighted.T
+        start += size
+    return out

@@ -17,7 +17,7 @@ from .errors import QuadratureDivergenceError
 from .grids import TruncationSpec
 from .harmonic_basis import multiplicity, sphere_surface_area, zonal_table
 from .radial_toeplitz import radial_eigenvalue
-from .symbols import RadialSymbol, symbol_on_grid
+from .symbols import RadialSymbol, TabulatedSymbol, symbol_on_grid
 
 __all__ = [
     "boundary_distance",
@@ -112,12 +112,19 @@ def density_integral(
     Radial symbols reduce to the exact one-dimensional moment sum; general
     symbols integrate on the tensor grid, with a refinement check that
     raises QuadratureDivergenceError when two refinements differ by more
-    than 1e-6 relative.
+    than 1e-6 relative.  A TabulatedSymbol integrates on its own grid
+    (the default spec) and has no finer grid to check against, so it
+    needs check_convergence=False.
     """
     if isinstance(V, RadialSymbol):
         return _radial_density_integral(V, d, max_degree)
+    if isinstance(V, TabulatedSymbol) and check_convergence:
+        raise ValueError(
+            "a tabulated symbol cannot be sampled on a finer grid; "
+            "pass check_convergence=False to integrate on its own grid"
+        )
     if spec is None:
-        spec = TruncationSpec.for_degree(max_degree)
+        spec = V.spec if isinstance(V, TabulatedSymbol) else TruncationSpec.for_degree(max_degree)
     value = _tensor_density_integral(V, d, max_degree, spec)
     if check_convergence:
         finer = TruncationSpec(max_degree, spec.n_r + 8, spec.n_ang + 4)

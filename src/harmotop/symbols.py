@@ -368,7 +368,7 @@ class TabulatedSymbol:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        expected = ball_grid(self.d, self.spec).weights.size
+        expected = self.spec.node_count(self.d)
         if vals.shape != (expected,):
             raise ValueError(
                 f"tabulated symbol carries {vals.shape} values; the grid has {expected} nodes"

@@ -175,6 +175,21 @@ def test_berezin_command_on_tabulated_symbol(capsys, tmp_path):
         assert float(value) == pytest.approx(want, rel=1e-12)
 
 
+def test_berezin_defaults_to_the_tabulated_degree(capsys, tmp_path):
+    K = 20
+    spec = TruncationSpec.for_degree(K)
+    grid = ball_grid(2, spec)
+    payload = {"d": 2, "K": K, "n_r": spec.n_r, "n_ang": spec.n_ang, "values": list(0.5 + grid.points[:, 1])}
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "berezin", "--d", "2", "--symbol", f"general:@{path}", "--radii", "0.3,0.7")
+    assert code == 0, err
+    sym = parse_symbol(f"general:@{path}")
+    for r, value in (l.split(",") for l in out.splitlines() if not l.startswith("#")):
+        want = kb.berezin_transform(sym, 2, [float(r), 0.0], K, spec=sym.spec)
+        assert float(value) == pytest.approx(want, rel=1e-12)
+
+
 def test_krein_command(capsys):
     code, out, _ = run_cli(
         capsys, "krein", "--d", "2", "--symbol", "power:a=1,gamma=1",

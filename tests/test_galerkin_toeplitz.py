@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmotop import radial_toeplitz as rt
+from harmotop.boundary_reduction import assemble_weighted_gram
 from harmotop.galerkin_toeplitz import (
     TabulatedSymbol,
     TruncationSpec,
@@ -18,10 +20,10 @@ from harmotop.galerkin_toeplitz import (
     weyl_check,
     write_matrix_csv,
 )
-from harmotop.grids import ball_grid
+from harmotop.grids import ball_grid, extension_node_matrix, harmonic_node_matrix
 from harmotop.harmonic_basis import basis_indices, cumulative_multiplicity
 from harmotop.numerics import symmetric_eigen
-from harmotop.symbols import GeneralSymbol, Power, Step
+from harmotop.symbols import GeneralSymbol, Power, Step, symbol_on_grid
 
 UNIT = GeneralSymbol(lambda p: np.ones(p.shape[0]))
 
@@ -33,6 +35,11 @@ def test_truncation_spec_invariants():
         TruncationSpec(max_degree=8, n_r=10, n_ang=20)  # radial below K+8
     spec = TruncationSpec.for_degree(8)
     assert spec.n_ang >= 18 and spec.n_r >= 16
+    for d in (2, 3):
+        for s in (spec, TruncationSpec(max_degree=8, n_r=17, n_ang=19)):
+            assert s.node_count(d) == ball_grid(d, s).weights.size
+    with pytest.raises(ValueError):
+        spec.node_count(4)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -189,3 +196,48 @@ def test_tabulated_symbol_assembly():
     other = TruncationSpec.for_degree(7)
     with pytest.raises(ValueError):
         assemble(tab, 2, other)
+    TabulatedSymbol(d=3, spec=spec, values=np.ones(ball_grid(3, spec).weights.size))
+    with pytest.raises(ValueError):
+        TabulatedSymbol(d=3, spec=spec, values=np.ones(grid.weights.size))
+    with pytest.raises(ValueError):
+        TabulatedSymbol(d=4, spec=spec, values=np.ones(grid.weights.size))
+
+
+def _sign_changing(p):
+    return np.sin(3.0 * p[:, 0] - p[:, 1]) + 0.4 * p[:, -1] ** 2 - 0.2
+
+
+def _kernel_cases():
+    for d, K in ((2, 14), (3, 7)):
+        spec = TruncationSpec.for_degree(K)
+        tab = TabulatedSymbol(d=d, spec=spec, values=_sign_changing(ball_grid(d, spec).points))
+        for name, V in (("general", GeneralSymbol(_sign_changing)), ("tabulated", tab), ("step", Step(1.3, 0.4))):
+            yield pytest.param(V, d, spec, id=f"d{d}-{name}")
+
+
+@pytest.mark.parametrize("V, d, spec", list(_kernel_cases()))
+def test_factored_assembly_matches_dense_node_matrix(V, d, spec):
+    # Reference: the dense node matrix B and one GEMM over every node,
+    # (B * (w V)) @ B.T.  The Step's breakpoint splits the radial rule.
+    grid, vals = symbol_on_grid(V, d, spec)
+    for fast, nodes in (
+        (assemble(V, d, spec), harmonic_node_matrix(d, spec.max_degree, grid)),
+        (assemble_weighted_gram(V, d, spec).matrix, extension_node_matrix(d, spec.max_degree, grid)),
+    ):
+        ref = (nodes * (grid.weights * vals)) @ nodes.T
+        ref = 0.5 * (ref + ref.T)
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_assembly_peak_memory_stays_below_the_node_matrix():
+    # At d=3 K=22 the dense node matrix alone is M_K x nodes = 529 x 45,600
+    # doubles (193 MB); the factored kernel keeps every array at M_K x n_ang.
+    spec = TruncationSpec.for_degree(22)
+    tab = TabulatedSymbol(d=3, spec=spec, values=_sign_changing(ball_grid(3, spec).points))
+    tracemalloc.start()
+    try:
+        assemble(tab, 3, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6

@@ -5,7 +5,7 @@ import pytest
 
 from harmotop import galerkin_toeplitz as gt
 from harmotop.errors import QuadratureDivergenceError
-from harmotop.grids import TruncationSpec
+from harmotop.grids import TruncationSpec, ball_grid
 from harmotop.kernel_berezin import (
     berezin_transform,
     boundary_distance,
@@ -16,7 +16,7 @@ from harmotop.kernel_berezin import (
     reproducing_kernel,
     suggested_max_degree,
 )
-from harmotop.symbols import GeneralSymbol, Power, Sampled, Step
+from harmotop.symbols import GeneralSymbol, Power, Sampled, Step, TabulatedSymbol
 
 CONST_ONE = Sampled([0.0, 0.5], [1.0, 1.0])
 
@@ -90,6 +90,16 @@ def test_density_integral_divergence_flag():
     rough = GeneralSymbol(lambda p: (np.linalg.norm(p, axis=1) < 0.5).astype(float))
     with pytest.raises(QuadratureDivergenceError):
         density_integral(rough, 2, 25, spec=TruncationSpec(25, 33, 52))
+
+
+def test_density_integral_of_tabulated_symbol_uses_its_own_grid():
+    # V = (1 + x1)/2 integrates against rho_20 to M_20 / 2 = 20.5: the odd
+    # part vanishes and the constant part gives the trace of the projection.
+    spec = TruncationSpec.for_degree(20)
+    tab = TabulatedSymbol(d=2, spec=spec, values=0.5 * (1.0 + ball_grid(2, spec).points[:, 0]))
+    assert density_integral(tab, 2, 20, check_convergence=False) == pytest.approx(20.5, rel=1e-12)
+    with pytest.raises(ValueError, match="finer grid"):
+        density_integral(tab, 2, 20)
 
 
 def test_berezin_of_unit_symbol_is_one():
