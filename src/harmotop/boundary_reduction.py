@@ -144,7 +144,7 @@ def inverse_power_weyl_fit(gamma: float, a: float, d: int, e_grid) -> Asymptotic
         raise ValueError("energy grid must be increasing and > 1")
     v = Power(a, gamma)
     ln_lam = -gamma * np.log(e_arr)
-    counts = np.array([counting(v, d, ln_lam=float(l)) for l in ln_lam], dtype=float)
+    counts = np.array(counting(v, d, ln_lam=ln_lam), dtype=float)
     if np.any(counts < 1.0):
         raise ValueError("counting vanished on part of the energy grid")
     roots = counts ** (1.0 / (d - 1))

@@ -17,6 +17,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -160,7 +161,9 @@ def _parse_range(text: str, name: str, want_count: bool = False) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(prog="harmotop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -247,15 +250,18 @@ COUNTING_FORMULA = "n_plus(lambda) = #{eigenvalues > lambda} = M_(nu-1), nu = #{
 
 def _cmd_spectrum(args):
     symbol = parse_symbol(args.symbol)
+    matrix = None
     if isinstance(symbol, RadialSymbol):
         k = args.K if args.K is not None else 12
         spectrum = rt.radial_spectrum(symbol, args.d, k)
     else:
         spec = _spec_for(args, symbol.spec.max_degree if isinstance(symbol, TabulatedSymbol) else 12)
-        spectrum = gt.spectrum(symbol, args.d, spec)
+        matrix = gt.assemble(symbol, args.d, spec)
+        spectrum = gt.section_spectrum(matrix, args.d, spec.max_degree)
     if args.matrix_output:
-        spec = _spec_for(args, spectrum.max_degree)
-        gt.write_matrix_csv(args.matrix_output, gt.assemble(symbol, args.d, spec), args.d, spec.max_degree)
+        if matrix is None:
+            matrix = gt.assemble(symbol, args.d, _spec_for(args, spectrum.max_degree))
+        gt.write_matrix_csv(args.matrix_output, matrix, args.d, spectrum.max_degree)
     rows = [
         {"index": i, "eigenvalue": e, "multiplicity": m}
         for i, (e, m) in enumerate(spectrum.entries)
@@ -286,7 +292,7 @@ def _cmd_counting(args):
         # display column only; counting itself stays in the log domain and
         # the emitted value never goes sub-normal
         lam_grid = [math.exp(l) if l > -700.0 else 0.0 for l in ln_grid]
-    counts = [rt.counting(symbol, args.d, sign=sign, ln_lam=l) for l in ln_grid]
+    counts = rt.counting(symbol, args.d, sign=sign, ln_lam=ln_grid)
     rows = [
         {"lambda": lam, "ln_lambda": l, "n": int(n)}
         for lam, l, n in zip(lam_grid, ln_grid, counts)
@@ -443,18 +449,24 @@ def _cmd_krein(args):
     gamma = symbol.gamma if isinstance(symbol, Power) else None
     theta = 2.0 * (args.d - 1) / (gamma * (args.d + 2)) if gamma else 0.5
 
-    def one(ln_lam: float) -> dict:
+    remainder = lambda e: kc.remainder_model(e, v_sup, args.lam1, args.d)
+    # sandwich_minus asks n_plus at lam and (1-eps) lam; one grid call
+    # counts both thresholds of every row and the sandwich looks them up.
+    n_plus_at: dict[float, int] = {}
+    inputs = []
+    for ln_lam in ln_grid:
         lam = math.exp(ln_lam)
         eps = args.eps if args.eps is not None else min(0.5, lam**theta)
-        n_plus = lambda s: rt.counting(symbol, args.d, s)
-        remainder = lambda e: kc.remainder_model(e, v_sup, args.lam1, args.d)
-        box = kc.sandwich_minus(kc.SandwichInput(lam=lam, eps=eps, n_plus=n_plus, remainder=remainder))
-        row = {"lambda": lam, "eps": eps, "lower": box.lower, "upper": box.upper}
+        inputs.append(kc.SandwichInput(lam=lam, eps=eps, n_plus=n_plus_at.__getitem__, remainder=remainder))
+    thresholds = [inp.lam for inp in inputs] + [(1.0 - inp.eps) * inp.lam for inp in inputs]
+    n_plus_at.update(zip(thresholds, rt.counting(symbol, args.d, thresholds)))
+    rows = []
+    for inp in inputs:
+        box = kc.sandwich_minus(inp)
+        row = {"lambda": inp.lam, "eps": inp.eps, "lower": box.lower, "upper": box.upper}
         if gamma:
-            row["envelope_main"] = kc.counting_envelope(args.d, gamma, symbol.a, lam).main
-        return row
-
-    rows = [one(l) for l in ln_grid]
+            row["envelope_main"] = kc.counting_envelope(args.d, gamma, symbol.a, inp.lam).main
+        rows.append(row)
     meta = {
         "columns": list(rows[0].keys()),
         "comments": [

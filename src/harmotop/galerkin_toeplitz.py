@@ -26,6 +26,7 @@ __all__ = [
     "TabulatedSymbol",
     "assemble",
     "spectrum",
+    "section_spectrum",
     "counting_galerkin",
     "schatten_galerkin",
     "norm_domination_check",
@@ -59,10 +60,15 @@ def assemble(V, d: int, spec: TruncationSpec) -> np.ndarray:
 
 def spectrum(V, d: int, spec: TruncationSpec) -> Spectrum:
     """Eigenvalues of the finite section, sorted by decreasing magnitude."""
-    eigs = symmetric_eigen(assemble(V, d, spec))
+    return section_spectrum(assemble(V, d, spec), d, spec.max_degree)
+
+
+def section_spectrum(matrix: np.ndarray, d: int, max_degree: int) -> Spectrum:
+    """Eigenvalues of an assembled section matrix, sorted by decreasing magnitude."""
+    eigs = symmetric_eigen(matrix)
     order = np.argsort(-np.abs(eigs), kind="stable")
     entries = tuple((float(e), 1) for e in eigs[order])
-    return Spectrum(entries=entries, max_degree=spec.max_degree, d=d, provenance="galerkin")
+    return Spectrum(entries=entries, max_degree=max_degree, d=d, provenance="galerkin")
 
 
 def counting_galerkin(spec_spectrum: Spectrum, lam: float, sign: int = 1) -> int:

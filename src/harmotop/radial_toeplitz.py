@@ -20,7 +20,7 @@ import numpy as np
 from .errors import TailNotCertifiedError
 from .harmonic_basis import cumulative_multiplicity, multiplicity
 from .numerics import log_gamma
-from .symbols import RadialSymbol
+from .symbols import Power, RadialSymbol
 
 __all__ = [
     "Spectrum",
@@ -55,14 +55,11 @@ def step_eigenvalue(b: float, c: float, d: int, k: int) -> float:
 
 
 def power_eigenvalue(a: float, gamma: float, d: int, k: int) -> float:
-    """Closed form a Gamma(gamma+1) Gamma(n+1)/Gamma(n+1+gamma), n = 2k+d.
-
-    Log-domain evaluation, stable for k up to 1e6.
-    """
+    """Closed form a Gamma(gamma+1) Gamma(n+1)/Gamma(n+1+gamma), n = 2k+d,
+    evaluated through :meth:`Power.log_mu`."""
     if a <= 0.0 or gamma <= 0.0:
         raise ValueError("power symbol needs a > 0 and gamma > 0")
-    n = 2 * k + d
-    return a * math.exp(log_gamma(gamma + 1.0) + log_gamma(n + 1.0) - log_gamma(n + 1.0 + gamma))
+    return a * math.exp(Power(1.0, gamma).log_mu(d, k)[1])
 
 
 def log_radial_eigenvalue(v: RadialSymbol, d: int, k: int) -> tuple[int, float]:
@@ -164,58 +161,109 @@ def _log_tail_sup(profiles, d: int, k: int) -> float:
 # --- counting ----------------------------------------------------------------
 
 _MONOTONE_CAP = 10**15
+# The crossing search examines degrees up to 2^49, the largest power of two
+# below the cap, and refuses a threshold that is still exceeded there.
+_LAST_DEGREE = 1 << (_MONOTONE_CAP.bit_length() - 1)
 
 
 def counting(
     v: RadialSymbol,
     d: int,
-    lam: float | None = None,
+    lam=None,
     sign: int = 1,
     *,
-    ln_lam: float | None = None,
+    ln_lam=None,
     k_stop: int | None = None,
     max_terms: int = 1_000_000,
-) -> int:
+):
     """Number of eigenvalues of the radial compression with sign*mu_k > lam.
 
-    Strict inequality (a threshold equal to an eigenvalue excludes it); all
-    comparisons happen between log mu_k and log lam, so thresholds down to
-    exp(-200) are handled exactly.  For monotone profiles (`v.monotone`:
-    Step, Power) the first non-exceeding degree is located by bisection and
-    the count is the cumulative multiplicity below it; otherwise degrees are
-    enumerated until the certified tail bound drops below the threshold.
+    `lam` (or `ln_lam`) is one threshold, giving an int, or a sequence of
+    thresholds, giving a list of ints.  Strict inequality (a threshold equal
+    to an eigenvalue excludes it); all comparisons happen between log mu_k
+    and log lam, so thresholds below the double range (ln lam < -745) work
+    too.  For monotone profiles (`v.monotone`: Step, Power) the first
+    non-exceeding degree of every threshold is found in a few vectorised
+    passes and the count is the cumulative multiplicity below it; otherwise
+    degrees are enumerated until the certified tail bound drops below the
+    threshold.
     Raises TailNotCertifiedError when no such cutoff can be certified.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if (lam is None) == (ln_lam is None):
         raise ValueError("provide exactly one of lam, ln_lam")
+    given = lam if lam is not None else ln_lam
+    single = isinstance(given, float) or np.ndim(given) == 0
+    values = [float(given)] if single else [float(x) for x in given]
     if lam is not None:
-        if lam <= 0.0:
-            raise ValueError(f"threshold must be positive, got {lam}")
-        ln_lam = math.log(lam)
-    assert ln_lam is not None
+        for x in values:
+            if x <= 0.0:
+                raise ValueError(f"threshold must be positive, got {x}")
+    ln_lams = [math.log(x) for x in values] if lam is not None else values
 
     if v.monotone:
-        def exceeds(k: int) -> bool:
-            s, log_abs = v.log_mu(d, k)
-            return s == sign and log_abs > ln_lam
+        first = _first_not_exceeding(v, d, np.array(ln_lams, dtype=float), sign)
+        counts = [cumulative_multiplicity(d, k - 1) for k in first.tolist()]
+    else:
+        counts = [_count_enumerated(v, d, l, sign, k_stop, max_terms) for l in ln_lams]
+    return counts[0] if single else counts
 
-        if not exceeds(0):
-            return 0
-        lo, hi = 0, 1
-        while exceeds(hi):
-            lo, hi = hi, hi * 2
-            if hi > _MONOTONE_CAP:
-                raise TailNotCertifiedError(f"counting exceeds the degree cap {_MONOTONE_CAP}")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if exceeds(mid):
-                lo = mid
-            else:
-                hi = mid
-        return cumulative_multiplicity(d, hi - 1)
 
+def _first_not_exceeding(v: RadialSymbol, d: int, ln_lam: np.ndarray, sign: int) -> np.ndarray:
+    """First degree k with not (sign*mu_k > lam), per threshold, for monotone v.
+
+    The estimate `v.crossing_degree` is accepted where the degree below it
+    exceeds the threshold and it does not; the thresholds it misses gallop
+    away from it to a bracket and bisect, all thresholds in one pass each.
+    """
+    def exceeds(k: np.ndarray, t: np.ndarray) -> np.ndarray:
+        s, log_abs = v.log_mu(d, k)
+        return (s == sign) & (log_abs > t)
+
+    n = ln_lam.size
+    # fmax/fmin also send a NaN estimate (a NaN threshold) to degree 0
+    k = np.fmin(np.fmax(v.crossing_degree(d, ln_lam), 0.0), _LAST_DEGREE).astype(np.int64)
+    both = exceeds(np.concatenate((np.maximum(k - 1, 0), k)), np.concatenate((ln_lam, ln_lam)))
+    up = both[n:]  # the guess is still exceeded: the crossing lies above it
+    hit = ~up & (both[:n] | (k == 0))
+    if hit.all():
+        return k
+    miss = np.flatnonzero(~hit)  # up, or the degree below is not exceeded either
+
+    # Bracket lo < crossing <= hi, where degree lo is exceeded (or lo = -1)
+    # and degree hi is not; steps double away from the guess.
+    t, up = ln_lam[miss], up[miss]
+    lo = np.where(up, k[miss], -1)
+    hi = np.where(up, _LAST_DEGREE, k[miss] - 1)
+    step = np.ones_like(lo)
+    active = np.arange(miss.size)
+    while active.size:
+        u = up[active]
+        p = np.where(
+            u, np.minimum(lo[active] + step[active], _LAST_DEGREE), np.maximum(hi[active] - step[active], -1)
+        )
+        e = (p < 0) | exceeds(np.maximum(p, 0), t[active])
+        if np.any(u & e & (p == _LAST_DEGREE)):
+            raise TailNotCertifiedError(f"counting exceeds the degree cap {_MONOTONE_CAP}")
+        lo[active] = np.where(e, p, lo[active])
+        hi[active] = np.where(e, hi[active], p)
+        step[active] *= 2
+        active = active[u == e]  # upward while exceeded, downward while not
+    while True:
+        active = np.flatnonzero(hi - lo > 1)
+        if not active.size:
+            break
+        mid = (lo[active] + hi[active]) // 2
+        e = exceeds(mid, t[active])
+        lo[active] = np.where(e, mid, lo[active])
+        hi[active] = np.where(e, hi[active], mid)
+    k[miss] = hi
+    return k
+
+
+def _count_enumerated(v: RadialSymbol, d: int, ln_lam: float, sign: int, k_stop, max_terms: int) -> int:
+    """Counting by enumerating degrees until the certified tail drops below ln_lam."""
     profiles = v.tail_profiles(d)
     floor_logs = [c0 for kind, c0, _ in profiles if kind == "floor"]
     if floor_logs and max(floor_logs) > ln_lam:
@@ -330,7 +378,7 @@ def asymptotic_fit(
     if model not in ("power", "log-power"):
         raise ValueError(f"unknown model {model!r}")
 
-    counts = np.array([counting(v, d, sign=sign, ln_lam=float(l)) for l in ln_lam], dtype=float)
+    counts = np.array(counting(v, d, sign=sign, ln_lam=ln_lam), dtype=float)
     if np.any(counts < 1.0):
         raise ValueError("counting vanished on part of the grid; deepen the thresholds")
     ln_n = np.log(counts)

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import harmotop
+from harmotop import galerkin_toeplitz as gt
 from harmotop import kernel_berezin as kb
-from harmotop.cli import SymbolSyntaxError, main, parse_symbol
+from harmotop.cli import SymbolSyntaxError, build_parser, main, parse_symbol
 from harmotop.galerkin_toeplitz import TabulatedSymbol, read_matrix_csv
 from harmotop.grids import TruncationSpec, ball_grid
 from harmotop.symbols import GeneralSymbol, Power, Sampled, Step, SymbolSum
@@ -205,3 +212,40 @@ def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_spectrum_matrix_dump_assembles_once(capsys, tmp_path, monkeypatch):
+    K = 6
+    spec = TruncationSpec.for_degree(K)
+    grid = ball_grid(2, spec)
+    payload = {"d": 2, "K": K, "n_r": spec.n_r, "n_ang": spec.n_ang, "values": list(1.0 + grid.points[:, 0])}
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps(payload))
+    calls = []
+    assemble = gt.assemble
+    monkeypatch.setattr(gt, "assemble", lambda *a, **k: calls.append(a) or assemble(*a, **k))
+    dump = tmp_path / "mat.csv"
+    code, out, err = run_cli(
+        capsys, "spectrum", "--d", "2", "--symbol", f"general:@{path}", "--matrix-output", str(dump)
+    )
+    assert code == 0, err
+    assert len(calls) == 1
+    A, _, _ = read_matrix_csv(dump)
+    eigs = sorted(float(l.split(",")[1]) for l in out.splitlines() if not l.startswith("#"))
+    assert eigs == pytest.approx(sorted(np.linalg.eigvalsh(A)), abs=1e-12)
+
+
+def test_successive_main_calls_match_fresh_processes(capsys):
+    assert build_parser() is build_parser()
+    invocations = [
+        ["counting", "--d", "2", "--symbol", "power:a=1,gamma=0.5", "--lnlambda", "-12:-2:5"],
+        ["krein", "--d", "3", "--symbol", "power:a=1,gamma=2", "--lnlambda", "-6:-2:3", "--format", "json"],
+        ["asymptotics", "--d", "3", "--symbol", "step:b=1,c=0.5", "--model", "log-power", "--lnlambda", "-80:-10:8"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(harmotop.__file__).parents[1]))
+    for argv in invocations:
+        code, out, _ = run_cli(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "harmotop.cli", *argv], capture_output=True, text=True, env=env, check=False
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,3 +257,113 @@ def test_radial_spectrum_structure():
     assert spectrum.count_above(0.01) == 5
     with pytest.raises(ValueError):
         spectrum.count_above(0.0)
+
+
+# --- counting over threshold grids ------------------------------------------------
+
+_LAST_DEGREE = 2**49  # the largest degree counting examines: the last power of two below 1e15
+
+
+def _mp_first_not_above(gamma, d, ln_lam):
+    """First k with ln mu_k <= ln_lam for Power(1, gamma), by bisection at 50 digits."""
+    with mpmath.workdps(50):
+        g, target = mpmath.mpf(gamma), mpmath.mpf(ln_lam)
+
+        def above(k):
+            x = mpmath.mpf(2 * k + d + 1)
+            return mpmath.loggamma(g + 1) + mpmath.loggamma(x) - mpmath.loggamma(x + g) > target
+
+        lo, hi = -1, 1
+        while above(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if above(mid):
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+
+@pytest.mark.parametrize(
+    "d, ln_lam", [(2, -8.0), (2, -10.0), (2, -12.0), (2, -14.0), (2, -20.0), (3, -14.0)]
+)
+def test_power_counting_matches_mpmath_bisection(d, ln_lam):
+    nu = _mp_first_not_above(0.5, d, ln_lam)
+    if nu > _LAST_DEGREE:  # ln_lam = -20 crosses near k = 9e16
+        with pytest.raises(TailNotCertifiedError, match="degree cap"):
+            counting(Power(1.0, 0.5), d, ln_lam=ln_lam)
+        return
+    n = counting(Power(1.0, 0.5), d, ln_lam=ln_lam)
+    assert type(n) is int  # d = 3 counts pass 2^63
+    assert n == cumulative_multiplicity(d, nu - 1)
+
+
+_SCAN = np.arange(4001)
+
+
+def _scanned_first_not_exceeding(v, d, ln_lam, sign):
+    """Reference: scan log mu_k over k <= 4000 for the first non-exceeding degree."""
+    s, logs = v.log_mu(d, _SCAN)
+    exceeds = (s == sign) & (logs > ln_lam)
+    assert not exceeds[-1]
+    return int(np.argmin(exceeds))
+
+
+@pytest.mark.parametrize(
+    "v, sign",
+    [
+        (Power(1.0, 1.0), 1),
+        (Power(0.7, 0.55), 1),
+        (Power(2.3, 2.9), 1),
+        (Power(1.0, 1.0), -1),
+        (Step(1.0, 0.5), 1),
+        (Step(-1.7, 0.93), -1),
+        (Step(-1.7, 0.93), 1),
+        (Step(0.0, 0.5), 1),
+    ],
+)
+def test_grid_counting_equals_scalar_counting(v, sign):
+    rng = np.random.default_rng(11)
+    for d in (2, 3):
+        _, logs = v.log_mu(d, _SCAN)
+        exact = logs[np.isfinite(logs)][:60]
+        deepest = logs[3000] if np.isfinite(logs[3000]) else -9.0
+        # random thresholds, thresholds equal to an exact log mu_k and one ulp either side
+        grid = np.concatenate(
+            (
+                rng.uniform(deepest, 1.0, 40),
+                exact,
+                np.nextafter(exact, -np.inf),
+                np.nextafter(exact, np.inf),
+            )
+        )
+        rng.shuffle(grid)
+        counts = counting(v, d, sign=sign, ln_lam=grid)
+        assert isinstance(counts, list) and len(counts) == grid.size
+        assert counts == [counting(v, d, sign=sign, ln_lam=float(t)) for t in grid]
+        for t, n in zip(grid.tolist(), counts):
+            assert n == cumulative_multiplicity(d, _scanned_first_not_exceeding(v, d, t, sign) - 1)
+    lams = np.exp(grid[grid > -700.0])
+    assert counting(v, 2, lams.tolist(), sign=sign) == [counting(v, 2, float(x), sign=sign) for x in lams]
+
+
+def test_step_counting_of_zero_symbol_is_zero():
+    with np.errstate(all="raise"):
+        assert counting(Step(0.0, 0.4), 3, ln_lam=[-300.0, -5.0, 2.0]) == [0, 0, 0]
+        assert counting(Step(0.0, 0.4), 3, ln_lam=-5.0) == 0
+
+
+def test_counting_cap_raises_exactly_beyond_the_last_degree():
+    # The search gives up iff the threshold is still exceeded at degree 2^49.
+    for v, d in ((Step(1.0, 1.0 - 2.0**-52), 2), (Step(0.8, 0.5), 3)):
+        at_cap = v.log_mu(d, _LAST_DEGREE)[1]
+        assert counting(v, d, ln_lam=at_cap) == cumulative_multiplicity(d, _LAST_DEGREE - 1)
+        with pytest.raises(TailNotCertifiedError, match="counting exceeds the degree cap 1000000000000000"):
+            counting(v, d, ln_lam=math.nextafter(at_cap, -math.inf))
+        with pytest.raises(TailNotCertifiedError):
+            counting(v, d, ln_lam=[at_cap + 1.0, math.nextafter(at_cap, -math.inf)])
+    power_cap = Power(1.0, 0.5).log_mu(2, _LAST_DEGREE)[1]  # about -17.4
+    assert counting(Power(1.0, 0.5), 2, ln_lam=power_cap + 0.5) > 0
+    with pytest.raises(TailNotCertifiedError):
+        counting(Power(1.0, 0.5), 2, ln_lam=power_cap - 0.5)

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -69,3 +72,51 @@ def test_general_symbol_boundary_meta():
     plain = GeneralSymbol(lambda p: np.ones(p.shape[0]))
     with pytest.raises(ValueError):
         plain.check_boundary_meta(2)
+
+
+# --- log mu_k over integer arrays ---------------------------------------------
+
+_DEGREES = sorted({0, 1, 2, 5, 20, 22, 23, 24, 25, 30, 100, 499, 500, 10**4, 10**6} | {int(k) for k in np.geomspace(1, 1e15, 40)})
+
+
+def _mp_log_mu_power(a, gamma, d, k):
+    with mpmath.workdps(50):
+        x = mpmath.mpf(2 * k + d + 1)
+        g = mpmath.mpf(gamma)
+        return mpmath.log(a) + mpmath.loggamma(g + 1) + mpmath.loggamma(x) - mpmath.loggamma(x + g)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("gamma", [0.5, 0.55, 1.0, 2.9])
+def test_power_log_mu_matches_mpmath(gamma, d):
+    # The lgamma difference alone misses by 0.4 near k = 1e14 (cancellation).
+    v = Power(1.0, gamma)
+    sign, logs = v.log_mu(d, np.array(_DEGREES, dtype=np.int64))
+    assert sign == 1 and logs.shape == (len(_DEGREES),)
+    for k, array_log in zip(_DEGREES, logs):
+        want = float(_mp_log_mu_power(1.0, gamma, d, k))
+        scalar_sign, scalar_log = v.log_mu(d, k)
+        assert scalar_sign == 1
+        assert scalar_log == pytest.approx(want, rel=1e-13, abs=0.0), k
+        assert array_log == pytest.approx(want, rel=1e-13, abs=0.0), k
+
+
+@pytest.mark.parametrize("b, c", [(1.0, 0.5), (-2.5, 0.93), (0.3, 0.07), (0.0, 0.5)])
+def test_step_log_mu_array_is_bit_identical_to_scalar(b, c):
+    v = Step(b, c)
+    ks = np.array(_DEGREES, dtype=np.int64)
+    for d in (2, 3, 5):
+        sign, logs = v.log_mu(d, ks)
+        assert logs.shape == ks.shape
+        for k, log_abs in zip(_DEGREES, logs.tolist()):
+            assert (sign, log_abs) == v.log_mu(d, k)
+
+
+def test_crossing_degree_estimates():
+    # Step: exact up to rounding; mu_k = 0.25^(k+1) in d = 2 crosses 1e-3 at k = 4.
+    assert Step(1.0, 0.5).crossing_degree(2, [math.log(1e-3), 0.0]).tolist() == [4.0, -1.0]
+    assert Step(0.0, 0.5).crossing_degree(3, [-5.0]).tolist() == [0.0]
+    # Power: mu_k = 1/(2k+3) for a = gamma = 1 in d = 2 falls to 1e-4 at k = 4999.
+    assert Power(1.0, 1.0).crossing_degree(2, [math.log(1e-4)]).tolist() == [4999.0]
+    with np.errstate(over="raise"):
+        assert Power(1.0, 0.5).crossing_degree(2, [-1e4]).tolist() == [math.inf]
