@@ -20,7 +20,7 @@ import numpy as np
 from .errors import TailNotCertifiedError
 from .harmonic_basis import cumulative_multiplicity, multiplicity
 from .numerics import log_gamma
-from .symbols import Power, RadialSymbol
+from .symbols import Power, RadialSymbol, _signed_log_add
 
 __all__ = [
     "Spectrum",
@@ -73,8 +73,8 @@ def radial_eigenvalue(v: RadialSymbol, d: int, k: int, order: int | None = None)
     Step profiles integrate with Gauss-Legendre on (0, c); power profiles
     with a Gauss-Jacobi rule carrying the (1-r)^gamma endpoint weight, so the
     relative error stays below 1e-10 for every gamma > 0.  Piecewise-linear
-    profiles integrate segment by segment in closed form (the interpolant is
-    the model, and its moments are exact).  An explicit `order` is checked
+    profiles integrate by parts in closed form (the interpolant is the
+    model, and its moments are exact).  An explicit `order` is checked
     against a refinement by 7 and raises QuadratureDivergenceError when the
     two disagree beyond 1e-9 relative.
     """
@@ -139,23 +139,51 @@ def radial_spectrum(v: RadialSymbol, d: int, max_degree: int, order: int | None 
     return Spectrum(entries=tuple(pairs), max_degree=max_degree, d=d, provenance="exact-radial")
 
 
-# --- certified tail bounds ---------------------------------------------------
+# --- the degree table and certified tail bounds -------------------------------
 
 
-def _log_tail_sup(profiles, d: int, k: int) -> float:
-    """log of a certified bound for sup_{j > k} |mu_j|."""
-    logs = []
+def _multiplicities(d: int, k: np.ndarray) -> np.ndarray:
+    """m_k over ascending degrees k, exact: int64 while the binomials (at most
+    (d-1) M_k on the way) fit, else Python ints."""
+    k = k.astype(np.int64 if (d - 1) * cumulative_multiplicity(d, int(k[-1])) < 2**63 else object)
+
+    def binom(n):  # binom(n, d-1), 0 for n < d-1
+        out = np.ones_like(n)
+        for i in range(1, d):
+            out = out * (n - d + 1 + i) // i
+        return np.where(n >= d - 1, out, 0)
+
+    return binom(k + d - 1) - binom(k + d - 3)
+
+
+def _degree_table(v: RadialSymbol, d: int, K: int):
+    """(sign, log |mu_k|, m_k) as arrays over the degrees k <= K."""
+    k = np.arange(K + 1)
+    sign, logs = v.log_mu(d, k)
+    return np.broadcast_to(sign, logs.shape), logs, _multiplicities(d, k)
+
+
+def _sorted_table(v: RadialSymbol, d: int, K: int, sign: int = 0):
+    """log |mu_k| over the degrees k <= K where mu_k has the given sign (any
+    nonzero one by default), |mu|-descending (ties in degree order), and the
+    running counts of eigenvalues along that order."""
+    s, logs, m = _degree_table(v, d, K)
+    keep = s == sign if sign else s != 0
+    order = np.argsort(-logs[keep], kind="stable")
+    return logs[keep][order], np.cumsum(m[keep][order])
+
+
+def _log_tail_sup(profiles, d: int, k):
+    """log of a certified bound for sup_{j > k} |mu_j|, elementwise in k."""
+    rows = []
     for kind, c0, c1 in profiles:
         if kind == "geometric":
-            logs.append(c0 + (k + 1) * c1)
+            rows.append(c0 + (k + 1) * c1)
         elif kind == "power":
-            logs.append(c0 - c1 * math.log(2 * (k + 1) + d))
+            rows.append(c0 - c1 * np.log(2 * (k + 1) + d))
         else:  # floor
-            logs.append(c0)
-    if not logs:
-        return _NEG_INF
-    top = max(logs)
-    return top + math.log(sum(math.exp(l - top) for l in logs))
+            rows.append(c0)
+    return _signed_log_add((1, row) for row in rows)[1] if rows else _NEG_INF
 
 
 # --- counting ----------------------------------------------------------------
@@ -164,18 +192,11 @@ _MONOTONE_CAP = 10**15
 # The crossing search examines degrees up to 2^49, the largest power of two
 # below the cap, and refuses a threshold that is still exceeded there.
 _LAST_DEGREE = 1 << (_MONOTONE_CAP.bit_length() - 1)
+# Other symbols are tabulated up to the first degree (at most this cap) with a certified tail.
+_TABLE_CAP = 1_000_000
 
 
-def counting(
-    v: RadialSymbol,
-    d: int,
-    lam=None,
-    sign: int = 1,
-    *,
-    ln_lam=None,
-    k_stop: int | None = None,
-    max_terms: int = 1_000_000,
-):
+def counting(v: RadialSymbol, d: int, lam=None, sign: int = 1, *, ln_lam=None):
     """Number of eigenvalues of the radial compression with sign*mu_k > lam.
 
     `lam` (or `ln_lam`) is one threshold, giving an int, or a sequence of
@@ -185,8 +206,9 @@ def counting(
     too.  For monotone profiles (`v.monotone`: Step, Power) the first
     non-exceeding degree of every threshold is found in a few vectorised
     passes and the count is the cumulative multiplicity below it; otherwise
-    degrees are enumerated until the certified tail bound drops below the
-    threshold.
+    the degrees up to the first one whose certified tail bound lies below
+    every threshold are tabulated, and each threshold is one binary search
+    in the sorted table.
     Raises TailNotCertifiedError when no such cutoff can be certified.
     """
     if sign not in (1, -1):
@@ -200,13 +222,13 @@ def counting(
         for x in values:
             if x <= 0.0:
                 raise ValueError(f"threshold must be positive, got {x}")
-    ln_lams = [math.log(x) for x in values] if lam is not None else values
+    ln_lams = np.array([math.log(x) for x in values] if lam is not None else values, dtype=float)
 
     if v.monotone:
-        first = _first_not_exceeding(v, d, np.array(ln_lams, dtype=float), sign)
+        first = _first_not_exceeding(v, d, ln_lams, sign)
         counts = [cumulative_multiplicity(d, k - 1) for k in first.tolist()]
     else:
-        counts = [_count_enumerated(v, d, l, sign, k_stop, max_terms) for l in ln_lams]
+        counts = _count_tabulated(v, d, ln_lams, sign)
     return counts[0] if single else counts
 
 
@@ -262,28 +284,28 @@ def _first_not_exceeding(v: RadialSymbol, d: int, ln_lam: np.ndarray, sign: int)
     return k
 
 
-def _count_enumerated(v: RadialSymbol, d: int, ln_lam: float, sign: int, k_stop, max_terms: int) -> int:
-    """Counting by enumerating degrees until the certified tail drops below ln_lam."""
+def _count_tabulated(v: RadialSymbol, d: int, ln_lam: np.ndarray, sign: int) -> list[int]:
+    """Counts from the degree table up to the first certified degree of the lowest threshold."""
     profiles = v.tail_profiles(d)
-    floor_logs = [c0 for kind, c0, _ in profiles if kind == "floor"]
-    if floor_logs and max(floor_logs) > ln_lam:
+    lowest = ln_lam.min()
+    if any(kind == "floor" and c0 > lowest for kind, c0, _ in profiles):
         raise TailNotCertifiedError(
             "threshold lies below the certified boundary value of the symbol; "
             "the counting function is not finite there"
         )
-    total = 0
-    limit = k_stop if k_stop is not None else max_terms
-    for k in range(limit + 1):
-        s, log_abs = v.log_mu(d, k)
-        if s == sign and log_abs > ln_lam:
-            total += multiplicity(d, k)
-        if k_stop is None and _log_tail_sup(profiles, d, k) <= ln_lam:
-            return total
-    if _log_tail_sup(profiles, d, limit) <= ln_lam:
-        return total
-    raise TailNotCertifiedError(
-        f"tail above degree {limit} cannot be certified below the threshold"
-    )
+    # The tail bound is nonincreasing in k: grow the block until its last
+    # degree is certified (never, for a NaN threshold), then find the first.
+    lo, hi = 0, 1024
+    while not _log_tail_sup(profiles, d, min(hi, _TABLE_CAP)) <= lowest:
+        if hi >= _TABLE_CAP:
+            raise TailNotCertifiedError(
+                f"tail above degree {_TABLE_CAP} cannot be certified below the threshold"
+            )
+        lo, hi = hi + 1, 4 * hi
+    k = np.arange(lo, min(hi, _TABLE_CAP) + 1)
+    logs, counts = _sorted_table(v, d, int(k[np.argmax(_log_tail_sup(profiles, d, k) <= lowest)]), sign)
+    exceeding = np.searchsorted(-logs, -ln_lam)  # how many logs lie above each threshold
+    return np.concatenate((np.zeros(1, counts.dtype), counts))[exceeding].tolist()
 
 
 # --- asymptotic constants ----------------------------------------------------
@@ -418,8 +440,8 @@ def asymptotic_fit(
 # --- Schatten norms and decay ------------------------------------------------
 
 
-def _tail_p_sum_log(profiles, d: int, k: int, p: float) -> float:
-    """log of a certified bound for sum_{j>k} m_j |mu_j|^p (Minkowski over parts)."""
+def _tail_p_sum_log(profiles, d: int, k, p: float):
+    """log of a certified bound for sum_{j>k} m_j |mu_j|^p (Minkowski over parts), elementwise in k."""
     if not profiles:
         return _NEG_INF
     # m_j <= 2 (j+d)^(d-2)/(d-2)!  (exact for d = 2, proven via Pascal splits).
@@ -434,16 +456,14 @@ def _tail_p_sum_log(profiles, d: int, k: int, p: float) -> float:
                 return math.inf
             # (j+d)^(d-2) q^(j/2) decreases beyond k_star.
             k_star = -2.0 * (d - 2) / log_q - d
-            if k + 1 < k_star:
-                return math.inf  # grow k before certifying
             log_geo = (
                 log_m_pref
                 + p * c0
-                + (d - 2) * math.log(k + 1 + d)
+                + (d - 2) * np.log(k + 1 + d)
                 + (k + 1) * log_q
                 - math.log(-math.expm1(0.5 * log_q))
             )
-            roots.append(log_geo / p)
+            roots.append(np.where(k + 1 < k_star, math.inf, log_geo / p))  # grow k before certifying
         else:  # power: |mu_j| <= exp(c0) (2j+d)^(-c1)
             beta = d - 2 - p * c1
             if beta >= -1.0:
@@ -452,22 +472,11 @@ def _tail_p_sum_log(profiles, d: int, k: int, p: float) -> float:
                 log_m_pref
                 + p * c0
                 - p * c1 * math.log(2.0)
-                + (beta + 1.0) * math.log(k + d)
+                + (beta + 1.0) * np.log(k + d)
                 - math.log(-beta - 1.0)
             )
             roots.append(log_pw / p)
-    top = max(roots)
-    return p * (top + math.log(sum(math.exp(r - top) for r in roots)))
-
-
-def _sorted_log_blocks(v: RadialSymbol, d: int, k_stop: int):
-    """(log |mu_k|, m_k) for the degrees k <= k_stop with mu_k != 0, |mu|-descending."""
-    logs = (v.log_mu(d, k) for k in range(k_stop + 1))
-    return sorted(
-        ((log_abs, multiplicity(d, k)) for k, (s, log_abs) in enumerate(logs) if s != 0),
-        key=lambda t: t[0],
-        reverse=True,
-    )
+    return p * _signed_log_add((1, r) for r in roots)[1]
 
 
 def schatten_radial(
@@ -483,7 +492,9 @@ def schatten_radial(
     The tail beyond the cutoff degree is certified against the symbol's
     decay profile; TailNotCertifiedError signals a cutoff that cannot be
     certified (e.g. a boundary value that does not vanish, or an exponent
-    for which the series diverges).
+    for which the series diverges).  Without `k_stop` the strong norm stops
+    at the first degree k >= 8 (up to 400,000) whose tail is certified below
+    rel_tol times the partial sum; the weak one stops at degree 40,000.
     """
     if weak:
         if p <= 1.0:
@@ -493,34 +504,31 @@ def schatten_radial(
     profiles = v.tail_profiles(d)
 
     if not weak:
-        partial = 0.0
-        k = -1
         limit = k_stop if k_stop is not None else 400_000
-        while k < limit:
-            k += 1
-            s, log_abs = v.log_mu(d, k)
-            if s != 0:
-                partial += multiplicity(d, k) * math.exp(p * log_abs)
-            if k_stop is None and k >= 8:
-                tail_log = _tail_p_sum_log(profiles, d, k, p)
-                if tail_log <= math.log(max(partial, 1e-300)) + math.log(rel_tol):
-                    return partial ** (1.0 / p)
-        tail_log = _tail_p_sum_log(profiles, d, limit, p)
-        if tail_log > math.log(max(partial, 1e-300)) + math.log(1e-9):
+        K = limit if k_stop is not None else min(1024, limit)
+        while True:  # tables over geometrically growing degree ranges
+            _, logs, m = _degree_table(v, d, K)
+            partial = np.cumsum(m.astype(float) * np.exp(p * logs))
+            if k_stop is None:
+                log_floor = np.log(np.maximum(partial[8:], 1e-300)) + math.log(rel_tol)
+                certified = _tail_p_sum_log(profiles, d, np.arange(8, K + 1), p) <= log_floor
+                if certified.any():
+                    return float(partial[8 + certified.argmax()]) ** (1.0 / p)
+            if K == limit:
+                break
+            K = min(4 * K, limit)
+        total = float(partial[-1])
+        if _tail_p_sum_log(profiles, d, limit, p) > math.log(max(total, 1e-300)) + math.log(1e-9):
             raise TailNotCertifiedError(
                 f"p-th power tail beyond degree {limit} is not certified negligible"
             )
-        return partial ** (1.0 / p)
+        return total ** (1.0 / p)
 
     # Weak quasinorm: expand, sort by |mu| descending, take sup j^(1/p) s_j.
     limit = k_stop if k_stop is not None else 40_000
-    best_log = _NEG_INF
-    count = 0
-    for log_abs, m in _sorted_log_blocks(v, d, limit):
-        count += m
-        best_log = max(best_log, math.log(count) / p + log_abs)
-    tail_log = _weak_tail_sup_log(profiles, d, limit, p)
-    if tail_log > best_log:
+    logs, counts = _sorted_table(v, d, limit)
+    best_log = float(np.max(np.log(counts.astype(float)) / p + logs, initial=_NEG_INF))
+    if _weak_tail_sup_log(profiles, d, limit, p) > best_log:
         raise TailNotCertifiedError(
             f"weak-norm tail beyond degree {limit} may exceed the enumerated sup"
         )
@@ -535,21 +543,18 @@ def _weak_tail_sup_log(profiles, d: int, k_stop: int, p: float) -> float:
             return math.inf
         if kind == "geometric":
             peak = -2.0 * (d - 1) / (p * c1)  # stationary point of the log bound
-            k_hi = int(max(k_stop + 2, peak)) + 4
-            for k in range(k_stop + 1, k_hi + 1):
-                val = math.log(cumulative_multiplicity(d, k)) / p + c0 + k * c1
-                worst = max(worst, val)
+            k = np.arange(k_stop + 1, int(max(k_stop + 2, peak)) + 5)
+            counts = cumulative_multiplicity(d, k_stop) + np.cumsum(_multiplicities(d, k))  # M_k
+            vals = np.log(counts.astype(float)) / p + c0 + k * c1
         else:
             if (d - 1) / p >= c1:
                 return math.inf
             # M_k^(1/p)(2k+d)^-gamma decays beyond its peak; M_k <= 2(k+d)^(d-1)/(d-1)!
-            def val(k: int) -> float:
-                bound_m = math.log(2.0) - log_gamma(float(d)) + (d - 1) * math.log(k + d)
-                return bound_m / p + c0 - c1 * math.log(2 * k + d)
-
             peak = max(k_stop + 2, int((d - 1) / (p * c1 - (d - 1)) * d) + 4)
-            for k in range(k_stop + 1, peak + 8):
-                worst = max(worst, val(k))
+            k = np.arange(k_stop + 1, peak + 8)
+            bound_m = math.log(2.0) - log_gamma(float(d)) + (d - 1) * np.log(k + d)
+            vals = bound_m / p + c0 - c1 * np.log(2 * k + d)
+        worst = max(worst, float(vals.max()))
     return worst
 
 
@@ -572,16 +577,12 @@ def superpolynomial_decay_check(v: RadialSymbol, d: int, alpha: float, k_stop: i
     profiles = v.tail_profiles(d)
     if any(kind != "geometric" for kind, _, _ in profiles):
         raise TailNotCertifiedError("superpolynomial decay needs a compactly supported profile")
-    best_log = _NEG_INF
-    best_j = 0
-    count = 0
-    for log_abs, m in _sorted_log_blocks(v, d, k_stop):
-        count += m
-        cand = alpha * math.log(count) + log_abs
-        if cand > best_log:
-            best_log, best_j = cand, count
-    tail = _weak_tail_sup_log(profiles, d, k_stop, 1.0 / alpha)
-    if tail > best_log:
+    logs, counts = _sorted_table(v, d, k_stop)
+    # the first maximum; the sentinel -inf (count 0) answers an empty table
+    cand = np.append(alpha * np.log(counts.astype(float)) + logs, _NEG_INF)
+    at = int(np.argmax(cand))
+    best_log, best_j = float(cand[at]), int(np.append(counts, 0)[at])
+    if _weak_tail_sup_log(profiles, d, k_stop, 1.0 / alpha) > best_log:
         raise TailNotCertifiedError("decay sup may live beyond the enumerated degrees")
     return DecayCheck(sup_value=math.exp(best_log), argmax_j=best_j, k_stop=k_stop)
 
@@ -590,9 +591,9 @@ def log_decay_at(v: RadialSymbol, d: int, alpha: float, j: int, k_stop: int) -> 
     """ln (j^alpha s_j) for the expanded singular-value sequence."""
     if j < 1:
         raise ValueError(f"index must be >= 1, got {j}")
-    count = 0
-    for log_abs, m in _sorted_log_blocks(v, d, k_stop):
-        count += m
-        if count >= j:
-            return alpha * math.log(j) + log_abs
-    raise ValueError(f"index {j} beyond the {count} singular values enumerated at k_stop={k_stop}")
+    logs, counts = _sorted_table(v, d, k_stop)
+    at = int(np.searchsorted(counts, j))  # first running count >= j
+    if at == counts.size:
+        total = int(np.sum(counts[-1:]))  # 0 for an empty table
+        raise ValueError(f"index {j} beyond the {total} singular values enumerated at k_stop={k_stop}")
+    return alpha * math.log(j) + float(logs[at])

@@ -47,18 +47,23 @@ _NEG_INF = float("-inf")
 # --- signed log arithmetic ---------------------------------------------------
 
 
-def _signed_log_add(terms) -> tuple[int, float]:
-    """Sum of s_i * exp(l_i) represented as (sign, log abs)."""
-    live = [(s, l) for s, l in terms if s != 0 and l != _NEG_INF]
-    if not live:
-        return 0, _NEG_INF
-    top = max(l for _, l in live)
-    acc = 0.0
-    for s, l in live:
-        acc += s * math.exp(l - top)
-    if acc == 0.0:
-        return 0, _NEG_INF
-    return (1 if acc > 0.0 else -1), top + math.log(abs(acc))
+def _signed_log_add(terms, scalar: bool = False):
+    """sum_i s_i exp(l_i) as (sign, log abs) over terms (s_i, l_i) of scalars
+    or arrays of one shape, with l_i = -inf where s_i = 0: arrays, or Python
+    (int, float) if `scalar`.  One pass with a running maximum `top`; acc
+    holds the sum over exp(top)."""
+    terms = iter(terms)
+    s, top = next(terms)
+    acc = np.full(np.shape(top), s, dtype=float)
+    for s, l in terms:
+        new_top = np.maximum(top, l)
+        ref = np.where(np.isfinite(new_top), new_top, 0.0)  # +-inf terms stay +-inf
+        acc = acc * np.exp(top - ref) + s * np.exp(l - ref)
+        top = new_top
+    with np.errstate(divide="ignore"):
+        log_abs = np.where(acc != 0.0, top + np.log(np.abs(acc)), _NEG_INF)
+    sign = np.sign(acc).astype(np.int64)
+    return (int(sign), float(log_abs)) if scalar else (sign, log_abs)
 
 
 # ln Gamma(x) - ln Gamma(x+g) from x = _STIRLING_FROM on: the difference of
@@ -83,13 +88,12 @@ def _log_gamma_ratio(x, g: float, xp):
     return g - (x - 0.5) * xp.log1p(g / x) - g * xp.log(y) + (_stirling_series(x) - _stirling_series(y))
 
 
-def _log_pow_diff(a: float, r_hi: float, r_lo: float) -> float:
-    """log(r_hi^a - r_lo^a) for 0 <= r_lo < r_hi <= 1."""
+def _log_pow_diff(a, r_hi: float, r_lo: float):
+    """log(r_hi^a - r_lo^a) for 0 <= r_lo < r_hi < 1, elementwise in a > 0."""
+    hi = a * math.log(r_hi)
     if r_lo == 0.0:
-        return a * math.log(r_hi) if r_hi < 1.0 else 0.0
-    hi = a * math.log(r_hi) if r_hi < 1.0 else 0.0
-    lo = a * math.log(r_lo)
-    return hi + math.log1p(-math.exp(lo - hi))
+        return hi
+    return hi + np.log(-np.expm1(a * math.log1p((r_lo - r_hi) / r_hi)))
 
 
 # --- radial symbols ----------------------------------------------------------
@@ -106,8 +110,7 @@ class RadialSymbol:
     """
 
     #: |mu_k| is nonincreasing in k with a fixed sign, so counting may search
-    #: for the crossing degree.  Monotone symbols also take an integer ndarray
-    #: k in `log_mu` and estimate that degree with `crossing_degree`.
+    #: for the crossing degree (estimated by `crossing_degree`).
     monotone = False
 
     def values(self, r) -> np.ndarray:
@@ -130,8 +133,8 @@ class RadialSymbol:
         """v(1-) under the profile's continuation."""
         return 0.0
 
-    def log_mu(self, d: int, k: int) -> tuple[int, float]:
-        """(sign, log |mu_k|), exact in the log domain."""
+    def log_mu(self, d: int, k):
+        """(sign, log |mu_k|), exact in the log domain, elementwise over an integer ndarray k."""
         raise NotImplementedError
 
     def mu(self, d: int, k: int, order: int | None = None) -> float:
@@ -290,28 +293,23 @@ class Sampled(RadialSymbol):
     def boundary_value(self) -> float:
         return self.v[-1]
 
-    def _log_terms(self, n: int) -> list[tuple[int, float]]:
-        """Signed log terms of mu = n * int_0^1 v r^(n-1) dr, segment by segment."""
-        terms: list[tuple[int, float]] = []
-        r, vals = self.r, self.v
-        if r[0] > 0.0 and vals[0] != 0.0:
-            terms.append((1 if vals[0] > 0 else -1, math.log(abs(vals[0])) + n * math.log(r[0])))
-        for (r0, v0), (r1, v1) in zip(zip(r, vals), zip(r[1:], vals[1:])):
-            slope = (v1 - v0) / (r1 - r0)
-            f1 = v0 - slope * r0
-            if f1 != 0.0:
-                terms.append((1 if f1 > 0 else -1, math.log(abs(f1)) + _log_pow_diff(n, r1, r0)))
-            if slope != 0.0:
-                log_f2 = math.log(abs(slope)) + math.log(n / (n + 1.0))
-                terms.append((1 if slope > 0 else -1, log_f2 + _log_pow_diff(n + 1, r1, r0)))
-        v_last = vals[-1]
-        if v_last != 0.0:
-            log_tail = math.log(abs(v_last)) + math.log1p(-math.exp(n * math.log(r[-1])))
-            terms.append((1 if v_last > 0 else -1, log_tail))
-        return terms
+    def log_mu(self, d: int, k):
+        """(sign, log |mu_k|) by parts, n = 2k+d, s_j the slope of segment j:
+        mu_k = v(1-) - sum_j s_j (r_(j+1)^(n+1) - r_j^(n+1)) / (n+1): one term
+        per segment, so no two terms of a segment cancel (relative error near
+        1e-15 up to k = 1e15).  An integer ndarray k gives arrays."""
+        a = 2.0 * np.asarray(k, dtype=float) + (d + 1.0)  # n + 1
+        log_a = np.log(a)
+        v_last = self.v[-1]
 
-    def log_mu(self, d: int, k: int) -> tuple[int, float]:
-        return _signed_log_add(self._log_terms(2 * k + d))
+        def terms():
+            yield np.sign(v_last), np.full(a.shape, math.log(abs(v_last)) if v_last else _NEG_INF)
+            for r0, r1, v0, v1 in zip(self.r, self.r[1:], self.v, self.v[1:]):
+                if v1 != v0:
+                    slope = (v1 - v0) / (r1 - r0)
+                    yield -np.sign(slope), math.log(abs(slope)) + _log_pow_diff(a, r1, r0) - log_a
+
+        return _signed_log_add(terms(), scalar=np.ndim(k) == 0)
 
     def mu(self, d: int, k: int, order: int | None = None) -> float:
         # The interpolant is the model, and its moments are exact.
@@ -353,8 +351,8 @@ class SymbolSum(RadialSymbol):
     def boundary_value(self) -> float:
         return sum(p.boundary_value() for p in self.parts)
 
-    def log_mu(self, d: int, k: int) -> tuple[int, float]:
-        return _signed_log_add(p.log_mu(d, k) for p in self.parts)
+    def log_mu(self, d: int, k):
+        return _signed_log_add((p.log_mu(d, k) for p in self.parts), scalar=np.ndim(k) == 0)
 
     def mu(self, d: int, k: int, order: int | None = None) -> float:
         return sum(p.mu(d, k, order) for p in self.parts)

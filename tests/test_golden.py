@@ -5,9 +5,9 @@ recorded fixture in `golden/cli_outputs.json`: text and integers exactly,
 floating-point numbers to within 4 ulp (so that a different BLAS build does
 not break the comparison).  Refactors that must not change any number are
 checked against these fixtures.  After a deliberate change of outputs,
-rewrite the fixtures with
+rewrite the named fixtures (all of them when no name is given) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME...]
 """
 import io
 import json
@@ -114,5 +114,11 @@ def test_comparison_tolerates_ulps_only():
 
 
 if __name__ == "__main__":
-    FIXTURES.write_text(json.dumps({n: run_case(a) for n, a in CASES.items()}, indent=1) + "\n")
-    print(f"wrote {len(CASES)} cases to {FIXTURES}", file=sys.stderr)
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(unknown)}; known: {', '.join(CASES)}")
+    fixtures = json.loads(FIXTURES.read_text()) if FIXTURES.exists() else {}
+    fixtures.update({n: run_case(CASES[n]) for n in names})
+    FIXTURES.write_text(json.dumps({n: fixtures[n] for n in CASES if n in fixtures}, indent=1) + "\n")
+    print(f"wrote {len(names)} of {len(CASES)} cases to {FIXTURES}", file=sys.stderr)

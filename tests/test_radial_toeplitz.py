@@ -300,14 +300,8 @@ def test_power_counting_matches_mpmath_bisection(d, ln_lam):
 
 
 _SCAN = np.arange(4001)
-
-
-def _scanned_first_not_exceeding(v, d, ln_lam, sign):
-    """Reference: scan log mu_k over k <= 4000 for the first non-exceeding degree."""
-    s, logs = v.log_mu(d, _SCAN)
-    exceeds = (s == sign) & (logs > ln_lam)
-    assert not exceeds[-1]
-    return int(np.argmin(exceeds))
+_NEGATIVE = Sampled([0.0, 0.4, 0.45, 0.8], [0.0, 0.0, -2.0, 0.0])
+_FLOORED = Sampled([0.0, 0.5, 0.9], [1.0, 0.5, 0.3])  # v(1-) = 0.3
 
 
 @pytest.mark.parametrize(
@@ -321,14 +315,26 @@ def _scanned_first_not_exceeding(v, d, ln_lam, sign):
         (Step(-1.7, 0.93), -1),
         (Step(-1.7, 0.93), 1),
         (Step(0.0, 0.5), 1),
+        (Sampled([0.0, 0.4, 0.8, 0.95], [1.0, 0.8, 0.2, 0.0]), 1),
+        (Sampled([0.0, 0.2, 0.35, 0.499, 0.5], [1.2, 0.9, 1.1, 0.7, 0.0]), 1),
+        (_NEGATIVE, -1),
+        (_FLOORED, 1),
+        (Sampled([0.0, 0.5, 0.9], [-1.0, -0.5, -0.3]), -1),
+        (SymbolSum([Step(1.0, 0.3), _NEGATIVE]), 1),
+        (SymbolSum([Step(1.0, 0.3), _NEGATIVE]), -1),
+        (SymbolSum([Power(1.0, 2.0), Step(-0.5, 0.4)]), 1),
+        (SymbolSum([Power(1.0, 2.0), Step(-0.5, 0.4)]), -1),
     ],
 )
 def test_grid_counting_equals_scalar_counting(v, sign):
     rng = np.random.default_rng(11)
     for d in (2, 3):
-        _, logs = v.log_mu(d, _SCAN)
-        exact = logs[np.isfinite(logs)][:60]
+        signs, logs = v.log_mu(d, _SCAN)
+        m = np.array([multiplicity(d, k) for k in _SCAN.tolist()])
         deepest = logs[3000] if np.isfinite(logs[3000]) else -9.0
+        if v.boundary_value():  # count above the floor, where the count is finite
+            deepest = max(deepest, math.log(abs(v.boundary_value())) + 0.01)
+        exact = logs[np.isfinite(logs) & (logs > deepest)][:60]
         # random thresholds, thresholds equal to an exact log mu_k and one ulp either side
         grid = np.concatenate(
             (
@@ -342,10 +348,21 @@ def test_grid_counting_equals_scalar_counting(v, sign):
         counts = counting(v, d, sign=sign, ln_lam=grid)
         assert isinstance(counts, list) and len(counts) == grid.size
         assert counts == [counting(v, d, sign=sign, ln_lam=float(t)) for t in grid]
-        for t, n in zip(grid.tolist(), counts):
-            assert n == cumulative_multiplicity(d, _scanned_first_not_exceeding(v, d, t, sign) - 1)
+        # reference: sum of m_k over the degrees k <= 4000 with sign*mu_k > lam
+        assert counts == [int(m[(signs == sign) & (logs > t)].sum()) for t in grid.tolist()]
     lams = np.exp(grid[grid > -700.0])
     assert counting(v, 2, lams.tolist(), sign=sign) == [counting(v, 2, float(x), sign=sign) for x in lams]
+
+
+def test_counts_stay_exact_past_2_63():
+    # d = 6: the table reaches k ~ 15,000, where M_k ~ 1e19 passes 2^63.
+    v = Sampled([0.0, 0.5, 0.99], [1.0, 1.0, 0.0])
+    signs, logs = v.log_mu(6, np.arange(20_001))
+    exceeding = np.flatnonzero((signs == 1) & (logs > -300.0)).tolist()
+    assert 10_000 < exceeding[-1] < 20_000
+    n = counting(v, 6, ln_lam=-300.0)
+    assert type(n) is int and n > 2**63
+    assert n == sum(multiplicity(6, k) for k in exceeding)
 
 
 def test_step_counting_of_zero_symbol_is_zero():

@@ -120,3 +120,64 @@ def test_crossing_degree_estimates():
     assert Power(1.0, 1.0).crossing_degree(2, [math.log(1e-4)]).tolist() == [4999.0]
     with np.errstate(over="raise"):
         assert Power(1.0, 0.5).crossing_degree(2, [-1e4]).tolist() == [math.inf]
+
+
+def _mp_mu(v, d, k):
+    """mu_k at the working precision: segment by segment for Sampled, without integrating by parts."""
+    n = mpmath.mpf(2 * k + d)
+    if isinstance(v, SymbolSum):
+        return sum(_mp_mu(p, d, k) for p in v.parts)
+    if isinstance(v, Step):
+        return mpmath.mpf(v.b) * mpmath.mpf(v.c) ** n
+    if isinstance(v, Power):
+        g = mpmath.mpf(v.gamma)
+        return v.a * mpmath.exp(mpmath.loggamma(g + 1) + mpmath.loggamma(n + 1) - mpmath.loggamma(n + 1 + g))
+    r, f = [mpmath.mpf(x) for x in v.r], [mpmath.mpf(x) for x in v.v]
+    total = f[0] * r[0] ** n + f[-1] * (1 - r[-1] ** n)  # the constant ends
+    for r0, r1, f0, f1 in zip(r, r[1:], f, f[1:]):
+        slope = (f1 - f0) / (r1 - r0)
+        total += (f0 - slope * r0) * (r1**n - r0**n) + slope * n / (n + 1) * (r1 ** (n + 1) - r0 ** (n + 1))
+    return total
+
+
+_PROFILES = {
+    "decreasing to 0": Sampled([0.0, 0.4, 0.8, 0.95], [1.0, 0.8, 0.2, 0.0]),
+    "bump": Sampled([0.0, 0.2, 0.35, 0.499, 0.5], [1.2, 0.9, 1.1, 0.7, 0.0]),
+    "r0 > 0": Sampled([0.2, 0.6], [1.0, 0.0]),
+    "v(1-) != 0": Sampled([0.0, 0.5, 0.9], [1.0, 0.5, 0.3]),
+    "sign change": Sampled([0.0, 0.3, 0.6, 0.9], [1.0, -0.5, 0.2, 0.0]),
+    "all zero": Sampled([0.0, 0.5], [0.0, 0.0]),
+    "sum with power": SymbolSum([Sampled([0.0, 0.4, 0.8, 0.95], [1.0, 0.8, 0.2, 0.0]), Power(1.0, 1.5)]),
+    "sum with step": SymbolSum(
+        [Sampled([0.0, 0.5, 0.9], [1.0, 0.5, 0.3]), Step(0.5, 0.3), Sampled([0.2, 0.6], [1.0, 0.0])]
+    ),
+}
+
+
+def _assert_matches(sign, log_abs, mu, k):
+    want_sign = int(mpmath.sign(mu))
+    assert sign == want_sign, k
+    if want_sign == 0:
+        assert log_abs == -math.inf
+    else:  # relative in log|mu_k|, and in mu_k itself where |log mu_k| < 1
+        want_log = float(mpmath.log(abs(mu)))
+        assert abs(log_abs - want_log) <= 1e-13 * max(1.0, abs(want_log)), k
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILES))
+def test_sampled_and_sum_log_mu_match_mpmath(name):
+    # Before integration by parts the two terms of each segment cancelled:
+    # from k = 1e9 on, positive profiles came out with sign 0 or -1.
+    v = _PROFILES[name]
+    ks = np.array(_DEGREES, dtype=np.int64)
+    for d in (2, 3):
+        signs, logs = v.log_mu(d, ks)
+        assert signs.shape == logs.shape == ks.shape
+        with mpmath.workdps(80):
+            for i, k in enumerate(_DEGREES + [10**20]):  # 1e20: a scalar degree beyond int64
+                mu = _mp_mu(v, d, k)
+                sign, log_abs = v.log_mu(d, k)
+                assert type(sign) is int and type(log_abs) is float
+                _assert_matches(sign, log_abs, mu, k)
+                if i < ks.size:
+                    _assert_matches(int(signs[i]), float(logs[i]), mu, k)
