@@ -144,13 +144,14 @@ def inverse_power_weyl_fit(gamma: float, a: float, d: int, e_grid) -> Asymptotic
         raise ValueError("energy grid must be increasing and > 1")
     v = Power(a, gamma)
     ln_lam = -gamma * np.log(e_arr)
-    counts = np.array(counting(v, d, ln_lam=ln_lam), dtype=float)
-    if np.any(counts < 1.0):
+    counts = counting(v, d, ln_lam=ln_lam)
+    n = np.array(counts, dtype=float)
+    if np.any(n < 1.0):
         raise ValueError("counting vanished on part of the energy grid")
-    roots = counts ** (1.0 / (d - 1))
+    roots = n ** (1.0 / (d - 1))
     alpha = np.polyfit(e_arr, roots, 1)[0]
     coefficient = float(alpha) ** (d - 1)
-    resid = np.log(counts) - (math.log(coefficient) + (d - 1) * np.log(e_arr))
+    resid = np.log(n) - (math.log(coefficient) + (d - 1) * np.log(e_arr))
     return AsymptoticFit(
         coefficient=coefficient,
         exponent=float(d - 1),

@@ -262,19 +262,19 @@ def _cmd_spectrum(args):
         if matrix is None:
             matrix = gt.assemble(symbol, args.d, _spec_for(args, spectrum.max_degree))
         gt.write_matrix_csv(args.matrix_output, matrix, args.d, spectrum.max_degree)
-    rows = [
-        {"index": i, "eigenvalue": e, "multiplicity": m}
-        for i, (e, m) in enumerate(spectrum.entries)
-    ]
+    table = {
+        "index": range(len(spectrum.entries)),
+        "eigenvalue": [e for e, _ in spectrum.entries],
+        "multiplicity": [m for _, m in spectrum.entries],
+    }
     meta = {
-        "columns": ["index", "eigenvalue", "multiplicity"],
         "comments": [
             f"provenance={spectrum.provenance} max_degree={spectrum.max_degree} total={spectrum.total_count}",
             f"eigenvalue: {MU_FORMULA}" if spectrum.provenance == "exact-radial" else "eigenvalue: finite-section eigenvalues of the compression",
         ],
         "formulas": [MU_FORMULA],
     }
-    return rows, meta
+    return table, meta
 
 
 def _cmd_counting(args):
@@ -288,21 +288,16 @@ def _cmd_counting(args):
         lam_grid = [args.lam]
         ln_grid = [math.log(args.lam)]
     else:
-        ln_grid = [float(x) for x in _parse_range(args.lnlambda, "lnlambda")]
+        ln_grid = _parse_range(args.lnlambda, "lnlambda").tolist()
         # display column only; counting itself stays in the log domain and
         # the emitted value never goes sub-normal
         lam_grid = [math.exp(l) if l > -700.0 else 0.0 for l in ln_grid]
-    counts = rt.counting(symbol, args.d, sign=sign, ln_lam=ln_grid)
-    rows = [
-        {"lambda": lam, "ln_lambda": l, "n": int(n)}
-        for lam, l, n in zip(lam_grid, ln_grid, counts)
-    ]
+    table = {"lambda": lam_grid, "ln_lambda": ln_grid, "n": rt.counting(symbol, args.d, sign=sign, ln_lam=ln_grid)}
     meta = {
-        "columns": ["lambda", "ln_lambda", "n"],
         "comments": [f"n: {COUNTING_FORMULA} (sign={args.sign})"],
         "formulas": [COUNTING_FORMULA, MU_FORMULA],
     }
-    return rows, meta
+    return table, meta
 
 
 def _cmd_asymptotics(args):
@@ -318,12 +313,8 @@ def _cmd_asymptotics(args):
     else:
         model_vals = fit.coefficient * (-fit.ln_lam) ** fit.exponent
         law = "n ~ C * |ln lambda|^e"
-    rows = [
-        {"ln_lambda": float(l), "n": int(n), "model": float(m)}
-        for l, n, m in zip(fit.ln_lam, fit.counts, model_vals)
-    ]
+    table = {"ln_lambda": fit.ln_lam.tolist(), "n": fit.counts, "model": model_vals.tolist()}
     meta = {
-        "columns": ["ln_lambda", "n", "model"],
         "comments": [
             f"fit {law}: coefficient={fit.coefficient:{FULL}} exponent={fit.exponent:{FULL}} residual_rms={fit.residual_rms:{FULL}}",
         ],
@@ -334,7 +325,7 @@ def _cmd_asymptotics(args):
             "residual_rms": fit.residual_rms,
         },
     }
-    return rows, meta
+    return table, meta
 
 
 def _cmd_berezin(args):
@@ -353,14 +344,12 @@ def _cmd_berezin(args):
         x[0] = r
         return kb.berezin_transform(symbol, args.d, x, k, spec=spec)
 
-    vals = [at(r) for r in radii]
-    rows = [{"radius": r, "berezin": v} for r, v in zip(radii, vals)]
+    table = {"radius": radii, "berezin": [at(r) for r in radii]}
     meta = {
-        "columns": ["radius", "berezin"],
         "comments": ["berezin: B[V](x) = int R(x,y)^2 V(y) dy / R(x,x), kernel truncated at max_degree"],
         "formulas": ["B[V](x) = int R(x,y)^2 V(y) dy / R(x,x)"],
     }
-    return rows, meta
+    return table, meta
 
 
 def _cmd_schatten(args):
@@ -372,28 +361,36 @@ def _cmd_schatten(args):
         spec = _spec_for(args, symbol.spec.max_degree if isinstance(symbol, TabulatedSymbol) else 12)
         value = gt.schatten_galerkin(gt.spectrum(symbol, args.d, spec), args.p, weak=args.weak)
         route = "galerkin"
-    rows = [{"p": args.p, "weak": int(args.weak), "value": value, "route": route}]
+    table = {"p": [args.p], "weak": [int(args.weak)], "value": [value], "route": [route]}
     law = "||T||_(p,w) = sup_j j^(1/p) s_j" if args.weak else "||T||_p = (sum_j s_j^p)^(1/p)"
-    meta = {"columns": ["p", "weak", "value", "route"], "comments": [f"value: {law}"], "formulas": [law]}
-    return rows, meta
+    return table, {"comments": [f"value: {law}"], "formulas": [law]}
 
 
 def _cmd_boundary(args):
     symbol = parse_symbol(args.symbol)
-    k_max = args.K if args.K is not None else 12
-    rows = []
-    radial = isinstance(symbol, RadialSymbol)
-    for k in range(k_max + 1):
-        row = {
-            "k": k,
-            "gram_eigenvalue": br.extension_gram_eigenvalue(args.d, k),
-            "dtn_eigenvalue": br.dtn_eigenvalue(args.d, k),
+    if args.e_grid is not None:
+        if not isinstance(symbol, Power):
+            raise ValueError("--E requires a power-type symbol in the boundary command")
+        e_grid = _parse_range(args.e_grid, "E", want_count=True)
+        fit = br.inverse_power_weyl_fit(symbol.gamma, symbol.a, args.d, e_grid)
+        meta = {
+            "comments": [
+                "count: degrees with mu_k^(-1/gamma) < E, multiplicities included",
+                f"fit count ~ C E^(d-1): coefficient={fit.coefficient:{FULL}}",
+            ],
+            "formulas": ["count(E) ~ C E^(d-1)"],
+            "fit": {"coefficient": fit.coefficient, "exponent": fit.exponent},
         }
-        if radial:
-            row["reduced_diagonal"] = rt.radial_eigenvalue(symbol, args.d, k)
-        rows.append(row)
+        return {"E": e_grid.tolist(), "count": fit.counts}, meta
+    degrees = range((args.K if args.K is not None else 12) + 1)
+    table = {
+        "k": degrees,
+        "gram_eigenvalue": [br.extension_gram_eigenvalue(args.d, k) for k in degrees],
+        "dtn_eigenvalue": [br.dtn_eigenvalue(args.d, k) for k in degrees],
+    }
+    if isinstance(symbol, RadialSymbol):
+        table["reduced_diagonal"] = [rt.radial_eigenvalue(symbol, args.d, k) for k in degrees]
     meta = {
-        "columns": list(rows[0].keys()),
         "comments": [
             "gram_eigenvalue: <G psi_k, G psi_k> = 1/(2k+d); dtn_eigenvalue: normal derivative order k",
         ],
@@ -406,24 +403,7 @@ def _cmd_boundary(args):
             f"principal symbol check: k^gamma mu_k -> {est:{FULL}} (target 2^-gamma Gamma(gamma+1) a = {target:{FULL}})"
         )
         meta["fit"] = {"symbol_order_estimate": est, "principal_symbol": target}
-        if args.e_grid is not None:
-            e_grid = _parse_range(args.e_grid, "E", want_count=True)
-            fit = br.inverse_power_weyl_fit(symbol.gamma, symbol.a, args.d, e_grid)
-            rows = [
-                {"E": float(e), "count": int(n)} for e, n in zip(e_grid, fit.counts)
-            ]
-            meta = {
-                "columns": ["E", "count"],
-                "comments": [
-                    "count: degrees with mu_k^(-1/gamma) < E, multiplicities included",
-                    f"fit count ~ C E^(d-1): coefficient={fit.coefficient:{FULL}}",
-                ],
-                "formulas": ["count(E) ~ C E^(d-1)"],
-                "fit": {"coefficient": fit.coefficient, "exponent": fit.exponent},
-            }
-    elif args.e_grid is not None:
-        raise ValueError("--E requires a power-type symbol in the boundary command")
-    return rows, meta
+    return table, meta
 
 
 def _cmd_krein(args):
@@ -431,11 +411,11 @@ def _cmd_krein(args):
     if (args.lnlambda is None) == (args.e_grid is None):
         raise ValueError("provide exactly one of --lnlambda, --E")
     if args.e_grid is not None:
-        e_grid = _parse_range(args.e_grid, "E", want_count=True)
+        if args.d != 2:
+            raise ValueError(f"krein --E needs --d 2: the buckling oracle covers the disk only, got d={args.d}")
+        e_grid = _parse_range(args.e_grid, "E", want_count=True).tolist()
         exponent, coefficient = kc.weyl_L_fit(e_grid)
-        rows = [{"E": float(e), "count": kc.disk_counting(float(e))} for e in e_grid]
         meta = {
-            "columns": ["E", "count"],
             "comments": [
                 "count: disk buckling values below E (multiplicity counted)",
                 f"fit count ~ C E^(d/2): exponent={exponent:{FULL}} coefficient={coefficient:{FULL}}",
@@ -443,8 +423,8 @@ def _cmd_krein(args):
             "formulas": ["count(E) ~ C E^(d/2), values j_(k+1,m)^2"],
             "fit": {"exponent": exponent, "coefficient": coefficient},
         }
-        return rows, meta
-    ln_grid = [float(x) for x in _parse_range(args.lnlambda, "lnlambda")]
+        return {"E": e_grid, "count": [kc.disk_counting(e) for e in e_grid]}, meta
+    ln_grid = _parse_range(args.lnlambda, "lnlambda").tolist()
     v_sup = args.vsup if args.vsup is not None else symbol.sup()
     gamma = symbol.gamma if isinstance(symbol, Power) else None
     theta = 2.0 * (args.d - 1) / (gamma * (args.d + 2)) if gamma else 0.5
@@ -453,29 +433,26 @@ def _cmd_krein(args):
     # sandwich_minus asks n_plus at lam and (1-eps) lam; one grid call
     # counts both thresholds of every row and the sandwich looks them up.
     n_plus_at: dict[float, int] = {}
-    inputs = []
-    for ln_lam in ln_grid:
-        lam = math.exp(ln_lam)
-        eps = args.eps if args.eps is not None else min(0.5, lam**theta)
-        inputs.append(kc.SandwichInput(lam=lam, eps=eps, n_plus=n_plus_at.__getitem__, remainder=remainder))
-    thresholds = [inp.lam for inp in inputs] + [(1.0 - inp.eps) * inp.lam for inp in inputs]
+    lams = [math.exp(ln_lam) for ln_lam in ln_grid]
+    epss = [args.eps if args.eps is not None else min(0.5, lam**theta) for lam in lams]
+    inputs = [
+        kc.SandwichInput(lam=lam, eps=eps, n_plus=n_plus_at.__getitem__, remainder=remainder)
+        for lam, eps in zip(lams, epss)
+    ]
+    thresholds = lams + [(1.0 - eps) * lam for lam, eps in zip(lams, epss)]
     n_plus_at.update(zip(thresholds, rt.counting(symbol, args.d, thresholds)))
-    rows = []
-    for inp in inputs:
-        box = kc.sandwich_minus(inp)
-        row = {"lambda": inp.lam, "eps": inp.eps, "lower": box.lower, "upper": box.upper}
-        if gamma:
-            row["envelope_main"] = kc.counting_envelope(args.d, gamma, symbol.a, inp.lam).main
-        rows.append(row)
+    boxes = [kc.sandwich_minus(inp) for inp in inputs]
+    table = {"lambda": lams, "eps": epss, "lower": [b.lower for b in boxes], "upper": [b.upper for b in boxes]}
+    if gamma:
+        table["envelope_main"] = [kc.counting_envelope(args.d, gamma, symbol.a, lam).main for lam in lams]
     meta = {
-        "columns": list(rows[0].keys()),
         "comments": [
             "bounds: n_plus(lambda) <= N_minus(lambda) <= n_plus((1-eps) lambda) + remainder(eps)",
             f"remainder: complementary-spectrum counting below lam1 + sup V / eps (lam1={args.lam1})",
         ],
         "formulas": ["n_plus(lambda) <= N_minus(lambda) <= n_plus((1-eps) lambda) + remainder(eps)"],
     }
-    return rows, meta
+    return table, meta
 
 
 def _selftest_checks():
@@ -528,29 +505,31 @@ def _selftest_checks():
 
 def _cmd_selftest(args):
     checks = _selftest_checks()
-    rows = [{"check": name, "status": "PASS" if ok else "FAIL"} for name, ok in checks]
+    table = {"check": [name for name, _ in checks], "status": ["PASS" if ok else "FAIL" for _, ok in checks]}
     meta = {
-        "columns": ["check", "status"],
         "comments": [f"{sum(ok for _, ok in checks)}/{len(checks)} checks passed"],
         "formulas": [],
         "failed": sum(not ok for _, ok in checks),
     }
-    return rows, meta
+    return table, meta
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(value, FULL)
-    return str(value)
+def _cell_format(column) -> str:
+    """The %-format of a column: exact digits for ints (and bools), 17
+    significant digits for floats, the text otherwise."""
+    first = column[0]
+    if isinstance(first, int):
+        return "%d"
+    return "%.17g" if isinstance(first, float) else "%s"
 
 
-def emit(rows, meta, args) -> None:
+def emit(table, meta, args) -> None:
+    """Write a columnar table (column name -> values of one type) as CSV or JSON."""
+    names, columns = list(table), list(table.values())
     if args.format == "json":
         payload = {
             "config": _config_dict(args),
-            "results": rows,
+            "results": [dict(zip(names, row)) for row in zip(*columns)],
             "provenance": {"equations": meta.get("formulas", []), "comments": meta.get("comments", [])},
         }
         if "fit" in meta:
@@ -559,9 +538,10 @@ def emit(rows, meta, args) -> None:
     else:
         lines = [f"# harmotop {args.command}"]
         lines += [f"# {c}" for c in meta.get("comments", [])]
-        lines.append("# columns: " + ",".join(meta["columns"]))
-        for row in rows:
-            lines.append(",".join(_format_cell(row.get(c, "")) for c in meta["columns"]))
+        lines.append("# columns: " + ",".join(names))
+        if len(columns[0]):
+            template = ",".join(map(_cell_format, columns))
+            lines.append("\n".join(map(template.__mod__, zip(*columns))))
         text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_text(text)
@@ -604,14 +584,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negative_values(list(sys.argv[1:] if argv is None else argv)))
     try:
-        rows, meta = _COMMANDS[args.command](args)
+        table, meta = _COMMANDS[args.command](args)
     except (TailNotCertifiedError, QuadratureDivergenceError) as exc:
         print(f"harmotop: certification failure: {exc}", file=sys.stderr)
         return 3
     except (SymbolSyntaxError, ValueError, OSError, KeyError) as exc:
         print(f"harmotop: {exc}", file=sys.stderr)
         return 2
-    emit(rows, meta, args)
+    emit(table, meta, args)
     if args.command == "selftest" and meta.get("failed"):
         return 3
     return 0

@@ -142,18 +142,30 @@ def radial_spectrum(v: RadialSymbol, d: int, max_degree: int, order: int | None 
 # --- the degree table and certified tail bounds -------------------------------
 
 
+def _exact_degrees(d: int, k: np.ndarray) -> np.ndarray:
+    """Degrees k >= -1 as int64 while the binomials of m_k and M_k (at most
+    (d-1) M_k on the way) fit, else as Python ints."""
+    return k.astype(np.int64 if (d - 1) * cumulative_multiplicity(d, int(k.max())) < 2**63 else object)
+
+
+def _binom(n: np.ndarray, r: int) -> np.ndarray:
+    """binom(n, r) elementwise and exact in the dtype of n; 0 for n < r."""
+    out = np.ones_like(n)
+    for i in range(1, r + 1):
+        out = out * (n - r + i) // i
+    return np.where(n >= r, out, 0)
+
+
 def _multiplicities(d: int, k: np.ndarray) -> np.ndarray:
-    """m_k over ascending degrees k, exact: int64 while the binomials (at most
-    (d-1) M_k on the way) fit, else Python ints."""
-    k = k.astype(np.int64 if (d - 1) * cumulative_multiplicity(d, int(k[-1])) < 2**63 else object)
+    """m_k over the degrees k, exact (see `_exact_degrees`)."""
+    k = _exact_degrees(d, k)
+    return _binom(k + d - 1, d - 1) - _binom(k + d - 3, d - 1)
 
-    def binom(n):  # binom(n, d-1), 0 for n < d-1
-        out = np.ones_like(n)
-        for i in range(1, d):
-            out = out * (n - d + 1 + i) // i
-        return np.where(n >= d - 1, out, 0)
 
-    return binom(k + d - 1) - binom(k + d - 3)
+def _cumulative_multiplicities(d: int, k: np.ndarray) -> np.ndarray:
+    """M_k = m_0 + ... + m_k over the degrees k >= -1, exact (see `_exact_degrees`)."""
+    k = _exact_degrees(d, k)
+    return _binom(k + d - 1, d - 1) + _binom(k + d - 2, d - 1)
 
 
 def _degree_table(v: RadialSymbol, d: int, K: int):
@@ -225,10 +237,10 @@ def counting(v: RadialSymbol, d: int, lam=None, sign: int = 1, *, ln_lam=None):
     ln_lams = np.array([math.log(x) for x in values] if lam is not None else values, dtype=float)
 
     if v.monotone:
-        first = _first_not_exceeding(v, d, ln_lams, sign)
-        counts = [cumulative_multiplicity(d, k - 1) for k in first.tolist()]
+        counts = _cumulative_multiplicities(d, _first_not_exceeding(v, d, ln_lams, sign) - 1)
     else:
         counts = _count_tabulated(v, d, ln_lams, sign)
+    counts = counts.tolist()
     return counts[0] if single else counts
 
 
@@ -284,7 +296,7 @@ def _first_not_exceeding(v: RadialSymbol, d: int, ln_lam: np.ndarray, sign: int)
     return k
 
 
-def _count_tabulated(v: RadialSymbol, d: int, ln_lam: np.ndarray, sign: int) -> list[int]:
+def _count_tabulated(v: RadialSymbol, d: int, ln_lam: np.ndarray, sign: int) -> np.ndarray:
     """Counts from the degree table up to the first certified degree of the lowest threshold."""
     profiles = v.tail_profiles(d)
     lowest = ln_lam.min()
@@ -305,7 +317,7 @@ def _count_tabulated(v: RadialSymbol, d: int, ln_lam: np.ndarray, sign: int) -> 
     k = np.arange(lo, min(hi, _TABLE_CAP) + 1)
     logs, counts = _sorted_table(v, d, int(k[np.argmax(_log_tail_sup(profiles, d, k) <= lowest)]), sign)
     exceeding = np.searchsorted(-logs, -ln_lam)  # how many logs lie above each threshold
-    return np.concatenate((np.zeros(1, counts.dtype), counts))[exceeding].tolist()
+    return np.concatenate((np.zeros(1, counts.dtype), counts))[exceeding]
 
 
 # --- asymptotic constants ----------------------------------------------------
@@ -361,7 +373,7 @@ class AsymptoticFit:
     exponent: float
     residual_rms: float
     ln_lam: np.ndarray
-    counts: np.ndarray
+    counts: list[int]  # exact, as `counting` returns them
 
 
 def asymptotic_fit(
@@ -400,10 +412,11 @@ def asymptotic_fit(
     if model not in ("power", "log-power"):
         raise ValueError(f"unknown model {model!r}")
 
-    counts = np.array(counting(v, d, sign=sign, ln_lam=ln_lam), dtype=float)
-    if np.any(counts < 1.0):
+    counts = counting(v, d, sign=sign, ln_lam=ln_lam)
+    n = np.array(counts, dtype=float)
+    if np.any(n < 1.0):
         raise ValueError("counting vanished on part of the grid; deepen the thresholds")
-    ln_n = np.log(counts)
+    ln_n = np.log(n)
 
     if model == "power":
         x = -ln_lam
@@ -423,7 +436,7 @@ def asymptotic_fit(
             coefficient = math.exp(intercept)
             resid = ln_n - (intercept + slope * np.log(big_l))
         else:
-            root = counts ** (1.0 / float(exponent))
+            root = n ** (1.0 / float(exponent))
             alpha, _beta = np.polyfit(big_l, root, 1)
             slope = float(exponent)
             coefficient = float(alpha) ** float(exponent)

@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,8 @@ import pytest
 import harmotop
 from harmotop import galerkin_toeplitz as gt
 from harmotop import kernel_berezin as kb
-from harmotop.cli import SymbolSyntaxError, build_parser, main, parse_symbol
+from harmotop import radial_toeplitz as rt
+from harmotop.cli import SymbolSyntaxError, build_parser, emit, main, parse_symbol
 from harmotop.galerkin_toeplitz import TabulatedSymbol, read_matrix_csv
 from harmotop.grids import TruncationSpec, ball_grid
 from harmotop.symbols import GeneralSymbol, Power, Sampled, Step, SymbolSum
@@ -249,3 +252,63 @@ def test_successive_main_calls_match_fresh_processes(capsys):
             [sys.executable, "-m", "harmotop.cli", *argv], capture_output=True, text=True, env=env, check=False
         )
         assert (code, out) == (fresh.returncode, fresh.stdout)
+
+
+def _per_cell(value) -> str:
+    """The CSV rule the columnar emitter replaced, applied one cell at a time."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def test_emit_matches_the_per_cell_rule(capsys):
+    table = {
+        "x": [-0.0, math.inf, -math.inf, math.nan, 0.1, 5e-324, 2.0**53 + 2.0, -1.2345678901234567e300],
+        "flag": [True, False, True, True, False, False, True, False],
+        "n": [0, -3, 2**53 + 1, 2**63, 2**64 + 1, 3**80, -(2**70), 7],
+        "text": ["PASS", "FAIL", "50%", "%d", "a b", "radial-series", "galerkin", ""],
+    }
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
+    meta = {"comments": ["one comment"], "formulas": ["f"], "fit": {"c": 1.5}}
+    args = argparse.Namespace(command="demo", format="csv", output=None)
+    emit(table, meta, args)
+    want = ["# harmotop demo", "# one comment", "# columns: x,flag,n,text"]
+    want += [",".join(_per_cell(row[c]) for c in table) for row in rows]
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+    args.format = "json"
+    emit(table, meta, args)
+    payload = {
+        "config": {"command": "demo", "format": "json"},
+        "results": rows,
+        "provenance": {"equations": ["f"], "comments": ["one comment"]},
+        "fit": {"c": 1.5},
+    }
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, default=float) + "\n"
+
+
+def test_emit_of_an_empty_table_writes_the_header_only(capsys):
+    emit({"k": [], "value": []}, {"comments": []}, argparse.Namespace(command="demo", format="csv", output=None))
+    assert capsys.readouterr().out == "# harmotop demo\n# columns: k,value\n"
+
+
+def test_krein_energy_scan_refuses_dimensions_other_than_two(capsys):
+    for d in ("3", "4"):
+        code, out, err = run_cli(
+            capsys, "krein", "--d", d, "--symbol", "power:a=1,gamma=1", "--E", "200:2000:3"
+        )
+        assert code == 2 and out == ""
+        assert "disk only" in err
+    code, out, _ = run_cli(capsys, "krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--E", "200:2000:3")
+    assert code == 0 and out.splitlines()[-1] == "2000,451"
+
+
+def test_boundary_energy_fit_builds_no_degree_table(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(rt, "radial_eigenvalue", lambda *a, **k: calls.append(a))
+    code, out, _ = run_cli(capsys, "boundary", "--d", "2", "--symbol", "power:a=1,gamma=1", "--E", "100:2000:6")
+    assert code == 0 and "# columns: E,count" in out
+    code, out, err = run_cli(capsys, "boundary", "--d", "2", "--symbol", "step:b=1,c=0.5", "--E", "100:2000:6")
+    assert code == 2 and out == "" and "power-type" in err
+    assert calls == []

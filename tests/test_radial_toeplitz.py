@@ -384,3 +384,36 @@ def test_counting_cap_raises_exactly_beyond_the_last_degree():
     assert counting(Power(1.0, 0.5), 2, ln_lam=power_cap + 0.5) > 0
     with pytest.raises(TailNotCertifiedError):
         counting(Power(1.0, 0.5), 2, ln_lam=power_cap - 0.5)
+
+
+def _first_not_exceeding_scalar(v, d, ln_lam):
+    """First degree k with log mu_k <= ln_lam, by scalar log_mu steps from the estimate."""
+    k = max(int(v.crossing_degree(d, ln_lam)), 0)
+    while v.log_mu(d, k)[1] > ln_lam:
+        k += 1
+    while k > 0 and not v.log_mu(d, k - 1)[1] > ln_lam:
+        k -= 1
+    return k
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+@pytest.mark.parametrize("v", [Step(1.0, 0.5), Step(0.7, 0.9), Power(1.0, 1.0), Power(2.0, 2.5)])
+def test_monotone_grid_counts_are_exact_cumulative_multiplicities(v, d):
+    # Step thresholds reach M_k > 2^63 at d = 6; Power ones stay below the degree cap
+    ln_lam = np.concatenate((np.linspace(-60.0, 0.5, 40), [-400.0, -1e6])) if isinstance(v, Step) else np.linspace(-22.0, 0.5, 40)
+    counts = counting(v, d, ln_lam=ln_lam)
+    want = [cumulative_multiplicity(d, _first_not_exceeding_scalar(v, d, t) - 1) for t in ln_lam.tolist()]
+    assert counts == want
+    assert all(type(n) is int for n in counts)
+    if d == 6 and isinstance(v, Step):
+        assert max(counts) > 2**63  # the Python-int branch, next to small counts
+
+
+def test_count_near_the_degree_cap_is_exact_past_2_63():
+    # d = 3, crossing between degrees K - 1 and K, just below 2^49: M_(K-1) = K^2 ~ 2^98.
+    v, K = Step(1.0, 0.5), _LAST_DEGREE - 12345
+    ln_lam = 0.5 * (v.log_mu(3, K - 1)[1] + v.log_mu(3, K)[1])
+    n = counting(v, 3, ln_lam=ln_lam)
+    assert type(n) is int and n == cumulative_multiplicity(3, K - 1) == K * K > 2**97
+    assert counting(v, 3, ln_lam=[-3.0, ln_lam]) == [cumulative_multiplicity(3, 0), n]
+    assert type(counting(v, 3, 0.01)) is int
