@@ -557,8 +557,7 @@ def _weak_tail_sup_log(profiles, d: int, k_stop: int, p: float) -> float:
         if kind == "geometric":
             peak = -2.0 * (d - 1) / (p * c1)  # stationary point of the log bound
             k = np.arange(k_stop + 1, int(max(k_stop + 2, peak)) + 5)
-            counts = cumulative_multiplicity(d, k_stop) + np.cumsum(_multiplicities(d, k))  # M_k
-            vals = np.log(counts.astype(float)) / p + c0 + k * c1
+            vals = np.log(_cumulative_multiplicities(d, k).astype(float)) / p + c0 + k * c1
         else:
             if (d - 1) / p >= c1:
                 return math.inf
