@@ -337,14 +337,9 @@ def _cmd_berezin(args):
     default_k = symbol.spec.max_degree if isinstance(symbol, TabulatedSymbol) else 12
     k = args.K if args.K is not None else default_k
     spec = None if isinstance(symbol, RadialSymbol) else _spec_for(args, k)
-    x0 = np.zeros(args.d)
-
-    def at(r: float) -> float:
-        x = x0.copy()
-        x[0] = r
-        return kb.berezin_transform(symbol, args.d, x, k, spec=spec)
-
-    table = {"radius": radii, "berezin": [at(r) for r in radii]}
+    points = np.zeros((len(radii), args.d))
+    points[:, 0] = radii
+    table = {"radius": radii, "berezin": kb.berezin_transform(symbol, args.d, points, k, spec=spec).tolist()}
     meta = {
         "comments": ["berezin: B[V](x) = int R(x,y)^2 V(y) dy / R(x,x), kernel truncated at max_degree"],
         "formulas": ["B[V](x) = int R(x,y)^2 V(y) dy / R(x,x)"],
@@ -444,7 +439,9 @@ def _cmd_krein(args):
     boxes = [kc.sandwich_minus(inp) for inp in inputs]
     table = {"lambda": lams, "eps": epss, "lower": [b.lower for b in boxes], "upper": [b.upper for b in boxes]}
     if gamma:
-        table["envelope_main"] = [kc.counting_envelope(args.d, gamma, symbol.a, lam).main for lam in lams]
+        # the main term C lam^(-(d-1)/gamma) of kc.counting_envelope, C computed once
+        coeff = rt.boundary_law_constant(args.d, gamma, symbol.a)
+        table["envelope_main"] = [coeff * lam ** (-(args.d - 1) / gamma) for lam in lams]
     meta = {
         "comments": [
             "bounds: n_plus(lambda) <= N_minus(lambda) <= n_plus((1-eps) lambda) + remainder(eps)",

@@ -40,8 +40,9 @@ def assemble(V, d: int, spec: TruncationSpec) -> np.ndarray:
     """Section matrix with entries int_B V phi_i phi_j dx on degrees <= max_degree.
 
     Entries come from the tensor quadrature of the grid; the result is
-    symmetrised by averaging, and a residual asymmetry beyond 1e-8 raises a
-    quadrature-quality warning.
+    symmetrised by averaging.  Both triangles come from the same quadrature,
+    so the asymmetry measures rounding in the Gram kernel only; beyond 1e-8
+    relative it raises a warning.
     """
     if d not in (2, 3):
         raise ValueError(f"general-symbol assembly supports d in {{2, 3}}, got d={d}")
@@ -52,7 +53,8 @@ def assemble(V, d: int, spec: TruncationSpec) -> np.ndarray:
     scale = max(float(np.max(np.abs(A))), 1e-300)
     if asym > 1e-8 * scale:
         warnings.warn(
-            f"assembly asymmetry {asym:.2e} exceeds 1e-8 relative; quadrature may be too coarse",
+            f"assembly asymmetry {asym:.2e} exceeds 1e-8 relative; both triangles use the same "
+            "quadrature, so this is rounding error in the Gram kernel",
             RuntimeWarning,
         )
     return 0.5 * (A + A.T)
@@ -149,10 +151,10 @@ def write_matrix_csv(path, A: np.ndarray, d: int, max_degree: int) -> None:
     n = cumulative_multiplicity(d, max_degree)
     if A.shape != (n, n):
         raise ValueError(f"matrix shape {A.shape} does not match M_K = {n}")
+    row = ",".join(["%.17g"] * n) + "\n"
     with open(path, "w") as fh:
         fh.write(f"# harmotop matrix d={d} K={max_degree} n={n}\n")
-        for row in A:
-            fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+        fh.write("".join(map(row.__mod__, map(tuple, A.tolist()))))
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, int, int]:

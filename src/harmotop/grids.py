@@ -149,10 +149,14 @@ def weighted_gram(d: int, max_degree: int, grid: BallGrid, node_weights: np.ndar
     quadrature weights times the symbol values.  The factor r^(k+k') depends
     on s = k + k' only, so the radial sum runs first: the moments
     W_s(a) = sum_r r^s w(r, a) for s <= 2*max_degree take one small product,
-    and each degree's block row is then one angular GEMM.  The work is
-    2 M^2 n_ang flops against 2 M^2 n_r n_ang for the dense node matrix, and
-    no array exceeds M x n_ang.  Both triangles are computed independently,
-    so the result is symmetric only up to quadrature and rounding error.
+    and each degree's block column is then one angular GEMM.  The form is
+    symmetric, so block column k' runs over the degrees k <= k' only (it
+    weights those M_k' rows, the smaller side in d = 3) and the blocks below
+    the diagonal are mirrored: about M^2 n_ang flops against
+    2 M^2 n_r n_ang for the dense node matrix, and no array exceeds
+    M x n_ang.  Each diagonal block (k, k) is a full product, so its two
+    triangles are rounded independently and the result is symmetric only up
+    to rounding there.
     """
     psi = angular_basis_matrix(d, max_degree, grid.ang_dirs)
     weights = np.asarray(node_weights, dtype=float).reshape(grid.r_nodes.size, -1)
@@ -160,11 +164,16 @@ def weighted_gram(d: int, max_degree: int, grid: BallGrid, node_weights: np.ndar
     sizes = [multiplicity(d, k) for k in range(max_degree + 1)]
     degs = np.repeat(np.arange(max_degree + 1), sizes)
     out = np.empty((psi.shape[0], psi.shape[0]))
+    buf = np.empty_like(psi)
     start = 0
     for k, size in enumerate(sizes):
-        rows = slice(start, start + size)
-        weighted = moments[k + degs]
-        weighted *= psi
-        out[rows] = psi[rows] @ weighted.T
-        start += size
+        cols, stop = slice(start, start + size), start + size
+        weighted = buf[:stop]
+        # the indices are in range by construction; "clip" lets take write
+        # into `weighted` directly instead of through a temporary
+        np.take(moments, k + degs[:stop], axis=0, out=weighted, mode="clip")
+        weighted *= psi[:stop]
+        out[:stop, cols] = weighted @ psi[cols].T
+        out[cols, :start] = out[:start, cols].T
+        start = stop
     return out

@@ -139,20 +139,20 @@ def angular_basis_matrix(d: int, max_degree: int, dirs: np.ndarray) -> np.ndarra
             rows.append(np.sin(k * theta) * inv_sqrt_pi)
         return np.vstack(rows)
     if d == 3:
-        u = dirs[:, 2]
+        # The Legendre recurrence runs once per distinct polar cosine (a
+        # tensor grid has n_ang/2 + 1 of them) and cos/sin once per order;
+        # row (k, m) is N[k, |m|] times the order-m trig row (ones at m = 0).
+        u, polar = np.unique(dirs[:, 2], return_inverse=True)
         phi = np.arctan2(dirs[:, 1], dirs[:, 0])
         N = _normalized_alp_table(max_degree, u)
-        inv = 1.0 / math.sqrt(4.0 * math.pi)
-        rows = []
-        for k in range(max_degree + 1):
-            for m in range(-k, k + 1):
-                if m < 0:
-                    rows.append(N[k, -m] * np.sin(-m * phi) * inv)
-                elif m == 0:
-                    rows.append(N[k, 0] * inv)
-                else:
-                    rows.append(N[k, m] * np.cos(m * phi) * inv)
-        return np.vstack(rows)
+        angles = np.arange(1, max_degree + 1)[:, None] * phi
+        trig = np.vstack([np.ones_like(phi), np.cos(angles), np.sin(angles)])
+        k = np.repeat(np.arange(max_degree + 1), 2 * np.arange(max_degree + 1) + 1)
+        m = np.arange(k.size) - k * (k + 1)
+        out = N[k[:, None], np.abs(m)[:, None], polar]
+        out *= trig[np.where(m < 0, max_degree - m, m)]
+        out *= 1.0 / math.sqrt(4.0 * math.pi)
+        return out
     raise ValueError(f"pointwise harmonics are implemented for d in {{2, 3}}, got d={d}")
 
 
@@ -192,32 +192,6 @@ def zonal_sum(d: int, k: int, t) -> float | np.ndarray:
         ratio = gegenbauer(k, alpha, t_arr) / gegenbauer(k, alpha, 1.0)
         out = multiplicity(d, k) / sphere_surface_area(d) * ratio
     return float(out) if scalar else out
-
-
-def zonal_table(d: int, max_degree: int, t: np.ndarray) -> np.ndarray:
-    """zonal_sum(d, k, t) for all k <= max_degree in one recurrence pass."""
-    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
-    out = np.empty((max_degree + 1, t.shape[0]))
-    if d == 2:
-        theta = np.arccos(t)
-        out[0] = 1.0 / (2.0 * math.pi)
-        for k in range(1, max_degree + 1):
-            out[k] = np.cos(k * theta) / math.pi
-        return out
-    alpha = 0.5 * d - 1.0
-    area = sphere_surface_area(d)
-    c_prev = np.ones_like(t)
-    c_prev1 = 1.0
-    out[0] = multiplicity(d, 0) / area
-    if max_degree >= 1:
-        c_cur = 2.0 * alpha * t
-        c_cur1 = 2.0 * alpha
-        out[1] = multiplicity(d, 1) / area * (c_cur / c_cur1)
-        for k in range(2, max_degree + 1):
-            c_prev, c_cur = c_cur, (2.0 * t * (k + alpha - 1.0) * c_cur - (k + 2.0 * alpha - 2.0) * c_prev) / k
-            c_prev1, c_cur1 = c_cur1, (2.0 * (k + alpha - 1.0) * c_cur1 - (k + 2.0 * alpha - 2.0) * c_prev1) / k
-            out[k] = multiplicity(d, k) / area * (c_cur / c_cur1)
-    return out
 
 
 def basis_value(d: int, k: int, ell: int, x) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import QuadratureDivergenceError
 from .grids import TruncationSpec
-from .harmonic_basis import multiplicity, sphere_surface_area, zonal_table
+from .harmonic_basis import multiplicity, sphere_surface_area
 from .radial_toeplitz import radial_eigenvalue
 from .symbols import RadialSymbol, TabulatedSymbol, symbol_on_grid
 
@@ -57,6 +57,33 @@ def _degree_weights(d: int, max_degree: int) -> np.ndarray:
     return np.array([(2 * k + d) * multiplicity(d, k) for k in range(max_degree + 1)], dtype=float)
 
 
+def _kernel_sum(d: int, max_degree: int, rho: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_{k<=K} (2k+d) rho^k Z_k(t) elementwise, with Z_k the zonal sum.
+
+    Z_k(t) = m_k/|S^(d-1)| P_k(t), where P_k = C_k^(a)/C_k^(a)(1) with
+    a = d/2 - 1 (the Chebyshev T_k for d = 2) obeys the three-term recurrence
+    (DLMF 18.9.1) P_k = 2(k+a-1)/(k+2a-1) t P_(k-1) - (k-1)/(k+2a-1) P_(k-2).
+    The recurrence runs on Q_k = rho^k P_k, so every array has the length
+    of t: O(len(t)) memory for any K.
+    """
+    alpha = 0.5 * d - 1.0
+    coeff = _degree_weights(d, max_degree) / sphere_surface_area(d)
+    t = np.clip(t, -1.0, 1.0)
+    acc = np.full(t.shape, coeff[0])
+    if max_degree == 0:
+        return acc
+    u, v = rho * t, rho * rho
+    q_prev, q_cur = np.ones_like(u), u
+    acc += coeff[1] * q_cur
+    for k in range(2, max_degree + 1):
+        denom = k + 2.0 * alpha - 1.0
+        q_next = (2.0 * (k + alpha - 1.0) / denom) * u * q_cur
+        q_next -= ((k - 1.0) / denom) * v * q_prev
+        q_prev, q_cur = q_cur, q_next
+        acc += coeff[k] * q_cur
+    return acc
+
+
 def reproducing_kernel(d: int, x, y, max_degree: int) -> float:
     """Truncated kernel sum_{k<=K} (2k+d) |x|^k |y|^k Z_k(x^.y^); symmetric, real."""
     x = np.asarray(x, dtype=float)
@@ -66,9 +93,7 @@ def reproducing_kernel(d: int, x, y, max_degree: int) -> float:
     if rx >= 1.0 or ry >= 1.0:
         raise ValueError("kernel arguments must lie inside the unit ball")
     t = float(np.dot(x, y) / (rx * ry)) if rx > 0.0 and ry > 0.0 else 1.0
-    zt = zonal_table(d, max_degree, np.array([t]))[:, 0]
-    k = np.arange(max_degree + 1)
-    return float(np.sum((2 * k + d) * (rx * ry) ** k * zt))
+    return float(_kernel_sum(d, max_degree, np.array([rx * ry]), np.array([t]))[0])
 
 
 def density_radial(d: int, r, max_degree: int) -> np.ndarray:
@@ -149,32 +174,41 @@ def berezin_transform(
     x,
     max_degree: int,
     spec: TruncationSpec | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Covariant symbol rho_K(x)^(-1) int R_K(x, y)^2 V(y) dy.
 
-    For radial V the angular integral collapses by zonal orthogonality and
-    the transform is the rho-weighted average of the radial eigenvalues:
+    `x` is one point (a float is returned) or an (n, d) array of points (an
+    array of n values is returned); the grid and the symbol's node values,
+    or the radial eigenvalues, are computed once for all points.  For radial
+    V the angular integral collapses by zonal orthogonality and the
+    transform is the rho-weighted average of the radial eigenvalues:
         sum_k (2k+d) m_k |x|^(2k) mu_k / sum_k (2k+d) m_k |x|^(2k).
     """
-    x = np.asarray(x, dtype=float)
-    rx = float(np.linalg.norm(x))
-    if rx >= 1.0:
+    points = np.asarray(x, dtype=float)
+    stack = np.atleast_2d(points)
+    radii = [float(np.linalg.norm(p)) for p in stack]
+    if any(r >= 1.0 for r in radii):
         raise ValueError("point must lie inside the unit ball")
     if isinstance(V, RadialSymbol):
-        coeff = _degree_weights(d, max_degree) * rx ** (2 * np.arange(max_degree + 1))
+        weights = _degree_weights(d, max_degree)
         mus = np.array([radial_eigenvalue(V, d, k) for k in range(max_degree + 1)])
-        return float(np.dot(coeff, mus) / np.sum(coeff))
-    if spec is None:
-        spec = TruncationSpec.for_degree(max_degree)
-    grid, vals = symbol_on_grid(V, d, spec)
-    # R_K(x, y_j) over all nodes via the zonal table in t = x^ . y^.
-    if rx > 0.0:
-        t = grid.points @ (x / rx) / np.where(grid.radii > 0.0, grid.radii, 1.0)
+
+        def at(p: np.ndarray, rx: float) -> float:
+            coeff = weights * rx ** (2 * np.arange(max_degree + 1))
+            return float(np.dot(coeff, mus) / np.sum(coeff))
+
     else:
-        t = np.ones(grid.points.shape[0])
-    zt = zonal_table(d, max_degree, t)
-    k = np.arange(max_degree + 1)
-    radial_factor = rx**k[:, None] * grid.radii[None, :] ** k[:, None]
-    kernel_vals = np.sum((2 * k[:, None] + d) * radial_factor * zt, axis=0)
-    numer = float(np.dot(grid.weights, kernel_vals**2 * vals))
-    return numer / density(d, x, max_degree)
+        if spec is None:
+            spec = TruncationSpec.for_degree(max_degree)
+        grid, vals = symbol_on_grid(V, d, spec)
+        node_r = grid.radii
+        safe_r = np.where(node_r > 0.0, node_r, 1.0)
+
+        def at(p: np.ndarray, rx: float) -> float:
+            # R_K(x, y_j) over all nodes from t = x^ . y^ and |x||y_j|.
+            t = grid.points @ (p / rx) / safe_r if rx > 0.0 else np.ones(node_r.size)
+            kernel_vals = _kernel_sum(d, max_degree, rx * node_r, t)
+            return float(np.dot(grid.weights, kernel_vals**2 * vals)) / density(d, p, max_degree)
+
+    values = [at(p, rx) for p, rx in zip(stack, radii)]
+    return values[0] if points.ndim == 1 else np.array(values)

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmotop import galerkin_toeplitz as gt
 from harmotop import radial_toeplitz as rt
 from harmotop.boundary_reduction import assemble_weighted_gram
 from harmotop.galerkin_toeplitz import (
@@ -183,6 +185,45 @@ def test_matrix_csv_round_trip(tmp_path):
     assert np.array_equal(A, B)
     with pytest.raises(ValueError):
         write_matrix_csv(path, A[:3, :3], 2, 4)
+
+
+def test_matrix_csv_matches_the_per_cell_rule(tmp_path):
+    # d = 2, K = 2: a 5 x 5 dump holding every special value of the format
+    A = np.array(
+        [
+            [-0.0, np.inf, -np.inf, np.nan, 5e-324],
+            [1e308, -1e308, 0.1, 1.0 / 3.0, -2.5],
+            [0.0, 1.0, -1.0, 2.0**-1074, 123456789.0],
+            [1e-300, -5e-324, np.pi, -np.e, 1e16],
+            [2.0**53 + 2.0, 0.5, -0.0, 7.0, 1e-5],
+        ]
+    )
+    path = tmp_path / "section.csv"
+    write_matrix_csv(path, A, 2, 2)
+    rule = "# harmotop matrix d=2 K=2 n=5\n" + "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in A)
+    assert path.read_text() == rule
+
+
+def test_assembly_warns_on_asymmetry_beyond_1e_8(monkeypatch):
+    spec = TruncationSpec.for_degree(4)
+    exact = gt.weighted_gram
+
+    def skewed(*args):
+        G = exact(*args)
+        G[0, 1] += 1e-6 * np.max(np.abs(G))
+        return G
+
+    monkeypatch.setattr(gt, "weighted_gram", skewed)
+    with pytest.warns(RuntimeWarning, match="rounding error in the Gram kernel"):
+        assemble(Step(1.0, 0.5), 2, spec)
+
+
+def test_assembly_at_d3_k22_raises_no_asymmetry_warning():
+    spec = TruncationSpec.for_degree(22)
+    tab = TabulatedSymbol(d=3, spec=spec, values=_sign_changing(ball_grid(3, spec).points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assemble(tab, 3, spec)
 
 
 def test_tabulated_symbol_assembly():

@@ -13,7 +13,6 @@ from harmotop.harmonic_basis import (
     sphere_surface_area,
     spherical_harmonic,
     zonal_sum,
-    zonal_table,
 )
 
 
@@ -104,14 +103,6 @@ def test_zonal_sum_matches_direct_addition(d):
             for ell in range(1, multiplicity(d, k) + 1)
         )
         assert direct == pytest.approx(zonal_sum(d, k, float(xi @ eta)), abs=1e-12)
-
-
-def test_zonal_table_matches_zonal_sum():
-    t = np.linspace(-1.0, 1.0, 9)
-    for d in (2, 3):
-        table = zonal_table(d, 6, t)
-        for k in range(7):
-            assert table[k] == pytest.approx(np.asarray(zonal_sum(d, k, t)), abs=1e-13)
 
 
 def test_basis_value_examples():

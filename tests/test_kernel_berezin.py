@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from harmotop import galerkin_toeplitz as gt
 from harmotop.errors import QuadratureDivergenceError
 from harmotop.grids import TruncationSpec, ball_grid
+from harmotop.harmonic_basis import multiplicity, sphere_surface_area, zonal_sum
 from harmotop.kernel_berezin import (
+    _kernel_sum,
     berezin_transform,
     boundary_distance,
     density,
@@ -139,3 +142,54 @@ def test_trace_identity_structural():
     trace = gt.spectrum(V, 2, spec).trace()
     integral = density_integral(V, 2, 12, spec=spec)
     assert trace == pytest.approx(integral, rel=1e-8)
+
+
+def _bumpy(p):
+    return 1.0 + 0.5 * np.sin(3.0 * p[:, 0]) * np.cos(2.0 * p[:, 1]) + 0.3 * p[:, -1] ** 2
+
+
+@pytest.mark.parametrize("d, K", [(2, 200), (3, 40)])
+def test_kernel_sum_matches_zonal_sum(d, K):
+    t = np.concatenate([np.linspace(-1.0, 1.0, 41), np.cos([1e-3, 1e-2, 3.1])])
+    for rho in (0.0, 0.3, 0.7, 0.95):
+        ref = sum((2 * k + d) * rho**k * zonal_sum(d, k, t) for k in range(K + 1))
+        scale = sum((2 * k + d) * rho**k * multiplicity(d, k) for k in range(K + 1)) / sphere_surface_area(d)
+        got = _kernel_sum(d, K, np.full(t.shape, rho), t)
+        assert np.max(np.abs(got - ref)) <= 2e-13 * scale
+
+
+@pytest.mark.parametrize("d, K", [(2, 30), (3, 10)])
+def test_berezin_general_symbol_matches_the_zonal_sum_kernel(d, K):
+    spec = TruncationSpec.for_degree(K)
+    grid = ball_grid(d, spec)
+    vals = _bumpy(grid.points)
+    for r in (0.0, 0.45, 0.9):
+        x = np.zeros(d)
+        x[0], x[-1] = 0.8 * r, 0.6 * r
+        t = grid.points @ x / (r * grid.radii) if r > 0.0 else np.ones(grid.radii.size)
+        kernel = sum((2 * k + d) * (r * grid.radii) ** k * zonal_sum(d, k, np.clip(t, -1.0, 1.0)) for k in range(K + 1))
+        ref = np.dot(grid.weights, kernel**2 * vals) / density(d, x, K)
+        assert berezin_transform(GeneralSymbol(_bumpy), d, x, K, spec=spec) == pytest.approx(ref, rel=1e-13)
+
+
+def test_berezin_of_a_point_stack_matches_single_points():
+    stack = np.array([[0.0, 0.0], [0.3, -0.2], [0.0, 0.85]])
+    for V in (Step(1.0, 0.5), GeneralSymbol(_bumpy)):
+        values = berezin_transform(V, 2, stack, 16)
+        assert isinstance(values, np.ndarray) and values.shape == (3,)
+        assert values.tolist() == [berezin_transform(V, 2, x, 16) for x in stack]
+    assert berezin_transform(Step(1.0, 0.5), 2, np.zeros((0, 2)), 16).shape == (0,)
+    with pytest.raises(ValueError, match="inside the unit ball"):
+        berezin_transform(GeneralSymbol(_bumpy), 2, np.array([[0.1, 0.0], [1.0, 0.0]]), 16)
+
+
+def test_berezin_general_symbol_memory_is_linear_in_the_nodes():
+    # d = 2, K = 200: 87,264 nodes.  A (K+1) x nodes zonal table alone would
+    # be 140 MB; the kernel recurrence keeps a few node-length arrays.
+    tracemalloc.start()
+    try:
+        berezin_transform(GeneralSymbol(_bumpy), 2, [0.5, 0.3], 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6

@@ -1,0 +1,77 @@
+"""Digest every output of one round of a benchmark workload.
+
+    python3 tools/op_digests.py WORKLOAD SEED [--root CHECKOUT]
+
+Builds the seeded invocation list of WORKLOAD exactly as perfbench/run.py
+does (same generator seed, same input files), runs each invocation once
+through `harmotop.cli.main`, and prints one line per invocation: its index,
+exit code, the sha1 of its stdout, the sha1 of each file it writes
+(`--matrix-output`, `--output`), and its arguments.  The directory of the
+generated inputs is written as `{tmp}` in outputs and arguments before
+hashing, so two checkouts give the same digests exactly when their outputs
+are byte-identical.  To compare a change with its parent, run the tool on
+both and diff the two listings; --root picks the checkout whose
+`src/harmotop` and `perfbench/workloads.py` are used (default: the one
+holding this tool).  perfbench/ is only imported, never written.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+OUTPUT_FLAGS = ("--matrix-output", "--output")
+
+
+def _sha1(text: str) -> str:
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+def digest_ops(workload: str, seed: int, root: Path) -> list[str]:
+    """One line per invocation of the workload's round: index, rc, digests, argv."""
+    for path in (str(root / "perfbench"), str(root / "src")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    import workloads
+    from harmotop import cli
+
+    if workload not in workloads.WORKLOADS:
+        raise SystemExit(f"unknown workload {workload!r}; choose from {sorted(workloads.WORKLOADS)}")
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        ops = workloads.WORKLOADS[workload](random.Random(f"{workload}:{seed}"), Path(tmp))
+        for i, op in enumerate(ops):
+            argv = op["argv"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    rc = cli.main(list(argv))
+                except SystemExit as exc:
+                    rc = exc.code if isinstance(exc.code, int) else 2
+            fields = [str(i), f"rc={rc}", f"stdout={_sha1(out.getvalue().replace(tmp, '{tmp}'))}"]
+            for flag, value in zip(argv, argv[1:]):
+                if flag in OUTPUT_FLAGS:
+                    written = Path(value).read_text().replace(tmp, "{tmp}")
+                    fields.append(f"{Path(value).name}={_sha1(written)}")
+            fields.append(" ".join(argv).replace(tmp, "{tmp}"))
+            lines.append("  ".join(fields))
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("workload")
+    ap.add_argument("seed", type=int)
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
+    args = ap.parse_args(argv)
+    print("\n".join(digest_ops(args.workload, args.seed, args.root.resolve())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
