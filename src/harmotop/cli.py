@@ -131,16 +131,18 @@ def parse_symbol(text: str, base_dir: str | Path = "."):
     if head == "general":
         if not body.startswith("@"):
             raise SymbolSyntaxError(text, offset, "expected general:@<path.json>")
+        import orjson  # only tabulated symbols need it; radial commands never load it
+
         path = Path(base_dir) / body[1:]
         try:
-            payload = json.loads(path.read_text())
+            payload = orjson.loads(path.read_bytes())
             spec = TruncationSpec(
                 max_degree=int(payload["K"]), n_r=int(payload["n_r"]), n_ang=int(payload["n_ang"])
             )
             return TabulatedSymbol(
                 d=int(payload["d"]), spec=spec, values=np.asarray(payload["values"], dtype=float)
             )
-        except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, OSError) as exc:
             raise SymbolSyntaxError(text, offset + 1, f"bad symbol file {path}: {exc}") from None
     raise SymbolSyntaxError(text, 0, f"unknown symbol kind {head!r}")
 

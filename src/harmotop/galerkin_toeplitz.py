@@ -41,14 +41,16 @@ def assemble(V, d: int, spec: TruncationSpec) -> np.ndarray:
 
     Entries come from the tensor quadrature of the grid; the result is
     symmetrised by averaging.  Both triangles come from the same quadrature,
-    so the asymmetry measures rounding in the Gram kernel only; beyond 1e-8
-    relative it raises a warning.
+    so the asymmetry measures rounding only (in the diagonal Gram blocks and
+    in the two-sided scaling); beyond 1e-8 relative it raises a warning.
     """
     if d not in (2, 3):
         raise ValueError(f"general-symbol assembly supports d in {{2, 3}}, got d={d}")
     grid, vals = symbol_on_grid(V, d, spec)
     norm = np.array([math.sqrt(2 * idx.k + d) for idx in basis_indices(d, spec.max_degree)])
-    A = weighted_gram(d, spec.max_degree, grid, grid.weights * vals) * norm[:, None] * norm[None, :]
+    A = weighted_gram(d, spec.max_degree, grid, grid.weights * vals)
+    A *= norm[:, None]
+    A *= norm[None, :]
     asym = float(np.max(np.abs(A - A.T)))
     scale = max(float(np.max(np.abs(A))), 1e-300)
     if asym > 1e-8 * scale:

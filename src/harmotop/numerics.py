@@ -369,13 +369,16 @@ def symmetric_eigen(A: np.ndarray, vectors: bool = False):
     """All eigenvalues (ascending) of a real symmetric matrix.
 
     With vectors=True also returns the orthonormal eigenvector matrix
-    (columns).  Rejects input whose asymmetry exceeds 1e-10 relative.
+    (columns).  Rejects non-finite input and input whose asymmetry exceeds
+    1e-10 relative.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     scale = float(np.max(np.abs(A)))
-    if scale > 0.0 and float(np.max(np.abs(A - A.T))) > 1e-10 * scale:
+    if not math.isfinite(scale):
+        raise ValueError("matrix has non-finite entries")
+    if float(np.max(np.abs(A - A.T))) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric to 1e-10 relative")
     sym = 0.5 * (A + A.T)
     if vectors:

@@ -410,8 +410,8 @@ class TabulatedSymbol:
     """Symbol given by its values on the tensor quadrature grid of `spec`.
 
     Wire format for externally supplied general symbols: the value array is
-    radial-major (all angular nodes of the first radius first) and must
-    match the grid implied by (d, spec) exactly.
+    radial-major (all angular nodes of the first radius first), must
+    match the grid implied by (d, spec) exactly, and must be finite.
     """
 
     d: int
@@ -425,6 +425,11 @@ class TabulatedSymbol:
         if vals.shape != (expected,):
             raise ValueError(
                 f"tabulated symbol carries {vals.shape} values; the grid has {expected} nodes"
+            )
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise ValueError(
+                f"tabulated symbol has {bad.size} non-finite values, the first at index {bad[0]}"
             )
 
 

@@ -4,10 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import harmotop
 from harmotop import galerkin_toeplitz as gt
@@ -68,6 +71,55 @@ def test_parse_general_symbol(tmp_path):
     sym = parse_symbol(f"general:@{path}")
     assert isinstance(sym, TabulatedSymbol)
     assert sym.spec == spec
+
+
+# d = 2, K = 0, n_r = 16, n_ang = 4: a 64-node grid.
+_SMALL_HEAD = '{"d": 2, "K": 0, "n_r": 16, "n_ang": 4, "values": ['
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+         1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, 2.0**53 + 2.0]
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(_FINITE, min_size=64, max_size=64), repr17=st.booleans())
+def test_general_symbol_decodes_bit_identically_to_json(values, repr17):
+    if repr17:
+        text = _SMALL_HEAD + ", ".join("%.17g" % v for v in values) + "]}"
+    else:
+        text = json.dumps({"d": 2, "K": 0, "n_r": 16, "n_ang": 4, "values": values})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.json"
+        path.write_text(text)
+        sym = parse_symbol(f"general:@{path}")
+    ref = np.asarray(json.loads(text)["values"], dtype=float)
+    assert np.array_equal(sym.values.view(np.int64), ref.view(np.int64))
+
+
+_BAD_SYMBOL_FILES = {
+    "malformed": _SMALL_HEAD + "1.0, 2.0",
+    "missing key": '{"d": 2, "K": 0, "n_r": 16, "values": [' + ", ".join(["1.0"] * 64) + "]}",
+    "wrong node count": _SMALL_HEAD + ", ".join(["1.0"] * 63) + "]}",
+    "not an object": "[1.0, 2.0]",
+    "null degree": '{"d": 2, "K": null, "n_r": 16, "n_ang": 4, "values": [1.0]}',
+    **{
+        f"literal {lit}": _SMALL_HEAD + ", ".join(["1.0"] * 10 + [lit] + ["1.0"] * 53) + "]}"
+        for lit in ("NaN", "Infinity", "-Infinity", "1e999", "-1e999")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_SYMBOL_FILES))
+def test_bad_symbol_files_exit_two(capsys, tmp_path, name):
+    path = tmp_path / "v.json"
+    path.write_text(_BAD_SYMBOL_FILES[name])
+    for argv in (("spectrum", "--d", "2"), ("schatten", "--d", "2", "--p", "2")):
+        code, out, err = run_cli(capsys, *argv, "--symbol", f"general:@{path}")
+        assert (code, out) == (2, ""), name
+        assert "bad symbol file" in err
 
 
 def test_counting_command_single_threshold(capsys):

@@ -244,6 +244,18 @@ def test_tabulated_symbol_assembly():
         TabulatedSymbol(d=4, spec=spec, values=np.ones(grid.weights.size))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_symbol_values_are_refused(bad):
+    spec = TruncationSpec(max_degree=0, n_r=16, n_ang=4)
+    values = np.ones(spec.node_count(2))
+    values[5] = bad
+    with pytest.raises(ValueError, match="1 non-finite values, the first at index 5"):
+        TabulatedSymbol(d=2, spec=spec, values=values)
+    ragged = GeneralSymbol(lambda p: np.where(np.arange(p.shape[0]) == 5, bad, 1.0))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        spectrum(ragged, 2, spec)
+
+
 def _sign_changing(p):
     return np.sin(3.0 * p[:, 0] - p[:, 1]) + 0.4 * p[:, -1] ** 2 - 0.2
 

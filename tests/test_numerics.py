@@ -157,6 +157,18 @@ def test_symmetric_eigen_rejects_asymmetric():
         symmetric_eigen(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_symmetric_eigen_rejects_non_finite_entries(bad):
+    for cells in ([(1, 1)], [(0, 2), (2, 0)]):
+        A = np.eye(3)
+        for cell in cells:
+            A[cell] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            symmetric_eigen(A)
+        with pytest.raises(ValueError, match="non-finite"):
+            symmetric_eigen(A, vectors=True)
+
+
 def test_symmetric_eigen_trace_and_similarity_invariance():
     rng = np.random.default_rng(11)
     for n in (5, 20, 50):
