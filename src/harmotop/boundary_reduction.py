@@ -19,7 +19,7 @@ import numpy as np
 from .grids import TruncationSpec, weighted_gram
 from .harmonic_basis import basis_indices, multiplicity
 from .numerics import log_gamma
-from .radial_toeplitz import AsymptoticFit, counting, power_eigenvalue
+from .radial_toeplitz import AsymptoticFit, counting
 from .symbols import Power, symbol_on_grid
 
 __all__ = [
@@ -123,10 +123,9 @@ def symbol_order_check(gamma: float, a: float, d: int, k_max: int) -> float:
     """
     if k_max < 1000:
         raise ValueError(f"k_max must be >= 1000, got {k_max}")
-    f_full = k_max**gamma * power_eigenvalue(a, gamma, d, k_max)
     half = k_max // 2
-    f_half = half**gamma * power_eigenvalue(a, gamma, d, half)
-    return 2.0 * f_full - f_half
+    mu_half, mu_full = Power(a, gamma).mu(d, np.array([half, k_max]))
+    return 2.0 * (k_max**gamma * mu_full) - half**gamma * mu_half
 
 
 def inverse_power_weyl_fit(gamma: float, a: float, d: int, e_grid) -> AsymptoticFit:

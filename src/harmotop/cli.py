@@ -163,6 +163,13 @@ def _parse_range(text: str, name: str, want_count: bool = False) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _degree(text: str) -> int:
+    """A truncation degree, a decimal integer >= 0 (argparse names the option on refusal)."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing does not change it)."""
@@ -173,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, default=2, help="space dimension (default 2)")
         if symbol_required:
             p.add_argument("--symbol", required=True, help="symbol descriptor")
-        p.add_argument("--K", type=int, default=None, help="truncation degree")
+        p.add_argument("--K", type=_degree, default=None, help="truncation degree")
         p.add_argument("--nr", type=int, default=None, help="radial quadrature order")
         p.add_argument("--nang", type=int, default=None, help="angular grid size")
         p.add_argument("--output", default=None, help="output path (default stdout)")
@@ -386,7 +393,7 @@ def _cmd_boundary(args):
         "dtn_eigenvalue": [br.dtn_eigenvalue(args.d, k) for k in degrees],
     }
     if isinstance(symbol, RadialSymbol):
-        table["reduced_diagonal"] = [rt.radial_eigenvalue(symbol, args.d, k) for k in degrees]
+        table["reduced_diagonal"] = symbol.mu(args.d, np.arange(len(degrees))).tolist()
     meta = {
         "comments": [
             "gram_eigenvalue: <G psi_k, G psi_k> = 1/(2k+d); dtn_eigenvalue: normal derivative order k",
@@ -475,8 +482,8 @@ def _selftest_checks():
 
     v = Step(1.0, 0.5)
     mu_err = max(
-        abs(rt.radial_eigenvalue(v, 2, k) - rt.step_eigenvalue(1.0, 0.5, 2, k))
-        for k in range(12)
+        abs(mu - gauss_legendre(n // 2 + 6, 0.0, 0.5).integrate(lambda r: n * r ** (n - 1)))
+        for n, mu in zip(range(2, 24, 2), v.mu(2, np.arange(12)))
     )
     checks.append(("radial-eigenvalue-closed-form", mu_err < 1e-12))
     checks.append(("counting-step-oracle", rt.counting(v, 2, 0.1) == 1 and rt.counting(v, 2, 0.01) == 5))

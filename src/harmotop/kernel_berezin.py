@@ -16,7 +16,6 @@ import numpy as np
 from .errors import QuadratureDivergenceError
 from .grids import TruncationSpec
 from .harmonic_basis import multiplicity, sphere_surface_area
-from .radial_toeplitz import radial_eigenvalue
 from .symbols import RadialSymbol, TabulatedSymbol, symbol_on_grid
 
 __all__ = [
@@ -120,9 +119,8 @@ def density(d: int, x, max_degree: int) -> float:
 
 def _radial_density_integral(v: RadialSymbol, d: int, max_degree: int) -> float:
     """Exact 1-D reduction: int f rho_K dx = sum_{k<=K} m_k mu_k(f)."""
-    return float(
-        sum(multiplicity(d, k) * radial_eigenvalue(v, d, k) for k in range(max_degree + 1))
-    )
+    k = np.arange(max_degree + 1)
+    return float(np.dot(_degree_weights(d, max_degree) / (2 * k + d), v.mu(d, k)))  # weights/(2k+d) = m_k
 
 
 def density_integral(
@@ -191,7 +189,7 @@ def berezin_transform(
         raise ValueError("point must lie inside the unit ball")
     if isinstance(V, RadialSymbol):
         weights = _degree_weights(d, max_degree)
-        mus = np.array([radial_eigenvalue(V, d, k) for k in range(max_degree + 1)])
+        mus = V.mu(d, np.arange(max_degree + 1))
 
         def at(p: np.ndarray, rx: float) -> float:
             coeff = weights * rx ** (2 * np.arange(max_degree + 1))

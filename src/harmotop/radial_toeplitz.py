@@ -18,15 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TailNotCertifiedError
-from .harmonic_basis import cumulative_multiplicity, multiplicity
+from .harmonic_basis import cumulative_multiplicity
 from .numerics import log_gamma
-from .symbols import Power, RadialSymbol, _signed_log_add
+from .symbols import RadialSymbol, _signed_log_add
 
 __all__ = [
     "Spectrum",
     "radial_eigenvalue",
-    "step_eigenvalue",
-    "power_eigenvalue",
     "log_radial_eigenvalue",
     "radial_spectrum",
     "counting",
@@ -47,42 +45,18 @@ _NEG_INF = float("-inf")
 # --- eigenvalues -------------------------------------------------------------
 
 
-def step_eigenvalue(b: float, c: float, d: int, k: int) -> float:
-    """Closed form b * c^(2k+d) for the step profile, evaluated via logs."""
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"step radius must lie in (0, 1), got {c}")
-    return b * math.exp((2 * k + d) * math.log(c))
-
-
-def power_eigenvalue(a: float, gamma: float, d: int, k: int) -> float:
-    """Closed form a Gamma(gamma+1) Gamma(n+1)/Gamma(n+1+gamma), n = 2k+d,
-    evaluated through :meth:`Power.log_mu`."""
-    if a <= 0.0 or gamma <= 0.0:
-        raise ValueError("power symbol needs a > 0 and gamma > 0")
-    return a * math.exp(Power(1.0, gamma).log_mu(d, k)[1])
-
-
 def log_radial_eigenvalue(v: RadialSymbol, d: int, k: int) -> tuple[int, float]:
     """(sign, log |mu_k(v)|), exact in the log domain for every variant."""
     return v.log_mu(d, k)
 
 
-def radial_eigenvalue(v: RadialSymbol, d: int, k: int, order: int | None = None) -> float:
-    """mu_k(v) = (2k+d) int_0^1 v(r) r^(2k+d-1) dr by quadrature.
-
-    Step profiles integrate with Gauss-Legendre on (0, c); power profiles
-    with a Gauss-Jacobi rule carrying the (1-r)^gamma endpoint weight, so the
-    relative error stays below 1e-10 for every gamma > 0.  Piecewise-linear
-    profiles integrate by parts in closed form (the interpolant is the
-    model, and its moments are exact).  An explicit `order` is checked
-    against a refinement by 7 and raises QuadratureDivergenceError when the
-    two disagree beyond 1e-9 relative.
-    """
+def radial_eigenvalue(v: RadialSymbol, d: int, k: int) -> float:
+    """mu_k(v) = (2k+d) int_0^1 v(r) r^(2k+d-1) dr for one degree, by :meth:`RadialSymbol.mu`."""
     if d < 2:
         raise ValueError(f"space dimension must be >= 2, got {d}")
     if k < 0:
         raise ValueError(f"degree must be nonnegative, got {k}")
-    return v.mu(d, k, order)
+    return float(v.mu(d, np.array([k]))[0])
 
 
 # --- spectra -----------------------------------------------------------------
@@ -129,13 +103,14 @@ class Spectrum:
         return float(sum(m * e for e, m in self.entries))
 
 
-def radial_spectrum(v: RadialSymbol, d: int, max_degree: int, order: int | None = None) -> Spectrum:
-    """Exact-radial spectrum on degrees <= max_degree: (mu_k, m_k) pairs."""
-    pairs = [
-        (radial_eigenvalue(v, d, k, order), multiplicity(d, k))
-        for k in range(max_degree + 1)
-    ]
-    pairs.sort(key=lambda em: abs(em[0]), reverse=True)
+def radial_spectrum(v: RadialSymbol, d: int, max_degree: int) -> Spectrum:
+    """Exact-radial spectrum on degrees <= max_degree: (mu_k, m_k) pairs, |mu|-descending (ties by degree)."""
+    if max_degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {max_degree}")
+    k = np.arange(max_degree + 1)
+    mus = v.mu(d, k)
+    order = np.argsort(-np.abs(mus), kind="stable")
+    pairs = zip(mus[order].tolist(), _multiplicities(d, k)[order].tolist())
     return Spectrum(entries=tuple(pairs), max_degree=max_degree, d=d, provenance="exact-radial")
 
 

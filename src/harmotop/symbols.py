@@ -25,9 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureDivergenceError
 from .grids import BallGrid, TruncationSpec, ball_grid
-from .numerics import gauss_jacobi01, gauss_legendre, log_gamma
+from .numerics import log_gamma
 
 __all__ = [
     "RadialSymbol",
@@ -137,19 +136,8 @@ class RadialSymbol:
         """(sign, log |mu_k|), exact in the log domain, elementwise over an integer ndarray k."""
         raise NotImplementedError
 
-    def mu(self, d: int, k: int, order: int | None = None) -> float:
-        """mu_k by quadrature; an explicit order is checked against order + 7."""
-        n = 2 * k + d
-        value = self._quadrature(n, order)
-        if order is not None:
-            refined = self._quadrature(n, order + 7)
-            if abs(value - refined) > 1e-9 * max(abs(value), abs(refined), 1e-300):
-                raise QuadratureDivergenceError(
-                    f"quadrature refinements disagree: {value!r} vs {refined!r}"
-                )
-        return value
-
-    def _quadrature(self, n: int, order: int | None) -> float:
+    def mu(self, d: int, k) -> np.ndarray:
+        """mu_k in closed form (a few ulp), elementwise over an integer ndarray k."""
         raise NotImplementedError
 
     def tail_profiles(self, d: int) -> list[tuple[str, float, float]]:
@@ -191,9 +179,9 @@ class Step(RadialSymbol):
             return np.zeros_like(ln_lam)
         return np.ceil(((ln_lam - math.log(abs(self.b))) / math.log(self.c) - d) / 2.0)
 
-    def _quadrature(self, n: int, order: int | None) -> float:
-        rule = gauss_legendre(order if order is not None else (n // 2 + 6), 0.0, self.c)
-        return n * self.b * float(np.dot(rule.weights, rule.nodes ** (n - 1)))
+    def mu(self, d: int, k) -> np.ndarray:
+        """b c^(2k+d): one libm power and one product."""
+        return self.b * np.power(self.c, 2 * k + d)
 
     def tail_profiles(self, d: int) -> list[tuple[str, float, float]]:
         if self.b == 0.0:
@@ -251,11 +239,29 @@ class Power(RadialSymbol):
             x = np.exp((math.log(self.a) + math.lgamma(g + 1.0) - np.asarray(ln_lam, dtype=float)) / g)
         return np.ceil((x - (0.5 * (g - 1.0) + d + 1.0)) / 2.0)
 
-    def _quadrature(self, n: int, order: int | None) -> float:
-        # Gauss-Jacobi carries the (1-r)^gamma endpoint weight, so the
-        # relative error stays below 1e-10 for every gamma > 0.
-        rule = gauss_jacobi01(order if order is not None else (n // 2 + 6), self.gamma)
-        return n * self.a * float(np.dot(rule.weights, (1.0 - rule.nodes) ** (n - 1)))
+    def mu(self, d: int, k) -> np.ndarray:
+        """mu_k = a prod_(j=1..n) j/(j+gamma), n = 2k+d, exactly.  Up to
+        n0 = max(50, 8 gamma) the product is formed in integers (gamma = p/q)
+        and divided once, correctly rounded.  Beyond, with x = n+1, t = gamma/x,
+        mu_k = mu(n0) (x0/x)^gamma exp(E(x) - E(x0)), where E(x) =
+        -(x+gamma-1/2)(log1p(t)-t) - (gamma-1/2)t + S(x) - S(x+gamma), log1p(t)-t
+        is its alternating series (t <= 1/8: 19 terms) and S the four-term
+        Stirling series; rounding x0/x costs about gamma/2 ulp."""
+        g, n = self.gamma, 2 * k + d
+        n0 = max(50, math.ceil(8.0 * g))
+        (num, den), (p, q) = self.a.as_integer_ratio(), g.as_integer_ratio()
+        exact = [self.a]
+        for j in range(1, min(int(n.max(initial=0)), n0) + 1):
+            num, den = num * q * j, den * (q * j + p)
+            exact.append(num / den)
+        x = np.append(n0, np.maximum(n, n0)) + 1.0  # x[0] = x0; the tail factor is 1 there
+        t = g / x
+        series = np.zeros_like(t)
+        for m in range(20, 1, -1):
+            series = series * t + (1.0 if m % 2 else -1.0) / m
+        stirling = lambda z: _stirling_series(z) - 1.0 / (1680.0 * z**7)
+        e = -(x + (g - 0.5)) * (t * t * series) - (g - 0.5) * t + (stirling(x) - stirling(x + g))
+        return np.array(exact)[np.minimum(n, n0)] * ((x[0] / x[1:]) ** g * np.exp(e[1:] - e[0]))
 
     def tail_profiles(self, d: int) -> list[tuple[str, float, float]]:
         # Gamma(x)/Gamma(x+gamma) <= x^-gamma (1 + 1/x) for x >= 1 gives the
@@ -311,10 +317,20 @@ class Sampled(RadialSymbol):
 
         return _signed_log_add(terms(), scalar=np.ndim(k) == 0)
 
-    def mu(self, d: int, k: int, order: int | None = None) -> float:
-        # The interpolant is the model, and its moments are exact.
-        sign, log_abs = self.log_mu(d, k)
-        return sign * math.exp(log_abs) if sign != 0 else 0.0
+    def mu(self, d: int, k) -> np.ndarray:
+        """The terms of `log_mu` in the linear domain, a = n+1: v(1-) - sum_j s_j
+        r_(j+1)^a (1 - (r_j/r_(j+1))^a)/a, formed in long double (the bracket as
+        -expm1(a log1p(...))), split into double pairs and summed by `math.fsum`."""
+        a = (2 * k + (d + 1)).astype(np.longdouble)
+        r, v = np.array(self.r, dtype=np.longdouble), np.array(self.v, dtype=np.longdouble)
+        terms = [np.full(a.shape, v[-1])]
+        for r0, r1, v0, v1 in zip(r, r[1:], v, v[1:]):
+            if v1 != v0:
+                fall = -np.expm1(a * np.log1p((r0 - r1) / r1)) if r0 > 0.0 else 1.0
+                terms.append((v0 - v1) / (r1 - r0) * r1**a * fall / a)
+        wide = np.column_stack(terms)
+        hi = wide.astype(float)
+        return np.array(list(map(math.fsum, np.hstack((hi, (wide - hi).astype(float))).tolist())), dtype=float)
 
     def tail_profiles(self, d: int) -> list[tuple[str, float, float]]:
         out = []
@@ -354,8 +370,8 @@ class SymbolSum(RadialSymbol):
     def log_mu(self, d: int, k):
         return _signed_log_add((p.log_mu(d, k) for p in self.parts), scalar=np.ndim(k) == 0)
 
-    def mu(self, d: int, k: int, order: int | None = None) -> float:
-        return sum(p.mu(d, k, order) for p in self.parts)
+    def mu(self, d: int, k) -> np.ndarray:
+        return sum(p.mu(d, k) for p in self.parts)
 
     def tail_profiles(self, d: int) -> list[tuple[str, float, float]]:
         return [t for p in self.parts for t in p.tail_profiles(d)]

@@ -9,6 +9,7 @@ import math
 import time
 from contextlib import contextmanager
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -37,20 +38,23 @@ def budget(name: str, seconds: float):
 
 
 def test_c01_eigenvalue_quadrature_matches_closed_forms():
-    with budget("01 closed-form eigenvalue oracles", 1.0):
+    # 50-digit references on the exact binary parameters: b c^n for the step
+    # and a n!/((gamma+1)(gamma+2)...(gamma+n)) for the power profile, n = 2k+d.
+    with budget("01 closed-form eigenvalue oracles", 1.0), mpmath.workdps(50):
         step_params = [(1.0, 0.5), (2.0, 0.9), (0.7, 0.3)]
         power_params = [(1.0, 1.0), (3.0, 0.5), (1.5, 2.25)]
         for d in (2, 3):
             for b, c in step_params:
                 for k in range(31):
-                    quad = rt.radial_eigenvalue(Step(b, c), d, k)
-                    exact = rt.step_eigenvalue(b, c, d, k)
-                    assert abs(quad - exact) <= 1e-10 * abs(exact)
+                    exact = mpmath.mpf(b) * mpmath.mpf(c) ** (2 * k + d)
+                    got = rt.radial_eigenvalue(Step(b, c), d, k)
+                    assert abs(got - exact) <= 8 * math.ulp(float(exact))
             for a, g in power_params:
                 for k in range(31):
-                    quad = rt.radial_eigenvalue(Power(a, g), d, k)
-                    exact = rt.power_eigenvalue(a, g, d, k)
-                    assert abs(quad - exact) <= 1e-10 * abs(exact)
+                    n = 2 * k + d
+                    exact = mpmath.mpf(a) * mpmath.factorial(n) / mpmath.rf(mpmath.mpf(g) + 1, n)
+                    got = rt.radial_eigenvalue(Power(a, g), d, k)
+                    assert abs(got - exact) <= 8 * math.ulp(float(exact))
 
 
 def test_c02_trace_identity():

@@ -4,7 +4,8 @@ The benchmark's consumers read only the last stdout line of
 `perfbench/run.py`, so a run that prints anything after the result, or a
 result that is not strict JSON, leaves nothing measured.  This runs the
 benchmark as it is (one second, seed 1, traced) and never writes under
-perfbench/.
+perfbench/.  A traced result must carry every per-layer metric that
+BENCHMARK.json lists.
 """
 import json
 import subprocess
@@ -14,7 +15,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+PER_LAYER = [m["name"] for m in BENCHMARK["per_layer"]]
 
 
 def _refuse_constant(name):
@@ -37,3 +40,6 @@ def test_traced_benchmark_run_ends_in_a_strict_json_result(workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+    # the tracer silently drops the metrics of a function the package no longer has
+    missing = [name for name in PER_LAYER if name not in result["metrics"]]
+    assert not missing, f"traced result lacks per-layer metrics {missing}"

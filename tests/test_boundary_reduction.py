@@ -92,9 +92,8 @@ def test_weighted_gram_radial_diagonal_and_symmetric():
     spec = TruncationSpec.for_degree(8)
     J = assemble_weighted_gram(Step(1.0, 0.5), 2, spec).as_matrix()
     assert np.max(np.abs(J - J.T)) < 1e-12
-    expected = [
-        rt.step_eigenvalue(1.0, 0.5, 2, idx.k) / (2 * idx.k + 2) for idx in basis_indices(2, 8)
-    ]
+    k = np.array([idx.k for idx in basis_indices(2, 8)])
+    expected = Step(1.0, 0.5).mu(2, k) / (2 * k + 2)
     assert np.max(np.abs(np.diag(J) - expected)) < 1e-12
     assert np.max(np.abs(J - np.diag(np.diag(J)))) < 1e-12
 
@@ -102,7 +101,7 @@ def test_weighted_gram_radial_diagonal_and_symmetric():
 def test_reduced_operator_radial_diagonal_is_mu():
     spec = TruncationSpec.for_degree(8)
     R = reduced_operator(Power(1.0, 1.0), 2, spec).as_matrix()
-    expected = [rt.power_eigenvalue(1.0, 1.0, 2, idx.k) for idx in basis_indices(2, 8)]
+    expected = Power(1.0, 1.0).mu(2, np.array([idx.k for idx in basis_indices(2, 8)]))
     assert np.max(np.abs(np.diag(R) - expected)) < 1e-10
     unit = GeneralSymbol(lambda p: np.ones(p.shape[0]))
     assert np.max(np.abs(reduced_operator(unit, 2, spec).as_matrix() - np.eye(R.shape[0]))) < 1e-10

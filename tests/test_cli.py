@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import harmotop
 from harmotop import galerkin_toeplitz as gt
 from harmotop import kernel_berezin as kb
-from harmotop import radial_toeplitz as rt
 from harmotop.cli import SymbolSyntaxError, build_parser, emit, main, parse_symbol
 from harmotop.galerkin_toeplitz import TabulatedSymbol, read_matrix_csv
 from harmotop.grids import TruncationSpec, ball_grid
@@ -358,9 +357,23 @@ def test_krein_energy_scan_refuses_dimensions_other_than_two(capsys):
 
 def test_boundary_energy_fit_builds_no_degree_table(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(rt, "radial_eigenvalue", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(Power, "mu", lambda *a, **k: calls.append(a))
     code, out, _ = run_cli(capsys, "boundary", "--d", "2", "--symbol", "power:a=1,gamma=1", "--E", "100:2000:6")
     assert code == 0 and "# columns: E,count" in out
     code, out, err = run_cli(capsys, "boundary", "--d", "2", "--symbol", "step:b=1,c=0.5", "--E", "100:2000:6")
     assert code == 2 and out == "" and "power-type" in err
     assert calls == []
+
+
+def test_negative_truncation_degree_exits_two(capsys):
+    for argv in (
+        ["berezin", "--d", "2", "--symbol", "power:a=1,gamma=1", "--radii", "0,0.5"],
+        ["spectrum", "--d", "2", "--symbol", "power:a=1,gamma=1"],
+        ["boundary", "--d", "2", "--symbol", "power:a=1,gamma=1"],
+        ["schatten", "--symbol", "step:b=1,c=0.5", "--p", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--K", "-1"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "", argv
+        assert "--K" in err, argv

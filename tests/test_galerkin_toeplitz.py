@@ -62,7 +62,7 @@ def test_radial_symbol_gives_diagonal_blocks(d):
     A = assemble(Step(1.0, 0.5), d, spec)
     off = A - np.diag(np.diag(A))
     assert np.max(np.abs(off)) < 1e-10
-    expected = [rt.step_eigenvalue(1.0, 0.5, d, idx.k) for idx in basis_indices(d, spec.max_degree)]
+    expected = Step(1.0, 0.5).mu(d, np.array([idx.k for idx in basis_indices(d, spec.max_degree)]))
     assert np.max(np.abs(np.diag(A) - expected)) < 1e-10
 
 

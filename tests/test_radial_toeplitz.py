@@ -1,11 +1,14 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
+from harmotop.cli import main
 from harmotop.errors import TailNotCertifiedError
 from harmotop.harmonic_basis import cumulative_multiplicity, multiplicity
 from harmotop.radial_toeplitz import (
@@ -15,12 +18,10 @@ from harmotop.radial_toeplitz import (
     log_decay_at,
     log_radial_eigenvalue,
     power_constant,
-    power_eigenvalue,
     radial_eigenvalue,
     radial_spectrum,
     schatten_radial,
     step_constant,
-    step_eigenvalue,
     superpolynomial_decay_check,
 )
 from harmotop.symbols import Power, Sampled, Step, SymbolSum
@@ -29,17 +30,17 @@ CONST_ONE = Sampled([0.0, 0.5], [1.0, 1.0])
 
 
 def test_step_eigenvalue_closed_form():
-    assert step_eigenvalue(1.0, 0.5, 2, 0) == pytest.approx(0.25)
-    assert step_eigenvalue(1.0, 0.5, 2, 1) == pytest.approx(0.0625)
-    assert step_eigenvalue(2.0, 0.9, 3, 10) == pytest.approx(2.0 * 0.9**23, rel=1e-13)
+    assert radial_eigenvalue(Step(1.0, 0.5), 2, 0) == 0.25
+    assert radial_eigenvalue(Step(1.0, 0.5), 2, 1) == 0.0625
+    assert radial_eigenvalue(Step(2.0, 0.9), 3, 10) == pytest.approx(2.0 * 0.9**23, rel=1e-15)
 
 
 def test_power_eigenvalue_closed_form():
-    assert power_eigenvalue(1.0, 1.0, 2, 0) == pytest.approx(1.0 / 3.0, rel=1e-13)
-    assert power_eigenvalue(1.0, 2.0, 2, 0) == pytest.approx(1.0 / 6.0, rel=1e-13)
+    assert radial_eigenvalue(Power(1.0, 1.0), 2, 0) == 1.0 / 3.0
+    assert radial_eigenvalue(Power(1.0, 2.0), 2, 0) == 1.0 / 6.0
     # k^gamma mu_k -> a Gamma(gamma+1) 2^-gamma; for gamma=1: mu_k = 1/(2k+3)
     k = 10**6
-    assert power_eigenvalue(1.0, 1.0, 2, k) == pytest.approx(1.0 / (2 * k + 3), rel=1e-11)
+    assert radial_eigenvalue(Power(1.0, 1.0), 2, k) == pytest.approx(1.0 / (2 * k + 3), rel=1e-15)
 
 
 def test_constant_symbol_gives_unit_eigenvalues():
@@ -50,16 +51,93 @@ def test_constant_symbol_gives_unit_eigenvalues():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_quadrature_matches_closed_forms(d):
+    # QUADPACK on (2k+d) int_0^1 v(r) r^(2k+d-1) dr; the power profile's
+    # (1-r)^gamma enters as the algebraic endpoint weight of qawse.
+    k = np.arange(0, 31, 3)
     for b, c in [(1.0, 0.5), (2.0, 0.9), (0.7, 0.3)]:
-        for k in range(0, 31, 3):
-            assert radial_eigenvalue(Step(b, c), d, k) == pytest.approx(
-                step_eigenvalue(b, c, d, k), rel=1e-10
-            )
+        quad = [n * b * integrate.quad(lambda r: r ** (n - 1), 0.0, c)[0] for n in 2 * k + d]
+        assert Step(b, c).mu(d, k) == pytest.approx(quad, rel=1e-10)
     for a, g in [(1.0, 1.0), (3.0, 0.5), (1.5, 2.25)]:
-        for k in range(0, 31, 3):
-            assert radial_eigenvalue(Power(a, g), d, k) == pytest.approx(
-                power_eigenvalue(a, g, d, k), rel=1e-10
-            )
+        quad = [
+            n * a * integrate.quad(lambda r: 1.0, 0.0, 1.0, weight="alg", wvar=(n - 1, g))[0]
+            for n in 2 * k + d
+        ]
+        assert Power(a, g).mu(d, k) == pytest.approx(quad, rel=1e-10)
+
+
+K_ULP = 10_000
+DEGREES = np.arange(K_ULP + 1)
+GOLDEN_PROFILE = Path(__file__).parent / "golden" / "profile.csv"
+
+
+def _ulps(got, exact) -> float:
+    """Largest error of the doubles `got` in units in the last place of the 50-digit `exact`."""
+    return max(float(abs(x - e)) / math.ulp(float(e)) for x, e in zip(got, exact))
+
+
+def _products(start, factor, n_max: int) -> list:
+    """start * factor(1) * ... * factor(n) for n = 0..n_max, in the working precision."""
+    out = [mpmath.mpf(start)]
+    for n in range(1, n_max + 1):
+        out.append(out[-1] * factor(n))
+    return out
+
+
+@pytest.mark.parametrize(
+    "gamma, tol", [(0.5, 8), (0.55, 8), (1.0, 8), (2.0, 8), (2.9, 8), (3.0, 8), (10.0, 64), (40.0, 64)]
+)
+def test_power_mu_within_ulps_of_50_digits(gamma, tol):
+    v = Power(1.5, gamma)
+    far = np.array([10**5, 10**6, 10**7, 10**8, 10**9, 987_654_321])
+    with mpmath.workdps(50):
+        g = mpmath.mpf(gamma)
+        exact = _products(1.5, lambda n: n / (n + g), 2 * K_ULP + 3)  # a n!/((g+1)...(g+n))
+        for d in (2, 3):
+            assert _ulps(v.mu(d, DEGREES), exact[d::2]) <= tol
+            exact_far = [
+                1.5 * mpmath.exp(mpmath.loggamma(n + 1) + mpmath.loggamma(g + 1) - mpmath.loggamma(n + 1 + g))
+                for n in (2 * far + d).tolist()
+            ]
+            assert _ulps(v.mu(d, far), exact_far) <= tol
+
+
+@pytest.mark.parametrize("b, c", [(1.0, 0.5), (2.0, 0.9), (-0.7, 0.3), (-1.3, 0.97)])
+def test_step_mu_within_8_ulp_of_50_digits(b, c):
+    with mpmath.workdps(50):
+        exact = _products(b, lambda n: mpmath.mpf(c), 2 * K_ULP + 3)
+        for d in (2, 3):
+            assert _ulps(Step(b, c).mu(d, DEGREES), exact[d::2]) <= 8
+
+
+def test_sampled_and_sum_mu_within_8_ulp_of_50_digits():
+    rows = [line.split(",") for line in GOLDEN_PROFILE.read_text().splitlines() if not line.startswith("#")]
+    r, v = [float(row[0]) for row in rows], [float(row[1]) for row in rows]
+    total = SymbolSum([Power(1.0, 1.0), Step(0.5, 0.3)])
+    with mpmath.workdps(50):
+        # by parts: v(1-) - sum_j s_j (r_(j+1)^(n+1) - r_j^(n+1))/(n+1)
+        slopes = [(mpmath.mpf(v1) - v0) / (mpmath.mpf(r1) - r0) for r0, r1, v0, v1 in zip(r, r[1:], v, v[1:])]
+        powers = [_products(1, lambda n, x=mpmath.mpf(x): x, 2 * K_ULP + 4) for x in r]
+        exact = [
+            v[-1] - sum(s * (p1[n + 1] - p0[n + 1]) for s, p0, p1 in zip(slopes, powers, powers[1:])) / (n + 1)
+            for n in range(2 * K_ULP + 4)
+        ]
+        power = _products(1, lambda n: mpmath.mpf(n) / (n + 1), 2 * K_ULP + 3)
+        step = _products(0.5, lambda n: mpmath.mpf(0.3), 2 * K_ULP + 3)
+        for d in (2, 3):
+            assert _ulps(Sampled(r, v).mu(d, DEGREES), exact[d::2]) <= 8
+            assert _ulps(total.mu(d, DEGREES), [p + s for p, s in zip(power[d::2], step[d::2])]) <= 8
+
+
+def test_spectrum_at_a_steep_decay_rate_matches_50_digits(capsys):
+    assert main(["spectrum", "--d", "2", "--symbol", "power:a=1,gamma=40", "--K", "300"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    values = [float(row[1]) for row in rows]
+    assert [int(row[2]) for row in rows] == [1] + [2] * 300
+    with mpmath.workdps(50):
+        g = mpmath.mpf(40)
+        exact = _products(1, lambda n: n / (n + g), 602)[2::2]
+        # mu_k decreases in k, so the rows must come in degree order
+        assert _ulps(values, exact) <= 64
 
 
 def test_log_eigenvalue_matches_linear_evaluation():
@@ -93,9 +171,7 @@ def test_counting_monotone_matches_enumeration():
 def test_counting_equals_cumulative_multiplicity_of_crossing_degree():
     v = Power(1.0, 1.0)
     lam = 1e-4
-    nu = 0
-    while power_eigenvalue(1.0, 1.0, 2, nu) > lam:
-        nu += 1
+    nu = int(np.argmax(v.mu(2, np.arange(10**4)) <= lam))  # mu_k decreases in k
     assert counting(v, 2, lam) == cumulative_multiplicity(2, nu - 1)
 
 
