@@ -1,73 +1,32 @@
 """Reduction of the Toeplitz operator to the boundary sphere.
 
-On the ball the harmonic extension acts degree-wise as r^k, its Gram
-operator is diagonal with eigenvalues 1/(2k+d), and conjugating the
-V-weighted Gram operator by the inverse square root reproduces the Galerkin
-section of the Toeplitz compression exactly (the unitary is the map
-boundary harmonic -> normalised solid harmonic).  The module also checks
-the order of the reduced operator as a pseudo-differential operator: its
-leading symbol on the co-sphere is 2^-gamma Gamma(gamma+1) a0 |frequency|^-gamma
-for symbols with power-type boundary decay.
+On the ball the harmonic extension acts degree-wise as r^k and its Gram
+operator is diagonal with eigenvalues 1/(2k+d).  Conjugating the V-weighted
+extension Gram form by the inverse square root gives the Galerkin section of
+the Toeplitz compression exactly (the unitary is the map boundary harmonic
+-> normalised solid harmonic), so the section matrix is
+`galerkin_toeplitz.assemble`.  The module checks the order of the reduced
+operator as a pseudo-differential operator: its leading symbol on the
+co-sphere is 2^-gamma Gamma(gamma+1) a0 |frequency|^-gamma for symbols with
+power-type boundary decay.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import TruncationSpec, weighted_gram
-from .harmonic_basis import basis_indices, multiplicity
 from .numerics import log_gamma
 from .radial_toeplitz import AsymptoticFit, counting
-from .symbols import Power, symbol_on_grid
+from .symbols import Power
 
 __all__ = [
-    "BoundaryOperator",
-    "extension_profile",
     "extension_gram_eigenvalue",
     "dtn_eigenvalue",
-    "assemble_weighted_gram",
-    "reduced_operator",
     "principal_symbol_value",
     "symbol_order_check",
     "inverse_power_weyl_fit",
 ]
-
-
-@dataclass(frozen=True)
-class BoundaryOperator:
-    """Operator on boundary harmonics of degree <= max_degree.
-
-    Either a full symmetric matrix in the (k, l) basis (degree-major) or,
-    for degree-diagonal operators, one scalar per degree; the diagonal form
-    asserts that all couplings across degrees vanish identically.
-    """
-
-    d: int
-    max_degree: int
-    matrix: np.ndarray | None = None
-    degree_scalars: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.matrix is None) == (self.degree_scalars is None):
-            raise ValueError("provide exactly one of matrix, degree_scalars")
-
-    def as_matrix(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
-        diag = np.repeat(
-            self.degree_scalars,
-            [multiplicity(self.d, k) for k in range(self.max_degree + 1)],
-        )
-        return np.diag(diag)
-
-
-def extension_profile(d: int, k: int):
-    """Radial factor of the harmonic extension of a degree-k boundary harmonic."""
-    if k < 0:
-        raise ValueError(f"degree must be nonnegative, got {k}")
-    return lambda r: np.asarray(r, dtype=float) ** k
 
 
 def extension_gram_eigenvalue(d: int, k: int) -> float:
@@ -82,28 +41,6 @@ def dtn_eigenvalue(d: int, k: int) -> float:
     if k < 0:
         raise ValueError(f"degree must be nonnegative, got {k}")
     return float(k)
-
-
-def assemble_weighted_gram(V, d: int, spec: TruncationSpec) -> BoundaryOperator:
-    """Matrix of the V-weighted extension Gram form <V G psi_i, G psi_j>.
-
-    Entries int_B V(x) |x|^(k+k') psi_{k,l}(x^) psi_{k',l'}(x^) dx on the
-    same tensor grid as the Galerkin assembly.
-    """
-    grid, vals = symbol_on_grid(V, d, spec)
-    JV = weighted_gram(d, spec.max_degree, grid, grid.weights * vals)
-    return BoundaryOperator(d=d, max_degree=spec.max_degree, matrix=0.5 * (JV + JV.T))
-
-
-def reduced_operator(V, d: int, spec: TruncationSpec) -> BoundaryOperator:
-    """Conjugation of the weighted Gram matrix by the inverse square root of
-    the Gram diagonal; unitarily equivalent to the Toeplitz section."""
-    JV = assemble_weighted_gram(V, d, spec)
-    scale = np.array(
-        [math.sqrt(2 * idx.k + d) for idx in basis_indices(d, spec.max_degree)]
-    )
-    mat = JV.matrix * scale[:, None] * scale[None, :]
-    return BoundaryOperator(d=d, max_degree=spec.max_degree, matrix=mat)
 
 
 def principal_symbol_value(gamma: float, a: float) -> float:

@@ -32,7 +32,7 @@ from . import krein_counting as kc
 from . import radial_toeplitz as rt
 from .errors import QuadratureDivergenceError, TailNotCertifiedError
 from .grids import TruncationSpec
-from .symbols import GeneralSymbol, Power, RadialSymbol, Sampled, Step, SymbolSum, TabulatedSymbol
+from .symbols import GeneralSymbol, Power, RadialSymbol, Sampled, Step, SymbolSum, TabulatedSymbol, symbol_on_grid
 
 FULL = ".17g"
 
@@ -153,14 +153,26 @@ def _parse_range(text: str, name: str, want_count: bool = False) -> np.ndarray:
         raise ValueError(f"--{name} expects LO:HI[:N], got {text!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError
         n = int(parts[2]) if len(parts) == 3 else max(4, round(abs(hi - lo)) + 1)
     except ValueError:
-        raise ValueError(f"--{name} expects numeric LO:HI[:N], got {text!r}") from None
+        raise ValueError(f"--{name} expects finite numeric LO:HI[:N], got {text!r}") from None
     if n < 2:
         raise ValueError(f"--{name} needs at least 2 points, got {n}")
     if want_count and len(parts) != 3:
         raise ValueError(f"--{name} requires LO:HI:N")
     return np.linspace(lo, hi, n)
+
+
+def _finite(text: str) -> float:
+    """A finite real number (argparse names the option on refusal)."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
 def _degree(text: str) -> int:
@@ -192,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counting", help="eigenvalue counting function")
     common(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_finite, default=None)
     p.add_argument("--lnlambda", default=None, help="log-threshold grid LO:HI[:N]")
     p.add_argument("--sign", choices=("plus", "minus"), default="plus")
 
@@ -200,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lnlambda", required=True, help="log-threshold grid LO:HI[:N]")
     p.add_argument("--model", choices=("power", "log-power"), required=True)
-    p.add_argument("--exponent", type=float, default=None, help="pin the model exponent")
+    p.add_argument("--exponent", type=_finite, default=None, help="pin the model exponent")
     p.add_argument("--sign", choices=("plus", "minus"), default="plus")
 
     p = sub.add_parser("berezin", help="Berezin transform along a radius")
@@ -209,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schatten", help="Schatten norms")
     common(p)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--weak", action="store_true")
 
     p = sub.add_parser("boundary", help="boundary reduction diagnostics")
@@ -220,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lnlambda", default=None, help="log-threshold grid LO:HI[:N]")
     p.add_argument("--E", dest="e_grid", default=None, help="energy grid LO:HI:N for the complementary-spectrum counting")
-    p.add_argument("--eps", type=float, default=None, help="fixed eps (default lambda^theta)")
-    p.add_argument("--lam1", type=float, default=10.0)
-    p.add_argument("--vsup", type=float, default=None)
+    p.add_argument("--eps", type=_finite, default=None, help="fixed eps (default lambda^theta)")
+    p.add_argument("--lam1", type=_finite, default=10.0)
+    p.add_argument("--vsup", type=_finite, default=None)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
     p.add_argument("--output", default=None)
@@ -241,6 +253,13 @@ def _spec_for(args, default_degree: int) -> TruncationSpec:
     )
 
 
+def _max_degree(args, symbol) -> int:
+    """--K, else the degree a tabulated symbol was sampled for, else 12."""
+    if args.K is not None:
+        return args.K
+    return symbol.spec.max_degree if isinstance(symbol, TabulatedSymbol) else 12
+
+
 def _radial_symbol(args) -> RadialSymbol:
     symbol = parse_symbol(args.symbol)
     if not isinstance(symbol, RadialSymbol):
@@ -249,8 +268,7 @@ def _radial_symbol(args) -> RadialSymbol:
 
 
 def _config_dict(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if v is not None and k != "func"}
-    return cfg
+    return {k: v for k, v in vars(args).items() if v is not None and k != "func"}
 
 
 MU_FORMULA = "mu_k = (2k+d) * int_0^1 v(r) r^(2k+d-1) dr"
@@ -261,10 +279,9 @@ def _cmd_spectrum(args):
     symbol = parse_symbol(args.symbol)
     matrix = None
     if isinstance(symbol, RadialSymbol):
-        k = args.K if args.K is not None else 12
-        spectrum = rt.radial_spectrum(symbol, args.d, k)
+        spectrum = rt.radial_spectrum(symbol, args.d, _max_degree(args, symbol))
     else:
-        spec = _spec_for(args, symbol.spec.max_degree if isinstance(symbol, TabulatedSymbol) else 12)
+        spec = _spec_for(args, _max_degree(args, symbol))
         matrix = gt.assemble(symbol, args.d, spec)
         spectrum = gt.section_spectrum(matrix, args.d, spec.max_degree)
     if args.matrix_output:
@@ -272,9 +289,9 @@ def _cmd_spectrum(args):
             matrix = gt.assemble(symbol, args.d, _spec_for(args, spectrum.max_degree))
         gt.write_matrix_csv(args.matrix_output, matrix, args.d, spectrum.max_degree)
     table = {
-        "index": range(len(spectrum.entries)),
-        "eigenvalue": [e for e, _ in spectrum.entries],
-        "multiplicity": [m for _, m in spectrum.entries],
+        "index": range(spectrum.values.size),
+        "eigenvalue": spectrum.values.tolist(),
+        "multiplicity": spectrum.multiplicities.tolist(),
     }
     meta = {
         "comments": [
@@ -343,8 +360,9 @@ def _cmd_berezin(args):
         radii = [float(x) for x in args.radii.split(",") if x.strip()]
     except ValueError:
         raise ValueError(f"--radii expects a comma-separated list, got {args.radii!r}") from None
-    default_k = symbol.spec.max_degree if isinstance(symbol, TabulatedSymbol) else 12
-    k = args.K if args.K is not None else default_k
+    if not all(map(math.isfinite, radii)):
+        raise ValueError(f"--radii expects finite radii, got {args.radii!r}")
+    k = _max_degree(args, symbol)
     spec = None if isinstance(symbol, RadialSymbol) else _spec_for(args, k)
     points = np.zeros((len(radii), args.d))
     points[:, 0] = radii
@@ -362,8 +380,8 @@ def _cmd_schatten(args):
         value = rt.schatten_radial(symbol, args.d, args.p, weak=args.weak, k_stop=args.K)
         route = "radial-series"
     else:
-        spec = _spec_for(args, symbol.spec.max_degree if isinstance(symbol, TabulatedSymbol) else 12)
-        value = gt.schatten_galerkin(gt.spectrum(symbol, args.d, spec), args.p, weak=args.weak)
+        spectrum = gt.spectrum(symbol, args.d, _spec_for(args, _max_degree(args, symbol)))
+        value = spectrum.schatten_weak(args.p) if args.weak else spectrum.schatten(args.p)
         route = "galerkin"
     table = {"p": [args.p], "weak": [int(args.weak)], "value": [value], "route": [route]}
     law = "||T||_(p,w) = sup_j j^(1/p) s_j" if args.weak else "||T||_p = (sum_j s_j^p)^(1/p)"
@@ -386,7 +404,7 @@ def _cmd_boundary(args):
             "fit": {"coefficient": fit.coefficient, "exponent": fit.exponent},
         }
         return {"E": e_grid.tolist(), "count": fit.counts}, meta
-    degrees = range((args.K if args.K is not None else 12) + 1)
+    degrees = range(_max_degree(args, symbol) + 1)
     table = {
         "k": degrees,
         "gram_eigenvalue": [br.extension_gram_eigenvalue(args.d, k) for k in degrees],
@@ -462,6 +480,7 @@ def _cmd_krein(args):
 
 
 def _selftest_checks():
+    from .grids import harmonic_node_matrix
     from .harmonic_basis import cumulative_multiplicity, multiplicity
     from .numerics import bessel_j_zero, beta, gauss_legendre, symmetric_eigen
 
@@ -491,11 +510,14 @@ def _selftest_checks():
     spec = TruncationSpec.for_degree(8)
     A = gt.assemble(v, 2, spec)
     checks.append(("galerkin-radial-diagonal", float(np.max(np.abs(A - np.diag(np.diag(A))))) < 1e-10))
+    # the section against the dense node-matrix product H diag(w V) H^T
     Vgen = GeneralSymbol(lambda p: 0.5 * (1.0 + p[:, 0]))
-    R = br.reduced_operator(Vgen, 2, spec).as_matrix()
+    grid, vals = symbol_on_grid(Vgen, 2, spec)
+    H = harmonic_node_matrix(2, 8, grid)
     G = gt.assemble(Vgen, 2, spec)
-    checks.append(("boundary-reduction-identity", float(np.max(np.abs(R - G))) < 1e-10))
-    tr = gt.spectrum(Vgen, 2, spec).trace()
+    dense = (H * (grid.weights * vals)) @ H.T
+    checks.append(("boundary-reduction-identity", float(np.max(np.abs(dense - G))) < 1e-10))
+    tr = gt.section_spectrum(G, 2, 8).trace()
     checks.append(("trace-identity", abs(tr - kb.density_integral(Vgen, 2, 8)) < 1e-8 * abs(tr)))
 
     rng = np.random.default_rng(0)

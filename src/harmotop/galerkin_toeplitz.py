@@ -1,6 +1,6 @@
 """Finite-section (Galerkin) compression of the Toeplitz operator for
-general symbols in d = 2, 3: assembly, spectra, counting, Schatten norms,
-norm-domination checks, and Weyl-inequality verification.
+general symbols in d = 2, 3: assembly, spectra (counts and Schatten norms are
+`Spectrum` methods), norm-domination checks and Weyl-inequality verification.
 
 The section is the compression to harmonic degrees <= max_degree.  For
 nonnegative symbols its eigenvalues are monotone nondecreasing in the
@@ -19,16 +19,12 @@ from .harmonic_basis import basis_indices, cumulative_multiplicity
 from .kernel_berezin import density_radial
 from .numerics import symmetric_eigen
 from .radial_toeplitz import Spectrum
-from .symbols import TabulatedSymbol, symbol_on_grid
+from .symbols import symbol_on_grid
 
 __all__ = [
-    "TruncationSpec",
-    "TabulatedSymbol",
     "assemble",
     "spectrum",
     "section_spectrum",
-    "counting_galerkin",
-    "schatten_galerkin",
     "norm_domination_check",
     "weyl_check",
     "write_matrix_csv",
@@ -71,17 +67,7 @@ def section_spectrum(matrix: np.ndarray, d: int, max_degree: int) -> Spectrum:
     """Eigenvalues of an assembled section matrix, sorted by decreasing magnitude."""
     eigs = symmetric_eigen(matrix)
     order = np.argsort(-np.abs(eigs), kind="stable")
-    entries = tuple((float(e), 1) for e in eigs[order])
-    return Spectrum(entries=entries, max_degree=max_degree, d=d, provenance="galerkin")
-
-
-def counting_galerkin(spec_spectrum: Spectrum, lam: float, sign: int = 1) -> int:
-    """Eigenvalues of the section with sign*e > lam (strict), multiplicities counted."""
-    return spec_spectrum.count_above(lam, sign)
-
-
-def schatten_galerkin(spec_spectrum: Spectrum, p: float, weak: bool = False) -> float:
-    return spec_spectrum.schatten_weak(p) if weak else spec_spectrum.schatten(p)
+    return Spectrum(eigs[order], np.ones(eigs.size, dtype=np.int64), max_degree=max_degree, d=d, provenance="galerkin")
 
 
 def norm_domination_check(V, d: int, spec: TruncationSpec, p: float, weak: bool = False):
@@ -103,7 +89,8 @@ def norm_domination_check(V, d: int, spec: TruncationSpec, p: float, weak: bool 
         raise ValueError("norm domination check requires a nonnegative symbol")
     vals = np.maximum(vals, 0.0)
     rho = density_radial(d, grid.radii, spec.max_degree)
-    lhs = schatten_galerkin(spectrum(V, d, spec), p, weak=weak)
+    sp = spectrum(V, d, spec)
+    lhs = sp.schatten_weak(p) if weak else sp.schatten(p)
     if not weak:
         rhs = float(np.dot(grid.weights, rho * vals**p)) ** (1.0 / p)
     else:
@@ -111,11 +98,6 @@ def norm_domination_check(V, d: int, spec: TruncationSpec, p: float, weak: bool 
         masses = np.cumsum((grid.weights * rho)[order])
         rhs = float(np.max(vals[order] * masses ** (1.0 / p)))
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-6)
-
-
-def _count_above(sorted_eigs: np.ndarray, s: float, sign: int) -> int:
-    vals = sign * sorted_eigs
-    return int(np.count_nonzero(vals > s))
 
 
 def weyl_check(A: np.ndarray, B: np.ndarray, trials: int = 100, rng=None) -> bool:
@@ -142,7 +124,7 @@ def weyl_check(A: np.ndarray, B: np.ndarray, trials: int = 100, rng=None) -> boo
         )
     for s1, s2 in pairs:
         for sign in (1, -1):
-            if _count_above(es, s1 + s2, sign) > _count_above(ea, s1, sign) + _count_above(eb, s2, sign):
+            if np.count_nonzero(sign * es > s1 + s2) > np.count_nonzero(sign * ea > s1) + np.count_nonzero(sign * eb > s2):
                 return False
     return True
 

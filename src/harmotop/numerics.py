@@ -19,6 +19,7 @@ __all__ = [
     "gegenbauer",
     "bessel_j",
     "bessel_j_zero",
+    "bessel_zeros_upto",
     "symmetric_eigen",
 ]
 

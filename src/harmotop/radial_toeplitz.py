@@ -62,45 +62,41 @@ def radial_eigenvalue(v: RadialSymbol, d: int, k: int) -> float:
 # --- spectra -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues with multiplicities, sorted by decreasing magnitude."""
+    """Eigenvalues with multiplicities, sorted by decreasing magnitude; sums run in that order."""
 
-    entries: tuple[tuple[float, int], ...]
+    values: np.ndarray
+    multiplicities: np.ndarray  # integers
     max_degree: int
     d: int
     provenance: str  # "exact-radial" | "galerkin"
 
     @property
     def total_count(self) -> int:
-        return sum(m for _, m in self.entries)
+        return int(self.multiplicities.sum())
 
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues expanded with multiplicity, |.|-descending."""
-        return np.repeat([e for e, _ in self.entries], [m for _, m in self.entries])
+        return np.repeat(self.values, self.multiplicities)
 
     def count_above(self, lam: float, sign: int = 1) -> int:
         if lam <= 0.0:
             raise ValueError(f"threshold must be positive, got {lam}")
-        return sum(m for e, m in self.entries if sign * e > lam)
+        return int(self.multiplicities[sign * self.values > lam].sum())
 
     def schatten(self, p: float) -> float:
         if p < 1.0:
             raise ValueError(f"Schatten exponent must be >= 1, got {p}")
-        return float(sum(m * abs(e) ** p for e, m in self.entries)) ** (1.0 / p)
+        return float(np.cumsum(self.multiplicities * np.abs(self.values) ** p)[-1]) ** (1.0 / p)
 
     def schatten_weak(self, p: float) -> float:
         if p <= 1.0:
             raise ValueError(f"weak Schatten exponent must be > 1, got {p}")
-        best = 0.0
-        count = 0
-        for e, m in self.entries:
-            count += m
-            best = max(best, count ** (1.0 / p) * abs(e))
-        return best
+        return float(np.max(np.cumsum(self.multiplicities) ** (1.0 / p) * np.abs(self.values), initial=0.0))
 
     def trace(self) -> float:
-        return float(sum(m * e for e, m in self.entries))
+        return float(np.cumsum(self.multiplicities * self.values)[-1])
 
 
 def radial_spectrum(v: RadialSymbol, d: int, max_degree: int) -> Spectrum:
@@ -110,8 +106,7 @@ def radial_spectrum(v: RadialSymbol, d: int, max_degree: int) -> Spectrum:
     k = np.arange(max_degree + 1)
     mus = v.mu(d, k)
     order = np.argsort(-np.abs(mus), kind="stable")
-    pairs = zip(mus[order].tolist(), _multiplicities(d, k)[order].tolist())
-    return Spectrum(entries=tuple(pairs), max_degree=max_degree, d=d, provenance="exact-radial")
+    return Spectrum(mus[order], _multiplicities(d, k)[order], max_degree=max_degree, d=d, provenance="exact-radial")
 
 
 # --- the degree table and certified tail bounds -------------------------------

@@ -15,9 +15,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from harmotop.galerkin_toeplitz import TabulatedSymbol, TruncationSpec, assemble, schatten_galerkin, section_spectrum
-from harmotop.grids import ball_grid
+from harmotop.galerkin_toeplitz import assemble, section_spectrum
+from harmotop.grids import TruncationSpec, ball_grid
 from harmotop.numerics import symmetric_eigen
+from harmotop.symbols import TabulatedSymbol
 
 DPS = 40
 
@@ -126,5 +127,5 @@ def test_schatten_norms_match_the_40_digit_quadrature(case):
         s = sorted((abs(e) for e in ref_eigs), reverse=True)
         strong = mp.sqrt(mp.fsum(x * x for x in s))
         weak = max(mp.sqrt(j + 1) * x for j, x in enumerate(s))
-        for value, target in ((schatten_galerkin(spec, 2.0), strong), (schatten_galerkin(spec, 2.0, weak=True), weak)):
+        for value, target in ((spec.schatten(2.0), strong), (spec.schatten_weak(2.0), weak)):
             assert abs(mp.mpf(value) - target) <= 4 * _ulp(target)

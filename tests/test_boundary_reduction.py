@@ -5,44 +5,17 @@ import pytest
 
 from harmotop import radial_toeplitz as rt
 from harmotop.boundary_reduction import (
-    BoundaryOperator,
-    assemble_weighted_gram,
     dtn_eigenvalue,
     extension_gram_eigenvalue,
-    extension_profile,
     inverse_power_weyl_fit,
     principal_symbol_value,
-    reduced_operator,
     symbol_order_check,
 )
 from harmotop.galerkin_toeplitz import assemble
-from harmotop.grids import TruncationSpec, ball_grid, extension_node_matrix
+from harmotop.grids import TruncationSpec, ball_grid, extension_node_matrix, weighted_gram
 from harmotop.harmonic_basis import basis_indices
 from harmotop.numerics import gauss_legendre
-from harmotop.symbols import GeneralSymbol, Power, Step
-
-
-def test_extension_is_harmonic_by_finite_differences():
-    # u(x) = r^3 cos(3 theta): the 5-point Laplacian of a cubic harmonic
-    # polynomial vanishes up to rounding.
-    profile = extension_profile(2, 3)
-
-    def u(x, y):
-        r = math.hypot(x, y)
-        theta = math.atan2(y, x)
-        return float(profile(r)) * math.cos(3 * theta)
-
-    h = 1e-3
-    for (x, y) in [(0.3, 0.1), (-0.2, 0.4), (0.5, -0.35)]:
-        lap = (u(x + h, y) + u(x - h, y) + u(x, y + h) + u(x, y - h) - 4 * u(x, y)) / h**2
-        assert abs(lap) < 1e-6
-
-
-def test_extension_recovers_boundary_trace():
-    profile = extension_profile(2, 4)
-    assert profile(1.0) == pytest.approx(1.0)
-    assert profile(0.0) == 0.0
-    assert extension_profile(3, 0)(0.5) == pytest.approx(1.0)
+from harmotop.symbols import GeneralSymbol, Power, Step, symbol_on_grid
 
 
 def test_gram_eigenvalue_against_quadrature_oracle():
@@ -79,18 +52,24 @@ def test_dtn_matches_finite_difference_normal_derivative():
     assert abs(fd - dtn_eigenvalue(2, k)) < 1e-6
 
 
+def _weighted_gram(V, d: int, spec: TruncationSpec) -> np.ndarray:
+    """The V-weighted extension Gram form <V G psi_i, G psi_j> on the assembly grid."""
+    grid, vals = symbol_on_grid(V, d, spec)
+    return weighted_gram(d, spec.max_degree, grid, grid.weights * vals)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_weighted_gram_of_unit_symbol_is_gram_diagonal(d):
     spec = TruncationSpec.for_degree(6)
     unit = GeneralSymbol(lambda p: np.ones(p.shape[0]))
-    J = assemble_weighted_gram(unit, d, spec).as_matrix()
+    J = _weighted_gram(unit, d, spec)
     expected = np.diag([extension_gram_eigenvalue(d, idx.k) for idx in basis_indices(d, 6)])
     assert np.max(np.abs(J - expected)) < 1e-12
 
 
 def test_weighted_gram_radial_diagonal_and_symmetric():
     spec = TruncationSpec.for_degree(8)
-    J = assemble_weighted_gram(Step(1.0, 0.5), 2, spec).as_matrix()
+    J = _weighted_gram(Step(1.0, 0.5), 2, spec)
     assert np.max(np.abs(J - J.T)) < 1e-12
     k = np.array([idx.k for idx in basis_indices(2, 8)])
     expected = Step(1.0, 0.5).mu(2, k) / (2 * k + 2)
@@ -98,29 +77,14 @@ def test_weighted_gram_radial_diagonal_and_symmetric():
     assert np.max(np.abs(J - np.diag(np.diag(J)))) < 1e-12
 
 
-def test_reduced_operator_radial_diagonal_is_mu():
+def test_section_radial_diagonal_is_mu():
+    # the Gram diagonal 1/(2k+d) scaled away: the section of a radial symbol is diag(mu_k)
     spec = TruncationSpec.for_degree(8)
-    R = reduced_operator(Power(1.0, 1.0), 2, spec).as_matrix()
+    R = assemble(Power(1.0, 1.0), 2, spec)
     expected = Power(1.0, 1.0).mu(2, np.array([idx.k for idx in basis_indices(2, 8)]))
     assert np.max(np.abs(np.diag(R) - expected)) < 1e-10
     unit = GeneralSymbol(lambda p: np.ones(p.shape[0]))
-    assert np.max(np.abs(reduced_operator(unit, 2, spec).as_matrix() - np.eye(R.shape[0]))) < 1e-10
-
-
-@pytest.mark.parametrize(
-    "d,max_degree,func",
-    [
-        (2, 12, lambda p: 0.5 * (1.0 + p[:, 0])),
-        (2, 12, lambda p: p[:, 0] ** 2 + 0.1),
-        (3, 8, lambda p: np.exp(0.5 * p[:, 2]) * (1.0 - (p**2).sum(axis=1))),
-    ],
-)
-def test_reduced_operator_equals_galerkin_section(d, max_degree, func):
-    spec = TruncationSpec.for_degree(max_degree)
-    V = GeneralSymbol(func)
-    R = reduced_operator(V, d, spec).as_matrix()
-    G = assemble(V, d, spec)
-    assert np.max(np.abs(R - G)) < 1e-10
+    assert np.max(np.abs(assemble(unit, 2, spec) - np.eye(R.shape[0]))) < 1e-10
 
 
 def test_projection_reproduces_harmonic_polynomials():
@@ -138,13 +102,6 @@ def test_projection_reproduces_harmonic_polynomials():
     assert np.max(np.abs(scaled - coeffs)) < 1e-10
     reconstructed = scaled @ basis
     assert np.max(np.abs(reconstructed - u_nodes)) < 1e-10
-
-
-def test_boundary_operator_validation():
-    with pytest.raises(ValueError):
-        BoundaryOperator(d=2, max_degree=2)
-    diag = BoundaryOperator(d=2, max_degree=2, degree_scalars=np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(diag.as_matrix(), np.diag([1.0, 2.0, 2.0, 3.0, 3.0]))
 
 
 def test_symbol_order_limits():

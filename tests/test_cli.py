@@ -1,4 +1,6 @@
 import argparse
+import importlib
+import inspect
 import json
 import math
 import os
@@ -16,9 +18,9 @@ import harmotop
 from harmotop import galerkin_toeplitz as gt
 from harmotop import kernel_berezin as kb
 from harmotop.cli import SymbolSyntaxError, build_parser, emit, main, parse_symbol
-from harmotop.galerkin_toeplitz import TabulatedSymbol, read_matrix_csv
+from harmotop.galerkin_toeplitz import read_matrix_csv
 from harmotop.grids import TruncationSpec, ball_grid
-from harmotop.symbols import GeneralSymbol, Power, Sampled, Step, SymbolSum
+from harmotop.symbols import GeneralSymbol, Power, Sampled, Step, SymbolSum, TabulatedSymbol
 
 
 def run_cli(capsys, *argv):
@@ -377,3 +379,58 @@ def test_negative_truncation_degree_exits_two(capsys):
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == "", argv
         assert "--K" in err, argv
+
+
+POWER = ["--d", "2", "--symbol", "power:a=1,gamma=1"]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["schatten", *POWER, "--p", "nan"], "--p"),
+        (["schatten", "--d", "2", "--symbol", "step:b=1,c=0.5", "--p", "inf"], "--p"),
+        (["counting", *POWER, "--lambda", "nan"], "--lambda"),
+        (["counting", *POWER, "--lnlambda", "nan:1:3"], "--lnlambda"),
+        (["counting", *POWER, "--lnlambda", "-10:inf"], "--lnlambda"),
+        (["berezin", *POWER, "--radii", "0,nan"], "--radii"),
+        (["asymptotics", *POWER, "--lnlambda", "-12:-4", "--model", "power", "--exponent", "nan"], "--exponent"),
+        (["krein", *POWER, "--lnlambda", "-8:-4:3", "--lam1", "nan"], "--lam1"),
+        (["krein", "--d", "3", "--symbol", "power:a=1,gamma=1", "--lnlambda", "-8:-4:3", "--lam1", "inf"], "--lam1"),
+        (["krein", *POWER, "--lnlambda", "-8:-4:3", "--eps", "nan"], "--eps"),
+        (["krein", *POWER, "--lnlambda", "-8:-4:3", "--vsup", "inf"], "--vsup"),
+    ],
+)
+def test_non_finite_numeric_options_exit_two(capsys, argv, option):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # refused by the argument parser
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert option in err
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "symbols",
+        "radial_toeplitz",
+        "numerics",
+        "harmonic_basis",
+        "grids",
+        "galerkin_toeplitz",
+        "kernel_berezin",
+        "boundary_reduction",
+        "krein_counting",
+    ],
+)
+def test_all_lists_exactly_the_public_definitions(name):
+    module = importlib.import_module(f"harmotop.{name}")
+    defined = {
+        key
+        for key, obj in vars(module).items()
+        if not key.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+    assert sorted(module.__all__) == sorted(defined)

@@ -9,23 +9,18 @@ from hypothesis import strategies as st
 
 from harmotop import galerkin_toeplitz as gt
 from harmotop import radial_toeplitz as rt
-from harmotop.boundary_reduction import assemble_weighted_gram
 from harmotop.galerkin_toeplitz import (
-    TabulatedSymbol,
-    TruncationSpec,
     assemble,
-    counting_galerkin,
     norm_domination_check,
     read_matrix_csv,
-    schatten_galerkin,
     spectrum,
     weyl_check,
     write_matrix_csv,
 )
-from harmotop.grids import ball_grid, extension_node_matrix, harmonic_node_matrix
+from harmotop.grids import TruncationSpec, ball_grid, extension_node_matrix, harmonic_node_matrix, weighted_gram
 from harmotop.harmonic_basis import basis_indices, cumulative_multiplicity
 from harmotop.numerics import symmetric_eigen
-from harmotop.symbols import GeneralSymbol, Power, Step, symbol_on_grid
+from harmotop.symbols import GeneralSymbol, Power, Step, TabulatedSymbol, symbol_on_grid
 
 UNIT = GeneralSymbol(lambda p: np.ones(p.shape[0]))
 
@@ -88,27 +83,27 @@ def test_spectrum_of_zero_and_radial_symbols():
     assert sp_power.total_count == cumulative_multiplicity(2, 10)
 
 
-def test_counting_galerkin_identity_and_radial():
+def test_section_count_above_identity_and_radial():
     from harmotop.radial_toeplitz import Spectrum
 
     m_k = cumulative_multiplicity(2, 6)
-    ident = Spectrum(entries=((1.0, m_k),), max_degree=6, d=2, provenance="galerkin")
-    assert counting_galerkin(ident, 0.5) == m_k
-    assert counting_galerkin(ident, 1.0) == 0  # strict inequality
+    ident = Spectrum(np.array([1.0]), np.array([m_k]), max_degree=6, d=2, provenance="galerkin")
+    assert ident.count_above(0.5) == m_k
+    assert ident.count_above(1.0) == 0  # strict inequality
     assembled = spectrum(UNIT, 2, TruncationSpec.for_degree(6))
-    assert counting_galerkin(assembled, 0.5) == m_k
+    assert assembled.count_above(0.5) == m_k
     sp_step = spectrum(Step(1.0, 0.5), 2, TruncationSpec.for_degree(10))
-    assert counting_galerkin(sp_step, 0.01) == rt.counting(Step(1.0, 0.5), 2, 0.01) == 5
+    assert sp_step.count_above(0.01) == rt.counting(Step(1.0, 0.5), 2, 0.01) == 5
 
 
-def test_schatten_galerkin_values():
+def test_section_schatten_values():
     spec = TruncationSpec.for_degree(6)
     ident = spectrum(UNIT, 2, spec)
     m_k = cumulative_multiplicity(2, 6)
-    assert schatten_galerkin(ident, 1.0) == pytest.approx(m_k, rel=1e-10)
+    assert ident.schatten(1.0) == pytest.approx(m_k, rel=1e-10)
     sp_step = spectrum(Step(1.0, 0.5), 2, TruncationSpec.for_degree(10))
-    assert schatten_galerkin(sp_step, 2.0) <= schatten_galerkin(sp_step, 1.0)
-    assert schatten_galerkin(sp_step, 2.0) == pytest.approx(
+    assert sp_step.schatten(2.0) <= sp_step.schatten(1.0)
+    assert sp_step.schatten(2.0) == pytest.approx(
         rt.schatten_radial(Step(1.0, 0.5), 2, 2.0, k_stop=10), rel=1e-9
     )
 
@@ -275,7 +270,7 @@ def test_factored_assembly_matches_dense_node_matrix(V, d, spec):
     grid, vals = symbol_on_grid(V, d, spec)
     for fast, nodes in (
         (assemble(V, d, spec), harmonic_node_matrix(d, spec.max_degree, grid)),
-        (assemble_weighted_gram(V, d, spec).matrix, extension_node_matrix(d, spec.max_degree, grid)),
+        (weighted_gram(d, spec.max_degree, grid, grid.weights * vals), extension_node_matrix(d, spec.max_degree, grid)),
     ):
         ref = (nodes * (grid.weights * vals)) @ nodes.T
         ref = 0.5 * (ref + ref.T)

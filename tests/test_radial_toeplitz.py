@@ -12,6 +12,7 @@ from harmotop.cli import main
 from harmotop.errors import TailNotCertifiedError
 from harmotop.harmonic_basis import cumulative_multiplicity, multiplicity
 from harmotop.radial_toeplitz import (
+    Spectrum,
     asymptotic_fit,
     boundary_law_constant,
     counting,
@@ -326,7 +327,7 @@ def test_radial_spectrum_structure():
     spectrum = radial_spectrum(Step(1.0, 0.5), 2, 6)
     assert spectrum.provenance == "exact-radial"
     assert spectrum.total_count == cumulative_multiplicity(2, 6)
-    mults = sorted(m for _, m in spectrum.entries)
+    mults = sorted(spectrum.multiplicities.tolist())
     assert mults == sorted(multiplicity(2, k) for k in range(7))
     eigs = spectrum.eigenvalues()
     assert np.all(np.diff(np.abs(eigs)) <= 1e-15)
@@ -334,6 +335,38 @@ def test_radial_spectrum_structure():
     with pytest.raises(ValueError):
         spectrum.count_above(0.0)
 
+
+
+_TIED = st.sampled_from([-2.5, -1.0, -0.3, 0.0, 0.3, 1.0, 2.5])  # ties in value and in |value|
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.one_of(_TIED, st.floats(min_value=-10.0, max_value=10.0)), st.integers(1, 60)),
+        min_size=1,
+        max_size=40,
+    ),
+    lam=st.one_of(st.sampled_from([0.3, 1.0, 2.5]), st.floats(min_value=1e-3, max_value=12.0)),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+)
+def test_spectrum_reductions_match_the_loops_over_pairs(pairs, lam, p):
+    # the formulas of the (value, multiplicity) tuple the arrays replace
+    pairs = sorted(pairs, key=lambda pair: -abs(pair[0]))
+    s = Spectrum(np.array([e for e, _ in pairs]), np.array([m for _, m in pairs]), max_degree=0, d=2, provenance="test")
+    assert s.total_count == sum(m for _, m in pairs)
+    for sign in (1, -1):
+        assert s.count_above(lam, sign) == sum(m for e, m in pairs if sign * e > lam)
+    assert s.trace() == float(sum(m * e for e, m in pairs))
+    strong = float(sum(m * abs(e) ** p for e, m in pairs)) ** (1.0 / p)
+    assert s.schatten(p) == pytest.approx(strong, rel=1e-14, abs=0.0)
+    if p > 1.0:
+        best, count = 0.0, 0
+        for e, m in pairs:
+            count += m
+            best = max(best, count ** (1.0 / p) * abs(e))
+        assert s.schatten_weak(p) == pytest.approx(best, rel=1e-14, abs=0.0)
+    assert s.eigenvalues().tolist() == [e for e, m in pairs for _ in range(m)]
 
 # --- counting over threshold grids ------------------------------------------------
 
