@@ -445,7 +445,7 @@ def _cmd_krein(args):
             "formulas": ["count(E) ~ C E^(d/2), values j_(k+1,m)^2"],
             "fit": {"exponent": exponent, "coefficient": coefficient},
         }
-        return {"E": e_grid, "count": [kc.disk_counting(e) for e in e_grid]}, meta
+        return {"E": e_grid, "count": kc.disk_counting(e_grid).tolist()}, meta
     ln_grid = _parse_range(args.lnlambda, "lnlambda").tolist()
     v_sup = args.vsup if args.vsup is not None else symbol.sup()
     gamma = symbol.gamma if isinstance(symbol, Power) else None

@@ -5,18 +5,18 @@ between Toeplitz counting functions evaluated at shifted thresholds plus a
 resolvent remainder.  The remainder is modelled through the spectrum of the
 complementary restriction, which on the disk is the classical clamped
 buckling spectrum {j_{k+1,m}^2} (multiplicity 1 for k = 0, 2 for k >= 1);
-that identification is a working oracle confined to :func:`buckling_disk`,
+that identification is a working oracle confined to :func:`disk_counting`,
 so the sandwich arithmetic itself never depends on it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .numerics import bessel_zeros_upto
+from .errors import TailNotCertifiedError
+from .numerics import bessel_zero_counts
 from .radial_toeplitz import boundary_law_constant
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "sandwich_plus",
     "CountingEnvelope",
     "counting_envelope",
-    "buckling_disk",
     "disk_counting",
     "weyl_L_fit",
     "remainder_model",
@@ -113,62 +112,33 @@ def counting_envelope(d: int, gamma: float, a0: float, lam: float) -> CountingEn
 
 # --- disk buckling oracle ----------------------------------------------------
 
-_buckling_values: np.ndarray = np.empty(0)
-_buckling_mults: np.ndarray = np.empty(0, dtype=int)
-_buckling_limit: float = 0.0
+# A count sweeps sqrt(E) + 16 E^(1/4) + 24 Bessel orders: 1.05e5 at E = 1e10,
+# a third of a second on a 2-core VM.  Larger energies are refused rather
+# than left running for minutes.
+_MAX_SWEEP_ENERGY = 1e10
 
 
-def _ensure_buckling_table(val_max: float) -> None:
-    global _buckling_values, _buckling_mults, _buckling_limit
-    if val_max <= _buckling_limit:
-        return
-    # grow geometrically so that repeated slightly-larger requests do not
-    # re-enumerate order by order
-    val_max = max(val_max, 1.7 * _buckling_limit)
-    x_max = math.sqrt(val_max) + 1.0
-    vals, mults = [], []
-    for order, zeros in bessel_zeros_upto(x_max, first_order=1):
-        mult = 1 if order == 1 else 2
-        for z in zeros:
-            vals.append(z * z)
-            mults.append(mult)
-    order_idx = np.argsort(vals)
-    _buckling_values = np.asarray(vals)[order_idx]
-    _buckling_mults = np.asarray(mults, dtype=int)[order_idx]
-    _buckling_limit = x_max * x_max
+def disk_counting(energy):
+    """Number of disk buckling values strictly below `energy` (with multiplicity).
 
-
-def buckling_disk(n: int) -> list[tuple[float, int]]:
-    """The n smallest clamped-buckling values of the unit disk, ascending.
-
-    Values are j_{k+1,m}^2 with multiplicity 1 for the radial family (k = 0)
-    and 2 otherwise; entries accumulate at least n counting multiplicity.
+    The values are j_{k+1,m}^2 with multiplicity 1 for k = 0 and 2 for
+    k >= 1, so the count is n_1 + 2 sum_{k>=2} n_k at sqrt(energy), where
+    n_k counts the zeros of J_k below it: one Bessel sweep per call, for a
+    scalar energy (returns an int) or an array of them (an int array).
     """
-    if n < 1:
-        raise ValueError(f"need at least one value, got n={n}")
-    guess = max(60.0, 4.0 * n + 40.0)
-    while True:
-        _ensure_buckling_table(guess)
-        if int(np.sum(_buckling_mults)) >= n:
+    e = np.asarray(energy, dtype=float)
+    beyond = ~(e <= _MAX_SWEEP_ENERGY)
+    if np.any(beyond):
+        raise TailNotCertifiedError(
+            f"buckling count at E={float(e[beyond].flat[0])!r}: the Bessel sweep is bounded to E <= {_MAX_SWEEP_ENERGY:g}"
+        )
+    # every count is 0 below j_{1,1}^2 = 14.68, so clamping at 1 keeps x > 0
+    total = np.zeros(e.shape, dtype=np.int64)
+    for k, n in bessel_zero_counts(np.sqrt(np.maximum(e, 1.0))):
+        if k == 0:
             break
-        guess *= 2.0
-    out = []
-    total = 0
-    for val, mult in zip(_buckling_values, _buckling_mults):
-        out.append((float(val), int(mult)))
-        total += int(mult)
-        if total >= n:
-            break
-    return out
-
-
-def disk_counting(energy: float) -> int:
-    """Number of disk buckling values strictly below `energy` (with multiplicity)."""
-    if energy <= 0.0:
-        return 0
-    _ensure_buckling_table(energy)
-    idx = int(np.searchsorted(_buckling_values, energy, side="left"))
-    return int(np.sum(_buckling_mults[:idx]))
+        total += n if k == 1 else 2 * n
+    return int(total) if total.ndim == 0 else total
 
 
 def weyl_L_fit(e_grid) -> tuple[float, float]:
@@ -180,8 +150,7 @@ def weyl_L_fit(e_grid) -> tuple[float, float]:
     e_arr = np.asarray(e_grid, dtype=float)
     if e_arr.size < 2 or np.any(np.diff(e_arr) <= 0.0):
         raise ValueError("energy grid must be increasing with >= 2 points")
-    _ensure_buckling_table(float(e_arr[-1]))  # one enumeration for the whole grid
-    counts = np.array([disk_counting(float(e)) for e in e_arr], dtype=float)
+    counts = disk_counting(e_arr).astype(float)
     if np.any(counts < 1.0):
         raise ValueError("energy grid starts below the first buckling value")
     exponent = float(np.polyfit(np.log(e_arr), np.log(counts), 1)[0])
@@ -195,7 +164,8 @@ def remainder_model(eps: float, v_sup: float, lam1: float, d: int) -> int:
 
     For d = 2 the disk buckling oracle is evaluated exactly; for d >= 3 a
     unit-constant E^(d/2) growth model stands in (a model, not a certified
-    bound).
+    bound).  An energy beyond the oracle's bound, or a model count beyond
+    the floating-point range, raises TailNotCertifiedError.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -204,4 +174,7 @@ def remainder_model(eps: float, v_sup: float, lam1: float, d: int) -> int:
     energy = lam1 + v_sup / eps
     if d == 2:
         return disk_counting(energy)
-    return int(energy ** (0.5 * d))
+    try:
+        return int(energy ** (0.5 * d))
+    except OverflowError:
+        raise TailNotCertifiedError(f"remainder model E^(d/2) is not finite at E={energy!r}, d={d}") from None

@@ -1,7 +1,6 @@
 """Quadrature rules, special functions, and a dense symmetric eigensolver.
 
-Everything here is pure and reentrant; no shared mutable state apart from a
-read-only cache of Bessel zeros.
+Everything here is pure and reentrant; there is no shared mutable state.
 """
 from __future__ import annotations
 
@@ -17,9 +16,8 @@ __all__ = [
     "log_gamma",
     "beta",
     "gegenbauer",
-    "bessel_j",
+    "bessel_zero_counts",
     "bessel_j_zero",
-    "bessel_zeros_upto",
     "symmetric_eigen",
 ]
 
@@ -131,239 +129,59 @@ def gegenbauer(k: int, alpha: float, t):
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions of the first kind and their positive zeros.
-# J_0, J_1: power series for x <= 12, Hankel asymptotic expansion beyond.
-# Higher orders: backward (Miller) recurrence with the standard normalisation
-# J_0 + 2 J_2 + 2 J_4 + ... = 1, stable for every (k, x).
+# Zeros of the Bessel functions J_k, counted without computing J_k itself.
 # ---------------------------------------------------------------------------
 
 
-def _j01_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    q = 0.25 * x * x
-    j0 = np.ones_like(x)
-    j1 = np.ones_like(x)
-    t0 = np.ones_like(x)
-    t1 = np.ones_like(x)
-    for m in range(1, 44):
-        t0 = t0 * (-q) / (m * m)
-        t1 = t1 * (-q) / (m * (m + 1))
-        j0 += t0
-        j1 += t1
-    return j0, 0.5 * x * j1
+def bessel_zero_counts(x):
+    """Yield (k, n_k(x)) for k = N-1, N-2, ..., 0, where n_k(x) counts the zeros of J_k in (0, x).
 
-
-def _j01_asymptotic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    out = []
-    for nu in (0, 1):
-        mu = 4.0 * nu * nu
-        inv8x = 1.0 / (8.0 * x)
-        p = np.ones_like(x)
-        q = np.zeros_like(x)
-        term = np.ones_like(x)
-        for m in range(1, 13):
-            term = term * (mu - (2 * m - 1) ** 2) * inv8x / m
-            if m % 2 == 1:
-                q += term if (m % 4 == 1) else -term
-            else:
-                p += -term if (m % 4 == 2) else term
-        chi = x - (0.5 * nu + 0.25) * math.pi
-        out.append(np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi)))
-    return out[0], out[1]
-
-
-def _j01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The truncated asymptotic expansion bottoms out near 5e-9 for x just
-    # above the series range, so the intermediate window goes through the
-    # normalised backward recurrence instead.
-    x = np.asarray(x, dtype=float)
-    small = x <= 12.0
-    large = x > 30.0
-    mid = ~small & ~large
-    j0 = np.empty_like(x)
-    j1 = np.empty_like(x)
-    if np.any(small):
-        a, b = _j01_series(x[small])
-        j0[small], j1[small] = a, b
-    if np.any(mid):
-        j0[mid], j1[mid] = _miller_pair(1, x[mid])
-    if np.any(large):
-        a, b = _j01_asymptotic(x[large])
-        j0[large], j1[large] = a, b
-    return j0, j1
-
-
-def bessel_j(k: int, x):
-    """Bessel function J_k(x) for x >= 0, scalar or ndarray argument."""
-    if k < 0:
-        raise ValueError(f"order must be nonnegative, got {k}")
-    scalar = np.isscalar(x)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xa < 0.0):
-        raise ValueError("bessel_j requires x >= 0")
-    if k <= 1:
-        j0, j1 = _j01(np.where(xa == 0.0, 1.0, xa))
-        res = np.where(xa == 0.0, 1.0 if k == 0 else 0.0, (j0 if k == 0 else j1))
-        return float(res[0]) if scalar else res
-
-    res = np.zeros_like(xa)
-    pos = xa > 0.0
-    if np.any(pos):
-        res[pos] = _jk_pair(k, xa[pos])[1]
-    return float(res[0]) if scalar else res
-
-
-def _upward_pair(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    j0, j1 = _j01(x)
-    if k == 0:
-        return -j1, j0
-    prev, cur = j0, j1
-    for n in range(1, k):
-        prev, cur = cur, (2.0 * n / x) * cur - prev
-    return prev, cur
-
-
-def _jk_pair(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J_{k-1}(x), J_k(x)) for k >= 1, or (-J_1, J_0) for k = 0."""
-    if k <= 1 or float(np.min(x)) >= k:
-        # Oscillatory region: upward order recurrence from J_0, J_1 is
-        # stable for all intermediate orders n < k <= x.
-        return _upward_pair(k, x)
-    return _miller_pair(k, x)
-
-
-def _miller_pair(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J_{k-1}(x), J_k(x)) for k >= 1 from one normalised backward sweep."""
-    xmax = float(np.max(x))
-    start = int(max(k, xmax) + 16.0 * math.sqrt(max(k, xmax) + 1.0) + 24)
-    if start % 2 == 1:
-        start += 1
-    bp = np.zeros_like(x)          # J~_{n+1}
-    bc = np.full_like(x, 1e-30)    # J~_{n}
-    norm = np.zeros_like(x)
-    jk = np.zeros_like(x)
-    jkm1 = np.zeros_like(x)
-    for n in range(start, 0, -1):
-        bm = (2.0 * n / x) * bc - bp
-        bp, bc = bc, bm
-        if n - 1 == k:
-            jk = bc.copy()
-        elif n - 1 == k - 1:
-            jkm1 = bc.copy()
-        if (n - 1) % 2 == 0:
-            norm += bc if n - 1 == 0 else 2.0 * bc
-        big = np.abs(bc) > 1e250
-        if np.any(big):
-            scale = np.where(big, 1e-250, 1.0)
-            bp *= scale
-            bc *= scale
-            norm *= scale
-            jk *= scale
-            jkm1 *= scale
-    return jkm1 / norm, jk / norm
-
-
-def _bessel_zero_block(k: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Refine one zero of J_k inside each bracket: bisection, then Newton."""
-    lo = lower.copy()
-    hi = upper.copy()
-    flo = bessel_j(k, lo)
-    for _ in range(22):
-        mid = 0.5 * (lo + hi)
-        fm = bessel_j(k, mid)
-        take_lo = np.sign(fm) == np.sign(flo)
-        lo = np.where(take_lo, mid, lo)
-        flo = np.where(take_lo, fm, flo)
-        hi = np.where(take_lo, hi, mid)
-    z = 0.5 * (lo + hi)
-    for _ in range(3):
-        prev, cur = _jk_pair(k, z)
-        deriv = prev - (k / z) * cur
-        step = np.where(deriv != 0.0, cur / np.where(deriv == 0.0, 1.0, deriv), 0.0)
-        z_new = z - step
-        z = np.where((z_new > lo) & (z_new < hi), z_new, z)
-    return z
-
-
-# Consecutive zeros of J_k are separated by at least j_{0,2}-j_{0,1} > 3.1
-# (for k >= 1/2 the gaps even exceed pi), so a scan with step 1.5 brackets
-# every zero exactly once.
-_SCAN_STEP = 1.5
-
-_zero_cache: dict[int, np.ndarray] = {}
-_scan_reach: dict[int, float] = {}
-
-
-def _scan_zeros(k: int, x_hi: float) -> np.ndarray:
-    """All zeros of J_k in (0, x_hi], found by sign scan + refinement.
-
-    Results are cached per order together with the scanned range, so growing
-    requests only pay for the new interval.
+    x is a scalar or an array of positive arguments; the counts have its
+    shape.  For x > 0 the zeros of J_k and J_{k+1} interlace (DLMF 10.21(i))
+    and J_k(x) has sign (-1)^{n_k(x)}, so n_k(x) = n_{k+1}(x) + 1 exactly
+    where J_k(x) and J_{k+1}(x) differ in sign; and n_k(x) = 0 for k >= x.
+    One backward (Miller) sweep over all orders therefore counts every order
+    at once.  It carries the ratio r_k = J_k(x)/J_{k+1}(x) =
+    2(k+1)/x - 1/r_{k+1}, the unnormalised sweep with its scale divided out
+    at each step, so nothing overflows.  It starts from r_N = inf at
+    N = x + 16 sqrt(x + 1) + 24 (largest x); the start's error has decayed
+    below rounding long before the orders below x, where zeros occur.
+    A count can be off by one only within a few ulp of a zero.
     """
-    lo_edge = max(float(k), 1e-8)
-    if x_hi <= lo_edge:
-        return np.empty(0)
-    reach = _scan_reach.get(k, lo_edge)
-    if x_hi <= reach:
-        cached = _zero_cache.get(k, np.empty(0))
-        return cached[cached <= x_hi]
-    grid = np.arange(reach, x_hi + _SCAN_STEP, _SCAN_STEP)
-    vals = bessel_j(k, grid)
-    flip = np.sign(vals[:-1]) != np.sign(vals[1:])
-    new = (
-        _bessel_zero_block(k, grid[:-1][flip], grid[1:][flip])
-        if np.any(flip)
-        else np.empty(0)
-    )
-    merged = np.concatenate([_zero_cache.get(k, np.empty(0)), new])
-    if merged.size > 1:  # guard against a zero sitting exactly on the seam
-        merged = merged[np.concatenate(([True], np.diff(merged) > 1e-9))]
-    _zero_cache[k] = merged
-    _scan_reach[k] = float(grid[-1])
-    return merged[merged <= x_hi]
-
-
-def _zeros_of_order(k: int, count: int) -> np.ndarray:
-    cached = _zero_cache.get(k)
-    if cached is not None and len(cached) >= count:
-        return cached[:count]
-    # McMahon-style upper estimate for j_{k,count}, enlarged until the scan
-    # actually yields enough sign changes.
-    x_hi = (count + 0.5 * k + 0.25) * math.pi + 2.0
-    zeros = _scan_zeros(k, x_hi)
-    while len(zeros) < count:
-        x_hi += (count - len(zeros) + 2) * math.pi
-        zeros = _scan_zeros(k, x_hi)
-    return zeros[:count]
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (x > 0.0)):
+        raise ValueError("Bessel zero counts need finite arguments x > 0")
+    x_max = float(np.max(x))
+    top = int(x_max + 16.0 * math.sqrt(x_max + 1.0) + 24)
+    ratio = np.full(x.shape, np.inf)
+    count = np.zeros(x.shape, dtype=np.int64)
+    for k in range(top - 1, -1, -1):
+        ratio = 2.0 * (k + 1) / x - 1.0 / ratio
+        count = count + (ratio < 0.0)
+        yield k, count
 
 
 def bessel_j_zero(k: int, m: int) -> float:
-    """m-th positive zero j_{k,m} of J_k, accurate to better than 1e-10.
+    """m-th positive zero j_{k,m} of J_k, to a few ulp.
 
-    Zeros are bracketed by a sign scan (step below half the minimal zero
-    gap) and refined by bisection plus a safeguarded Newton polish.
+    Multisection on the zero count: n_k(x) >= m exactly when x > j_{k,m}.
+    Each sweep evaluates 32 points of the bracket, which starts at
+    (k, 2(k + m pi)] (j_{k,1} > k) and doubles while its top is below the zero.
     """
     if k < 0:
         raise ValueError(f"order must be nonnegative, got {k}")
     if m < 1:
         raise ValueError(f"zero index must be >= 1, got {m}")
-    return float(_zeros_of_order(k, m)[m - 1])
-
-
-def bessel_zeros_upto(x_max: float, first_order: int = 0) -> list[tuple[int, np.ndarray]]:
-    """All zeros j_{k,m} <= x_max for k >= first_order, grouped by order.
-
-    Orders are scanned upward until none of the zeros of J_k fall below
-    x_max any more (j_{k,1} > k, so the scan terminates).
-    """
-    out: list[tuple[int, np.ndarray]] = []
-    k = first_order
-    while x_max > k:
-        zeros = _scan_zeros(k, float(x_max))
-        if len(zeros) == 0:
-            break
-        out.append((k, zeros))
-        k += 1
-    return out
+    lo, hi = float(k), 2.0 * (k + m * math.pi)
+    while hi - lo > 4.0 * math.ulp(hi):
+        xs = np.linspace(lo, hi, 33)[1:]
+        above = next(n for order, n in bessel_zero_counts(xs) if order == k) >= m
+        if not above.any():
+            lo, hi = hi, 2.0 * hi
+            continue
+        i = int(np.argmax(above))
+        lo, hi = (float(xs[i - 1]) if i else lo), float(xs[i])
+    return 0.5 * (lo + hi)
 
 
 def symmetric_eigen(A: np.ndarray, vectors: bool = False):

@@ -260,9 +260,12 @@ def test_c14_sandwich_arithmetic():
 
 def test_c15_buckling_oracle_and_weyl_bound():
     with budget("15 buckling oracle and Weyl growth", 5.0):
-        first = kc.buckling_disk(1)[0][0]
-        assert first == pytest.approx(14.68197064, abs=1e-6)
-        assert first == pytest.approx(float(sp.jn_zeros(1, 1)[0]) ** 2, abs=1e-8)
+        # the count steps 0 -> 1 at j_{1,1}^2 = 14.68197064 and 1 -> 3 at j_{2,1}^2
+        j11 = float(sp.jn_zeros(1, 1)[0]) ** 2
+        j21 = float(sp.jn_zeros(2, 1)[0]) ** 2
+        assert abs(j11 - 14.68197064) <= 1e-6
+        steps = kc.disk_counting(np.array([j11 - 1e-8, j11 + 1e-8, j21 - 1e-8, j21 + 1e-8]))
+        assert steps.tolist() == [0, 1, 1, 3]
         exponent, coefficient = kc.weyl_L_fit(np.geomspace(2e3, 1e4, 8))
         assert abs(exponent - 1.0) <= 0.05, exponent
         assert abs(coefficient - 0.25) <= 0.025, coefficient

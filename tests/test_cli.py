@@ -357,6 +357,30 @@ def test_krein_energy_scan_refuses_dimensions_other_than_two(capsys):
     assert code == 0 and out.splitlines()[-1] == "2000,451"
 
 
+@pytest.mark.parametrize(
+    "argv, energy",
+    [
+        (["--d", "2", "--lnlambda", "-8:-4:3", "--lam1", "1e300"], "E=1e+300"),
+        (["--d", "2", "--E", "1e9:2e10:2"], "E=20000000000.0"),
+        (["--d", "3", "--lnlambda", "-8:-4:3", "--lam1", "1e300"], "E=1e+300"),
+    ],
+)
+def test_krein_remainder_beyond_reach_exits_three(capsys, argv, energy):
+    code, out, err = run_cli(capsys, "krein", "--symbol", "power:a=1,gamma=1", *argv)
+    assert code == 3 and out == ""
+    assert energy in err
+
+
+def test_krein_remainder_at_a_large_energy_prints_rows(capsys):
+    code, out, _ = run_cli(
+        capsys, "krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--lnlambda", "-8:-4:3", "--lam1", "1e9"
+    )
+    rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+    assert code == 0 and len(rows) == 3
+    # about E/4 buckling values below E = 1e9 + sup V / eps
+    assert all(2.4e8 < int(upper) - int(lower) < 2.6e8 for _, _, lower, upper, _ in rows)
+
+
 def test_boundary_energy_fit_builds_no_degree_table(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(Power, "mu", lambda *a, **k: calls.append(a))

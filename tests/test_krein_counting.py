@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -6,7 +8,6 @@ from harmotop import radial_toeplitz as rt
 from harmotop.krein_counting import (
     BoundInterval,
     SandwichInput,
-    buckling_disk,
     counting_envelope,
     disk_counting,
     remainder_model,
@@ -94,23 +95,47 @@ def test_counting_envelope_kappa_dichotomy():
 
 
 def test_buckling_disk_values_against_independent_oracle():
-    first = buckling_disk(1)
-    assert first[0][0] == pytest.approx(14.68197064, abs=1e-6)
-    assert first[0][1] == 1
-    table = buckling_disk(6)
-    assert table[1][0] == pytest.approx(sp.jn_zeros(2, 1)[0] ** 2, abs=1e-8)
-    assert table[1][1] == 2
-    assert all(v > 0.0 for v, _ in table)
-    assert all(a < b for (a, _), (b, _) in zip(table, table[1:]))
+    # the count steps 0 -> 1 at j_{1,1}^2 (radial, simple) and 1 -> 3 at j_{2,1}^2 (double)
+    j11 = float(sp.jn_zeros(1, 1)[0]) ** 2
+    j21 = float(sp.jn_zeros(2, 1)[0]) ** 2
+    assert j11 == pytest.approx(14.68197064, abs=1e-6)
+    assert [disk_counting(e) for e in (j11 - 1e-8, j11 + 1e-8, j21 - 1e-8, j21 + 1e-8)] == [0, 1, 1, 3]
+
+
+def _scipy_buckling_values(e_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every j_{k,m}^2 < e_max for k >= 1, with multiplicity 1 for k = 1 and 2 above."""
+    vals, mults = [], []
+    k = 1
+    while k * k < e_max:
+        zeros = sp.jn_zeros(k, int(math.sqrt(e_max) / math.pi) + 2) ** 2
+        zeros = zeros[zeros < e_max]
+        vals.extend(zeros)
+        mults.extend([1 if k == 1 else 2] * len(zeros))
+        k += 1
+    order = np.argsort(vals)
+    return np.asarray(vals)[order], np.asarray(mults)[order]
 
 
 def test_buckling_orders_interlace():
-    # zeros of consecutive Bessel orders interlace, hence so do the values
-    z2 = np.sqrt([v for v, m in buckling_disk(60) if m == 2][:4])  # order 2 family appears first
+    # zeros of consecutive Bessel orders interlace, and the count steps by
+    # the multiplicity at each of the first values, to 1e-8
     j2 = sp.jn_zeros(2, 3)
     j3 = sp.jn_zeros(3, 3)
     assert j2[0] < j3[0] < j2[1] < j3[1] < j2[2]
-    assert z2[0] == pytest.approx(j2[0], abs=1e-9)
+    vals, mults = _scipy_buckling_values(300.0)
+    below = disk_counting(vals - 1e-8)
+    above = disk_counting(vals + 1e-8)
+    assert (above - below).tolist() == mults.tolist()
+    assert below.tolist() == (np.cumsum(mults) - mults).tolist()
+
+
+def test_disk_counting_matches_scipy_enumeration():
+    vals, mults = _scipy_buckling_values(2e4)
+    energies = np.random.default_rng(14).uniform(0.0, 2e4, 200)
+    ref = [int(np.sum(mults[vals < e])) for e in energies]
+    assert disk_counting(energies).tolist() == ref
+    assert [disk_counting(float(e)) for e in energies] == ref
+    assert isinstance(disk_counting(100.0), int)
 
 
 def test_disk_counting_monotone_and_zero_below_first():

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmotop.numerics import (
-    bessel_j,
     bessel_j_zero,
-    bessel_zeros_upto,
+    bessel_zero_counts,
     beta,
     gauss_jacobi01,
     gauss_legendre,
@@ -124,23 +123,17 @@ def test_bessel_zeros_against_scipy(k):
     mine = [bessel_j_zero(k, m) for m in range(1, 7)]
     assert mine == pytest.approx(ref, abs=1e-10)
     # residual at the zeros
-    assert np.max(np.abs(bessel_j(k, np.array(mine)))) < 1e-10
-
-
-def test_bessel_values_against_scipy():
-    for k in (0, 1, 2, 8, 25):
-        x = np.linspace(0.1, k + 40.0, 23)
-        assert bessel_j(k, x) == pytest.approx(sp.jv(k, x), abs=5e-12)
-    assert bessel_j(0, 0.0) == 1.0
-    assert bessel_j(3, 0.0) == 0.0
+    assert np.max(np.abs(sp.jv(k, np.array(mine)))) < 1e-10
 
 
 def test_bessel_zeros_upto_groups():
-    groups = dict(bessel_zeros_upto(25.0, first_order=0))
-    for k, zeros in groups.items():
-        assert np.all(zeros <= 25.0)
-        assert zeros == pytest.approx(sp.jn_zeros(k, len(zeros)), abs=1e-10)
-    assert max(groups) < 25
+    # n_k(x) from one sweep equals the number of scipy zeros of J_k below x
+    x = np.array([0.5, 3.0, 9.7, 25.0, 41.3, 77.0])
+    counts = dict(bessel_zero_counts(x))
+    for k in range(41):
+        ref = [int(np.sum(sp.jn_zeros(k, 40) < xi)) for xi in x]
+        assert counts[k].tolist() == ref, k
+    assert all(not n.any() for k, n in counts.items() if k >= 77)
 
 
 def test_symmetric_eigen_small_cases():
