@@ -451,18 +451,20 @@ def _cmd_krein(args):
     gamma = symbol.gamma if isinstance(symbol, Power) else None
     theta = 2.0 * (args.d - 1) / (gamma * (args.d + 2)) if gamma else 0.5
 
-    remainder = lambda e: kc.remainder_model(e, v_sup, args.lam1, args.d)
-    # sandwich_minus asks n_plus at lam and (1-eps) lam; one grid call
-    # counts both thresholds of every row and the sandwich looks them up.
+    # sandwich_minus asks n_plus at lam and (1-eps) lam and the remainder at
+    # eps; one grid call counts both thresholds of every row, one remainder
+    # call every row's eps, and the sandwich looks them up.
     n_plus_at: dict[float, int] = {}
+    remainder_at: dict[float, int] = {}
     lams = [math.exp(ln_lam) for ln_lam in ln_grid]
     epss = [args.eps if args.eps is not None else min(0.5, lam**theta) for lam in lams]
     inputs = [
-        kc.SandwichInput(lam=lam, eps=eps, n_plus=n_plus_at.__getitem__, remainder=remainder)
+        kc.SandwichInput(lam=lam, eps=eps, n_plus=n_plus_at.__getitem__, remainder=remainder_at.__getitem__)
         for lam, eps in zip(lams, epss)
     ]
     thresholds = lams + [(1.0 - eps) * lam for lam, eps in zip(lams, epss)]
     n_plus_at.update(zip(thresholds, rt.counting(symbol, args.d, thresholds)))
+    remainder_at.update(zip(epss, kc.remainder_model(np.array(epss), v_sup, args.lam1, args.d).tolist()))
     boxes = [kc.sandwich_minus(inp) for inp in inputs]
     table = {"lambda": lams, "eps": epss, "lower": [b.lower for b in boxes], "upper": [b.upper for b in boxes]}
     if gamma:

@@ -67,6 +67,7 @@ class BallGrid:
     r_weights: np.ndarray
     ang_dirs: np.ndarray      # (n_ang_total, d) unit vectors
     ang_weights: np.ndarray   # sums to |S^(d-1)|
+    antipodes: np.ndarray     # index of -a for each direction a of the first half; empty if n_ang is odd
     points: np.ndarray        # (n_r * n_ang_total, d), radial-major
     weights: np.ndarray       # includes the r^(d-1) Jacobian
 
@@ -93,6 +94,15 @@ def ball_grid(d: int, spec: TruncationSpec, radial_breaks: tuple[float, ...] = (
         ang_w = np.repeat(wu, spec.n_ang) * (2.0 * math.pi / spec.n_ang)
     else:
         raise ValueError(f"tensor grids are implemented for d in {{2, 3}}, got d={d}")
+    # With n_ang even, direction (i, j) (polar row i, azimuth j; d = 2 has
+    # one row) has its antipode at (n_rows-1-i, j + n_ang/2): the azimuth
+    # turns by pi and the Gauss-Legendre polar cosines are symmetric,
+    # u_(n-1-i) = -u_i.  In flat order the first half of the directions pairs
+    # with the second half.  With n_ang odd no direction has its antipode.
+    n_rows = dirs.shape[0] // spec.n_ang
+    turned = (np.arange(spec.n_ang) + spec.n_ang // 2) % spec.n_ang
+    flat = (n_rows - 1 - np.arange(n_rows))[:, None] * spec.n_ang + turned
+    antipodes = flat.reshape(-1)[: dirs.shape[0] // 2] if spec.n_ang % 2 == 0 else np.arange(0)
     edges = [0.0] + sorted({b for b in radial_breaks if 0.0 < b < 1.0}) + [1.0]
     r_nodes = []
     r_weights = []
@@ -110,6 +120,7 @@ def ball_grid(d: int, spec: TruncationSpec, radial_breaks: tuple[float, ...] = (
         r_weights=r_weights,
         ang_dirs=dirs,
         ang_weights=ang_w,
+        antipodes=antipodes,
         points=pts.reshape(-1, d),
         weights=w.reshape(-1),
     )
@@ -148,19 +159,29 @@ def weighted_gram(d: int, max_degree: int, grid: BallGrid, node_weights: np.ndar
     `node_weights` holds one weight per grid node (radial-major), usually the
     quadrature weights times the symbol values.  The factor r^(k+k') depends
     on s = k + k' only, so the radial sum runs first: the moments
-    W_s(a) = sum_r r^s w(r, a) for s <= 2*max_degree take one small product,
-    and each degree's block column is then one angular GEMM.  The form is
-    symmetric, so block column k' runs over the degrees k <= k' only (it
-    weights those M_k' rows, the smaller side in d = 3) and the blocks below
-    the diagonal are mirrored: about M^2 n_ang flops against
+    W_s(a) = sum_r r^s w(r, a) for s <= 2*max_degree take one small product.
+    Since psi_{k,l}(-a) = (-1)^k psi_{k,l}(a), a direction a and its antipode
+    enter every entry as W_s(a) + (-1)^s W_s(-a), so the moments are folded
+    once over the pairs of `grid.antipodes` and the harmonics are evaluated
+    on the first half of the directions only.  A grid with odd n_ang has no
+    antipodal pairs; there the same loop runs over every direction with
+    nothing folded in.  Each degree's block column is then one angular GEMM.
+    The form is symmetric, so block column k' runs over the degrees k <= k'
+    only (it weights those M_k' rows, the smaller side in d = 3) and the
+    blocks below the diagonal are mirrored: about M^2 n_ang/2 flops against
     2 M^2 n_r n_ang for the dense node matrix, and no array exceeds
-    M x n_ang.  Each diagonal block (k, k) is a full product, so its two
-    triangles are rounded independently and the result is symmetric only up
-    to rounding there.
+    M x n_ang/2 (M x n_ang when n_ang is odd).  Each diagonal block (k, k)
+    is a full product, so its two triangles are rounded independently and
+    the result is symmetric only up to rounding there.
     """
-    psi = angular_basis_matrix(d, max_degree, grid.ang_dirs)
+    pairs = grid.antipodes.size
+    half = grid.ang_dirs.shape[0] - pairs
+    psi = angular_basis_matrix(d, max_degree, grid.ang_dirs[:half])
     weights = np.asarray(node_weights, dtype=float).reshape(grid.r_nodes.size, -1)
     moments = (grid.r_nodes[None, :] ** np.arange(2 * max_degree + 1)[:, None]) @ weights
+    folded = moments[:, :half].copy()
+    folded[0::2, :pairs] += moments[0::2, grid.antipodes]
+    folded[1::2, :pairs] -= moments[1::2, grid.antipodes]
     sizes = [multiplicity(d, k) for k in range(max_degree + 1)]
     degs = np.repeat(np.arange(max_degree + 1), sizes)
     out = np.empty((psi.shape[0], psi.shape[0]))
@@ -171,7 +192,7 @@ def weighted_gram(d: int, max_degree: int, grid: BallGrid, node_weights: np.ndar
         weighted = buf[:stop]
         # the indices are in range by construction; "clip" lets take write
         # into `weighted` directly instead of through a temporary
-        np.take(moments, k + degs[:stop], axis=0, out=weighted, mode="clip")
+        np.take(folded, k + degs[:stop], axis=0, out=weighted, mode="clip")
         weighted *= psi[:stop]
         out[:stop, cols] = weighted @ psi[cols].T
         out[cols, :start] = out[:start, cols].T

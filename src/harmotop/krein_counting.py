@@ -158,23 +158,32 @@ def weyl_L_fit(e_grid) -> tuple[float, float]:
     return exponent, coefficient
 
 
-def remainder_model(eps: float, v_sup: float, lam1: float, d: int) -> int:
+def remainder_model(eps, v_sup: float, lam1: float, d: int):
     """Model for the resolvent remainder: counting of the complementary
     spectrum below lam1 + v_sup/eps.
 
     For d = 2 the disk buckling oracle is evaluated exactly; for d >= 3 a
     unit-constant E^(d/2) growth model stands in (a model, not a certified
-    bound).  An energy beyond the oracle's bound, or a model count beyond
-    the floating-point range, raises TailNotCertifiedError.
+    bound).  A scalar eps gives an int; an array of them gives one count per
+    entry from a single oracle sweep (at d >= 3 an object array of Python
+    ints, which may pass 2^63).  An energy beyond the oracle's bound, or a
+    model count beyond the floating-point range, raises TailNotCertifiedError.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    eps = np.asarray(eps, dtype=float)
+    if np.any(eps <= 0.0):
+        raise ValueError(f"eps must be positive, got {float(np.min(eps))}")
     if v_sup < 0.0 or lam1 <= 0.0:
         raise ValueError("need v_sup >= 0 and lam1 > 0")
     energy = lam1 + v_sup / eps
     if d == 2:
         return disk_counting(energy)
-    try:
-        return int(energy ** (0.5 * d))
-    except OverflowError:
-        raise TailNotCertifiedError(f"remainder model E^(d/2) is not finite at E={energy!r}, d={d}") from None
+    with np.errstate(over="ignore"):
+        model = energy ** (0.5 * d)
+    beyond = ~np.isfinite(model)
+    if np.any(beyond):
+        raise TailNotCertifiedError(
+            f"remainder model E^(d/2) is not finite at E={float(energy[beyond].flat[0])!r}, d={d}"
+        )
+    if model.ndim == 0:
+        return int(model)
+    return np.array([int(m) for m in model.flat], dtype=object).reshape(model.shape)

@@ -88,7 +88,11 @@ class Spectrum:
     def schatten(self, p: float) -> float:
         if p < 1.0:
             raise ValueError(f"Schatten exponent must be >= 1, got {p}")
-        return float(np.cumsum(self.multiplicities * np.abs(self.values) ** p)[-1]) ** (1.0 / p)
+        # the largest |value| is factored out, so that no term m |value|^p
+        # underflows before the root at large p (the norm tends to it)
+        mags = np.abs(self.values)
+        top = float(np.max(mags, initial=0.0)) or 1.0
+        return top * float(np.cumsum(self.multiplicities * (mags / top) ** p)[-1]) ** (1.0 / p)
 
     def schatten_weak(self, p: float) -> float:
         if p <= 1.0:
@@ -491,21 +495,25 @@ def schatten_radial(
         K = limit if k_stop is not None else min(1024, limit)
         while True:  # tables over geometrically growing degree ranges
             _, logs, m = _degree_table(v, d, K)
-            partial = np.cumsum(m.astype(float) * np.exp(p * logs))
+            # partial sums in units of exp(p * top), top the largest log, so
+            # that no term underflows before the root at large p
+            top = float(np.max(logs))
+            top = top if top > _NEG_INF else 0.0
+            partial = np.cumsum(m.astype(float) * np.exp(p * (logs - top)))
             if k_stop is None:
-                log_floor = np.log(np.maximum(partial[8:], 1e-300)) + math.log(rel_tol)
+                log_floor = p * top + np.log(np.maximum(partial[8:], 1e-300)) + math.log(rel_tol)
                 certified = _tail_p_sum_log(profiles, d, np.arange(8, K + 1), p) <= log_floor
                 if certified.any():
-                    return float(partial[8 + certified.argmax()]) ** (1.0 / p)
+                    return math.exp(top) * float(partial[8 + certified.argmax()]) ** (1.0 / p)
             if K == limit:
                 break
             K = min(4 * K, limit)
         total = float(partial[-1])
-        if _tail_p_sum_log(profiles, d, limit, p) > math.log(max(total, 1e-300)) + math.log(1e-9):
+        if _tail_p_sum_log(profiles, d, limit, p) > p * top + math.log(max(total, 1e-300)) + math.log(1e-9):
             raise TailNotCertifiedError(
                 f"p-th power tail beyond degree {limit} is not certified negligible"
             )
-        return total ** (1.0 / p)
+        return math.exp(top) * total ** (1.0 / p)
 
     # Weak quasinorm: expand, sort by |mu| descending, take sup j^(1/p) s_j.
     limit = k_stop if k_stop is not None else 40_000

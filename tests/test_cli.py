@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import harmotop
 from harmotop import galerkin_toeplitz as gt
 from harmotop import kernel_berezin as kb
+from harmotop import krein_counting as kc
 from harmotop.cli import SymbolSyntaxError, build_parser, emit, main, parse_symbol
 from harmotop.galerkin_toeplitz import read_matrix_csv
 from harmotop.grids import TruncationSpec, ball_grid
@@ -379,6 +380,19 @@ def test_krein_remainder_at_a_large_energy_prints_rows(capsys):
     assert code == 0 and len(rows) == 3
     # about E/4 buckling values below E = 1e9 + sup V / eps
     assert all(2.4e8 < int(upper) - int(lower) < 2.6e8 for _, _, lower, upper, _ in rows)
+
+
+def test_krein_rows_share_one_remainder_sweep(capsys, monkeypatch):
+    # every row's remainder energy lam1 + sup V / eps is counted by one call
+    calls = []
+    sweep = kc.disk_counting
+    monkeypatch.setattr(kc, "disk_counting", lambda energy: calls.append(np.size(energy)) or sweep(energy))
+    code, out, _ = run_cli(
+        capsys, "krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--lnlambda", "-8:-4:30", "--lam1", "1e9"
+    )
+    rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+    assert code == 0 and len(rows) == 30
+    assert calls == [30]
 
 
 def test_boundary_energy_fit_builds_no_degree_table(capsys, monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmotop import galerkin_toeplitz as gt
+from harmotop import grids
 from harmotop import radial_toeplitz as rt
 from harmotop.galerkin_toeplitz import (
     assemble,
@@ -18,7 +19,7 @@ from harmotop.galerkin_toeplitz import (
     write_matrix_csv,
 )
 from harmotop.grids import TruncationSpec, ball_grid, extension_node_matrix, harmonic_node_matrix, weighted_gram
-from harmotop.harmonic_basis import basis_indices, cumulative_multiplicity
+from harmotop.harmonic_basis import angular_basis_matrix, basis_indices, cumulative_multiplicity
 from harmotop.numerics import symmetric_eigen
 from harmotop.symbols import GeneralSymbol, Power, Step, TabulatedSymbol, symbol_on_grid
 
@@ -256,17 +257,27 @@ def _sign_changing(p):
 
 
 def _kernel_cases():
-    for d, K in ((2, 14), (3, 7)):
-        spec = TruncationSpec.for_degree(K)
+    # for_degree grids have even n_ang, so every direction has its antipode
+    # on the grid and the kernel folds the pairs; at d = 3 an even K gives an
+    # odd number of polar cosines, with a u = 0 row that pairs within itself.
+    # An odd n_ang has no pairs, and the kernel runs over every direction.
+    for grid_id, d, spec in (
+        ("d2", 2, TruncationSpec.for_degree(14)),
+        ("d2-nang31", 2, TruncationSpec(max_degree=14, n_r=30, n_ang=31)),
+        ("d3", 3, TruncationSpec.for_degree(7)),
+        ("d3-K6", 3, TruncationSpec.for_degree(6)),
+        ("d3-nang19", 3, TruncationSpec(max_degree=7, n_r=23, n_ang=19)),
+    ):
         tab = TabulatedSymbol(d=d, spec=spec, values=_sign_changing(ball_grid(d, spec).points))
         for name, V in (("general", GeneralSymbol(_sign_changing)), ("tabulated", tab), ("step", Step(1.3, 0.4))):
-            yield pytest.param(V, d, spec, id=f"d{d}-{name}")
+            yield pytest.param(V, d, spec, id=f"{grid_id}-{name}")
 
 
 @pytest.mark.parametrize("V, d, spec", list(_kernel_cases()))
 def test_factored_assembly_matches_dense_node_matrix(V, d, spec):
     # Reference: the dense node matrix B and one GEMM over every node,
-    # (B * (w V)) @ B.T.  The Step's breakpoint splits the radial rule.
+    # (B * (w V)) @ B.T, with no antipodal fold.  The Step's breakpoint
+    # splits the radial rule.
     grid, vals = symbol_on_grid(V, d, spec)
     for fast, nodes in (
         (assemble(V, d, spec), harmonic_node_matrix(d, spec.max_degree, grid)),
@@ -275,6 +286,48 @@ def test_factored_assembly_matches_dense_node_matrix(V, d, spec):
         ref = (nodes * (grid.weights * vals)) @ nodes.T
         ref = 0.5 * (ref + ref.T)
         assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "spec",
+    [TruncationSpec.for_degree(6), TruncationSpec.for_degree(7), TruncationSpec(7, 23, 19)],
+    ids=["K6", "K7", "nang19"],
+)
+def test_antipodes_pair_each_direction_of_the_first_half_with_its_negative(d, spec):
+    grid = ball_grid(d, spec)
+    n = grid.ang_dirs.shape[0]
+    pairs = grid.antipodes.size
+    if spec.n_ang % 2:
+        assert pairs == 0
+        return
+    assert 2 * pairs == n
+    assert sorted(grid.antipodes.tolist()) == list(range(pairs, n))
+    assert np.max(np.abs(grid.ang_dirs[grid.antipodes] + grid.ang_dirs[:pairs])) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "d, spec, evaluated",
+    [
+        (3, TruncationSpec.for_degree(22), 600),  # 25 polar cosines x 48 azimuths
+        (3, TruncationSpec.for_degree(7), 90),
+        (2, TruncationSpec.for_degree(40), 42),
+        (3, TruncationSpec(7, 23, 19), 190),  # odd n_ang: no pairs, every direction
+        (2, TruncationSpec(14, 30, 31), 31),
+    ],
+    ids=["d3-K22", "d3-K7", "d2-K40", "d3-nang19", "d2-nang31"],
+)
+def test_kernel_evaluates_harmonics_on_half_the_directions(d, spec, evaluated, monkeypatch):
+    seen = []
+
+    def counting(d_, K, dirs):
+        seen.append(dirs.shape[0])
+        return angular_basis_matrix(d_, K, dirs)
+
+    monkeypatch.setattr(grids, "angular_basis_matrix", counting)
+    grid = ball_grid(d, spec)
+    weighted_gram(d, spec.max_degree, grid, grid.weights)
+    assert seen == [evaluated]
 
 
 def test_assembly_peak_memory_stays_below_the_node_matrix():

@@ -271,6 +271,27 @@ def test_schatten_radial_values():
     assert schatten_radial(Step(0.0, 0.5), 2, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("p", [400.0, 600.0, 1e300])
+def test_schatten_norms_at_large_p_match_mpmath(p, capsys):
+    # every m |mu|^p underflows here, but the norm tends to the largest |mu|
+    cases = (
+        (Step(1.0, 0.5), lambda k: mpmath.mpf(4) ** -(k + 1)),  # d = 2: mu_k = c^(2k+2)
+        (Power(1.0, 1.0), lambda k: 1 / mpmath.mpf(2 * k + 3)),  # d = 2: mu_k = 1/(2k+3)
+    )
+    with mpmath.workdps(50):
+        for v, mu in cases:
+            total = mpmath.fsum((1 if k == 0 else 2) * mu(k) ** p for k in range(60))
+            expected = float(total ** (1 / mpmath.mpf(p)))
+            assert schatten_radial(v, 2, p) == pytest.approx(expected, rel=1e-14, abs=0.0)
+        values = np.array([0.9, -0.9 + 1e-3, 0.85, 1e-3, 0.0])
+        mults = np.array([1, 3, 2, 7, 4])
+        s = Spectrum(values, mults, max_degree=0, d=2, provenance="test")
+        total = mpmath.fsum(int(m) * abs(mpmath.mpf(float(e))) ** p for e, m in zip(values, mults))
+        assert s.schatten(p) == pytest.approx(float(total ** (1 / mpmath.mpf(p))), rel=1e-15, abs=0.0)
+    assert main(["schatten", "--d", "2", "--symbol", "step:b=1,c=0.5", "--p", repr(p)]) == 0
+    assert float(capsys.readouterr().out.splitlines()[-1].split(",")[2]) == 0.25
+
+
 def test_schatten_radial_weak_matches_enumeration():
     # mu_k = 1/(2k+3) with multiplicities (1, 2, 2, ...): brute-force the sup
     mus = np.array([1.0 / (2 * k + 3) for k in range(200_000)])
@@ -358,7 +379,10 @@ def test_spectrum_reductions_match_the_loops_over_pairs(pairs, lam, p):
     for sign in (1, -1):
         assert s.count_above(lam, sign) == sum(m for e, m in pairs if sign * e > lam)
     assert s.trace() == float(sum(m * e for e, m in pairs))
-    strong = float(sum(m * abs(e) ** p for e, m in pairs)) ** (1.0 / p)
+    # the strong norm against 30 digits: the double loop underflows to 0
+    # where every |e|^p does (|e| near 1e-158 at p = 2), the norm does not
+    with mpmath.workdps(30):
+        strong = float(mpmath.fsum(m * abs(mpmath.mpf(e)) ** p for e, m in pairs) ** (1 / mpmath.mpf(p)))
     assert s.schatten(p) == pytest.approx(strong, rel=1e-14, abs=0.0)
     if p > 1.0:
         best, count = 0.0, 0
