@@ -182,6 +182,13 @@ def _degree(text: str) -> int:
     return int(text)
 
 
+def _dimension(text: str) -> int:
+    """A space dimension, a decimal integer >= 2 (argparse names the option on refusal)."""
+    if not (text.strip().isdecimal() and int(text) >= 2):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
+    return int(text)
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing does not change it)."""
@@ -189,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, symbol_required=True):
-        p.add_argument("--d", type=int, default=2, help="space dimension (default 2)")
+        p.add_argument("--d", type=_dimension, default=2, help="space dimension >= 2 (default 2)")
         if symbol_required:
             p.add_argument("--symbol", required=True, help="symbol descriptor")
         p.add_argument("--K", type=_degree, default=None, help="truncation degree")
@@ -360,8 +367,8 @@ def _cmd_berezin(args):
         radii = [float(x) for x in args.radii.split(",") if x.strip()]
     except ValueError:
         raise ValueError(f"--radii expects a comma-separated list, got {args.radii!r}") from None
-    if not all(map(math.isfinite, radii)):
-        raise ValueError(f"--radii expects finite radii, got {args.radii!r}")
+    if not radii or not all(map(math.isfinite, radii)):
+        raise ValueError(f"--radii expects one or more finite radii, got {args.radii!r}")
     k = _max_degree(args, symbol)
     spec = None if isinstance(symbol, RadialSymbol) else _spec_for(args, k)
     points = np.zeros((len(radii), args.d))
@@ -451,26 +458,32 @@ def _cmd_krein(args):
     gamma = symbol.gamma if isinstance(symbol, Power) else None
     theta = 2.0 * (args.d - 1) / (gamma * (args.d + 2)) if gamma else 0.5
 
-    # sandwich_minus asks n_plus at lam and (1-eps) lam and the remainder at
-    # eps; one grid call counts both thresholds of every row, one remainder
-    # call every row's eps, and the sandwich looks them up.
+    # sandwich_minus asks n_plus at ln lam and ln lam + log1p(-eps) and the
+    # remainder at eps; one grid call counts both thresholds of every row,
+    # one remainder call every row's eps, and the sandwich looks them up.
+    # eps and the envelope keep their lam**e bits wherever lam is a positive
+    # double, and are formed from ln lam only where lam underflows to 0.
     n_plus_at: dict[float, int] = {}
     remainder_at: dict[float, int] = {}
-    lams = [math.exp(ln_lam) for ln_lam in ln_grid]
-    epss = [args.eps if args.eps is not None else min(0.5, lam**theta) for lam in lams]
+    lams = [math.exp(t) for t in ln_grid]
+
+    def lam_power(e: float) -> list[float]:
+        return [lam**e if lam > 0.0 else math.exp(e * t) for lam, t in zip(lams, ln_grid)]
+
+    epss = [args.eps] * len(lams) if args.eps is not None else [min(0.5, x) for x in lam_power(theta)]
     inputs = [
-        kc.SandwichInput(lam=lam, eps=eps, n_plus=n_plus_at.__getitem__, remainder=remainder_at.__getitem__)
-        for lam, eps in zip(lams, epss)
+        kc.SandwichInput(ln_lam=t, eps=eps, n_plus=n_plus_at.__getitem__, remainder=remainder_at.__getitem__)
+        for t, eps in zip(ln_grid, epss)
     ]
-    thresholds = lams + [(1.0 - eps) * lam for lam, eps in zip(lams, epss)]
-    n_plus_at.update(zip(thresholds, rt.counting(symbol, args.d, thresholds)))
+    thresholds = ln_grid + [t + math.log1p(-eps) for t, eps in zip(ln_grid, epss)]
+    n_plus_at.update(zip(thresholds, rt.counting(symbol, args.d, ln_lam=thresholds)))
     remainder_at.update(zip(epss, kc.remainder_model(np.array(epss), v_sup, args.lam1, args.d).tolist()))
     boxes = [kc.sandwich_minus(inp) for inp in inputs]
     table = {"lambda": lams, "eps": epss, "lower": [b.lower for b in boxes], "upper": [b.upper for b in boxes]}
     if gamma:
         # the main term C lam^(-(d-1)/gamma) of kc.counting_envelope, C computed once
         coeff = rt.boundary_law_constant(args.d, gamma, symbol.a)
-        table["envelope_main"] = [coeff * lam ** (-(args.d - 1) / gamma) for lam in lams]
+        table["envelope_main"] = [coeff * x for x in lam_power(-(args.d - 1) / gamma)]
     meta = {
         "comments": [
             "bounds: n_plus(lambda) <= N_minus(lambda) <= n_plus((1-eps) lambda) + remainder(eps)",
@@ -507,7 +520,7 @@ def _selftest_checks():
         for n, mu in zip(range(2, 24, 2), v.mu(2, np.arange(12)))
     )
     checks.append(("radial-eigenvalue-closed-form", mu_err < 1e-12))
-    checks.append(("counting-step-oracle", rt.counting(v, 2, 0.1) == 1 and rt.counting(v, 2, 0.01) == 5))
+    checks.append(("counting-step-oracle", rt.counting(v, 2, ln_lam=[math.log(0.1), math.log(0.01)]) == [1, 5]))
 
     spec = TruncationSpec.for_degree(8)
     A = gt.assemble(v, 2, spec)

@@ -10,6 +10,7 @@ so the sandwich arithmetic itself never depends on it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,24 +43,22 @@ class BoundInterval:
             raise ValueError(f"empty bound interval [{self.lower}, {self.upper}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SandwichInput:
-    """Inputs of the two-sided counting bounds.
+    """Inputs of the two-sided counting bounds at the threshold lam = exp(ln_lam).
 
-    n_plus maps a positive threshold to the Toeplitz counting function;
+    n_plus maps a log-threshold to the Toeplitz counting function there;
     remainder maps epsilon to a bound on the resolvent-remainder counting
     term; offset is the constant absorbed on the positive-perturbation side.
     """
 
-    lam: float
+    ln_lam: float
     eps: float
     n_plus: Callable[[float], int]
     remainder: Callable[[float], int]
     offset: int = 0
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError(f"threshold must be positive, got {self.lam}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         if self.offset < 0:
@@ -68,18 +67,20 @@ class SandwichInput:
 
 def sandwich_minus(inp: SandwichInput) -> BoundInterval:
     """Two-sided bound for the negative-perturbation counting function:
-    n_plus(lam) <= N <= n_plus((1-eps) lam) + remainder(eps)."""
-    lower = int(inp.n_plus(inp.lam))
-    upper = int(inp.n_plus((1.0 - inp.eps) * inp.lam)) + int(inp.remainder(inp.eps))
+    n_plus(lam) <= N <= n_plus((1-eps) lam) + remainder(eps), with n_plus
+    asked at ln_lam and ln_lam + log1p(-eps)."""
+    lower = int(inp.n_plus(inp.ln_lam))
+    upper = int(inp.n_plus(inp.ln_lam + math.log1p(-inp.eps))) + int(inp.remainder(inp.eps))
     return BoundInterval(lower=lower, upper=upper)
 
 
 def sandwich_plus(inp: SandwichInput) -> BoundInterval:
     """Two-sided bound for the positive-perturbation counting function:
     n_plus((1+eps) lam) - remainder(eps) - offset <= N <= n_plus(lam) - offset,
-    both sides clamped at zero."""
-    lower = int(inp.n_plus((1.0 + inp.eps) * inp.lam)) - int(inp.remainder(inp.eps)) - inp.offset
-    upper = int(inp.n_plus(inp.lam)) - inp.offset
+    with n_plus asked at ln_lam + log1p(eps) and ln_lam, both sides clamped
+    at zero."""
+    lower = int(inp.n_plus(inp.ln_lam + math.log1p(inp.eps))) - int(inp.remainder(inp.eps)) - inp.offset
+    upper = int(inp.n_plus(inp.ln_lam)) - inp.offset
     return BoundInterval(lower=max(0, lower), upper=max(0, upper))
 
 
@@ -93,17 +94,15 @@ class CountingEnvelope:
     kappa: float
 
 
-def counting_envelope(d: int, gamma: float, a0: float, lam: float) -> CountingEnvelope:
-    """Envelope main term C lam^(-(d-1)/gamma) with the remainder dichotomy
-    kappa = d/(d+2) for 2 <= d <= 4 and (d-2)/(d-1) for d >= 4."""
-    if lam <= 0.0:
-        raise ValueError(f"threshold must be positive, got {lam}")
+def counting_envelope(d: int, gamma: float, a0: float, *, ln_lam: float) -> CountingEnvelope:
+    """Envelope main term C lam^(-(d-1)/gamma) at lam = exp(ln_lam), with the
+    remainder dichotomy kappa = d/(d+2) for 2 <= d <= 4 and (d-2)/(d-1) for d >= 4."""
     if d < 2:
         raise ValueError(f"space dimension must be >= 2, got {d}")
     kappa = d / (d + 2.0) if d <= 4 else (d - 2.0) / (d - 1.0)
     coeff = boundary_law_constant(d, gamma, a0)
     return CountingEnvelope(
-        main=coeff * lam ** (-(d - 1) / gamma),
+        main=coeff * math.exp(-(d - 1) / gamma * ln_lam),
         error_exponent_inner=(d - 2) / gamma,
         error_exponent_sandwich=(d - 1) * kappa / gamma,
         kappa=kappa,

@@ -182,14 +182,14 @@ _LAST_DEGREE = 1 << (_MONOTONE_CAP.bit_length() - 1)
 _TABLE_CAP = 1_000_000
 
 
-def counting(v: RadialSymbol, d: int, lam=None, sign: int = 1, *, ln_lam=None):
+def counting(v: RadialSymbol, d: int, *, ln_lam, sign: int = 1):
     """Number of eigenvalues of the radial compression with sign*mu_k > lam.
 
-    `lam` (or `ln_lam`) is one threshold, giving an int, or a sequence of
-    thresholds, giving a list of ints.  Strict inequality (a threshold equal
-    to an eigenvalue excludes it); all comparisons happen between log mu_k
-    and log lam, so thresholds below the double range (ln lam < -745) work
-    too.  For monotone profiles (`v.monotone`: Step, Power) the first
+    `ln_lam` is one log-threshold ln lam, giving an int, or a sequence of
+    them, giving a list of ints.  Strict inequality (a threshold equal to an
+    eigenvalue excludes it); all comparisons happen between log mu_k and
+    ln lam, so thresholds below the double range (ln lam < -745) work too.
+    For monotone profiles (`v.monotone`: Step, Power) the first
     non-exceeding degree of every threshold is found in a few vectorised
     passes and the count is the cumulative multiplicity below it; otherwise
     the degrees up to the first one whose certified tail bound lies below
@@ -199,16 +199,8 @@ def counting(v: RadialSymbol, d: int, lam=None, sign: int = 1, *, ln_lam=None):
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if (lam is None) == (ln_lam is None):
-        raise ValueError("provide exactly one of lam, ln_lam")
-    given = lam if lam is not None else ln_lam
-    single = isinstance(given, float) or np.ndim(given) == 0
-    values = [float(given)] if single else [float(x) for x in given]
-    if lam is not None:
-        for x in values:
-            if x <= 0.0:
-                raise ValueError(f"threshold must be positive, got {x}")
-    ln_lams = np.array([math.log(x) for x in values] if lam is not None else values, dtype=float)
+    single = np.ndim(ln_lam) == 0
+    ln_lams = np.asarray(ln_lam, dtype=float).reshape(-1)
 
     if v.monotone:
         counts = _cumulative_multiplicities(d, _first_not_exceeding(v, d, ln_lams, sign) - 1)
@@ -353,38 +345,31 @@ class AsymptoticFit:
 def asymptotic_fit(
     v: RadialSymbol,
     d: int,
-    lam_grid=None,
+    *,
+    ln_lam_grid,
     model: str = "power",
     exponent: float | None = None,
     sign: int = 1,
-    *,
-    ln_lam_grid=None,
 ) -> AsymptoticFit:
     """Least-squares fit of the counting function against an asymptotic law.
 
     model="power":      n ~ C lam^(-e)       (fit of ln n against -ln lam)
     model="log-power":  n ~ C |ln lam|^e     (fit of ln n against ln |ln lam|)
 
-    Passing `exponent` pins e and fits only the coefficient; for the
+    Passing `exponent` pins e > 0 and fits only the coefficient; for the
     log-power model the pinned fit regresses n^(1/e) linearly on |ln lam|,
     which cancels the O(1) degree offset that otherwise biases the
     coefficient at moderate depths.
     """
-    if (lam_grid is None) == (ln_lam_grid is None):
-        raise ValueError("provide exactly one of lam_grid, ln_lam_grid")
-    if lam_grid is not None:
-        lam_arr = np.asarray(lam_grid, dtype=float)
-        if np.any(lam_arr <= 0.0):
-            raise ValueError("thresholds must be positive")
-        ln_lam = np.log(lam_arr)
-    else:
-        ln_lam = np.asarray(ln_lam_grid, dtype=float)
+    ln_lam = np.asarray(ln_lam_grid, dtype=float)
     if ln_lam.size < 4:
         raise ValueError(f"need at least 4 grid points, got {ln_lam.size}")
     if np.any(np.diff(ln_lam) >= 0.0):
         raise ValueError("threshold grid must be strictly decreasing")
     if model not in ("power", "log-power"):
         raise ValueError(f"unknown model {model!r}")
+    if exponent is not None and not exponent > 0.0:
+        raise ValueError(f"a pinned exponent must be positive, got {exponent!r}")
 
     counts = counting(v, d, sign=sign, ln_lam=ln_lam)
     n = np.array(counts, dtype=float)

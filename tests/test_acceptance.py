@@ -92,11 +92,11 @@ def test_c04_power_symbol_asymptotics():
                 # lambda^(-1/gamma) cancels the O(1) degree offset)
                 lams = np.exp(np.linspace(math.log(1e-5), math.log(1e-5) - 1.2, 60))
                 roots = np.array(
-                    [rt.counting(v, d, float(l)) ** (1.0 / (d - 1)) for l in lams]
+                    [rt.counting(v, d, ln_lam=math.log(l)) ** (1.0 / (d - 1)) for l in lams]
                 )
                 alpha = float(np.polyfit(lams ** (-1.0 / g), roots, 1)[0])
                 estimate = alpha ** (d - 1)
-                single_point = 1e-5 ** ((d - 1) / g) * rt.counting(v, d, 1e-5)
+                single_point = 1e-5 ** ((d - 1) / g) * rt.counting(v, d, ln_lam=math.log(1e-5))
                 assert abs(estimate / target - 1.0) <= 0.01, (d, g, estimate, single_point)
 
 
@@ -186,7 +186,7 @@ def test_c11_bump_perturbation_keeps_coefficient():
             target = rt.power_constant(d, 1.0, 1.0)
             for sign in (0.5, -0.5):
                 v = SymbolSum([Power(1.0, 1.0), Step(sign, 0.5)])
-                coeff = lam ** (d - 1) * rt.counting(v, d, lam)
+                coeff = lam ** (d - 1) * rt.counting(v, d, ln_lam=math.log(lam))
                 assert abs(coeff / target - 1.0) <= 0.02, (d, sign, coeff)
 
 
@@ -223,12 +223,12 @@ def test_c13_essential_spectrum_filling():
 
 def test_c14_sandwich_arithmetic():
     with budget("14 sandwich arithmetic", 5.0):
-        n_plus = lambda lam: rt.counting(Power(1.0, 1.0), 2, lam)
+        n_plus = lambda ln_lam: rt.counting(Power(1.0, 1.0), 2, ln_lam=ln_lam)
         remainder = lambda e: kc.remainder_model(e, 1.0, 10.0, 2)
         for lam in np.geomspace(1e-5, 1e-2, 20):
             for eps in np.linspace(0.02, 0.9, 20):
                 inp = kc.SandwichInput(
-                    lam=float(lam), eps=float(eps), n_plus=n_plus, remainder=remainder
+                    ln_lam=math.log(lam), eps=float(eps), n_plus=n_plus, remainder=remainder
                 )
                 minus = kc.sandwich_minus(inp)
                 plus = kc.sandwich_plus(inp)
@@ -236,22 +236,22 @@ def test_c14_sandwich_arithmetic():
                 assert plus.lower <= plus.upper
         lam0 = 1.03e-3
         collapsed = kc.sandwich_minus(
-            kc.SandwichInput(lam=lam0, eps=1e-9, n_plus=n_plus, remainder=lambda e: 0)
+            kc.SandwichInput(ln_lam=math.log(lam0), eps=1e-9, n_plus=n_plus, remainder=lambda e: 0)
         )
-        assert collapsed.lower == collapsed.upper == n_plus(lam0)
+        assert collapsed.lower == collapsed.upper == n_plus(math.log(lam0))
         # optimal-eps choice reproduces the sandwich remainder exponent
         d, gamma = 2, 1.0
         theta = 2.0 * (d - 1) / (gamma * (d + 2))
-        kappa = kc.counting_envelope(d, gamma, 1.0, 1e-4).kappa
+        kappa = kc.counting_envelope(d, gamma, 1.0, ln_lam=math.log(1e-4)).kappa
         lams = np.geomspace(1e-6, 1e-3, 13)
         excess = []
         for lam in lams:
             inp = kc.SandwichInput(
-                lam=float(lam), eps=float(lam**theta), n_plus=n_plus, remainder=remainder
+                ln_lam=math.log(lam), eps=float(lam**theta), n_plus=n_plus, remainder=remainder
             )
             excess.append(
                 kc.sandwich_minus(inp).upper
-                - kc.counting_envelope(d, gamma, 1.0, float(lam)).main
+                - kc.counting_envelope(d, gamma, 1.0, ln_lam=math.log(lam)).main
             )
         slope = float(np.polyfit(np.log(lams), np.log(excess), 1)[0])
         target = -(d - 1) * kappa / gamma

@@ -125,5 +125,5 @@ def test_inverse_power_counts_reindex_toeplitz_counting():
     gamma = 1.0
     for e in (1e3, 3e4):
         n_energy = rt.counting(Power(1.0, gamma), 2, ln_lam=-gamma * math.log(e))
-        n_thresh = rt.counting(Power(1.0, gamma), 2, e**-gamma)
+        n_thresh = rt.counting(Power(1.0, gamma), 2, ln_lam=math.log(e**-gamma))
         assert n_energy == n_thresh

@@ -18,6 +18,7 @@ import harmotop
 from harmotop import galerkin_toeplitz as gt
 from harmotop import kernel_berezin as kb
 from harmotop import krein_counting as kc
+from harmotop import radial_toeplitz as rt
 from harmotop.cli import SymbolSyntaxError, build_parser, emit, main, parse_symbol
 from harmotop.galerkin_toeplitz import read_matrix_csv
 from harmotop.grids import TruncationSpec, ball_grid
@@ -446,6 +447,78 @@ def test_non_finite_numeric_options_exit_two(capsys, argv, option):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert option in err
+
+
+@pytest.mark.parametrize("exponent", ["0", "-1"])
+@pytest.mark.parametrize("model", ["power", "log-power"])
+def test_asymptotics_refuses_a_non_positive_pinned_exponent(capsys, model, exponent):
+    code, out, err = run_cli(
+        capsys, "asymptotics", *POWER, "--lnlambda", "-12:-4", "--model", model, "--exponent", exponent
+    )
+    assert code == 2 and out == ""
+    assert "exponent" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("d", ["1", "0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--symbol", "power:a=1,gamma=1"],
+        ["counting", "--symbol", "power:a=1,gamma=1", "--lambda", "0.1"],
+        ["asymptotics", "--symbol", "power:a=1,gamma=1", "--lnlambda", "-12:-4", "--model", "power"],
+        ["berezin", "--symbol", "power:a=1,gamma=1"],
+        ["schatten", "--symbol", "power:a=1,gamma=1", "--p", "2"],
+        ["boundary", "--symbol", "power:a=1,gamma=1"],
+        ["krein", "--symbol", "power:a=1,gamma=1", "--lnlambda", "-8:-4:3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_dimension_below_two_exits_two(capsys, argv, d):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--d", d])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "--d" in err
+
+
+@pytest.mark.parametrize("radii", [",", ""])
+def test_berezin_refuses_an_empty_radius_list(capsys, radii):
+    code, out, err = run_cli(capsys, "berezin", *POWER, "--radii", radii)
+    assert code == 2 and out == ""
+    assert "--radii" in err
+
+
+@pytest.mark.parametrize(
+    "symbol, grid, extra",
+    [
+        ("step:b=1,c=0.5", "-760:-700:13", ["--eps", "0.5"]),
+        ("step:b=1,c=0.5", "-740.2851888380216:-740.2831888380215:2", ["--eps", "0.5"]),
+        ("power:a=1,gamma=40", "-760:-700:13", []),
+    ],
+)
+def test_krein_rows_below_the_double_range_match_counting(capsys, symbol, grid, extra):
+    # lambda is sub-normal from ln lambda = -708 down and 0 below -745; each
+    # row's bounds are still the log-domain counts at its own ln lambda
+    code, out, err = run_cli(capsys, "krein", "--d", "2", "--symbol", symbol, "--lnlambda", grid, *extra)
+    assert code == 0, err
+    rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+    lo, hi, n = grid.split(":")
+    v = parse_symbol(symbol)
+    for ln_lam, row in zip(np.linspace(float(lo), float(hi), int(n)).tolist(), rows, strict=True):
+        eps = float(row[1])
+        assert int(row[2]) == rt.counting(v, 2, ln_lam=ln_lam)
+        remainder = kc.remainder_model(eps, v.sup(), 10.0, 2)
+        assert int(row[3]) == rt.counting(v, 2, ln_lam=ln_lam + math.log1p(-eps)) + remainder
+
+
+@pytest.mark.parametrize(
+    "symbol, reason",
+    [("power:a=1,gamma=1", "degree cap"), ("step:b=1,c=0.5", "Bessel sweep")],
+)
+def test_krein_deep_grid_beyond_certification_exits_three(capsys, symbol, reason):
+    code, out, err = run_cli(capsys, "krein", "--d", "2", "--symbol", symbol, "--lnlambda", "-800:-790:3")
+    assert code == 3 and out == ""
+    assert reason in err
 
 
 @pytest.mark.parametrize(

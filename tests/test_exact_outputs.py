@@ -57,6 +57,9 @@ CASES = {
     "krein-d2": ["krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--lnlambda", "-6:-2:5"],
     "krein-d3": ["krein", "--d", "3", "--symbol", "power:a=1,gamma=2", "--lnlambda", "-6:-2:5"],
     "krein-step": ["krein", "--d", "2", "--symbol", "step:b=1,c=0.5", "--lnlambda", "-9:-3:4", "--eps", "0.25"],
+    # lambda prints sub-normal, then 0 below ln lambda = -745; the bounds are counted at ln lambda
+    "krein-step-deep": ["krein", "--d", "2", "--symbol", "step:b=1,c=0.5", "--lnlambda", "-760:-700:5", "--eps", "0.5"],
+    "krein-power-deep": ["krein", "--d", "2", "--symbol", "power:a=1,gamma=40", "--lnlambda", "-800:-790:3"],
     "krein-E-d2": ["krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--E", "200:2000:3"],
     "krein-E-d2-wide": ["krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--E", "2000:200000:5"],
     "selftest": ["selftest"],

@@ -94,7 +94,7 @@ def test_section_count_above_identity_and_radial():
     assembled = spectrum(UNIT, 2, TruncationSpec.for_degree(6))
     assert assembled.count_above(0.5) == m_k
     sp_step = spectrum(Step(1.0, 0.5), 2, TruncationSpec.for_degree(10))
-    assert sp_step.count_above(0.01) == rt.counting(Step(1.0, 0.5), 2, 0.01) == 5
+    assert sp_step.count_above(0.01) == rt.counting(Step(1.0, 0.5), 2, ln_lam=math.log(0.01)) == 5
 
 
 def test_section_schatten_values():

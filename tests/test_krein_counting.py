@@ -18,8 +18,8 @@ from harmotop.krein_counting import (
 from harmotop.symbols import Power
 
 
-def nplus_power(lam: float) -> int:
-    return rt.counting(Power(1.0, 1.0), 2, lam)
+def nplus_power(ln_lam: float) -> int:
+    return rt.counting(Power(1.0, 1.0), 2, ln_lam=ln_lam)
 
 
 def test_bound_interval_validation():
@@ -30,43 +30,43 @@ def test_bound_interval_validation():
 
 def test_sandwich_input_validation():
     with pytest.raises(ValueError):
-        SandwichInput(lam=-1.0, eps=0.1, n_plus=nplus_power, remainder=lambda e: 0)
+        SandwichInput(ln_lam=math.log(0.1), eps=1.0, n_plus=nplus_power, remainder=lambda e: 0)
     with pytest.raises(ValueError):
-        SandwichInput(lam=0.1, eps=1.0, n_plus=nplus_power, remainder=lambda e: 0)
-    with pytest.raises(ValueError):
-        SandwichInput(lam=0.1, eps=0.5, n_plus=nplus_power, remainder=lambda e: 0, offset=-1)
+        SandwichInput(ln_lam=math.log(0.1), eps=0.5, n_plus=nplus_power, remainder=lambda e: 0, offset=-1)
+    with pytest.raises(TypeError):  # the threshold is passed by name, as ln_lam
+        SandwichInput(0.1, 0.5, nplus_power, lambda e: 0)
 
 
 def test_sandwich_minus_collapses_without_remainder():
     lam = 1.03e-3  # generic threshold away from the eigenvalues 1/(2k+3)
     for eps in (0.3, 0.1, 1e-3, 1e-7):
-        box = sandwich_minus(SandwichInput(lam=lam, eps=eps, n_plus=nplus_power, remainder=lambda e: 0))
-        assert box.lower == nplus_power(lam)
+        box = sandwich_minus(SandwichInput(ln_lam=math.log(lam), eps=eps, n_plus=nplus_power, remainder=lambda e: 0))
+        assert box.lower == nplus_power(math.log(lam))
         assert box.upper >= box.lower
-    tight = sandwich_minus(SandwichInput(lam=lam, eps=1e-9, n_plus=nplus_power, remainder=lambda e: 0))
+    tight = sandwich_minus(SandwichInput(ln_lam=math.log(lam), eps=1e-9, n_plus=nplus_power, remainder=lambda e: 0))
     assert tight.upper == tight.lower  # interval collapses to [n(lam), n(lam-)]
 
 
 def test_sandwich_minus_above_top_eigenvalue():
     box = sandwich_minus(
-        SandwichInput(lam=10.0, eps=0.5, n_plus=nplus_power, remainder=lambda e: 7)
+        SandwichInput(ln_lam=math.log(10.0), eps=0.5, n_plus=nplus_power, remainder=lambda e: 7)
     )
     assert box.lower == 0 and box.upper == 7
 
 
 def test_sandwich_plus_forms():
     lam = 1.03e-3
-    box = sandwich_plus(SandwichInput(lam=lam, eps=0.25, n_plus=nplus_power, remainder=lambda e: 0))
-    assert box.lower == nplus_power(1.25 * lam)
-    assert box.upper == nplus_power(lam)
+    box = sandwich_plus(SandwichInput(ln_lam=math.log(lam), eps=0.25, n_plus=nplus_power, remainder=lambda e: 0))
+    assert box.lower == nplus_power(math.log(lam) + math.log1p(0.25)) == nplus_power(math.log(1.25 * lam))
+    assert box.upper == nplus_power(math.log(lam))
     # lower bound is nondecreasing as eps decreases
     lowers = [
-        sandwich_plus(SandwichInput(lam=lam, eps=e, n_plus=nplus_power, remainder=lambda e_: 0)).lower
+        sandwich_plus(SandwichInput(ln_lam=math.log(lam), eps=e, n_plus=nplus_power, remainder=lambda e_: 0)).lower
         for e in (0.5, 0.25, 0.1, 0.01)
     ]
     assert all(a <= b for a, b in zip(lowers, lowers[1:]))
     clamped = sandwich_plus(
-        SandwichInput(lam=10.0, eps=0.5, n_plus=nplus_power, remainder=lambda e: 100, offset=5)
+        SandwichInput(ln_lam=math.log(10.0), eps=0.5, n_plus=nplus_power, remainder=lambda e: 100, offset=5)
     )
     assert clamped.lower == 0 and clamped.upper == 0
 
@@ -75,7 +75,7 @@ def test_interval_well_formedness_on_grid():
     for lam in np.geomspace(1e-5, 1e-2, 20):
         for eps in np.linspace(0.02, 0.9, 20):
             inp = SandwichInput(
-                lam=float(lam),
+                ln_lam=math.log(lam),
                 eps=float(eps),
                 n_plus=nplus_power,
                 remainder=lambda e: remainder_model(e, 1.0, 10.0, 2),
@@ -85,10 +85,11 @@ def test_interval_well_formedness_on_grid():
 
 
 def test_counting_envelope_kappa_dichotomy():
-    assert counting_envelope(3, 1.0, 1.0, 1e-4).kappa == pytest.approx(3.0 / 5.0)
-    assert counting_envelope(4, 1.0, 1.0, 1e-4).kappa == pytest.approx(2.0 / 3.0)
-    assert counting_envelope(5, 1.0, 1.0, 1e-4).kappa == pytest.approx(3.0 / 4.0)
-    env = counting_envelope(2, 1.0, 1.0, 1e-4)
+    ln_lam = math.log(1e-4)
+    assert counting_envelope(3, 1.0, 1.0, ln_lam=ln_lam).kappa == pytest.approx(3.0 / 5.0)
+    assert counting_envelope(4, 1.0, 1.0, ln_lam=ln_lam).kappa == pytest.approx(2.0 / 3.0)
+    assert counting_envelope(5, 1.0, 1.0, ln_lam=ln_lam).kappa == pytest.approx(3.0 / 4.0)
+    env = counting_envelope(2, 1.0, 1.0, ln_lam=ln_lam)
     assert env.main == pytest.approx(1e4, rel=1e-10)
     assert env.error_exponent_inner == pytest.approx(0.0)
     assert env.error_exponent_sandwich == pytest.approx(0.5)
@@ -168,19 +169,19 @@ def test_weyl_L_fit_disk():
 def test_optimized_eps_reproduces_remainder_exponent():
     d, gamma = 2, 1.0
     theta = 2.0 * (d - 1) / (gamma * (d + 2))
-    target = -(d - 1) * counting_envelope(d, gamma, 1.0, 1e-4).kappa / gamma
+    target = -(d - 1) * counting_envelope(d, gamma, 1.0, ln_lam=math.log(1e-4)).kappa / gamma
     lams = np.geomspace(1e-6, 1e-3, 13)
     excess = []
     for lam in lams:
         eps = float(lam**theta)
         inp = SandwichInput(
-            lam=float(lam),
+            ln_lam=math.log(lam),
             eps=eps,
             n_plus=nplus_power,
             remainder=lambda e: remainder_model(e, 1.0, 10.0, d),
         )
         upper = sandwich_minus(inp).upper
-        excess.append(upper - counting_envelope(d, gamma, 1.0, float(lam)).main)
+        excess.append(upper - counting_envelope(d, gamma, 1.0, ln_lam=math.log(lam)).main)
     excess = np.array(excess)
     assert np.all(excess > 0.0)
     slope = float(np.polyfit(np.log(lams), np.log(excess), 1)[0])

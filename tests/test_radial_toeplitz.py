@@ -154,11 +154,13 @@ def test_log_eigenvalue_matches_linear_evaluation():
 def test_counting_step_values():
     v = Step(1.0, 0.5)
     # mu_0 = 1/4, mu_1 = 1/16, mu_2 = 1/64, mu_3 = 1/256 (d = 2)
-    assert counting(v, 2, 0.1) == 1
-    assert counting(v, 2, 0.01) == 5
-    assert counting(v, 2, 0.3) == 0
-    assert counting(v, 2, 0.0625) == 1  # strict inequality excludes mu_1
-    assert counting(v, 2, 1e-3, sign=-1) == 0
+    assert counting(v, 2, ln_lam=math.log(0.1)) == 1
+    assert counting(v, 2, ln_lam=math.log(0.01)) == 5
+    assert counting(v, 2, ln_lam=math.log(0.3)) == 0
+    assert counting(v, 2, ln_lam=math.log(0.0625)) == 1  # strict inequality excludes mu_1
+    assert counting(v, 2, ln_lam=math.log(1e-3), sign=-1) == 0
+    with pytest.raises(TypeError):  # the threshold is passed by name, as ln_lam
+        counting(v, 2, 0.1)
 
 
 def test_counting_monotone_matches_enumeration():
@@ -173,7 +175,7 @@ def test_counting_equals_cumulative_multiplicity_of_crossing_degree():
     v = Power(1.0, 1.0)
     lam = 1e-4
     nu = int(np.argmax(v.mu(2, np.arange(10**4)) <= lam))  # mu_k decreases in k
-    assert counting(v, 2, lam) == cumulative_multiplicity(2, nu - 1)
+    assert counting(v, 2, ln_lam=math.log(lam)) == cumulative_multiplicity(2, nu - 1)
 
 
 def test_counting_deep_thresholds_exact_in_log_domain():
@@ -203,16 +205,16 @@ def test_counting_splits_by_sign():
     mus = [radial_eigenvalue(v, 2, k) for k in range(200)]
     n_plus_oracle = sum(multiplicity(2, k) for k, m in enumerate(mus) if m > lam)
     n_minus_oracle = sum(multiplicity(2, k) for k, m in enumerate(mus) if -m > lam)
-    assert counting(v, 2, lam) == n_plus_oracle
-    assert counting(v, 2, lam, sign=-1) == n_minus_oracle
+    assert counting(v, 2, ln_lam=math.log(lam)) == n_plus_oracle
+    assert counting(v, 2, ln_lam=math.log(lam), sign=-1) == n_minus_oracle
     assert n_minus_oracle > 0  # the configuration genuinely changes sign
 
 
 def test_counting_refuses_uncertified_thresholds():
     leaky = Sampled([0.0, 0.9], [1.0, 0.3])  # boundary value 0.3
     with pytest.raises(TailNotCertifiedError):
-        counting(leaky, 2, 0.2)
-    assert counting(leaky, 2, 0.5) >= 0  # above the boundary value it resolves
+        counting(leaky, 2, ln_lam=math.log(0.2))
+    assert counting(leaky, 2, ln_lam=math.log(0.5)) >= 0  # above the boundary value it resolves
 
 
 def test_step_constant_values():
@@ -244,9 +246,13 @@ def test_asymptotic_fit_validation():
     with pytest.raises(ValueError):
         asymptotic_fit(Step(1.0, 0.5), 2, ln_lam_grid=np.array([-4.0, -5.0, -6.0]))
     with pytest.raises(ValueError):
-        asymptotic_fit(Step(1.0, 0.5), 2, lam_grid=[0.1, 0.2, 0.05, 0.01])
+        asymptotic_fit(Step(1.0, 0.5), 2, ln_lam_grid=np.log([0.1, 0.2, 0.05, 0.01]))
     with pytest.raises(ValueError):
         asymptotic_fit(Step(1.0, 0.5), 2, ln_lam_grid=np.linspace(-4, -10, 5), model="cubic")
+    for model in ("power", "log-power"):
+        for exponent in (0.0, -1.0):
+            with pytest.raises(ValueError, match="exponent"):
+                asymptotic_fit(Step(1.0, 0.5), 2, ln_lam_grid=np.linspace(-4, -10, 5), model=model, exponent=exponent)
 
 
 def test_asymptotic_fit_step_law():
@@ -258,7 +264,7 @@ def test_asymptotic_fit_step_law():
 
 def test_asymptotic_fit_power_law():
     # lam * n_plus -> 1 for the unit linear-decay symbol in d = 2
-    assert 1e-5 * counting(Power(1.0, 1.0), 2, 1e-5) == pytest.approx(1.0, rel=0.01)
+    assert 1e-5 * counting(Power(1.0, 1.0), 2, ln_lam=math.log(1e-5)) == pytest.approx(1.0, rel=0.01)
     fit = asymptotic_fit(
         Power(3.0, 0.5), 3, model="power", ln_lam_grid=np.linspace(-4.0, -11.6, 12)
     )
@@ -337,10 +343,10 @@ def test_boundary_value_limit_of_eigenvalues():
 
 def test_bump_does_not_move_the_counting_constant():
     for d in (2, 3):
-        base = counting(Power(1.0, 1.0), d, 1e-5)
+        base = counting(Power(1.0, 1.0), d, ln_lam=math.log(1e-5))
         for sgn in (0.5, -0.5):
             bumped = SymbolSum([Power(1.0, 1.0), Step(sgn, 0.5)])
-            n = counting(bumped, d, 1e-5)
+            n = counting(bumped, d, ln_lam=math.log(1e-5))
             assert abs(n - base) <= 0.02 * base
 
 
@@ -484,7 +490,8 @@ def test_grid_counting_equals_scalar_counting(v, sign):
         # reference: sum of m_k over the degrees k <= 4000 with sign*mu_k > lam
         assert counts == [int(m[(signs == sign) & (logs > t)].sum()) for t in grid.tolist()]
     lams = np.exp(grid[grid > -700.0])
-    assert counting(v, 2, lams.tolist(), sign=sign) == [counting(v, 2, float(x), sign=sign) for x in lams]
+    ln_lams = [math.log(x) for x in lams]
+    assert counting(v, 2, ln_lam=ln_lams, sign=sign) == [counting(v, 2, ln_lam=t, sign=sign) for t in ln_lams]
 
 
 def test_counts_stay_exact_past_2_63():
@@ -549,4 +556,4 @@ def test_count_near_the_degree_cap_is_exact_past_2_63():
     n = counting(v, 3, ln_lam=ln_lam)
     assert type(n) is int and n == cumulative_multiplicity(3, K - 1) == K * K > 2**97
     assert counting(v, 3, ln_lam=[-3.0, ln_lam]) == [cumulative_multiplicity(3, 0), n]
-    assert type(counting(v, 3, 0.01)) is int
+    assert type(counting(v, 3, ln_lam=math.log(0.01))) is int
