@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .grids import TruncationSpec, weighted_gram
-from .harmonic_basis import basis_indices, cumulative_multiplicity
+from .harmonic_basis import cumulative_multiplicity, multiplicity
 from .kernel_berezin import density_radial
 from .numerics import symmetric_eigen
 from .radial_toeplitz import Spectrum
@@ -43,7 +43,8 @@ def assemble(V, d: int, spec: TruncationSpec) -> np.ndarray:
     if d not in (2, 3):
         raise ValueError(f"general-symbol assembly supports d in {{2, 3}}, got d={d}")
     grid, vals = symbol_on_grid(V, d, spec)
-    norm = np.array([math.sqrt(2 * idx.k + d) for idx in basis_indices(d, spec.max_degree)])
+    degrees = np.arange(spec.max_degree + 1)
+    norm = np.repeat(np.sqrt(2 * degrees + d), [multiplicity(d, k) for k in degrees])
     A = weighted_gram(d, spec.max_degree, grid, grid.weights * vals)
     A *= norm[:, None]
     A *= norm[None, :]

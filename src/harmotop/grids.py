@@ -21,7 +21,6 @@ __all__ = [
     "BallGrid",
     "ball_grid",
     "harmonic_node_matrix",
-    "extension_node_matrix",
     "weighted_gram",
 ]
 
@@ -126,31 +125,19 @@ def ball_grid(d: int, spec: TruncationSpec, radial_breaks: tuple[float, ...] = (
     )
 
 
-def _node_matrix(d: int, max_degree: int, grid: BallGrid, normalized: bool) -> np.ndarray:
-    psi = angular_basis_matrix(d, max_degree, grid.ang_dirs)
-    n_r = grid.r_nodes.size
-    n_a = grid.ang_dirs.shape[0]
-    out = np.empty((psi.shape[0], n_r * n_a))
-    r_pow = np.ones(n_r)
-    row = 0
-    for k in range(max_degree + 1):
-        if k > 0:
-            r_pow = r_pow * grid.r_nodes
-        scale = math.sqrt(2.0 * k + d) if normalized else 1.0
-        for _ in range(multiplicity(d, k)):
-            out[row] = scale * np.kron(r_pow, psi[row])
-            row += 1
-    return out
-
-
 def harmonic_node_matrix(d: int, max_degree: int, grid: BallGrid) -> np.ndarray:
     """Rows: orthonormal ball basis sqrt(2k+d) r^k psi_{k,l} at the grid nodes."""
-    return _node_matrix(d, max_degree, grid, normalized=True)
-
-
-def extension_node_matrix(d: int, max_degree: int, grid: BallGrid) -> np.ndarray:
-    """Rows: harmonic extensions r^k psi_{k,l} (no normalisation) at the grid nodes."""
-    return _node_matrix(d, max_degree, grid, normalized=False)
+    psi = angular_basis_matrix(d, max_degree, grid.ang_dirs)
+    out = np.empty((psi.shape[0], grid.r_nodes.size, psi.shape[1]))
+    r_pow = np.ones((grid.r_nodes.size, 1))
+    start = 0
+    for k in range(max_degree + 1):
+        if k > 0:
+            r_pow = r_pow * grid.r_nodes[:, None]
+        rows = slice(start, start + multiplicity(d, k))
+        out[rows] = math.sqrt(2.0 * k + d) * (r_pow * psi[rows, None, :])
+        start = rows.stop
+    return out.reshape(psi.shape[0], -1)
 
 
 def weighted_gram(d: int, max_degree: int, grid: BallGrid, node_weights: np.ndarray) -> np.ndarray:

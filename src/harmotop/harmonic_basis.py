@@ -100,7 +100,12 @@ def basis_indices(d: int, max_degree: int) -> list[BasisIndex]:
 
 
 def _normalized_alp_table(K: int, u: np.ndarray) -> np.ndarray:
-    """Geodesy (4pi) normalized associated Legendre values N[k, m, :] on u."""
+    """Geodesy (4pi) normalized associated Legendre values N[k, m, :] on u.
+
+    One step per degree k fills every order m <= k: the diagonal from
+    N[k-1, k-1], the first off-diagonal from it too, and the orders m < k-1
+    by the three-term recurrence in k.
+    """
     n = u.shape[0]
     s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
     N = np.zeros((K + 1, K + 1, n))
@@ -108,18 +113,16 @@ def _normalized_alp_table(K: int, u: np.ndarray) -> np.ndarray:
     if K >= 1:
         N[1, 1] = math.sqrt(3.0) * s
         N[1, 0] = math.sqrt(3.0) * u
-    for m in range(2, K + 1):
-        N[m, m] = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * N[m - 1, m - 1]
-    for m in range(1, K):
-        N[m + 1, m] = math.sqrt(2.0 * m + 3.0) * u * N[m, m]
-    for m in range(0, K + 1):
-        for k in range(m + 2, K + 1):
-            a = math.sqrt((2.0 * k - 1.0) * (2.0 * k + 1.0) / ((k - m) * (k + m)))
-            b = math.sqrt(
-                (2.0 * k + 1.0) * (k + m - 1.0) * (k - m - 1.0)
-                / ((2.0 * k - 3.0) * (k - m) * (k + m))
-            )
-            N[k, m] = a * u * N[k - 1, m] - b * N[k - 2, m]
+    for k in range(2, K + 1):
+        N[k, k] = math.sqrt((2.0 * k + 1.0) / (2.0 * k)) * s * N[k - 1, k - 1]
+        N[k, k - 1] = math.sqrt(2.0 * k + 1.0) * u * N[k - 1, k - 1]
+        m = np.arange(k - 1)
+        a = np.sqrt((2.0 * k - 1.0) * (2.0 * k + 1.0) / ((k - m) * (k + m)))
+        b = np.sqrt(
+            (2.0 * k + 1.0) * (k + m - 1.0) * (k - m - 1.0)
+            / ((2.0 * k - 3.0) * (k - m) * (k + m))
+        )
+        N[k, : k - 1] = a[:, None] * u * N[k - 1, : k - 1] - b[:, None] * N[k - 2, : k - 1]
     return N
 
 
@@ -140,17 +143,18 @@ def angular_basis_matrix(d: int, max_degree: int, dirs: np.ndarray) -> np.ndarra
         return np.vstack(rows)
     if d == 3:
         # The Legendre recurrence runs once per distinct polar cosine (a
-        # tensor grid has n_ang/2 + 1 of them) and cos/sin once per order;
-        # row (k, m) is N[k, |m|] times the order-m trig row (ones at m = 0).
+        # tensor grid has n_ang/2 + 1 of them) and cos/sin once per order
+        # and distinct azimuth; row (k, m) is N[k, |m|] times the order-m
+        # trig row (ones at m = 0), each spread to the directions by a take.
         u, polar = np.unique(dirs[:, 2], return_inverse=True)
-        phi = np.arctan2(dirs[:, 1], dirs[:, 0])
+        phi, azimuth = np.unique(np.arctan2(dirs[:, 1], dirs[:, 0]), return_inverse=True)
         N = _normalized_alp_table(max_degree, u)
         angles = np.arange(1, max_degree + 1)[:, None] * phi
         trig = np.vstack([np.ones_like(phi), np.cos(angles), np.sin(angles)])
         k = np.repeat(np.arange(max_degree + 1), 2 * np.arange(max_degree + 1) + 1)
         m = np.arange(k.size) - k * (k + 1)
-        out = N[k[:, None], np.abs(m)[:, None], polar]
-        out *= trig[np.where(m < 0, max_degree - m, m)]
+        out = np.take(N[k, np.abs(m)], polar, axis=1)
+        out *= np.take(trig[np.where(m < 0, max_degree - m, m)], azimuth, axis=1)
         out *= 1.0 / math.sqrt(4.0 * math.pi)
         return out
     raise ValueError(f"pointwise harmonics are implemented for d in {{2, 3}}, got d={d}")

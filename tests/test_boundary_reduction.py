@@ -12,7 +12,7 @@ from harmotop.boundary_reduction import (
     symbol_order_check,
 )
 from harmotop.galerkin_toeplitz import assemble
-from harmotop.grids import TruncationSpec, ball_grid, extension_node_matrix, weighted_gram
+from harmotop.grids import TruncationSpec, ball_grid, harmonic_node_matrix, weighted_gram
 from harmotop.harmonic_basis import basis_indices
 from harmotop.numerics import gauss_legendre
 from harmotop.symbols import GeneralSymbol, Power, Step, symbol_on_grid
@@ -92,13 +92,14 @@ def test_projection_reproduces_harmonic_polynomials():
     d, K = 2, 5
     spec = TruncationSpec.for_degree(K)
     grid = ball_grid(d, spec)
-    basis = extension_node_matrix(d, K, grid)
+    degrees = np.array([idx.k for idx in basis_indices(d, K)])
+    basis = harmonic_node_matrix(d, K, grid) / np.sqrt(2 * degrees + d)[:, None]
     rng = np.random.default_rng(4)
     coeffs = rng.normal(size=basis.shape[0])
     u_nodes = coeffs @ basis
     # <u, G psi_(k,l)> over the ball, then scale by the inverse Gram diagonal
     inner = basis @ (grid.weights * u_nodes)
-    scaled = inner * np.array([2 * idx.k + d for idx in basis_indices(d, K)])
+    scaled = inner * (2 * degrees + d)
     assert np.max(np.abs(scaled - coeffs)) < 1e-10
     reconstructed = scaled @ basis
     assert np.max(np.abs(reconstructed - u_nodes)) < 1e-10

@@ -18,12 +18,20 @@ from harmotop.galerkin_toeplitz import (
     weyl_check,
     write_matrix_csv,
 )
-from harmotop.grids import TruncationSpec, ball_grid, extension_node_matrix, harmonic_node_matrix, weighted_gram
+from harmotop.grids import TruncationSpec, ball_grid, harmonic_node_matrix, weighted_gram
 from harmotop.harmonic_basis import angular_basis_matrix, basis_indices, cumulative_multiplicity
 from harmotop.numerics import symmetric_eigen
 from harmotop.symbols import GeneralSymbol, Power, Step, TabulatedSymbol, symbol_on_grid
 
 UNIT = GeneralSymbol(lambda p: np.ones(p.shape[0]))
+
+
+def extension_node_matrix(d, max_degree, grid):
+    """Rows: harmonic extensions r^k psi_{k,l} (no normalisation) at the grid nodes."""
+    psi = angular_basis_matrix(d, max_degree, grid.ang_dirs)
+    degrees = np.array([idx.k for idx in basis_indices(d, max_degree)])
+    r_pow = grid.r_nodes[None, :, None] ** degrees[:, None, None]
+    return (r_pow * psi[:, None, :]).reshape(psi.shape[0], -1)
 
 
 def test_truncation_spec_invariants():

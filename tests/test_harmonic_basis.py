@@ -5,6 +5,8 @@ import pytest
 
 from harmotop.grids import TruncationSpec, ball_grid, harmonic_node_matrix
 from harmotop.harmonic_basis import (
+    _normalized_alp_table,
+    angular_basis_matrix,
     basis_indices,
     basis_value,
     cumulative_multiplicity,
@@ -132,3 +134,50 @@ def test_basis_indices_order():
     idx = basis_indices(2, 2)
     assert [(i.k, i.ell) for i in idx] == [(0, 1), (1, 1), (1, 2), (2, 1), (2, 2)]
     assert len(basis_indices(3, 5)) == cumulative_multiplicity(3, 5)
+
+
+def _alp_table_by_order(K, u):
+    # the order-by-order loop the per-degree table replaced, kept as its reference
+    s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
+    N = np.zeros((K + 1, K + 1, u.size))
+    N[0, 0] = 1.0
+    if K >= 1:
+        N[1, 1] = math.sqrt(3.0) * s
+        N[1, 0] = math.sqrt(3.0) * u
+    for m in range(2, K + 1):
+        N[m, m] = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * N[m - 1, m - 1]
+    for m in range(1, K):
+        N[m + 1, m] = math.sqrt(2.0 * m + 3.0) * u * N[m, m]
+    for m in range(0, K + 1):
+        for k in range(m + 2, K + 1):
+            a = math.sqrt((2.0 * k - 1.0) * (2.0 * k + 1.0) / ((k - m) * (k + m)))
+            b = math.sqrt(
+                (2.0 * k + 1.0) * (k + m - 1.0) * (k - m - 1.0) / ((2.0 * k - 3.0) * (k - m) * (k + m))
+            )
+            N[k, m] = a * u * N[k - 1, m] - b * N[k - 2, m]
+    return N
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 7, 22])
+def test_legendre_table_per_degree_equals_the_loop_over_orders(K):
+    u = np.linspace(-1.0, 1.0, 37)
+    assert np.array_equal(_normalized_alp_table(K, u), _alp_table_by_order(K, u))
+
+
+@pytest.mark.parametrize("K", [3, 12, 22])
+def test_d3_harmonics_equal_the_three_index_gather(K):
+    # rows spread by two takes from distinct polar cosines and azimuths equal
+    # the gather of N[k, |m|] and the trig row at every direction
+    grid = ball_grid(3, TruncationSpec.for_degree(K))
+    dirs = grid.ang_dirs
+    u, polar = np.unique(dirs[:, 2], return_inverse=True)
+    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
+    N = _alp_table_by_order(K, u)
+    angles = np.arange(1, K + 1)[:, None] * phi
+    trig = np.vstack([np.ones_like(phi), np.cos(angles), np.sin(angles)])
+    k = np.repeat(np.arange(K + 1), 2 * np.arange(K + 1) + 1)
+    m = np.arange(k.size) - k * (k + 1)
+    ref = N[k[:, None], np.abs(m)[:, None], polar]
+    ref *= trig[np.where(m < 0, K - m, m)]
+    ref *= 1.0 / math.sqrt(4.0 * math.pi)
+    assert np.array_equal(angular_basis_matrix(3, K, dirs), ref)
