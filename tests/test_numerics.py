@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -45,6 +46,47 @@ def test_gauss_legendre_moments_and_mass(order):
         assert abs(moment - 1.0 / (n + 1)) < 1e-13
     assert np.all(rule.weights > 0.0)
     assert np.all((rule.nodes > 0.0) & (rule.nodes < 1.0))
+
+
+def _legendre_node_50_digits(n: int, i: int):
+    """Node i (ascending) of the n-point rule and its weight, by Newton on the
+    three-term recurrence at 50 digits from the start cos(pi (4m - 1)/(4n + 2))."""
+    with mp.workdps(50):
+        m = n - i
+        x = mp.cos(mp.pi * (4 * m - 1) / (4 * n + 2))
+        for _ in range(60):
+            p_prev, p = mp.mpf(1), x
+            for k in range(2, n + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            dp = n * (p_prev - x * p) / (1 - x * x)
+            step = p / dp
+            x -= step
+            if abs(step) < mp.mpf(10) ** -45:
+                break
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", list(range(1, 41)) + [64, 76, 100, 136, 200, 300])
+def test_gauss_legendre_matches_a_50_digit_rule(n):
+    # measured worst over these n: nodes 1.1e-16 absolute, weights 3.6e-15 relative
+    rule = gauss_legendre(n, -1.0, 1.0)
+    sample = range(n) if n <= 100 else sorted({0, 1, n // 2, n - 1} | set(range(0, n, n // 12)))
+    for i in sample:
+        x, w = _legendre_node_50_digits(n, i)
+        assert abs(rule.nodes[i] - x) <= 4e-16
+        assert abs(rule.weights[i] / w - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 25, 76, 77, 136])
+def test_gauss_legendre_nodes_antisymmetric_and_weights_symmetric_bit_for_bit(n):
+    # the antipodal fold of grids.weighted_gram pairs polar rows i and n-1-i
+    rule = gauss_legendre(n, -1.0, 1.0)
+    assert np.array_equal(rule.nodes[::-1], -rule.nodes)
+    assert np.array_equal(rule.weights[::-1], rule.weights)
+    assert np.all(np.diff(rule.nodes) > 0.0)
+    if n % 2:
+        middle = rule.nodes[n // 2]
+        assert middle == 0.0 and math.copysign(1.0, middle) == 1.0
 
 
 def test_gauss_legendre_rejects_bad_arguments():
