@@ -471,6 +471,9 @@ def _cmd_krein(args):
         return [lam**e if lam > 0.0 else math.exp(e * t) for lam, t in zip(lams, ln_grid)]
 
     epss = [args.eps] * len(lams) if args.eps is not None else [min(0.5, x) for x in lam_power(theta)]
+    if 0.0 in epss:
+        where = f"ln lambda = {ln_grid[epss.index(0.0)]!r}"
+        raise TailNotCertifiedError(f"remainder below lam1 + sup V / eps: eps = lambda^{theta:g} is 0 at {where}; give --eps")
     inputs = [
         kc.SandwichInput(ln_lam=t, eps=eps, n_plus=n_plus_at.__getitem__, remainder=remainder_at.__getitem__)
         for t, eps in zip(ln_grid, epss)
@@ -483,7 +486,12 @@ def _cmd_krein(args):
     if gamma:
         # the main term C lam^(-(d-1)/gamma) of kc.counting_envelope, C computed once
         coeff = rt.boundary_law_constant(args.d, gamma, symbol.a)
-        table["envelope_main"] = [coeff * x for x in lam_power(-(args.d - 1) / gamma)]
+        try:
+            table["envelope_main"] = [coeff * x for x in lam_power(-(args.d - 1) / gamma)]
+        except OverflowError:
+            table["envelope_main"] = [math.inf]
+        if not all(map(math.isfinite, table["envelope_main"])):
+            raise TailNotCertifiedError(f"envelope_main is beyond the double range at ln lambda = {min(ln_grid)!r}")
     meta = {
         "comments": [
             "bounds: n_plus(lambda) <= N_minus(lambda) <= n_plus((1-eps) lambda) + remainder(eps)",

@@ -521,6 +521,29 @@ def test_krein_deep_grid_beyond_certification_exits_three(capsys, symbol, reason
     assert reason in err
 
 
+def test_krein_default_eps_that_underflows_exits_three(capsys):
+    # theta = 1/2 for a step, so lambda^theta is 0 below ln lambda = -1490;
+    # with --eps the same grid prints its rows
+    argv = ["krein", "--d", "2", "--symbol", "step:b=1,c=0.5", "--lnlambda", "-1500:-1495:2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "remainder" in err and "ln lambda = -1500.0" in err and "--eps" in err
+    code, out, err = run_cli(capsys, *argv, "--eps", "0.5")
+    assert code == 0, err
+    rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+    assert [row[:2] for row in rows] == [["0", "0.5"], ["0", "0.5"]]
+
+
+def test_krein_envelope_beyond_the_double_range_exits_three(capsys):
+    # C lambda^(-39) at lambda = e^-30 is about e^1040
+    argv = ["krein", "--d", "40", "--symbol", "power:a=1,gamma=1", "--eps", "0.5"]
+    code, out, err = run_cli(capsys, *argv, "--lnlambda", "-30:-20:3")
+    assert code == 3 and out == ""
+    assert "envelope_main" in err and "ln lambda = -30.0" in err
+    code, out, err = run_cli(capsys, *argv, "--lnlambda", "-3:-2:3")
+    assert code == 0, err
+
+
 @pytest.mark.parametrize(
     "name",
     [
