@@ -20,7 +20,6 @@ from .symbols import RadialSymbol, TabulatedSymbol, symbol_on_grid
 
 __all__ = [
     "boundary_distance",
-    "kernel_separation",
     "suggested_max_degree",
     "reproducing_kernel",
     "density",
@@ -36,13 +35,6 @@ def boundary_distance(x) -> float:
     if r >= 1.0:
         raise ValueError("point must lie inside the unit ball")
     return 1.0 - r
-
-
-def kernel_separation(x, y) -> float:
-    """|x - y| + dist(x, boundary) + dist(y, boundary)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(np.linalg.norm(x - y)) + boundary_distance(x) + boundary_distance(y)
 
 
 def suggested_max_degree(max_radius: float) -> int:

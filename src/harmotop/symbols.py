@@ -36,7 +36,6 @@ __all__ = [
     "SymbolSum",
     "GeneralSymbol",
     "TabulatedSymbol",
-    "from_radial",
     "symbol_on_grid",
 ]
 
@@ -406,19 +405,6 @@ class GeneralSymbol:
         scaled = self(radius * dirs) * (1.0 - radius) ** (-self.boundary_gamma)
         target = np.asarray(self.boundary_trace(dirs), dtype=float)
         return bool(np.all(np.abs(scaled - target) <= rtol * np.maximum(1.0, np.abs(target))))
-
-
-def from_radial(v: RadialSymbol) -> GeneralSymbol:
-    """Wrap a radial profile as a general symbol V(x) = v(|x|)."""
-    meta_gamma = v.gamma if isinstance(v, Power) else None
-    trace = None
-    if isinstance(v, Power):
-        trace = lambda dirs: np.full(np.atleast_2d(dirs).shape[0], v.a)
-    return GeneralSymbol(
-        func=lambda pts: v.values(np.linalg.norm(np.atleast_2d(pts), axis=1)),
-        boundary_gamma=meta_gamma,
-        boundary_trace=trace,
-    )
 
 
 @dataclass(frozen=True)

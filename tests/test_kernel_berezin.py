@@ -15,7 +15,6 @@ from harmotop.kernel_berezin import (
     density,
     density_integral,
     density_radial,
-    kernel_separation,
     reproducing_kernel,
     suggested_max_degree,
 )
@@ -65,13 +64,9 @@ def test_suggested_max_degree():
         suggested_max_degree(1.0)
 
 
-def test_boundary_distance_and_separation():
+def test_boundary_distance():
     assert boundary_distance([0.5, 0.0]) == pytest.approx(0.5)
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        x = rng.uniform(-0.6, 0.6, 2)
-        y = rng.uniform(-0.6, 0.6, 2)
-        assert kernel_separation(x, y) >= np.linalg.norm(x - y)
+    assert boundary_distance([0.0, 0.0, 0.0]) == pytest.approx(1.0)
 
 
 def test_density_integral_constants():

@@ -10,7 +10,6 @@ from harmotop.symbols import (
     Sampled,
     Step,
     SymbolSum,
-    from_radial,
 )
 
 
@@ -61,6 +60,16 @@ def test_breakpoints_and_boundary_data():
     assert Step(1.0, 0.5).boundary_value() == 0.0
     assert Sampled([0.0, 0.9], [1.0, 0.3]).boundary_value() == 0.3
     assert s.sup() == 2.0
+
+
+def from_radial(v):
+    """Wrap a radial profile as a general symbol V(x) = v(|x|)."""
+    trace = (lambda dirs: np.full(np.atleast_2d(dirs).shape[0], v.a)) if isinstance(v, Power) else None
+    return GeneralSymbol(
+        func=lambda pts: v.values(np.linalg.norm(np.atleast_2d(pts), axis=1)),
+        boundary_gamma=v.gamma if isinstance(v, Power) else None,
+        boundary_trace=trace,
+    )
 
 
 def test_general_symbol_boundary_meta():
