@@ -473,7 +473,7 @@ def _cmd_krein(args):
     epss = [args.eps] * len(lams) if args.eps is not None else [min(0.5, x) for x in lam_power(theta)]
     if 0.0 in epss:
         where = f"ln lambda = {ln_grid[epss.index(0.0)]!r}"
-        raise TailNotCertifiedError(f"remainder below lam1 + sup V / eps: eps = lambda^{theta:g} is 0 at {where}; give --eps")
+        raise TailNotCertifiedError(f"remainder below lam1 + sup V / eps: eps = lambda^{theta:g} = 0 at {where}; give --eps")
     inputs = [
         kc.SandwichInput(ln_lam=t, eps=eps, n_plus=n_plus_at.__getitem__, remainder=remainder_at.__getitem__)
         for t, eps in zip(ln_grid, epss)

@@ -96,8 +96,8 @@ def ball_grid(d: int, spec: TruncationSpec, radial_breaks: tuple[float, ...] = (
         raise ValueError(f"tensor grids are implemented for d in {{2, 3}}, got d={d}")
     # With n_ang even, direction (i, j) (polar row i, azimuth j; d = 2 has
     # one row) has its antipode at (n_rows-1-i, j + n_ang/2): the azimuth
-    # turns by pi and the Gauss-Legendre polar cosines are antisymmetric bit
-    # for bit, u_(n-1-i) = -u_i.  In flat order the first half of the directions pairs
+    # turns by pi and the polar cosines are exactly antisymmetric,
+    # u_(n-1-i) = -u_i.  In flat order the first half of the directions pairs
     # with the second half.  With n_ang odd no direction has its antipode.
     n_rows = dirs.shape[0] // spec.n_ang
     turned = (np.arange(spec.n_ang) + spec.n_ang // 2) % spec.n_ang
