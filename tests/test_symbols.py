@@ -62,18 +62,14 @@ def test_breakpoints_and_boundary_data():
     assert s.sup() == 2.0
 
 
-def from_radial(v):
-    """Wrap a radial profile as a general symbol V(x) = v(|x|)."""
-    trace = (lambda dirs: np.full(np.atleast_2d(dirs).shape[0], v.a)) if isinstance(v, Power) else None
-    return GeneralSymbol(
-        func=lambda pts: v.values(np.linalg.norm(np.atleast_2d(pts), axis=1)),
-        boundary_gamma=v.gamma if isinstance(v, Power) else None,
-        boundary_trace=trace,
-    )
-
-
 def test_general_symbol_boundary_meta():
-    g = from_radial(Power(2.0, 1.5))
+    # the radial profile 2 (1 - |x|)^1.5 as a general symbol with its boundary data
+    v = Power(2.0, 1.5)
+    g = GeneralSymbol(
+        func=lambda pts: v.values(np.linalg.norm(np.atleast_2d(pts), axis=1)),
+        boundary_gamma=v.gamma,
+        boundary_trace=lambda dirs: np.full(np.atleast_2d(dirs).shape[0], v.a),
+    )
     assert g.boundary_gamma == 1.5
     assert g.check_boundary_meta(2)
     pts = np.array([[0.1, 0.2], [0.0, 0.0]])
