@@ -32,9 +32,11 @@ from . import krein_counting as kc
 from . import radial_toeplitz as rt
 from .errors import QuadratureDivergenceError, TailNotCertifiedError
 from .grids import TruncationSpec
+from .harmonic_basis import basis_degrees
 from .symbols import GeneralSymbol, Power, RadialSymbol, Sampled, Step, SymbolSum, TabulatedSymbol, symbol_on_grid
 
 FULL = ".17g"
+LN_DBL_MAX = math.log(sys.float_info.max)  # exp overflows above it
 
 
 class SymbolSyntaxError(ValueError):
@@ -165,6 +167,14 @@ def _parse_range(text: str, name: str, want_count: bool = False) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _ln_lambda_grid(text: str) -> list[float]:
+    """The --lnlambda grid; above ln(DBL_MAX) lambda is not a double (and every count is 0)."""
+    grid = _parse_range(text, "lnlambda").tolist()
+    if max(grid) > LN_DBL_MAX:
+        raise ValueError(f"--lnlambda must stay at or below ln(DBL_MAX) = {LN_DBL_MAX!r}, got {max(grid)!r}")
+    return grid
+
+
 def _finite(text: str) -> float:
     """A finite real number (argparse names the option on refusal)."""
     try:
@@ -195,18 +205,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="harmotop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, symbol_required=True):
+    def common(p, degree_help=None):
         p.add_argument("--d", type=_dimension, default=2, help="space dimension >= 2 (default 2)")
-        if symbol_required:
-            p.add_argument("--symbol", required=True, help="symbol descriptor")
-        p.add_argument("--K", type=_degree, default=None, help="truncation degree")
-        p.add_argument("--nr", type=int, default=None, help="radial quadrature order")
-        p.add_argument("--nang", type=int, default=None, help="angular grid size")
+        p.add_argument("--symbol", required=True, help="symbol descriptor")
+        if degree_help:  # on the commands that read it, in its place in the JSON config
+            p.add_argument("--K", type=_degree, default=None, help=degree_help)
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("spectrum", help="eigenvalues with multiplicities")
-    common(p)
+    common(p, "truncation degree (default 12); a general:@ file fixes it")
     p.add_argument("--matrix-output", default=None, help="dump the section matrix as CSV")
 
     p = sub.add_parser("counting", help="eigenvalue counting function")
@@ -223,16 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign", choices=("plus", "minus"), default="plus")
 
     p = sub.add_parser("berezin", help="Berezin transform along a radius")
-    common(p)
+    common(p, "kernel truncation degree (default 12); a general:@ file fixes it")
     p.add_argument("--radii", default="0,0.25,0.5,0.75,0.9,0.95")
 
     p = sub.add_parser("schatten", help="Schatten norms")
-    common(p)
+    common(p, "last degree of a radial series (default: certified stop); a general:@ file fixes it")
     p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--weak", action="store_true")
 
     p = sub.add_parser("boundary", help="boundary reduction diagnostics")
-    common(p)
+    common(p, "last degree of the table (default: a general:@ file's K, else 12)")
     p.add_argument("--E", dest="e_grid", default=None, help="energy grid LO:HI:N for the inverse-power counting fit")
 
     p = sub.add_parser("krein", help="sandwich bounds for the perturbed counting functions")
@@ -250,21 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_for(args, default_degree: int) -> TruncationSpec:
-    k = args.K if args.K is not None else default_degree
-    base = TruncationSpec.for_degree(k)
-    return TruncationSpec(
-        max_degree=k,
-        n_r=args.nr if args.nr is not None else base.n_r,
-        n_ang=args.nang if args.nang is not None else base.n_ang,
-    )
-
-
 def _max_degree(args, symbol) -> int:
     """--K, else the degree a tabulated symbol was sampled for, else 12."""
     if args.K is not None:
         return args.K
     return symbol.spec.max_degree if isinstance(symbol, TabulatedSymbol) else 12
+
+
+def _file_spec(args, symbol: TabulatedSymbol) -> TruncationSpec:
+    """The grid a general:@ file was sampled on; a --K must name its degree."""
+    if args.K not in (None, symbol.spec.max_degree):
+        raise ValueError(
+            f"tabulated symbol was sampled on a different grid: --K {args.K}, the file's K = {symbol.spec.max_degree}"
+        )
+    return symbol.spec
 
 
 def _radial_symbol(args) -> RadialSymbol:
@@ -284,17 +291,17 @@ COUNTING_FORMULA = "n_plus(lambda) = #{eigenvalues > lambda} = M_(nu-1), nu = #{
 
 def _cmd_spectrum(args):
     symbol = parse_symbol(args.symbol)
+    k = _max_degree(args, symbol)
     matrix = None
     if isinstance(symbol, RadialSymbol):
-        spectrum = rt.radial_spectrum(symbol, args.d, _max_degree(args, symbol))
+        spectrum = rt.radial_spectrum(symbol, args.d, k)
+        if args.matrix_output:  # the exact section diag(mu_k), degree-major: mu_k on its m_k rows
+            matrix = np.diag(symbol.mu(args.d, np.arange(k + 1))[basis_degrees(args.d, k)])
     else:
-        spec = _spec_for(args, _max_degree(args, symbol))
-        matrix = gt.assemble(symbol, args.d, spec)
-        spectrum = gt.section_spectrum(matrix, args.d, spec.max_degree)
+        matrix = gt.assemble(symbol, args.d, _file_spec(args, symbol))
+        spectrum = gt.section_spectrum(matrix, args.d, k)
     if args.matrix_output:
-        if matrix is None:
-            matrix = gt.assemble(symbol, args.d, _spec_for(args, spectrum.max_degree))
-        gt.write_matrix_csv(args.matrix_output, matrix, args.d, spectrum.max_degree)
+        gt.write_matrix_csv(args.matrix_output, matrix, args.d, k)
     table = {
         "index": range(spectrum.values.size),
         "eigenvalue": spectrum.values.tolist(),
@@ -321,7 +328,7 @@ def _cmd_counting(args):
         lam_grid = [args.lam]
         ln_grid = [math.log(args.lam)]
     else:
-        ln_grid = _parse_range(args.lnlambda, "lnlambda").tolist()
+        ln_grid = _ln_lambda_grid(args.lnlambda)
         # display column only; counting itself stays in the log domain and
         # the emitted value never goes sub-normal
         lam_grid = [math.exp(l) if l > -700.0 else 0.0 for l in ln_grid]
@@ -370,7 +377,7 @@ def _cmd_berezin(args):
     if not radii or not all(map(math.isfinite, radii)):
         raise ValueError(f"--radii expects one or more finite radii, got {args.radii!r}")
     k = _max_degree(args, symbol)
-    spec = None if isinstance(symbol, RadialSymbol) else _spec_for(args, k)
+    spec = None if isinstance(symbol, RadialSymbol) else _file_spec(args, symbol)
     points = np.zeros((len(radii), args.d))
     points[:, 0] = radii
     table = {"radius": radii, "berezin": kb.berezin_transform(symbol, args.d, points, k, spec=spec).tolist()}
@@ -387,7 +394,7 @@ def _cmd_schatten(args):
         value = rt.schatten_radial(symbol, args.d, args.p, weak=args.weak, k_stop=args.K)
         route = "radial-series"
     else:
-        spectrum = gt.spectrum(symbol, args.d, _spec_for(args, _max_degree(args, symbol)))
+        spectrum = gt.spectrum(symbol, args.d, _file_spec(args, symbol))
         value = spectrum.schatten_weak(args.p) if args.weak else spectrum.schatten(args.p)
         route = "galerkin"
     table = {"p": [args.p], "weak": [int(args.weak)], "value": [value], "route": [route]}
@@ -453,7 +460,7 @@ def _cmd_krein(args):
             "fit": {"exponent": exponent, "coefficient": coefficient},
         }
         return {"E": e_grid, "count": kc.disk_counting(e_grid).tolist()}, meta
-    ln_grid = _parse_range(args.lnlambda, "lnlambda").tolist()
+    ln_grid = _ln_lambda_grid(args.lnlambda)
     v_sup = args.vsup if args.vsup is not None else symbol.sup()
     gamma = symbol.gamma if isinstance(symbol, Power) else None
     theta = 2.0 * (args.d - 1) / (gamma * (args.d + 2)) if gamma else 0.5

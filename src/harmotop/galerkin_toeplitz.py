@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .grids import TruncationSpec, weighted_gram
-from .harmonic_basis import cumulative_multiplicity, multiplicity
+from .harmonic_basis import basis_degrees, cumulative_multiplicity
 from .kernel_berezin import density_radial
 from .numerics import symmetric_eigen
 from .radial_toeplitz import Spectrum
@@ -28,7 +28,6 @@ __all__ = [
     "norm_domination_check",
     "weyl_check",
     "write_matrix_csv",
-    "read_matrix_csv",
 ]
 
 
@@ -43,8 +42,7 @@ def assemble(V, d: int, spec: TruncationSpec) -> np.ndarray:
     if d not in (2, 3):
         raise ValueError(f"general-symbol assembly supports d in {{2, 3}}, got d={d}")
     grid, vals = symbol_on_grid(V, d, spec)
-    degrees = np.arange(spec.max_degree + 1)
-    norm = np.repeat(np.sqrt(2 * degrees + d), [multiplicity(d, k) for k in degrees])
+    norm = np.sqrt(2 * basis_degrees(d, spec.max_degree) + d)
     A = weighted_gram(d, spec.max_degree, grid, grid.weights * vals)
     A *= norm[:, None]
     A *= norm[None, :]
@@ -140,20 +138,3 @@ def write_matrix_csv(path, A: np.ndarray, d: int, max_degree: int) -> None:
     with open(path, "w") as fh:
         fh.write(f"# harmotop matrix d={d} K={max_degree} n={n}\n")
         fh.write("".join(map(row.__mod__, map(tuple, A.tolist()))))
-
-
-def read_matrix_csv(path) -> tuple[np.ndarray, int, int]:
-    """Read a matrix dump; returns (matrix, d, max_degree)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        parts = dict(
-            item.split("=") for item in header.lstrip("# ").split() if "=" in item
-        )
-        if not header.startswith("# harmotop matrix"):
-            raise ValueError(f"not a harmotop matrix file: {header!r}")
-        d, k, n = int(parts["d"]), int(parts["K"]), int(parts["n"])
-        rows = [list(map(float, line.split(","))) for line in fh if line.strip()]
-    A = np.array(rows)
-    if A.shape != (n, n):
-        raise ValueError(f"matrix body {A.shape} does not match header n={n}")
-    return A, d, k

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic_basis import angular_basis_matrix, multiplicity
+from .harmonic_basis import angular_basis_matrix, basis_degrees, multiplicity
 from .numerics import gauss_legendre
 
 __all__ = [
@@ -170,8 +170,8 @@ def weighted_gram(d: int, max_degree: int, grid: BallGrid, node_weights: np.ndar
     folded = moments[:, :half].copy()
     folded[0::2, :pairs] += moments[0::2, grid.antipodes]
     folded[1::2, :pairs] -= moments[1::2, grid.antipodes]
-    sizes = [multiplicity(d, k) for k in range(max_degree + 1)]
-    degs = np.repeat(np.arange(max_degree + 1), sizes)
+    degs = basis_degrees(d, max_degree)
+    sizes = np.bincount(degs).tolist()
     out = np.empty((psi.shape[0], psi.shape[0]))
     buf = np.empty_like(psi)
     start = 0

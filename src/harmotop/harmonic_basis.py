@@ -5,35 +5,29 @@ carries the orthonormal basis sqrt(2k+d) |x|^k psi_{k,l}(x/|x|).  Pointwise
 harmonics are implemented for d in {2, 3}; the combinatorial and radial
 quantities work for every d >= 2.
 
-Basis enumeration is degree-major with l ascending within a degree; all
-matrix layouts downstream rely on this order.
+Basis enumeration is degree-major with l ascending within a degree
+(:func:`basis_degrees` gives each row's degree); all matrix layouts
+downstream rely on this order.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .numerics import gegenbauer, log_gamma
 
 __all__ = [
-    "BasisIndex",
     "multiplicity",
     "cumulative_multiplicity",
     "multiplicity_asymptotic_check",
     "sphere_surface_area",
-    "basis_indices",
+    "basis_degrees",
     "spherical_harmonic",
     "angular_basis_matrix",
     "zonal_sum",
     "basis_value",
 ]
-
-
-class BasisIndex(NamedTuple):
-    k: int
-    ell: int
 
 
 def _check_dimension(d: int) -> None:
@@ -87,13 +81,9 @@ def sphere_surface_area(d: int) -> float:
     return 2.0 * math.pi ** (0.5 * d) / math.exp(log_gamma(0.5 * d))
 
 
-def basis_indices(d: int, max_degree: int) -> list[BasisIndex]:
-    """All (k, ell) with k <= max_degree, degree-major, ell ascending."""
-    return [
-        BasisIndex(k, ell)
-        for k in range(max_degree + 1)
-        for ell in range(1, multiplicity(d, k) + 1)
-    ]
+def basis_degrees(d: int, max_degree: int) -> np.ndarray:
+    """The degree k of each basis row, degree-major: k repeated m_k times."""
+    return np.repeat(np.arange(max_degree + 1), [multiplicity(d, k) for k in range(max_degree + 1)])
 
 
 # --- pointwise harmonics (d = 2, 3) ----------------------------------------
@@ -129,7 +119,7 @@ def _normalized_alp_table(K: int, u: np.ndarray) -> np.ndarray:
 def angular_basis_matrix(d: int, max_degree: int, dirs: np.ndarray) -> np.ndarray:
     """Orthonormal real spherical harmonics evaluated on unit vectors.
 
-    Returns the (M_K, n) matrix whose rows follow :func:`basis_indices`.
+    Returns the (M_K, n) matrix whose rows follow :func:`basis_degrees`.
     Only d = 2 and d = 3 carry pointwise harmonics.
     """
     dirs = np.asarray(dirs, dtype=float)
@@ -151,7 +141,7 @@ def angular_basis_matrix(d: int, max_degree: int, dirs: np.ndarray) -> np.ndarra
         N = _normalized_alp_table(max_degree, u)
         angles = np.arange(1, max_degree + 1)[:, None] * phi
         trig = np.vstack([np.ones_like(phi), np.cos(angles), np.sin(angles)])
-        k = np.repeat(np.arange(max_degree + 1), 2 * np.arange(max_degree + 1) + 1)
+        k = basis_degrees(3, max_degree)
         m = np.arange(k.size) - k * (k + 1)
         out = np.take(N[k, np.abs(m)], polar, axis=1)
         out *= np.take(trig[np.where(m < 0, max_degree - m, m)], azimuth, axis=1)

@@ -21,7 +21,6 @@ from .symbols import RadialSymbol, TabulatedSymbol, symbol_on_grid
 __all__ = [
     "boundary_distance",
     "suggested_max_degree",
-    "reproducing_kernel",
     "density",
     "density_radial",
     "density_integral",
@@ -75,18 +74,6 @@ def _kernel_sum(d: int, max_degree: int, rho: np.ndarray, t: np.ndarray) -> np.n
     return acc
 
 
-def reproducing_kernel(d: int, x, y, max_degree: int) -> float:
-    """Truncated kernel sum_{k<=K} (2k+d) |x|^k |y|^k Z_k(x^.y^); symmetric, real."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rx = float(np.linalg.norm(x))
-    ry = float(np.linalg.norm(y))
-    if rx >= 1.0 or ry >= 1.0:
-        raise ValueError("kernel arguments must lie inside the unit ball")
-    t = float(np.dot(x, y) / (rx * ry)) if rx > 0.0 and ry > 0.0 else 1.0
-    return float(_kernel_sum(d, max_degree, np.array([rx * ry]), np.array([t]))[0])
-
-
 def density_radial(d: int, r, max_degree: int) -> np.ndarray:
     """Kernel diagonal sum_{k<=K} (2k+d) m_k r^(2k) / |S^(d-1)| at radii r."""
     r = np.asarray(r, dtype=float)
@@ -115,40 +102,29 @@ def _radial_density_integral(v: RadialSymbol, d: int, max_degree: int) -> float:
     return float(np.dot(_degree_weights(d, max_degree) / (2 * k + d), v.mu(d, k)))  # weights/(2k+d) = m_k
 
 
-def density_integral(
-    V,
-    d: int,
-    max_degree: int,
-    spec: TruncationSpec | None = None,
-    check_convergence: bool = True,
-) -> float:
+def density_integral(V, d: int, max_degree: int, spec: TruncationSpec | None = None) -> float:
     """Integral of V against the truncated density rho_K dx.
 
-    Radial symbols reduce to the exact one-dimensional moment sum; general
-    symbols integrate on the tensor grid, with a refinement check that
-    raises QuadratureDivergenceError when two refinements differ by more
-    than 1e-6 relative.  A TabulatedSymbol integrates on its own grid
-    (the default spec) and has no finer grid to check against, so it
-    needs check_convergence=False.
+    Radial symbols reduce to the exact one-dimensional moment sum.  A
+    TabulatedSymbol integrates on its own grid (the default spec), for which
+    no finer grid exists.  Any other symbol integrates on the tensor grid,
+    with a refinement check that raises QuadratureDivergenceError when two
+    refinements differ by more than 1e-6 relative.
     """
     if isinstance(V, RadialSymbol):
         return _radial_density_integral(V, d, max_degree)
-    if isinstance(V, TabulatedSymbol) and check_convergence:
-        raise ValueError(
-            "a tabulated symbol cannot be sampled on a finer grid; "
-            "pass check_convergence=False to integrate on its own grid"
-        )
     if spec is None:
         spec = V.spec if isinstance(V, TabulatedSymbol) else TruncationSpec.for_degree(max_degree)
     value = _tensor_density_integral(V, d, max_degree, spec)
-    if check_convergence:
-        finer = TruncationSpec(max_degree, spec.n_r + 8, spec.n_ang + 4)
-        refined = _tensor_density_integral(V, d, max_degree, finer)
-        scale = max(abs(value), abs(refined), 1e-300)
-        if abs(value - refined) > 1e-6 * scale:
-            raise QuadratureDivergenceError(
-                f"density integral refinements disagree: {value!r} vs {refined!r}"
-            )
+    if isinstance(V, TabulatedSymbol):
+        return value
+    finer = TruncationSpec(max_degree, spec.n_r + 8, spec.n_ang + 4)
+    refined = _tensor_density_integral(V, d, max_degree, finer)
+    scale = max(abs(value), abs(refined), 1e-300)
+    if abs(value - refined) > 1e-6 * scale:
+        raise QuadratureDivergenceError(
+            f"density integral refinements disagree: {value!r} vs {refined!r}"
+        )
     return value
 
 

@@ -173,7 +173,8 @@ def remainder_model(eps, v_sup: float, lam1: float, d: int):
         raise ValueError(f"eps must be positive, got {float(np.min(eps))}")
     if v_sup < 0.0 or lam1 <= 0.0:
         raise ValueError("need v_sup >= 0 and lam1 > 0")
-    energy = lam1 + v_sup / eps
+    with np.errstate(over="ignore"):  # the oracle or the model check below refuses an infinite energy
+        energy = lam1 + v_sup / eps
     if d == 2:
         return disk_counting(energy)
     with np.errstate(over="ignore"):

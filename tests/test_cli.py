@@ -19,9 +19,9 @@ from harmotop import galerkin_toeplitz as gt
 from harmotop import kernel_berezin as kb
 from harmotop import krein_counting as kc
 from harmotop import radial_toeplitz as rt
-from harmotop.cli import SymbolSyntaxError, build_parser, emit, main, parse_symbol
-from harmotop.galerkin_toeplitz import read_matrix_csv
+from harmotop.cli import _COMMANDS, SymbolSyntaxError, _glue_negative_values, build_parser, emit, main, parse_symbol
 from harmotop.grids import TruncationSpec, ball_grid
+from harmotop.harmonic_basis import basis_degrees
 from harmotop.symbols import GeneralSymbol, Power, Sampled, Step, SymbolSum, TabulatedSymbol
 
 
@@ -199,8 +199,8 @@ def test_spectrum_command_with_matrix_dump(capsys, tmp_path):
         "--K", "4", "--matrix-output", str(dump),
     )
     assert code == 0
-    A, d, k = read_matrix_csv(dump)
-    assert d == 2 and k == 4 and A.shape == (9, 9)
+    assert dump.read_text().splitlines()[0] == "# harmotop matrix d=2 K=4 n=9"
+    assert np.loadtxt(dump, delimiter=",").shape == (9, 9)
     top = [l for l in out.splitlines() if not l.startswith("#")][0]
     assert float(top.split(",")[1]) == pytest.approx(0.25)
 
@@ -288,7 +288,7 @@ def test_spectrum_matrix_dump_assembles_once(capsys, tmp_path, monkeypatch):
     )
     assert code == 0, err
     assert len(calls) == 1
-    A, _, _ = read_matrix_csv(dump)
+    A = np.loadtxt(dump, delimiter=",")
     eigs = sorted(float(l.split(",")[1]) for l in out.splitlines() if not l.startswith("#"))
     assert eigs == pytest.approx(sorted(np.linalg.eigvalsh(A)), abs=1e-12)
 
@@ -568,3 +568,154 @@ def test_all_lists_exactly_the_public_definitions(name):
         and obj.__module__ == module.__name__
     }
     assert sorted(module.__all__) == sorted(defined)
+
+
+def _rows(out: str) -> list[list[str]]:
+    return [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+
+
+def _general_file(tmp_path, spec: TruncationSpec) -> Path:
+    grid = ball_grid(2, spec)
+    values = 1.0 + 0.5 * grid.points[:, 0] - 0.25 * grid.points[:, 1] ** 2
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps({"d": 2, "K": spec.max_degree, "n_r": spec.n_r, "n_ang": spec.n_ang, "values": values.tolist()}))
+    return path
+
+
+# odd n_ang: weighted_gram takes its unfolded path
+ODD_GRID = TruncationSpec(max_degree=4, n_r=24, n_ang=13)
+
+
+def test_general_file_runs_on_its_own_grid(capsys, tmp_path):
+    path = _general_file(tmp_path, ODD_GRID)
+    sym = parse_symbol(f"general:@{path}")
+    section = gt.spectrum(sym, 2, ODD_GRID)
+    code, out, err = run_cli(capsys, "spectrum", "--d", "2", "--symbol", f"general:@{path}")
+    assert code == 0, err
+    assert [float(row[1]) for row in _rows(out)] == section.values.tolist()
+    code, out, err = run_cli(capsys, "schatten", "--d", "2", "--symbol", f"general:@{path}", "--p", "2")
+    assert code == 0, err
+    assert float(_rows(out)[0][2]) == section.schatten(2.0)
+    code, out, err = run_cli(capsys, "berezin", "--d", "2", "--symbol", f"general:@{path}", "--radii", "0,0.5,0.9")
+    assert code == 0, err
+    points = np.array([[0.0, 0.0], [0.5, 0.0], [0.9, 0.0]])
+    want = kb.berezin_transform(sym, 2, points, 4, spec=ODD_GRID)
+    assert [float(row[1]) for row in _rows(out)] == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum"], ["schatten", "--p", "2"], ["berezin", "--radii", "0.5"]],
+    ids=lambda argv: argv[0],
+)
+def test_general_file_refuses_another_degree(capsys, tmp_path, argv):
+    path = _general_file(tmp_path, ODD_GRID)
+    code, out, err = run_cli(capsys, *argv, "--d", "2", "--symbol", f"general:@{path}", "--K", "3")
+    assert code == 2 and out == ""
+    assert "sampled on a different grid" in err and "--K 3" in err and "K = 4" in err
+
+
+@pytest.mark.parametrize(
+    "symbol, d, K",
+    [
+        ("power:a=1,gamma=1.5", 2, 4),
+        ("power:a=2,gamma=0.5", 3, 5),
+        ("sum:[power:a=1,gamma=2; step:b=-0.5,c=0.4]", 2, 6),
+    ],
+)
+def test_radial_matrix_dump_is_the_exact_diagonal_section(capsys, tmp_path, symbol, d, K):
+    dump = tmp_path / "section.csv"
+    code, out, err = run_cli(
+        capsys, "spectrum", "--d", str(d), "--symbol", symbol, "--K", str(K), "--matrix-output", str(dump)
+    )
+    assert code == 0, err
+    A = np.loadtxt(dump, delimiter=",")
+    diag = np.diag(A)
+    assert np.all(A - np.diag(diag) == 0.0)
+    mus = parse_symbol(symbol).mu(d, np.arange(K + 1))
+    assert np.array_equal(diag, mus[basis_degrees(d, K)])  # degree-major
+    printed = np.repeat([float(r[1]) for r in _rows(out)], [int(r[2]) for r in _rows(out)])
+    assert np.array_equal(np.sort(diag), np.sort(printed))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum"],
+        ["counting", "--lambda", "0.1"],
+        ["asymptotics", "--lnlambda", "-12:-4", "--model", "power"],
+        ["berezin"],
+        ["schatten", "--p", "2"],
+        ["boundary"],
+        ["krein", "--lnlambda", "-8:-4:3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_grid_options_are_refused(capsys, argv):
+    refused = [["--nr", "20"], ["--nang", "20"]]
+    if argv[0] in ("counting", "asymptotics", "krein"):
+        refused.append(["--K", "3"])
+    for extra in refused:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [*POWER, *extra])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "", extra
+        assert extra[0] in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["counting", "krein"])
+def test_lnlambda_above_the_double_range_exits_two(capsys, command, fmt):
+    argv = [command, "--d", "2", "--symbol", "step:b=1,c=0.5", "--format", fmt]
+    code, out, err = run_cli(capsys, *argv, "--lnlambda", "800:801:2")
+    assert code == 2 and out == ""
+    assert "--lnlambda" in err
+    # ln(DBL_MAX) itself is a double lambda, and every count there is 0
+    code, out, err = run_cli(capsys, *argv, "--lnlambda", f"700:{math.log(sys.float_info.max)!r}:2")
+    assert code == 0, err
+
+
+def test_krein_sub_normal_eps_refusal_writes_one_stderr_line():
+    # eps = lambda^(1/2) is sub-normal, so sup V / eps overflows to inf
+    env = dict(os.environ, PYTHONPATH=str(Path(harmotop.__file__).parents[1]))
+    argv = ["krein", "--d", "2", "--symbol", "step:b=1,c=0.5", "--lnlambda", "-1485:-1484:2"]
+    run = subprocess.run([sys.executable, "-m", "harmotop.cli", *argv], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout) == (3, "")
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("harmotop: certification failure: ")
+
+
+_MINIMAL = {
+    "spectrum": ["--symbol", "power:a=1,gamma=1"],
+    "counting": ["--symbol", "step:b=1,c=0.5", "--lambda", "0.1"],
+    "asymptotics": ["--symbol", "power:a=1,gamma=1", "--model", "power", "--lnlambda", "-12:-4"],
+    "berezin": ["--symbol", "power:a=1,gamma=1"],
+    "schatten": ["--symbol", "step:b=1,c=0.5", "--p", "2"],
+    "boundary": ["--symbol", "power:a=1,gamma=1"],
+    "krein": ["--symbol", "power:a=1,gamma=1", "--lnlambda", "-8:-4:3"],
+    "selftest": [],
+}
+
+
+def test_minimal_invocations_cover_every_subcommand():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(_MINIMAL) == sorted(_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(_MINIMAL))
+def test_every_declared_option_is_read(capsys, command):
+    # an option the handler and emit never read is accepted and ignored
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = build_parser()
+    args = Recorder(**vars(parser.parse_args(_glue_negative_values([command, *_MINIMAL[command]]))))
+    emit(*_COMMANDS[command](args), args)
+    capsys.readouterr()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    declared = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+    assert declared - reads == set()

@@ -7,7 +7,7 @@ from harmotop.grids import TruncationSpec, ball_grid, harmonic_node_matrix
 from harmotop.harmonic_basis import (
     _normalized_alp_table,
     angular_basis_matrix,
-    basis_indices,
+    basis_degrees,
     basis_value,
     cumulative_multiplicity,
     multiplicity,
@@ -130,10 +130,10 @@ def test_basis_value_unit_norm_by_quadrature():
     assert float(np.dot(grid.weights, vals**2)) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_basis_indices_order():
-    idx = basis_indices(2, 2)
-    assert [(i.k, i.ell) for i in idx] == [(0, 1), (1, 1), (1, 2), (2, 1), (2, 2)]
-    assert len(basis_indices(3, 5)) == cumulative_multiplicity(3, 5)
+def test_basis_degrees_order():
+    assert basis_degrees(2, 2).tolist() == [0, 1, 1, 2, 2]
+    assert basis_degrees(3, 2).tolist() == [0, 1, 1, 1, 2, 2, 2, 2, 2]
+    assert len(basis_degrees(3, 5)) == cumulative_multiplicity(3, 5)
 
 
 def _alp_table_by_order(K, u):

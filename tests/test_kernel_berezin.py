@@ -15,12 +15,19 @@ from harmotop.kernel_berezin import (
     density,
     density_integral,
     density_radial,
-    reproducing_kernel,
     suggested_max_degree,
 )
 from harmotop.symbols import GeneralSymbol, Power, Sampled, Step, TabulatedSymbol
 
 CONST_ONE = Sampled([0.0, 0.5], [1.0, 1.0])
+
+
+def reproducing_kernel(d, x, y, max_degree):
+    """Truncated kernel sum_{k<=K} (2k+d) |x|^k |y|^k Z_k(x^.y^) at one pair of points."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    rx, ry = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+    t = float(np.dot(x, y) / (rx * ry)) if rx > 0.0 and ry > 0.0 else 1.0
+    return float(_kernel_sum(d, max_degree, np.array([rx * ry]), np.array([t]))[0])
 
 
 def test_kernel_at_origin():
@@ -93,11 +100,12 @@ def test_density_integral_divergence_flag():
 def test_density_integral_of_tabulated_symbol_uses_its_own_grid():
     # V = (1 + x1)/2 integrates against rho_20 to M_20 / 2 = 20.5: the odd
     # part vanishes and the constant part gives the trace of the projection.
-    spec = TruncationSpec.for_degree(20)
-    tab = TabulatedSymbol(d=2, spec=spec, values=0.5 * (1.0 + ball_grid(2, spec).points[:, 0]))
-    assert density_integral(tab, 2, 20, check_convergence=False) == pytest.approx(20.5, rel=1e-12)
-    with pytest.raises(ValueError, match="finer grid"):
-        density_integral(tab, 2, 20)
+    # The file's grid is the only one, on a non-default grid too.
+    for spec in (TruncationSpec.for_degree(20), TruncationSpec(20, 31, 43)):
+        tab = TabulatedSymbol(d=2, spec=spec, values=0.5 * (1.0 + ball_grid(2, spec).points[:, 0]))
+        assert density_integral(tab, 2, 20) == pytest.approx(20.5, rel=1e-12)
+    with pytest.raises(ValueError, match="different grid"):
+        density_integral(tab, 2, 20, spec=TruncationSpec.for_degree(20))
 
 
 def test_berezin_of_unit_symbol_is_one():
