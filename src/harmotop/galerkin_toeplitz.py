@@ -46,15 +46,16 @@ def assemble(V, d: int, spec: TruncationSpec) -> np.ndarray:
     A = weighted_gram(d, spec.max_degree, grid, grid.weights * vals)
     A *= norm[:, None]
     A *= norm[None, :]
-    asym = float(np.max(np.abs(A - A.T)))
-    scale = max(float(np.max(np.abs(A))), 1e-300)
+    out = A - A.T
+    asym = float(out.max())  # A - A.T is antisymmetric, so its largest entry is its largest |entry|
+    scale = max(float(A.max()), -float(A.min()), 1e-300)
     if asym > 1e-8 * scale:
         warnings.warn(
             f"assembly asymmetry {asym:.2e} exceeds 1e-8 relative; both triangles use the same "
             "quadrature, so this is rounding error in the Gram kernel",
             RuntimeWarning,
         )
-    return 0.5 * (A + A.T)
+    return np.multiply(np.add(A, A.T, out=out), 0.5, out=out)
 
 
 def spectrum(V, d: int, spec: TruncationSpec) -> Spectrum:
@@ -137,4 +138,4 @@ def write_matrix_csv(path, A: np.ndarray, d: int, max_degree: int) -> None:
     row = ",".join(["%.17g"] * n) + "\n"
     with open(path, "w") as fh:
         fh.write(f"# harmotop matrix d={d} K={max_degree} n={n}\n")
-        fh.write("".join(map(row.__mod__, map(tuple, A.tolist()))))
+        fh.writelines(row % tuple(values.tolist()) for values in A)  # one row's text at a time

@@ -221,13 +221,14 @@ def symmetric_eigen(A: np.ndarray, vectors: bool = False):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    scale = float(np.max(np.abs(A)))
+    scale = max(float(A.max()), -float(A.min()))  # not finite if any entry is not
     if not math.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    if float(np.max(np.abs(A - A.T))) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric to 1e-10 relative")
-    sym = 0.5 * (A + A.T)
+    if not np.array_equal(A, A.T):  # 0.5 (a + a) = a: an exactly symmetric A is its own average
+        if float(np.max(np.abs(A - A.T))) > 1e-10 * scale:
+            raise ValueError("matrix is not symmetric to 1e-10 relative")
+        A = 0.5 * (A + A.T)
     if vectors:
-        vals, vecs = np.linalg.eigh(sym)
+        vals, vecs = np.linalg.eigh(A)
         return vals, vecs
-    return np.linalg.eigvalsh(sym)
+    return np.linalg.eigvalsh(A)

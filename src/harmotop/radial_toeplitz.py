@@ -67,7 +67,7 @@ class Spectrum:
     """Eigenvalues with multiplicities, sorted by decreasing magnitude; sums run in that order."""
 
     values: np.ndarray
-    multiplicities: np.ndarray  # integers
+    multiplicities: np.ndarray  # integers; Python ints where (d-1)! M_K leaves int64 (radial, d >= 21)
     max_degree: int
     d: int
     provenance: str  # "exact-radial" | "galerkin"
@@ -78,7 +78,7 @@ class Spectrum:
 
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues expanded with multiplicity, |.|-descending."""
-        return np.repeat(self.values, self.multiplicities)
+        return np.repeat(self.values, self.multiplicities.astype(np.int64))
 
     def count_above(self, lam: float, sign: int = 1) -> int:
         if lam <= 0.0:
@@ -117,29 +117,24 @@ def radial_spectrum(v: RadialSymbol, d: int, max_degree: int) -> Spectrum:
 
 
 def _exact_degrees(d: int, k: np.ndarray) -> np.ndarray:
-    """Degrees k >= -1 as int64 while the binomials of m_k and M_k (at most
-    (d-1) M_k on the way) fit, else as Python ints."""
-    return k.astype(np.int64 if (d - 1) * cumulative_multiplicity(d, int(k.max())) < 2**63 else object)
-
-
-def _binom(n: np.ndarray, r: int) -> np.ndarray:
-    """binom(n, r) elementwise and exact in the dtype of n; 0 for n < r."""
-    out = np.ones_like(n)
-    for i in range(1, r + 1):
-        out = out * (n - r + i) // i
-    return np.where(n >= r, out, 0)
+    """Degrees k >= -1 as int64 while the product (d-1)! M_k of
+    `_cumulative_multiplicities` and the divisor (d-1)! fit, else as Python ints."""
+    fits = math.factorial(d - 1) * max(1, cumulative_multiplicity(d, int(k.max()))) < 2**63
+    return k.astype(np.int64 if fits else object)
 
 
 def _multiplicities(d: int, k: np.ndarray) -> np.ndarray:
-    """m_k over the degrees k, exact (see `_exact_degrees`)."""
-    k = _exact_degrees(d, k)
-    return _binom(k + d - 1, d - 1) - _binom(k + d - 3, d - 1)
+    """m_k = M_k - M_(k-1) over the degrees k, exact (see `_exact_degrees`)."""
+    return _cumulative_multiplicities(d, k) - _cumulative_multiplicities(d, k - 1)
 
 
 def _cumulative_multiplicities(d: int, k: np.ndarray) -> np.ndarray:
-    """M_k = m_0 + ... + m_k over the degrees k >= -1, exact (see `_exact_degrees`)."""
+    """M_k = m_0+...+m_k = (2k+d-1)(k+1)...(k+d-2)/(d-1)! for k >= -1, exact (see `_exact_degrees`)."""
     k = _exact_degrees(d, k)
-    return _binom(k + d - 1, d - 1) + _binom(k + d - 2, d - 1)
+    out = 2 * k + d - 1
+    for j in range(1, d - 1):
+        out = out * (k + j)
+    return np.maximum(out // math.factorial(d - 1), 0)
 
 
 def _degree_table(v: RadialSymbol, d: int, K: int):

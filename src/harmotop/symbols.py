@@ -223,8 +223,9 @@ class Power(RadialSymbol):
             return 1, log_scale + _log_gamma_ratio(x, g, math)
         out = log_scale + _log_gamma_ratio(x, g, np)
         small = x < _STIRLING_FROM
-        if small.any():
-            out[small] = [log_scale + math.lgamma(v) - math.lgamma(v + g) for v in x[small].tolist()]
+        if small.any():  # the scalar branch's value once per x = d+1, d+3, ... below 50, indexed by k
+            xs = range(d + 1, int(x[small].max()) + 1, 2)
+            out[small] = np.array([log_scale + math.lgamma(v) - math.lgamma(v + g) for v in xs])[k[small]]
         return 1, out
 
     def crossing_degree(self, d: int, ln_lam) -> np.ndarray:

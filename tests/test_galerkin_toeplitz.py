@@ -187,6 +187,22 @@ def test_matrix_csv_round_trip(tmp_path):
         write_matrix_csv(path, A[:3, :3], 2, 4)
 
 
+def test_matrix_csv_dump_holds_one_row_of_text_at_a_time(tmp_path):
+    # d = 3, K = 22, the largest section the benchmark dumps: 529 x 529
+    # values, 5.6 MB of text; the whole-matrix list and string took 15 MB
+    A = np.random.default_rng(5).standard_normal((529, 529))
+    path = tmp_path / "section.csv"
+    tracemalloc.start()
+    try:
+        write_matrix_csv(path, A, 3, 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 5e6
+    assert peak < size / 100
+
+
 def test_matrix_csv_matches_the_per_cell_rule(tmp_path):
     # d = 2, K = 2: a 5 x 5 dump holding every special value of the format
     A = np.array(

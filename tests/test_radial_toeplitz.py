@@ -25,6 +25,7 @@ from harmotop.radial_toeplitz import (
     step_constant,
     superpolynomial_decay_check,
 )
+from harmotop.radial_toeplitz import _cumulative_multiplicities, _multiplicities
 from harmotop.symbols import Power, Sampled, Step, SymbolSum
 
 CONST_ONE = Sampled([0.0, 0.5], [1.0, 1.0])
@@ -547,6 +548,32 @@ def test_monotone_grid_counts_are_exact_cumulative_multiplicities(v, d):
     assert all(type(n) is int for n in counts)
     if d == 6 and isinstance(v, Step):
         assert max(counts) > 2**63  # the Python-int branch, next to small counts
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 40])
+def test_multiplicity_arrays_equal_the_binomial_forms(d):
+    # `switch` is the first degree whose product (d-1)! M_k leaves int64;
+    # at d = 40 the divisor 39! alone does, so every array holds Python ints
+    def leaves_int64(k):
+        return math.factorial(d - 1) * max(1, cumulative_multiplicity(d, k)) >= 2**63
+
+    lo, switch = -2, 2**62
+    while switch - lo > 1:
+        mid = (lo + switch) // 2
+        lo, switch = (lo, mid) if leaves_int64(mid) else (mid, switch)
+    small = [-1, 0, 1, 2, 7]
+    for ks in ([small + [switch - 1], small + [switch]] if switch > 7 else [small]):
+        cum = _cumulative_multiplicities(d, np.array(ks))
+        assert cum.dtype == (object if max(ks) >= switch else np.int64)
+        assert cum.tolist() == [cumulative_multiplicity(d, k) for k in ks]
+        assert _multiplicities(d, np.array(ks[1:])).tolist() == [multiplicity(d, k) for k in ks[1:]]
+
+
+def test_radial_spectrum_expands_with_python_int_multiplicities():
+    # from d = 21 on, (d-1)! M_k leaves int64 and the multiplicities are Python ints
+    s = radial_spectrum(Power(1.0, 1.0), 22, 3)
+    assert s.multiplicities.dtype == object
+    assert s.eigenvalues().size == s.total_count == cumulative_multiplicity(22, 3)
 
 
 def test_count_near_the_degree_cap_is_exact_past_2_63():

@@ -117,6 +117,23 @@ def test_step_log_mu_array_is_bit_identical_to_scalar(b, c):
             assert (sign, log_abs) == v.log_mu(d, k)
 
 
+@pytest.mark.parametrize("gamma", [0.5, 1.778, 40.0])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_power_log_mu_array_is_bit_identical_to_scalar_below_50(gamma, d):
+    # every k with x = 2k+d+1 < 50 (the lgamma table), then the first beyond,
+    # shuffled among Stirling degrees; those match the same degree on its own
+    v = Power(1.3, gamma)
+    low = list(range((50 - d) // 2 + 1))
+    ks = low[::-1] + [10**6, 3, 10**12, 0] + low
+    sign, logs = v.log_mu(d, np.array(ks, dtype=np.int64))
+    assert sign == 1 and logs.shape == (len(ks),)
+    for k, log_abs in zip(ks, logs.tolist()):
+        if 2 * k + d + 1 < 50:
+            assert (sign, log_abs) == v.log_mu(d, k), k
+        else:
+            assert log_abs == v.log_mu(d, np.array([k]))[1][0], k
+
+
 def test_crossing_degree_estimates():
     # Step: exact up to rounding; mu_k = 0.25^(k+1) in d = 2 crosses 1e-3 at k = 4.
     assert Step(1.0, 0.5).crossing_degree(2, [math.log(1e-3), 0.0]).tolist() == [4.0, -1.0]
