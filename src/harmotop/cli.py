@@ -450,7 +450,7 @@ def _cmd_krein(args):
         if args.d != 2:
             raise ValueError(f"krein --E needs --d 2: the buckling oracle covers the disk only, got d={args.d}")
         e_grid = _parse_range(args.e_grid, "E", want_count=True).tolist()
-        exponent, coefficient = kc.weyl_L_fit(e_grid)
+        exponent, coefficient, counts = kc.weyl_L_fit(e_grid)
         meta = {
             "comments": [
                 "count: disk buckling values below E (multiplicity counted)",
@@ -459,46 +459,22 @@ def _cmd_krein(args):
             "formulas": ["count(E) ~ C E^(d/2), values j_(k+1,m)^2"],
             "fit": {"exponent": exponent, "coefficient": coefficient},
         }
-        return {"E": e_grid, "count": kc.disk_counting(e_grid).tolist()}, meta
+        return {"E": e_grid, "count": counts.tolist()}, meta
     ln_grid = _ln_lambda_grid(args.lnlambda)
     v_sup = args.vsup if args.vsup is not None else symbol.sup()
     gamma = symbol.gamma if isinstance(symbol, Power) else None
     theta = 2.0 * (args.d - 1) / (gamma * (args.d + 2)) if gamma else 0.5
-
-    # sandwich_minus asks n_plus at ln lam and ln lam + log1p(-eps) and the
-    # remainder at eps; one grid call counts both thresholds of every row,
-    # one remainder call every row's eps, and the sandwich looks them up.
-    # eps and the envelope keep their lam**e bits wherever lam is a positive
-    # double, and are formed from ln lam only where lam underflows to 0.
-    n_plus_at: dict[float, int] = {}
-    remainder_at: dict[float, int] = {}
-    lams = [math.exp(t) for t in ln_grid]
-
-    def lam_power(e: float) -> list[float]:
-        return [lam**e if lam > 0.0 else math.exp(e * t) for lam, t in zip(lams, ln_grid)]
-
-    epss = [args.eps] * len(lams) if args.eps is not None else [min(0.5, x) for x in lam_power(theta)]
-    if 0.0 in epss:
+    epss = [args.eps] * len(ln_grid) if args.eps is not None else [min(0.5, x) for x in kc.lam_power(ln_grid, theta)]
+    if args.eps is None and 0.0 in epss:  # a given eps is checked by the sandwich
         where = f"ln lambda = {ln_grid[epss.index(0.0)]!r}"
         raise TailNotCertifiedError(f"remainder below lam1 + sup V / eps: eps = lambda^{theta:g} = 0 at {where}; give --eps")
-    inputs = [
-        kc.SandwichInput(ln_lam=t, eps=eps, n_plus=n_plus_at.__getitem__, remainder=remainder_at.__getitem__)
-        for t, eps in zip(ln_grid, epss)
-    ]
-    thresholds = ln_grid + [t + math.log1p(-eps) for t, eps in zip(ln_grid, epss)]
-    n_plus_at.update(zip(thresholds, rt.counting(symbol, args.d, ln_lam=thresholds)))
-    remainder_at.update(zip(epss, kc.remainder_model(np.array(epss), v_sup, args.lam1, args.d).tolist()))
-    boxes = [kc.sandwich_minus(inp) for inp in inputs]
-    table = {"lambda": lams, "eps": epss, "lower": [b.lower for b in boxes], "upper": [b.upper for b in boxes]}
+    lower, upper = kc.sandwich_minus(
+        ln_lam=ln_grid, eps=epss, n_plus=lambda ts: rt.counting(symbol, args.d, ln_lam=ts),
+        remainder=lambda e: kc.remainder_model(e, v_sup, args.lam1, args.d),
+    )
+    table = {"lambda": [math.exp(t) for t in ln_grid], "eps": epss, "lower": lower, "upper": upper}
     if gamma:
-        # the main term C lam^(-(d-1)/gamma) of kc.counting_envelope, C computed once
-        coeff = rt.boundary_law_constant(args.d, gamma, symbol.a)
-        try:
-            table["envelope_main"] = [coeff * x for x in lam_power(-(args.d - 1) / gamma)]
-        except OverflowError:
-            table["envelope_main"] = [math.inf]
-        if not all(map(math.isfinite, table["envelope_main"])):
-            raise TailNotCertifiedError(f"envelope_main is beyond the double range at ln lambda = {min(ln_grid)!r}")
+        table["envelope_main"] = kc.counting_envelope(args.d, gamma, symbol.a, ln_lam=ln_grid).main
     meta = {
         "comments": [
             "bounds: n_plus(lambda) <= N_minus(lambda) <= n_plus((1-eps) lambda) + remainder(eps)",

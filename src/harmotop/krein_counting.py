@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,8 +20,7 @@ from .numerics import bessel_zero_counts
 from .radial_toeplitz import boundary_law_constant
 
 __all__ = [
-    "BoundInterval",
-    "SandwichInput",
+    "lam_power",
     "sandwich_minus",
     "sandwich_plus",
     "CountingEnvelope",
@@ -33,76 +31,78 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundInterval:
-    lower: int
-    upper: int
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"empty bound interval [{self.lower}, {self.upper}]")
-
-
-@dataclass(frozen=True, kw_only=True)
-class SandwichInput:
-    """Inputs of the two-sided counting bounds at the threshold lam = exp(ln_lam).
-
-    n_plus maps a log-threshold to the Toeplitz counting function there;
-    remainder maps epsilon to a bound on the resolvent-remainder counting
-    term; offset is the constant absorbed on the positive-perturbation side.
-    """
-
-    ln_lam: float
-    eps: float
-    n_plus: Callable[[float], int]
-    remainder: Callable[[float], int]
-    offset: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.offset < 0:
-            raise ValueError(f"offset must be nonnegative, got {self.offset}")
+def lam_power(ln_lam, e: float) -> list[float]:
+    """lam**e at lam = exp(t) for each t in ln_lam: lam**e where lam is a
+    positive double, exp(e t) where it underflows to 0, inf past the double
+    range.  Python floats keep libm's rounding; numpy's SIMD exp and power
+    do not promise it."""
+    out = []
+    for t in ln_lam:
+        lam = math.exp(t)
+        try:
+            out.append(lam**e if lam > 0.0 else math.exp(e * t))
+        except OverflowError:
+            out.append(math.inf)
+    return out
 
 
-def sandwich_minus(inp: SandwichInput) -> BoundInterval:
-    """Two-sided bound for the negative-perturbation counting function:
-    n_plus(lam) <= N <= n_plus((1-eps) lam) + remainder(eps), with n_plus
-    asked at ln_lam and ln_lam + log1p(-eps)."""
-    lower = int(inp.n_plus(inp.ln_lam))
-    upper = int(inp.n_plus(inp.ln_lam + math.log1p(-inp.eps))) + int(inp.remainder(inp.eps))
-    return BoundInterval(lower=lower, upper=upper)
+def _counts(ln_lam, eps, n_plus, remainder, sign: float):
+    """One n_plus call at every ln lam and ln lam + log1p(sign eps); one remainder call."""
+    ln_lam, eps = list(ln_lam), [float(e) for e in eps]
+    bad = [e for e in eps if not 0.0 < e < 1.0]
+    if bad:
+        raise ValueError(f"eps must lie in (0, 1), got {bad[0]}")
+    counts = [int(n) for n in n_plus(ln_lam + [t + math.log1p(sign * e) for t, e in zip(ln_lam, eps, strict=True)])]
+    return counts[: len(ln_lam)], counts[len(ln_lam) :], [int(r) for r in remainder(np.array(eps))]
 
 
-def sandwich_plus(inp: SandwichInput) -> BoundInterval:
-    """Two-sided bound for the positive-perturbation counting function:
-    n_plus((1+eps) lam) - remainder(eps) - offset <= N <= n_plus(lam) - offset,
-    with n_plus asked at ln_lam + log1p(eps) and ln_lam, both sides clamped
-    at zero."""
-    lower = int(inp.n_plus(inp.ln_lam + math.log1p(inp.eps))) - int(inp.remainder(inp.eps)) - inp.offset
-    upper = int(inp.n_plus(inp.ln_lam)) - inp.offset
-    return BoundInterval(lower=max(0, lower), upper=max(0, upper))
+def _interval(lower: list[int], upper: list[int]) -> tuple[list[int], list[int]]:
+    if any(lo > up for lo, up in zip(lower, upper)):
+        raise ValueError("empty bound interval: a lower bound exceeds its upper bound")
+    return lower, upper
+
+
+def sandwich_minus(*, ln_lam, eps, n_plus, remainder) -> tuple[list[int], list[int]]:
+    """Lower and upper columns of n_plus(lam) <= N_minus <= n_plus((1-eps) lam)
+    + remainder(eps) on a grid, one eps per row; n_plus maps a list of ln
+    thresholds to counts, remainder an array of eps to counts."""
+    at, shifted, rem = _counts(ln_lam, eps, n_plus, remainder, -1.0)
+    return _interval(at, [n + r for n, r in zip(shifted, rem)])
+
+
+def sandwich_plus(*, ln_lam, eps, n_plus, remainder, offset: int = 0) -> tuple[list[int], list[int]]:
+    """Lower and upper columns of n_plus((1+eps) lam) - remainder(eps) - offset
+    <= N_plus <= n_plus(lam) - offset, clamped at 0, as in sandwich_minus."""
+    if offset < 0:
+        raise ValueError(f"offset must be nonnegative, got {offset}")
+    at, shifted, rem = _counts(ln_lam, eps, n_plus, remainder, 1.0)
+    return _interval([max(0, n - r - offset) for n, r in zip(shifted, rem)], [max(0, n - offset) for n in at])
 
 
 @dataclass(frozen=True)
 class CountingEnvelope:
     """Leading term and error exponents of the two-sided counting envelopes."""
 
-    main: float
+    main: list[float]
     error_exponent_inner: float   # lam^-(d-2)/gamma side
     error_exponent_sandwich: float  # lam^-(d-1) kappa / gamma side
     kappa: float
 
 
-def counting_envelope(d: int, gamma: float, a0: float, *, ln_lam: float) -> CountingEnvelope:
-    """Envelope main term C lam^(-(d-1)/gamma) at lam = exp(ln_lam), with the
-    remainder dichotomy kappa = d/(d+2) for 2 <= d <= 4 and (d-2)/(d-1) for d >= 4."""
+def counting_envelope(d: int, gamma: float, a0: float, *, ln_lam) -> CountingEnvelope:
+    """Envelope main term C lam^(-(d-1)/gamma) at every lam = exp(t), t in
+    ln_lam, with the remainder dichotomy kappa = d/(d+2) for 2 <= d <= 4 and
+    (d-2)/(d-1) for d >= 4.  A main term beyond the double range raises
+    TailNotCertifiedError."""
     if d < 2:
         raise ValueError(f"space dimension must be >= 2, got {d}")
     kappa = d / (d + 2.0) if d <= 4 else (d - 2.0) / (d - 1.0)
     coeff = boundary_law_constant(d, gamma, a0)
+    main = [coeff * x for x in lam_power(ln_lam, -(d - 1) / gamma)]
+    if not all(map(math.isfinite, main)):
+        raise TailNotCertifiedError(f"envelope_main is beyond the double range at ln lambda = {float(min(ln_lam))!r}")
     return CountingEnvelope(
-        main=coeff * math.exp(-(d - 1) / gamma * ln_lam),
+        main=main,
         error_exponent_inner=(d - 2) / gamma,
         error_exponent_sandwich=(d - 1) * kappa / gamma,
         kappa=kappa,
@@ -140,8 +140,9 @@ def disk_counting(energy):
     return int(total) if total.ndim == 0 else total
 
 
-def weyl_L_fit(e_grid) -> tuple[float, float]:
-    """Fit of the disk buckling counting function to C E: (exponent, coefficient).
+def weyl_L_fit(e_grid) -> tuple[float, float, np.ndarray]:
+    """Fit of the disk buckling counting function to C E: (exponent,
+    coefficient, counts), with the counts at every grid energy.
 
     The exponent comes from a free log-log fit; the coefficient from the
     deepest grid point.  The planar leading coefficient is area/(4 pi) = 1/4.
@@ -149,12 +150,12 @@ def weyl_L_fit(e_grid) -> tuple[float, float]:
     e_arr = np.asarray(e_grid, dtype=float)
     if e_arr.size < 2 or np.any(np.diff(e_arr) <= 0.0):
         raise ValueError("energy grid must be increasing with >= 2 points")
-    counts = disk_counting(e_arr).astype(float)
-    if np.any(counts < 1.0):
+    counts = disk_counting(e_arr)
+    if np.any(counts < 1):
         raise ValueError("energy grid starts below the first buckling value")
     exponent = float(np.polyfit(np.log(e_arr), np.log(counts), 1)[0])
     coefficient = float(counts[-1] / e_arr[-1])
-    return exponent, coefficient
+    return exponent, coefficient, counts
 
 
 def remainder_model(eps, v_sup: float, lam1: float, d: int):

@@ -225,34 +225,26 @@ def test_c14_sandwich_arithmetic():
     with budget("14 sandwich arithmetic", 5.0):
         n_plus = lambda ln_lam: rt.counting(Power(1.0, 1.0), 2, ln_lam=ln_lam)
         remainder = lambda e: kc.remainder_model(e, 1.0, 10.0, 2)
-        for lam in np.geomspace(1e-5, 1e-2, 20):
-            for eps in np.linspace(0.02, 0.9, 20):
-                inp = kc.SandwichInput(
-                    ln_lam=math.log(lam), eps=float(eps), n_plus=n_plus, remainder=remainder
-                )
-                minus = kc.sandwich_minus(inp)
-                plus = kc.sandwich_plus(inp)
-                assert minus.lower <= minus.upper
-                assert plus.lower <= plus.upper
+        no_remainder = lambda e: [0] * len(e)
+        pairs = [(math.log(lam), float(eps)) for lam in np.geomspace(1e-5, 1e-2, 20) for eps in np.linspace(0.02, 0.9, 20)]
+        ln_lam, epss = map(list, zip(*pairs))
+        minus = kc.sandwich_minus(ln_lam=ln_lam, eps=epss, n_plus=n_plus, remainder=remainder)
+        plus = kc.sandwich_plus(ln_lam=ln_lam, eps=epss, n_plus=n_plus, remainder=remainder)
+        for lower, upper in (minus, plus):
+            assert len(lower) == 400 and all(lo <= up for lo, up in zip(lower, upper))
         lam0 = 1.03e-3
-        collapsed = kc.sandwich_minus(
-            kc.SandwichInput(ln_lam=math.log(lam0), eps=1e-9, n_plus=n_plus, remainder=lambda e: 0)
-        )
-        assert collapsed.lower == collapsed.upper == n_plus(math.log(lam0))
+        collapsed = kc.sandwich_minus(ln_lam=[math.log(lam0)], eps=[1e-9], n_plus=n_plus, remainder=no_remainder)
+        assert collapsed == ([n_plus(math.log(lam0))], [n_plus(math.log(lam0))])
         # optimal-eps choice reproduces the sandwich remainder exponent
         d, gamma = 2, 1.0
         theta = 2.0 * (d - 1) / (gamma * (d + 2))
-        kappa = kc.counting_envelope(d, gamma, 1.0, ln_lam=math.log(1e-4)).kappa
+        kappa = kc.counting_envelope(d, gamma, 1.0, ln_lam=[math.log(1e-4)]).kappa
         lams = np.geomspace(1e-6, 1e-3, 13)
-        excess = []
-        for lam in lams:
-            inp = kc.SandwichInput(
-                ln_lam=math.log(lam), eps=float(lam**theta), n_plus=n_plus, remainder=remainder
-            )
-            excess.append(
-                kc.sandwich_minus(inp).upper
-                - kc.counting_envelope(d, gamma, 1.0, ln_lam=math.log(lam)).main
-            )
+        ln_lams = [math.log(lam) for lam in lams]
+        _, upper = kc.sandwich_minus(
+            ln_lam=ln_lams, eps=[float(lam**theta) for lam in lams], n_plus=n_plus, remainder=remainder
+        )
+        excess = np.array(upper) - np.array(kc.counting_envelope(d, gamma, 1.0, ln_lam=ln_lams).main)
         slope = float(np.polyfit(np.log(lams), np.log(excess), 1)[0])
         target = -(d - 1) * kappa / gamma
         assert abs(slope / target - 1.0) <= 0.15, slope
@@ -266,9 +258,10 @@ def test_c15_buckling_oracle_and_weyl_bound():
         assert abs(j11 - 14.68197064) <= 1e-6
         steps = kc.disk_counting(np.array([j11 - 1e-8, j11 + 1e-8, j21 - 1e-8, j21 + 1e-8]))
         assert steps.tolist() == [0, 1, 1, 3]
-        exponent, coefficient = kc.weyl_L_fit(np.geomspace(2e3, 1e4, 8))
+        exponent, coefficient, counts = kc.weyl_L_fit(np.geomspace(2e3, 1e4, 8))
         assert abs(exponent - 1.0) <= 0.05, exponent
         assert abs(coefficient - 0.25) <= 0.025, coefficient
+        assert counts.tolist() == kc.disk_counting(np.geomspace(2e3, 1e4, 8)).tolist()
 
 
 def test_c16_multiplicity_combinatorics():
@@ -281,3 +274,32 @@ def test_c16_multiplicity_combinatorics():
         assert multiplicity_asymptotic_check(2, 200) == pytest.approx(0.5, rel=1e-12)
         assert multiplicity_asymptotic_check(3, 200) <= 2.02
         assert multiplicity_asymptotic_check(6, 200) <= 30.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_c17_sharp_remainder_band(d):
+    # R = n - C lam^(-(d-1)/gamma), with C = power_constant, is of the sharp
+    # order lam^(-(d-2)/gamma).  Gamma(x)/Gamma(x+gamma) = (x + (gamma-1)/2)^(-gamma)
+    # (1 + O(x^-2)) gives mu_k ~ A (2k+s)^(-gamma), A = a Gamma(gamma+1),
+    # s = (2d+1+gamma)/2, so the crossing degree is nu = ceil((X-s)/2) with
+    # X = (A/lam)^(1/gamma), n = M_(nu-1), and R lam^((d-2)/gamma) lies in
+    # [-(gamma+7)/2, -(gamma+3)/2) at d = 2 and in A^(1/gamma) [-(gamma+7)/4,
+    # -(gamma+3)/4) at d = 3.  The O(x^-2) term moves the crossing by O(1/nu)
+    # degrees, so every row is allowed one band width over nu beyond the
+    # band (the rows use at most 0.66 of that allowance); both ends must be
+    # approached to 0.05, so the band is sharp.
+    with budget(f"17 sharp remainder band, d={d}", 1.0):
+        for gamma in (0.5, 1.0, 2.0):
+            ln_lam = np.linspace(-4.0, -14.0 * gamma, 400)
+            n = np.array(rt.counting(Power(1.0, gamma), d, ln_lam=ln_lam.tolist()), dtype=float)
+            main = rt.power_constant(d, gamma, 1.0) * np.exp(-(d - 1) / gamma * ln_lam)
+            scaled = (n - main) * np.exp((d - 2) / gamma * ln_lam)
+            A = math.gamma(gamma + 1.0)
+            unit = 1.0 if d == 2 else A ** (1.0 / gamma) / 2.0
+            lo, hi = -(gamma + 7.0) / 2.0 * unit, -(gamma + 3.0) / 2.0 * unit
+            X = (A / np.exp(ln_lam)) ** (1.0 / gamma)
+            nu = np.maximum(np.ceil((X - (2 * d + 1 + gamma) / 2.0) / 2.0), 1.0)
+            allowance = (hi - lo) / nu
+            assert np.all(scaled >= lo - allowance), (gamma, float(scaled.min()))
+            assert np.all(scaled <= hi + allowance), (gamma, float(scaled.max()))
+            assert scaled.min() <= lo + 0.05 and scaled.max() >= hi - 0.05, (gamma, scaled.min(), scaled.max())

@@ -396,6 +396,32 @@ def test_krein_rows_share_one_remainder_sweep(capsys, monkeypatch):
     assert calls == [30]
 
 
+def test_krein_energy_scan_sweeps_once(capsys, monkeypatch):
+    # the fit and the printed counts share one Bessel sweep
+    calls = []
+    sweep = kc.disk_counting
+    monkeypatch.setattr(kc, "disk_counting", lambda energy: calls.append(np.size(energy)) or sweep(energy))
+    code, out, _ = run_cli(capsys, "krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--E", "2000:200000:5")
+    assert code == 0 and len([l for l in out.splitlines() if not l.startswith("#")]) == 5
+    assert calls == [5]
+
+
+@pytest.mark.parametrize("eps", ["0", "1", "1.5", "-0.5"])
+def test_krein_refuses_an_eps_outside_the_open_unit_interval(capsys, eps):
+    code, out, err = run_cli(capsys, "krein", *POWER, "--lnlambda", "-8:-4:3", "--eps", eps)
+    assert code == 2 and out == ""
+    assert f"eps must lie in (0, 1), got {float(eps)}" in err
+
+
+def test_krein_default_eps_beyond_the_double_range_is_capped(capsys):
+    # lambda^theta with theta = 5 overflows at ln lambda = 700; eps = min(0.5, inf)
+    argv = ["krein", "--d", "2", "--symbol", "power:a=1,gamma=0.1", "--lnlambda", "700:701:2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+    assert [row[1:] for row in rows] == [["0.5", "0", "0", "0"]] * 2
+
+
 def test_boundary_energy_fit_builds_no_degree_table(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(Power, "mu", lambda *a, **k: calls.append(a))

@@ -5,94 +5,171 @@ import pytest
 import scipy.special as sp
 
 from harmotop import radial_toeplitz as rt
+from harmotop.errors import TailNotCertifiedError
 from harmotop.krein_counting import (
-    BoundInterval,
-    SandwichInput,
     counting_envelope,
     disk_counting,
+    lam_power,
     remainder_model,
     sandwich_minus,
     sandwich_plus,
     weyl_L_fit,
 )
-from harmotop.symbols import Power
+from harmotop.symbols import Power, Step
 
 
-def nplus_power(ln_lam: float) -> int:
+def nplus_power(ln_lam):
     return rt.counting(Power(1.0, 1.0), 2, ln_lam=ln_lam)
 
 
+def no_remainder(eps):
+    return [0] * len(eps)
+
+
 def test_bound_interval_validation():
-    with pytest.raises(ValueError):
-        BoundInterval(lower=3, upper=2)
-    assert BoundInterval(lower=2, upper=2).upper == 2
+    # a lower bound above its upper bound on any row is refused
+    swapped = lambda ts: [5] * (len(ts) // 2) + [2] * (len(ts) // 2)  # n at ln lam, then at the shifted ln lam
+    with pytest.raises(ValueError, match="empty bound interval"):
+        sandwich_minus(ln_lam=[-3.0, -2.0], eps=[0.5, 0.5], n_plus=swapped, remainder=no_remainder)
+    with pytest.raises(ValueError, match="empty bound interval"):
+        sandwich_plus(ln_lam=[-3.0], eps=[0.5], n_plus=lambda ts: [2, 5], remainder=no_remainder)
+    flat = lambda ts: [2] * len(ts)
+    assert sandwich_minus(ln_lam=[-3.0], eps=[0.5], n_plus=flat, remainder=no_remainder) == ([2], [2])
 
 
 def test_sandwich_input_validation():
-    with pytest.raises(ValueError):
-        SandwichInput(ln_lam=math.log(0.1), eps=1.0, n_plus=nplus_power, remainder=lambda e: 0)
-    with pytest.raises(ValueError):
-        SandwichInput(ln_lam=math.log(0.1), eps=0.5, n_plus=nplus_power, remainder=lambda e: 0, offset=-1)
-    with pytest.raises(TypeError):  # the threshold is passed by name, as ln_lam
-        SandwichInput(0.1, 0.5, nplus_power, lambda e: 0)
+    for sandwich in (sandwich_minus, sandwich_plus):
+        for eps in (0.0, 1.0, 1.5, -0.5, math.nan):
+            with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+                sandwich(ln_lam=[math.log(0.1)] * 2, eps=[0.5, eps], n_plus=nplus_power, remainder=no_remainder)
+    with pytest.raises(ValueError, match="offset"):
+        sandwich_plus(ln_lam=[math.log(0.1)], eps=[0.5], n_plus=nplus_power, remainder=no_remainder, offset=-1)
+    with pytest.raises(ValueError):  # one eps per row
+        sandwich_minus(ln_lam=[-3.0, -2.0], eps=[0.5], n_plus=nplus_power, remainder=no_remainder)
+    for sandwich in (sandwich_minus, sandwich_plus):
+        with pytest.raises(TypeError):  # the thresholds are passed by name, as ln_lam
+            sandwich([math.log(0.1)], [0.5], nplus_power, no_remainder)
 
 
 def test_sandwich_minus_collapses_without_remainder():
     lam = 1.03e-3  # generic threshold away from the eigenvalues 1/(2k+3)
-    for eps in (0.3, 0.1, 1e-3, 1e-7):
-        box = sandwich_minus(SandwichInput(ln_lam=math.log(lam), eps=eps, n_plus=nplus_power, remainder=lambda e: 0))
-        assert box.lower == nplus_power(math.log(lam))
-        assert box.upper >= box.lower
-    tight = sandwich_minus(SandwichInput(ln_lam=math.log(lam), eps=1e-9, n_plus=nplus_power, remainder=lambda e: 0))
-    assert tight.upper == tight.lower  # interval collapses to [n(lam), n(lam-)]
+    epss = [0.3, 0.1, 1e-3, 1e-7]
+    lower, upper = sandwich_minus(ln_lam=[math.log(lam)] * 4, eps=epss, n_plus=nplus_power, remainder=no_remainder)
+    assert lower == [nplus_power(math.log(lam))] * 4
+    assert all(u >= l for l, u in zip(lower, upper))
+    tight = sandwich_minus(ln_lam=[math.log(lam)], eps=[1e-9], n_plus=nplus_power, remainder=no_remainder)
+    assert tight[0] == tight[1]  # interval collapses to [n(lam), n(lam-)]
 
 
 def test_sandwich_minus_above_top_eigenvalue():
-    box = sandwich_minus(
-        SandwichInput(ln_lam=math.log(10.0), eps=0.5, n_plus=nplus_power, remainder=lambda e: 7)
+    lower, upper = sandwich_minus(
+        ln_lam=[math.log(10.0)], eps=[0.5], n_plus=nplus_power, remainder=lambda e: [7] * len(e)
     )
-    assert box.lower == 0 and box.upper == 7
+    assert lower == [0] and upper == [7]
 
 
 def test_sandwich_plus_forms():
     lam = 1.03e-3
-    box = sandwich_plus(SandwichInput(ln_lam=math.log(lam), eps=0.25, n_plus=nplus_power, remainder=lambda e: 0))
-    assert box.lower == nplus_power(math.log(lam) + math.log1p(0.25)) == nplus_power(math.log(1.25 * lam))
-    assert box.upper == nplus_power(math.log(lam))
+    lower, upper = sandwich_plus(ln_lam=[math.log(lam)], eps=[0.25], n_plus=nplus_power, remainder=no_remainder)
+    assert lower == [nplus_power(math.log(lam) + math.log1p(0.25))] == [nplus_power(math.log(1.25 * lam))]
+    assert upper == [nplus_power(math.log(lam))]
     # lower bound is nondecreasing as eps decreases
-    lowers = [
-        sandwich_plus(SandwichInput(ln_lam=math.log(lam), eps=e, n_plus=nplus_power, remainder=lambda e_: 0)).lower
-        for e in (0.5, 0.25, 0.1, 0.01)
-    ]
+    lowers, _ = sandwich_plus(
+        ln_lam=[math.log(lam)] * 4, eps=[0.5, 0.25, 0.1, 0.01], n_plus=nplus_power, remainder=no_remainder
+    )
     assert all(a <= b for a, b in zip(lowers, lowers[1:]))
     clamped = sandwich_plus(
-        SandwichInput(ln_lam=math.log(10.0), eps=0.5, n_plus=nplus_power, remainder=lambda e: 100, offset=5)
+        ln_lam=[math.log(10.0)], eps=[0.5], n_plus=nplus_power, remainder=lambda e: [100] * len(e), offset=5
     )
-    assert clamped.lower == 0 and clamped.upper == 0
+    assert clamped == ([0], [0])
 
 
 def test_interval_well_formedness_on_grid():
-    for lam in np.geomspace(1e-5, 1e-2, 20):
-        for eps in np.linspace(0.02, 0.9, 20):
-            inp = SandwichInput(
-                ln_lam=math.log(lam),
-                eps=float(eps),
-                n_plus=nplus_power,
-                remainder=lambda e: remainder_model(e, 1.0, 10.0, 2),
-            )
-            assert sandwich_minus(inp).lower <= sandwich_minus(inp).upper
-            assert sandwich_plus(inp).lower <= sandwich_plus(inp).upper
+    pairs = [(math.log(lam), float(eps)) for lam in np.geomspace(1e-5, 1e-2, 20) for eps in np.linspace(0.02, 0.9, 20)]
+    ln_lam, epss = map(list, zip(*pairs))
+    for sandwich in (sandwich_minus, sandwich_plus):
+        lower, upper = sandwich(
+            ln_lam=ln_lam, eps=epss, n_plus=nplus_power, remainder=lambda e: remainder_model(e, 1.0, 10.0, 2)
+        )
+        assert len(lower) == len(upper) == 400
+        assert all(l <= u for l, u in zip(lower, upper))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("symbol", [Power(1.0, 1.0), Power(0.7, 2.5), Step(1.0, 0.5)], ids=repr)
+@pytest.mark.parametrize("eps", ["default", 0.25])
+@pytest.mark.parametrize("offset", [0, 3])
+def test_grid_sandwich_matches_the_per_row_formulas(symbol, d, eps, offset):
+    # each row of both grid sandwiches is the row formula with scalar counts
+    rng = np.random.default_rng(20 + d + offset)
+    ln_lam = np.sort(rng.uniform(-12.0, -1.0, 25)).tolist()
+    theta = 2.0 * (d - 1) / (symbol.gamma * (d + 2)) if isinstance(symbol, Power) else 0.5
+    epss = [min(0.5, math.exp(t) ** theta) for t in ln_lam] if eps == "default" else [eps] * len(ln_lam)
+    n_plus = lambda t: rt.counting(symbol, d, ln_lam=t)
+    remainder = lambda e: remainder_model(e, symbol.sup(), 10.0, d)
+    minus = sandwich_minus(ln_lam=ln_lam, eps=epss, n_plus=n_plus, remainder=remainder)
+    plus = sandwich_plus(ln_lam=ln_lam, eps=epss, n_plus=n_plus, remainder=remainder, offset=offset)
+    for t, e, lo_m, up_m, lo_p, up_p in zip(ln_lam, epss, *minus, *plus, strict=True):
+        r = remainder(e)
+        assert (lo_m, up_m) == (n_plus(t), n_plus(t + math.log1p(-e)) + r)
+        assert (lo_p, up_p) == (max(0, n_plus(t + math.log1p(e)) - r - offset), max(0, n_plus(t) - offset))
+
+
+@pytest.mark.parametrize("sandwich", [sandwich_minus, sandwich_plus])
+def test_sandwich_calls_n_plus_and_remainder_once(sandwich):
+    ln_lam = np.linspace(-9.0, -3.0, 30).tolist()
+    asked, rems = [], []
+
+    def n_plus(ts):
+        asked.append(list(ts))
+        return nplus_power(ts)
+
+    def remainder(e):
+        rems.append(e.copy())
+        return remainder_model(e, 1.0, 10.0, 2)
+
+    sandwich(ln_lam=ln_lam, eps=[0.2] * 30, n_plus=n_plus, remainder=remainder)
+    assert len(asked) == 1 and len(rems) == 1
+    shift = math.log1p(-0.2 if sandwich is sandwich_minus else 0.2)
+    assert asked[0] == ln_lam + [t + shift for t in ln_lam]
+    assert rems[0].tolist() == [0.2] * 30
+
+
+def test_lam_power_keeps_the_python_float_bits():
+    ln_lam = [-1500.0, -800.0, -745.5, -700.0, -12.3, 0.0, 3.0, 700.0]
+    for e in (0.5, 1.0 / 3.0, -1.0, -39.0, 5.0):
+        got = lam_power(ln_lam, e)
+        for t, x in zip(ln_lam, got, strict=True):
+            lam = math.exp(t)
+            if lam == 0.0:  # below the double range: formed from ln lam
+                want = math.exp(e * t) if e * t < 709.0 else math.inf
+            else:
+                want = lam**e if e * t < 709.0 else math.inf
+            assert x == want and type(x) is float, (t, e)
+    assert lam_power([-1500.0], -1.0) == [math.inf]
+    assert lam_power([-1500.0], 0.5) == [0.0]
 
 
 def test_counting_envelope_kappa_dichotomy():
-    ln_lam = math.log(1e-4)
+    ln_lam = [math.log(1e-4)]
     assert counting_envelope(3, 1.0, 1.0, ln_lam=ln_lam).kappa == pytest.approx(3.0 / 5.0)
     assert counting_envelope(4, 1.0, 1.0, ln_lam=ln_lam).kappa == pytest.approx(2.0 / 3.0)
     assert counting_envelope(5, 1.0, 1.0, ln_lam=ln_lam).kappa == pytest.approx(3.0 / 4.0)
     env = counting_envelope(2, 1.0, 1.0, ln_lam=ln_lam)
-    assert env.main == pytest.approx(1e4, rel=1e-10)
+    assert env.main == [pytest.approx(1e4, rel=1e-10)]
     assert env.error_exponent_inner == pytest.approx(0.0)
     assert env.error_exponent_sandwich == pytest.approx(0.5)
+
+
+def test_counting_envelope_is_one_column_or_a_refusal():
+    ln_lam = np.linspace(-9.0, -1.0, 9).tolist()
+    coeff = rt.boundary_law_constant(3, 2.0, 1.5)
+    assert counting_envelope(3, 2.0, 1.5, ln_lam=ln_lam).main == [coeff * math.exp(t) ** -1.0 for t in ln_lam]
+    # C lambda^(-39) at lambda = e^-30 is about e^1040
+    with pytest.raises(TailNotCertifiedError, match=r"envelope_main is beyond the double range at ln lambda = -30.0"):
+        counting_envelope(40, 1.0, 1.0, ln_lam=[-20.0, -30.0])
+    with pytest.raises(TypeError):
+        counting_envelope(2, 1.0, 1.0, ln_lam)
 
 
 def test_buckling_disk_values_against_independent_oracle():
@@ -161,28 +238,27 @@ def test_remainder_model():
 
 
 def test_weyl_L_fit_disk():
-    exponent, coefficient = weyl_L_fit(np.geomspace(2e3, 1e4, 8))
+    grid = np.geomspace(2e3, 1e4, 8)
+    exponent, coefficient, counts = weyl_L_fit(grid)
     assert exponent == pytest.approx(1.0, abs=0.05)
     assert coefficient == pytest.approx(0.25, rel=0.10)
+    assert counts.tolist() == disk_counting(grid).tolist()
+    assert coefficient == counts[-1] / grid[-1]
 
 
 def test_optimized_eps_reproduces_remainder_exponent():
     d, gamma = 2, 1.0
     theta = 2.0 * (d - 1) / (gamma * (d + 2))
-    target = -(d - 1) * counting_envelope(d, gamma, 1.0, ln_lam=math.log(1e-4)).kappa / gamma
+    target = -(d - 1) * counting_envelope(d, gamma, 1.0, ln_lam=[math.log(1e-4)]).kappa / gamma
     lams = np.geomspace(1e-6, 1e-3, 13)
-    excess = []
-    for lam in lams:
-        eps = float(lam**theta)
-        inp = SandwichInput(
-            ln_lam=math.log(lam),
-            eps=eps,
-            n_plus=nplus_power,
-            remainder=lambda e: remainder_model(e, 1.0, 10.0, d),
-        )
-        upper = sandwich_minus(inp).upper
-        excess.append(upper - counting_envelope(d, gamma, 1.0, ln_lam=math.log(lam)).main)
-    excess = np.array(excess)
+    ln_lam = np.log(lams).tolist()
+    _, upper = sandwich_minus(
+        ln_lam=ln_lam,
+        eps=[float(lam**theta) for lam in lams],
+        n_plus=nplus_power,
+        remainder=lambda e: remainder_model(e, 1.0, 10.0, d),
+    )
+    excess = np.array(upper) - np.array(counting_envelope(d, gamma, 1.0, ln_lam=ln_lam).main)
     assert np.all(excess > 0.0)
     slope = float(np.polyfit(np.log(lams), np.log(excess), 1)[0])
     assert slope == pytest.approx(target, rel=0.15)
