@@ -1,6 +1,6 @@
 """Numerical spectral laboratory for harmonic Toeplitz operators on the unit ball."""
 
-from .errors import QuadratureDivergenceError, TailNotCertifiedError
+from .errors import TailNotCertifiedError
 from .grids import TruncationSpec
 from .symbols import GeneralSymbol, Power, RadialSymbol, Sampled, Step, SymbolSum
 
@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GeneralSymbol",
     "Power",
-    "QuadratureDivergenceError",
     "RadialSymbol",
     "Sampled",
     "Step",

@@ -1,6 +1,6 @@
 """Finite-section (Galerkin) compression of the Toeplitz operator for
 general symbols in d = 2, 3: assembly, spectra (counts and Schatten norms are
-`Spectrum` methods), norm-domination checks and Weyl-inequality verification.
+`Spectrum` methods) and the matrix CSV dump.
 
 The section is the compression to harmonic degrees <= max_degree.  For
 nonnegative symbols its eigenvalues are monotone nondecreasing in the
@@ -9,14 +9,12 @@ lower bounds for the full counting function.
 """
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
 
 from .grids import TruncationSpec, weighted_gram
 from .harmonic_basis import basis_degrees, cumulative_multiplicity
-from .kernel_berezin import density_radial
 from .numerics import symmetric_eigen
 from .radial_toeplitz import Spectrum
 from .symbols import symbol_on_grid
@@ -25,8 +23,6 @@ __all__ = [
     "assemble",
     "spectrum",
     "section_spectrum",
-    "norm_domination_check",
-    "weyl_check",
     "write_matrix_csv",
 ]
 
@@ -68,65 +64,6 @@ def section_spectrum(matrix: np.ndarray, d: int, max_degree: int) -> Spectrum:
     eigs = symmetric_eigen(matrix)
     order = np.argsort(-np.abs(eigs), kind="stable")
     return Spectrum(eigs[order], np.ones(eigs.size, dtype=np.int64), max_degree=max_degree, d=d, provenance="galerkin")
-
-
-def norm_domination_check(V, d: int, spec: TruncationSpec, p: float, weak: bool = False):
-    """Compare the section's Schatten norm against the symbol's integral norm.
-
-    lhs: finite-section (weak) Schatten norm.  rhs: the L^p norm of V with
-    respect to the truncated density measure rho_K dx (weak: the level-set
-    quasinorm sup_t t rho_K(|V| > t)^(1/p), evaluated on the quadrature
-    grid).  Returns (lhs, rhs, passed) with passed = lhs <= rhs*(1 + 1e-6).
-    Requires V >= 0.
-    """
-    if weak:
-        if p <= 1.0:
-            raise ValueError(f"weak exponent must be > 1, got {p}")
-    elif p < 1.0:
-        raise ValueError(f"exponent must be >= 1, got {p}")
-    grid, vals = symbol_on_grid(V, d, spec)
-    if np.min(vals) < -1e-12:
-        raise ValueError("norm domination check requires a nonnegative symbol")
-    vals = np.maximum(vals, 0.0)
-    rho = density_radial(d, grid.radii, spec.max_degree)
-    sp = spectrum(V, d, spec)
-    lhs = sp.schatten_weak(p) if weak else sp.schatten(p)
-    if not weak:
-        rhs = float(np.dot(grid.weights, rho * vals**p)) ** (1.0 / p)
-    else:
-        order = np.argsort(-vals, kind="stable")
-        masses = np.cumsum((grid.weights * rho)[order])
-        rhs = float(np.max(vals[order] * masses ** (1.0 / p)))
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-6)
-
-
-def weyl_check(A: np.ndarray, B: np.ndarray, trials: int = 100, rng=None) -> bool:
-    """Verify n_pm(s1+s2; A+B) <= n_pm(s1; A) + n_pm(s2; B) on an (s1, s2) sample.
-
-    Uses a deterministic log-spaced grid plus `trials` random pairs drawn
-    over the combined spectral range; returns False on any violation.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    ea = symmetric_eigen(A)
-    eb = symmetric_eigen(B)
-    es = symmetric_eigen(A + B)
-    top = max(float(np.max(np.abs(ea))), float(np.max(np.abs(eb))), 1e-12)
-    grid = np.geomspace(1e-4 * top, 1.5 * top, 10)
-    pairs = [(s1, s2) for s1 in grid for s2 in grid]
-    if trials > 0:
-        rng = np.random.default_rng(rng if rng is not None else 0)
-        lo, hi = math.log(1e-4 * top), math.log(1.5 * top)
-        pairs.extend(
-            (math.exp(a), math.exp(b)) for a, b in rng.uniform(lo, hi, size=(trials, 2))
-        )
-    for s1, s2 in pairs:
-        for sign in (1, -1):
-            if np.count_nonzero(sign * es > s1 + s2) > np.count_nonzero(sign * ea > s1) + np.count_nonzero(sign * eb > s2):
-                return False
-    return True
 
 
 def write_matrix_csv(path, A: np.ndarray, d: int, max_degree: int) -> None:

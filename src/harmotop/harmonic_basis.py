@@ -15,18 +15,14 @@ import math
 
 import numpy as np
 
-from .numerics import gegenbauer, log_gamma
+from .numerics import log_gamma
 
 __all__ = [
     "multiplicity",
     "cumulative_multiplicity",
-    "multiplicity_asymptotic_check",
     "sphere_surface_area",
     "basis_degrees",
-    "spherical_harmonic",
     "angular_basis_matrix",
-    "zonal_sum",
-    "basis_value",
 ]
 
 
@@ -56,23 +52,6 @@ def cumulative_multiplicity(d: int, k: int) -> int:
     if k < -1:
         raise ValueError(f"cumulative multiplicity needs k >= -1, got {k}")
     return _binom(d + k - 1, d - 1) + _binom(d + k - 2, d - 1)
-
-
-def multiplicity_asymptotic_check(d: int, k_max: int) -> float:
-    """max over k in [k_max/2, k_max] of |M_k (d-1)!/(2 k^(d-1)) - 1| * k.
-
-    The growth law M_k = 2 k^(d-1)/(d-1)! (1 + O(1/k)) makes this quantity
-    bounded; the caller asserts the bound.
-    """
-    _check_dimension(d)
-    if k_max < 10:
-        raise ValueError(f"k_max must be >= 10, got {k_max}")
-    fact = math.factorial(d - 1)
-    worst = 0.0
-    for k in range(k_max // 2, k_max + 1):
-        dev = abs(cumulative_multiplicity(d, k) * fact / (2.0 * k ** (d - 1)) - 1.0) * k
-        worst = max(worst, dev)
-    return worst
 
 
 def sphere_surface_area(d: int) -> float:
@@ -148,57 +127,3 @@ def angular_basis_matrix(d: int, max_degree: int, dirs: np.ndarray) -> np.ndarra
         out *= 1.0 / math.sqrt(4.0 * math.pi)
         return out
     raise ValueError(f"pointwise harmonics are implemented for d in {{2, 3}}, got d={d}")
-
-
-def spherical_harmonic(d: int, k: int, ell: int, point) -> float:
-    """Value of the real orthonormal spherical harmonic psi_{k,ell} at a unit vector."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != (d,):
-        raise ValueError(f"expected a point in R^{d}, got shape {point.shape}")
-    if abs(float(np.linalg.norm(point)) - 1.0) > 1e-12:
-        raise ValueError("spherical_harmonic requires a unit vector")
-    if not 1 <= ell <= multiplicity(d, k):
-        raise ValueError(f"index ell={ell} outside [1, m_k] for d={d}, k={k}")
-    mat = angular_basis_matrix(d, k, point[None, :])
-    offset = cumulative_multiplicity(d, k - 1)
-    return float(mat[offset + ell - 1, 0])
-
-
-def zonal_sum(d: int, k: int, t) -> float | np.ndarray:
-    """Rotation-invariant kernel sum_l psi_{k,l}(xi) psi_{k,l}(eta) at t = xi.eta.
-
-    Equals m_k/|S^(d-1)| * C_k^(d/2-1)(t)/C_k^(d/2-1)(1) for d >= 3, and the
-    Fourier kernel cos(k theta)/pi for d = 2 (1/(2 pi) at k = 0).
-    """
-    _check_dimension(d)
-    scalar = np.ndim(t) == 0
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(t_arr) > 1.0 + 1e-12):
-        raise ValueError("zonal_sum argument must lie in [-1, 1]")
-    t_arr = np.clip(t_arr, -1.0, 1.0)
-    if d == 2:
-        if k == 0:
-            out = np.full_like(t_arr, 1.0 / (2.0 * math.pi))
-        else:
-            out = np.cos(k * np.arccos(t_arr)) / math.pi
-    else:
-        alpha = 0.5 * d - 1.0
-        ratio = gegenbauer(k, alpha, t_arr) / gegenbauer(k, alpha, 1.0)
-        out = multiplicity(d, k) / sphere_surface_area(d) * ratio
-    return float(out) if scalar else out
-
-
-def basis_value(d: int, k: int, ell: int, x) -> float:
-    """Orthonormal harmonic basis element sqrt(2k+d) |x|^k psi_{k,ell}(x/|x|) on the ball."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d,):
-        raise ValueError(f"expected a point in R^{d}, got shape {x.shape}")
-    r = float(np.linalg.norm(x))
-    if r >= 1.0:
-        raise ValueError("basis_value requires |x| < 1")
-    scale = math.sqrt(2.0 * k + d)
-    if r == 0.0:
-        if k == 0:
-            return scale / math.sqrt(sphere_surface_area(d))
-        return 0.0
-    return scale * r**k * spherical_harmonic(d, k, ell, x / r)

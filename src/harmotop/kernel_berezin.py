@@ -1,46 +1,25 @@
 """Truncated reproducing kernel of the harmonic subspace, its diagonal
-density, integrals against the induced measure, and the Berezin transform.
+density, and the Berezin transform.
 
 All series are truncated at an explicit maximum degree; near the boundary
-the geometric factor |x|^(2k) demands max_degree of order 1/(1-|x|), see
-:func:`suggested_max_degree`.  At fixed truncation every structural identity
-(reproducing property, trace identity) is exact up to rounding, because the
-truncated kernel is itself the kernel of an orthogonal projection.
+the geometric factor |x|^(2k) demands max_degree of order 1/(1-|x|).  At
+fixed truncation every structural identity (reproducing property, trace
+identity) is exact up to rounding, because the truncated kernel is itself
+the kernel of an orthogonal projection.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import QuadratureDivergenceError
 from .grids import TruncationSpec
 from .harmonic_basis import multiplicity, sphere_surface_area
-from .symbols import RadialSymbol, TabulatedSymbol, symbol_on_grid
+from .symbols import RadialSymbol, symbol_on_grid
 
 __all__ = [
-    "boundary_distance",
-    "suggested_max_degree",
     "density",
     "density_radial",
-    "density_integral",
     "berezin_transform",
 ]
-
-
-def boundary_distance(x) -> float:
-    """dist(x, boundary) = 1 - |x| on the unit ball."""
-    r = float(np.linalg.norm(np.asarray(x, dtype=float)))
-    if r >= 1.0:
-        raise ValueError("point must lie inside the unit ball")
-    return 1.0 - r
-
-
-def suggested_max_degree(max_radius: float) -> int:
-    """Truncation degree making the kernel tail negligible at radius max_radius."""
-    if not 0.0 <= max_radius < 1.0:
-        raise ValueError(f"radius must lie in [0, 1), got {max_radius}")
-    return math.ceil(40.0 / (1.0 - max_radius))
 
 
 def _degree_weights(d: int, max_degree: int) -> np.ndarray:
@@ -94,44 +73,6 @@ def density(d: int, x, max_degree: int) -> float:
     if r >= 1.0:
         raise ValueError("point must lie inside the unit ball")
     return float(density_radial(d, np.array([r]), max_degree)[0])
-
-
-def _radial_density_integral(v: RadialSymbol, d: int, max_degree: int) -> float:
-    """Exact 1-D reduction: int f rho_K dx = sum_{k<=K} m_k mu_k(f)."""
-    k = np.arange(max_degree + 1)
-    return float(np.dot(_degree_weights(d, max_degree) / (2 * k + d), v.mu(d, k)))  # weights/(2k+d) = m_k
-
-
-def density_integral(V, d: int, max_degree: int, spec: TruncationSpec | None = None) -> float:
-    """Integral of V against the truncated density rho_K dx.
-
-    Radial symbols reduce to the exact one-dimensional moment sum.  A
-    TabulatedSymbol integrates on its own grid (the default spec), for which
-    no finer grid exists.  Any other symbol integrates on the tensor grid,
-    with a refinement check that raises QuadratureDivergenceError when two
-    refinements differ by more than 1e-6 relative.
-    """
-    if isinstance(V, RadialSymbol):
-        return _radial_density_integral(V, d, max_degree)
-    if spec is None:
-        spec = V.spec if isinstance(V, TabulatedSymbol) else TruncationSpec.for_degree(max_degree)
-    value = _tensor_density_integral(V, d, max_degree, spec)
-    if isinstance(V, TabulatedSymbol):
-        return value
-    finer = TruncationSpec(max_degree, spec.n_r + 8, spec.n_ang + 4)
-    refined = _tensor_density_integral(V, d, max_degree, finer)
-    scale = max(abs(value), abs(refined), 1e-300)
-    if abs(value - refined) > 1e-6 * scale:
-        raise QuadratureDivergenceError(
-            f"density integral refinements disagree: {value!r} vs {refined!r}"
-        )
-    return value
-
-
-def _tensor_density_integral(V, d: int, max_degree: int, spec: TruncationSpec) -> float:
-    grid, vals = symbol_on_grid(V, d, spec)
-    rho = density_radial(d, grid.radii, max_degree)
-    return float(np.dot(grid.weights, rho * vals))
 
 
 def berezin_transform(

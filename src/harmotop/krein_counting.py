@@ -22,7 +22,6 @@ from .radial_toeplitz import boundary_law_constant
 __all__ = [
     "lam_power",
     "sandwich_minus",
-    "sandwich_plus",
     "CountingEnvelope",
     "counting_envelope",
     "disk_counting",
@@ -46,37 +45,21 @@ def lam_power(ln_lam, e: float) -> list[float]:
     return out
 
 
-def _counts(ln_lam, eps, n_plus, remainder, sign: float):
-    """One n_plus call at every ln lam and ln lam + log1p(sign eps); one remainder call."""
+def sandwich_minus(*, ln_lam, eps, n_plus, remainder) -> tuple[list[int], list[int]]:
+    """Lower and upper columns of n_plus(lam) <= N_minus <= n_plus((1-eps) lam)
+    + remainder(eps) on a grid, one eps per row; n_plus maps a list of ln
+    thresholds to counts (one call, at every ln lam and ln lam + log1p(-eps)),
+    remainder an array of eps to counts (one call)."""
     ln_lam, eps = list(ln_lam), [float(e) for e in eps]
     bad = [e for e in eps if not 0.0 < e < 1.0]
     if bad:
         raise ValueError(f"eps must lie in (0, 1), got {bad[0]}")
-    counts = [int(n) for n in n_plus(ln_lam + [t + math.log1p(sign * e) for t, e in zip(ln_lam, eps, strict=True)])]
-    return counts[: len(ln_lam)], counts[len(ln_lam) :], [int(r) for r in remainder(np.array(eps))]
-
-
-def _interval(lower: list[int], upper: list[int]) -> tuple[list[int], list[int]]:
+    counts = [int(n) for n in n_plus(ln_lam + [t + math.log1p(-e) for t, e in zip(ln_lam, eps, strict=True)])]
+    lower = counts[: len(ln_lam)]
+    upper = [n + int(r) for n, r in zip(counts[len(ln_lam) :], remainder(np.array(eps)))]
     if any(lo > up for lo, up in zip(lower, upper)):
         raise ValueError("empty bound interval: a lower bound exceeds its upper bound")
     return lower, upper
-
-
-def sandwich_minus(*, ln_lam, eps, n_plus, remainder) -> tuple[list[int], list[int]]:
-    """Lower and upper columns of n_plus(lam) <= N_minus <= n_plus((1-eps) lam)
-    + remainder(eps) on a grid, one eps per row; n_plus maps a list of ln
-    thresholds to counts, remainder an array of eps to counts."""
-    at, shifted, rem = _counts(ln_lam, eps, n_plus, remainder, -1.0)
-    return _interval(at, [n + r for n, r in zip(shifted, rem)])
-
-
-def sandwich_plus(*, ln_lam, eps, n_plus, remainder, offset: int = 0) -> tuple[list[int], list[int]]:
-    """Lower and upper columns of n_plus((1+eps) lam) - remainder(eps) - offset
-    <= N_plus <= n_plus(lam) - offset, clamped at 0, as in sandwich_minus."""
-    if offset < 0:
-        raise ValueError(f"offset must be nonnegative, got {offset}")
-    at, shifted, rem = _counts(ln_lam, eps, n_plus, remainder, 1.0)
-    return _interval([max(0, n - r - offset) for n, r in zip(shifted, rem)], [max(0, n - offset) for n in at])
 
 
 @dataclass(frozen=True)

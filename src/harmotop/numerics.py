@@ -14,10 +14,7 @@ __all__ = [
     "gauss_legendre",
     "gauss_jacobi01",
     "log_gamma",
-    "beta",
-    "gegenbauer",
     "bessel_zero_counts",
-    "bessel_j_zero",
     "symmetric_eigen",
 ]
 
@@ -126,35 +123,6 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def beta(p: float, q: float) -> float:
-    """Euler beta function B(p, q) = Gamma(p)Gamma(q)/Gamma(p+q), p, q > 0."""
-    if p <= 0.0 or q <= 0.0:
-        raise ValueError(f"beta requires positive arguments, got ({p}, {q})")
-    return math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
-
-
-def gegenbauer(k: int, alpha: float, t):
-    """Gegenbauer polynomial C_k^(alpha)(t) on [-1, 1] by the three-term recurrence.
-
-    Accepts scalar or ndarray t.  alpha=1/2 gives the Legendre polynomials.
-    """
-    if k < 0:
-        raise ValueError(f"degree must be nonnegative, got {k}")
-    if alpha <= 0.0:
-        raise ValueError(f"Gegenbauer parameter must be positive, got {alpha}")
-    scalar = np.ndim(t) == 0
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(t_arr) > 1.0 + 1e-12):
-        raise ValueError("Gegenbauer argument outside [-1, 1]")
-    c_prev = np.ones_like(t_arr)
-    if k == 0:
-        return float(c_prev) if scalar else c_prev
-    c_cur = 2.0 * alpha * t_arr
-    for n in range(2, k + 1):
-        c_prev, c_cur = c_cur, (2.0 * t_arr * (n + alpha - 1.0) * c_cur - (n + 2.0 * alpha - 2.0) * c_prev) / n
-    return float(c_cur) if scalar else c_cur
-
-
 # ---------------------------------------------------------------------------
 # Zeros of the Bessel functions J_k, counted without computing J_k itself.
 # ---------------------------------------------------------------------------
@@ -186,29 +154,6 @@ def bessel_zero_counts(x):
         ratio = 2.0 * (k + 1) / x - 1.0 / ratio
         count = count + (ratio < 0.0)
         yield k, count
-
-
-def bessel_j_zero(k: int, m: int) -> float:
-    """m-th positive zero j_{k,m} of J_k, to a few ulp.
-
-    Multisection on the zero count: n_k(x) >= m exactly when x > j_{k,m}.
-    Each sweep evaluates 32 points of the bracket, which starts at
-    (k, 2(k + m pi)] (j_{k,1} > k) and doubles while its top is below the zero.
-    """
-    if k < 0:
-        raise ValueError(f"order must be nonnegative, got {k}")
-    if m < 1:
-        raise ValueError(f"zero index must be >= 1, got {m}")
-    lo, hi = float(k), 2.0 * (k + m * math.pi)
-    while hi - lo > 4.0 * math.ulp(hi):
-        xs = np.linspace(lo, hi, 33)[1:]
-        above = next(n for order, n in bessel_zero_counts(xs) if order == k) >= m
-        if not above.any():
-            lo, hi = hi, 2.0 * hi
-            continue
-        i = int(np.argmax(above))
-        lo, hi = (float(xs[i - 1]) if i else lo), float(xs[i])
-    return 0.5 * (lo + hi)
 
 
 def symmetric_eigen(A: np.ndarray, vectors: bool = False):

@@ -28,15 +28,11 @@ __all__ = [
     "log_radial_eigenvalue",
     "radial_spectrum",
     "counting",
-    "step_constant",
     "power_constant",
     "boundary_law_constant",
     "AsymptoticFit",
     "asymptotic_fit",
     "schatten_radial",
-    "DecayCheck",
-    "superpolynomial_decay_check",
-    "log_decay_at",
 ]
 
 _NEG_INF = float("-inf")
@@ -146,12 +142,26 @@ def _degree_table(v: RadialSymbol, d: int, K: int):
 
 def _sorted_table(v: RadialSymbol, d: int, K: int, sign: int = 0):
     """log |mu_k| over the degrees k <= K where mu_k has the given sign (any
-    nonzero one by default), |mu|-descending (ties in degree order), and the
-    running counts of eigenvalues along that order."""
+    nonzero one by default), |mu|-descending (ties in degree order), the
+    running counts of eigenvalues along that order, and the degrees."""
     s, logs, m = _degree_table(v, d, K)
-    keep = s == sign if sign else s != 0
-    order = np.argsort(-logs[keep], kind="stable")
-    return logs[keep][order], np.cumsum(m[keep][order])
+    keep = np.flatnonzero(s == sign if sign else s != 0)
+    order = keep[np.argsort(-logs[keep], kind="stable")]
+    return logs[order], np.cumsum(m[order]), order
+
+
+# the least integer that float() rounds past DBL_MAX
+_DOUBLE_LIMIT = 2**1024 - 2**970
+
+
+def _as_doubles(counts: np.ndarray, d: int, degrees) -> np.ndarray:
+    """Exact eigenvalue counts, one per degree of `degrees`, as doubles; a
+    count past the double range raises TailNotCertifiedError naming its degree."""
+    try:
+        return counts.astype(float)
+    except OverflowError:
+        k = next(k for k, n in zip(degrees, counts) if n >= _DOUBLE_LIMIT)
+        raise TailNotCertifiedError(f"the eigenvalue count at degree {k} is beyond the double range (d={d})") from None
 
 
 def _log_tail_sup(profiles, d: int, k):
@@ -276,19 +286,12 @@ def _count_tabulated(v: RadialSymbol, d: int, ln_lam: np.ndarray, sign: int) -> 
             )
         lo, hi = hi + 1, 4 * hi
     k = np.arange(lo, min(hi, _TABLE_CAP) + 1)
-    logs, counts = _sorted_table(v, d, int(k[np.argmax(_log_tail_sup(profiles, d, k) <= lowest)]), sign)
+    logs, counts, _ = _sorted_table(v, d, int(k[np.argmax(_log_tail_sup(profiles, d, k) <= lowest)]), sign)
     exceeding = np.searchsorted(-logs, -ln_lam)  # how many logs lie above each threshold
     return np.concatenate((np.zeros(1, counts.dtype), counts))[exceeding]
 
 
 # --- asymptotic constants ----------------------------------------------------
-
-
-def step_constant(d: int, c: float) -> float:
-    """Leading coefficient 2^(2-d)/((d-1)! |ln c|^(d-1)) of the step counting law."""
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"step radius must lie in (0, 1), got {c}")
-    return 2.0 ** (2 - d) / (math.factorial(d - 1) * abs(math.log(c)) ** (d - 1))
 
 
 def power_constant(d: int, gamma: float, a: float) -> float:
@@ -354,7 +357,9 @@ def asymptotic_fit(
     Passing `exponent` pins e > 0 and fits only the coefficient; for the
     log-power model the pinned fit regresses n^(1/e) linearly on |ln lam|,
     which cancels the O(1) degree offset that otherwise biases the
-    coefficient at moderate depths.
+    coefficient at moderate depths.  A coefficient that is not a positive
+    finite double (e.g. a pinned exponent far from the data's) raises
+    TailNotCertifiedError.
     """
     ln_lam = np.asarray(ln_lam_grid, dtype=float)
     if ln_lam.size < 4:
@@ -373,28 +378,31 @@ def asymptotic_fit(
     ln_n = np.log(n)
 
     if model == "power":
-        x = -ln_lam
+        basis = -ln_lam
         if exponent is None:
-            slope, intercept = np.polyfit(x, ln_n, 1)
+            slope, intercept = np.polyfit(basis, ln_n, 1)
         else:
             slope = float(exponent)
-            intercept = float(np.mean(ln_n - slope * x))
-        coefficient = math.exp(intercept)
-        resid = ln_n - (intercept + slope * x)
+            intercept = float(np.mean(ln_n - slope * basis))
     else:
         big_l = -ln_lam
         if np.any(big_l <= 0.0):
             raise ValueError("log-power model needs thresholds below 1")
+        basis = np.log(big_l)
         if exponent is None:
-            slope, intercept = np.polyfit(np.log(big_l), ln_n, 1)
-            coefficient = math.exp(intercept)
-            resid = ln_n - (intercept + slope * np.log(big_l))
+            slope, intercept = np.polyfit(basis, ln_n, 1)
         else:
-            root = n ** (1.0 / float(exponent))
-            alpha, _beta = np.polyfit(big_l, root, 1)
-            slope = float(exponent)
-            coefficient = float(alpha) ** float(exponent)
-            resid = ln_n - (math.log(coefficient) + slope * np.log(big_l))
+            alpha, _beta = np.polyfit(big_l, n ** (1.0 / float(exponent)), 1)
+            slope, intercept = float(exponent), None
+    try:
+        coefficient = float(alpha) ** slope if intercept is None else math.exp(intercept)
+    except OverflowError:
+        coefficient = math.inf
+    if not 0.0 < coefficient < math.inf:
+        raise TailNotCertifiedError(
+            f"fit coefficient {coefficient!r} is not a positive finite double ({model} model, exponent {float(slope)!r})"
+        )
+    resid = ln_n - ((math.log(coefficient) if intercept is None else intercept) + slope * basis)
     return AsymptoticFit(
         coefficient=float(coefficient),
         exponent=float(slope),
@@ -404,7 +412,7 @@ def asymptotic_fit(
     )
 
 
-# --- Schatten norms and decay ------------------------------------------------
+# --- Schatten norms ----------------------------------------------------------
 
 
 def _tail_p_sum_log(profiles, d: int, k, p: float):
@@ -479,7 +487,7 @@ def schatten_radial(
             # that no term underflows before the root at large p
             top = float(np.max(logs))
             top = top if top > _NEG_INF else 0.0
-            partial = np.cumsum(m.astype(float) * np.exp(p * (logs - top)))
+            partial = np.cumsum(_as_doubles(m, d, range(K + 1)) * np.exp(p * (logs - top)))
             if k_stop is None:
                 log_floor = p * top + np.log(np.maximum(partial[8:], 1e-300)) + math.log(rel_tol)
                 certified = _tail_p_sum_log(profiles, d, np.arange(8, K + 1), p) <= log_floor
@@ -497,8 +505,8 @@ def schatten_radial(
 
     # Weak quasinorm: expand, sort by |mu| descending, take sup j^(1/p) s_j.
     limit = k_stop if k_stop is not None else 40_000
-    logs, counts = _sorted_table(v, d, limit)
-    best_log = float(np.max(np.log(counts.astype(float)) / p + logs, initial=_NEG_INF))
+    logs, counts, degrees = _sorted_table(v, d, limit)
+    best_log = float(np.max(np.log(_as_doubles(counts, d, degrees)) / p + logs, initial=_NEG_INF))
     if _weak_tail_sup_log(profiles, d, limit, p) > best_log:
         raise TailNotCertifiedError(
             f"weak-norm tail beyond degree {limit} may exceed the enumerated sup"
@@ -515,7 +523,7 @@ def _weak_tail_sup_log(profiles, d: int, k_stop: int, p: float) -> float:
         if kind == "geometric":
             peak = -2.0 * (d - 1) / (p * c1)  # stationary point of the log bound
             k = np.arange(k_stop + 1, int(max(k_stop + 2, peak)) + 5)
-            vals = np.log(_cumulative_multiplicities(d, k).astype(float)) / p + c0 + k * c1
+            vals = np.log(_as_doubles(_cumulative_multiplicities(d, k), d, k)) / p + c0 + k * c1
         else:
             if (d - 1) / p >= c1:
                 return math.inf
@@ -526,44 +534,3 @@ def _weak_tail_sup_log(profiles, d: int, k_stop: int, p: float) -> float:
             vals = bound_m / p + c0 - c1 * np.log(2 * k + d)
         worst = max(worst, float(vals.max()))
     return worst
-
-
-@dataclass(frozen=True)
-class DecayCheck:
-    sup_value: float
-    argmax_j: int
-    k_stop: int
-
-
-def superpolynomial_decay_check(v: RadialSymbol, d: int, alpha: float, k_stop: int) -> DecayCheck:
-    """sup over j of j^alpha s_j for a compactly supported radial symbol.
-
-    Requires a profile with geometric eigenvalue decay (support strictly
-    inside the ball); the sup over the uncomputed tail is certified below
-    the enumerated maximum.
-    """
-    if alpha <= 0.0:
-        raise ValueError(f"decay exponent must be positive, got {alpha}")
-    profiles = v.tail_profiles(d)
-    if any(kind != "geometric" for kind, _, _ in profiles):
-        raise TailNotCertifiedError("superpolynomial decay needs a compactly supported profile")
-    logs, counts = _sorted_table(v, d, k_stop)
-    # the first maximum; the sentinel -inf (count 0) answers an empty table
-    cand = np.append(alpha * np.log(counts.astype(float)) + logs, _NEG_INF)
-    at = int(np.argmax(cand))
-    best_log, best_j = float(cand[at]), int(np.append(counts, 0)[at])
-    if _weak_tail_sup_log(profiles, d, k_stop, 1.0 / alpha) > best_log:
-        raise TailNotCertifiedError("decay sup may live beyond the enumerated degrees")
-    return DecayCheck(sup_value=math.exp(best_log), argmax_j=best_j, k_stop=k_stop)
-
-
-def log_decay_at(v: RadialSymbol, d: int, alpha: float, j: int, k_stop: int) -> float:
-    """ln (j^alpha s_j) for the expanded singular-value sequence."""
-    if j < 1:
-        raise ValueError(f"index must be >= 1, got {j}")
-    logs, counts = _sorted_table(v, d, k_stop)
-    at = int(np.searchsorted(counts, j))  # first running count >= j
-    if at == counts.size:
-        total = int(np.sum(counts[-1:]))  # 0 for an empty table
-        raise ValueError(f"index {j} beyond the {total} singular values enumerated at k_stop={k_stop}")
-    return alpha * math.log(j) + float(logs[at])

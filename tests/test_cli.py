@@ -266,12 +266,6 @@ def test_krein_command(capsys):
         assert int(row[2]) <= int(row[3])  # lower <= upper
 
 
-def test_selftest_passes(capsys):
-    code, out, _ = run_cli(capsys, "selftest")
-    assert code == 0
-    assert "FAIL" not in out
-
-
 def test_spectrum_matrix_dump_assembles_once(capsys, tmp_path, monkeypatch):
     K = 6
     spec = TruncationSpec.for_degree(K)
@@ -571,6 +565,43 @@ def test_krein_envelope_beyond_the_double_range_exits_three(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        # at d = 120 the multiplicities pass DBL_MAX near degree 18,000, below --K
+        ["--d", "120", "--symbol", "power:a=1,gamma=1", "--K", "20000", "--p", "200"],
+        ["--d", "120", "--symbol", "power:a=1,gamma=1", "--K", "20000", "--p", "2", "--weak"],
+        # the weak tail bound scans the degrees past --K up to its peak, 74,500
+        ["--d", "150", "--symbol", "step:b=1,c=0.999", "--K", "10", "--p", "2", "--weak"],
+    ],
+    ids=["strong", "weak", "weak-tail"],
+)
+def test_schatten_counts_beyond_the_double_range_exit_three(capsys, argv):
+    code, out, err = run_cli(capsys, "schatten", *argv)
+    assert code == 3 and out == ""
+    assert "certification failure" in err and f"d={argv[1]}" in err and "degree" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "symbol, lnlambda, model, exponent, reason",
+    [
+        ("power:a=1,gamma=1", "-12:-4:5", "power", "60", "model value inf"),
+        ("power:a=1,gamma=1", "-12:-4:5", "power", "1000", "fit coefficient 0.0"),
+        ("power:a=1,gamma=1", "-12:-4:5", "log-power", "400", "fit coefficient 0.0"),
+        ("power:a=1e300,gamma=40", "600:680:5", "power", "1000", "fit coefficient inf"),
+    ],
+)
+def test_asymptotics_pinned_exponent_beyond_the_double_range_exits_three(capsys, symbol, lnlambda, model, exponent, reason, fmt):
+    # a model row past DBL_MAX printed inf (Infinity in JSON), a coefficient
+    # that underflows printed 0 and nan rows, its log failed with exit 2, and
+    # one that overflows ended in a traceback
+    argv = ["asymptotics", "--d", "2", "--symbol", symbol, "--lnlambda", lnlambda, "--format", fmt]
+    code, out, err = run_cli(capsys, *argv, "--model", model, "--exponent", exponent)
+    assert code == 3 and out == ""
+    assert reason in err and "not a positive finite double" in err
+
+
+@pytest.mark.parametrize(
     "name",
     [
         "symbols",
@@ -719,7 +750,6 @@ _MINIMAL = {
     "schatten": ["--symbol", "step:b=1,c=0.5", "--p", "2"],
     "boundary": ["--symbol", "power:a=1,gamma=1"],
     "krein": ["--symbol", "power:a=1,gamma=1", "--lnlambda", "-8:-4:3"],
-    "selftest": [],
 }
 
 

@@ -62,7 +62,6 @@ CASES = {
     "krein-power-deep": ["krein", "--d", "2", "--symbol", "power:a=1,gamma=40", "--lnlambda", "-800:-790:3"],
     "krein-E-d2": ["krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--E", "200:2000:3"],
     "krein-E-d2-wide": ["krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--E", "2000:200000:5"],
-    "selftest": ["selftest"],
 }
 
 

@@ -4,19 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from harmotop.numerics import (
-    bessel_j_zero,
-    bessel_zero_counts,
-    beta,
-    gauss_jacobi01,
-    gauss_legendre,
-    gegenbauer,
-    log_gamma,
-    symmetric_eigen,
-)
+from harmotop.numerics import bessel_zero_counts, gauss_jacobi01, gauss_legendre, log_gamma, symmetric_eigen
 
 
 def test_gauss_legendre_order_one_is_midpoint():
@@ -113,61 +102,6 @@ def test_log_gamma_values():
         log_gamma(0.0)
 
 
-def test_beta_values():
-    assert beta(1.0, 1.0) == pytest.approx(1.0)
-    assert beta(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-13)
-    # gamma=1, k=0, d=2 arm of the radial moment: B(2, 2) = 1/6
-    assert beta(2.0, 2.0) == pytest.approx(1.0 / 6.0, rel=1e-13)
-    with pytest.raises(ValueError):
-        beta(-1.0, 2.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    p=st.floats(min_value=0.05, max_value=30.0),
-    q=st.floats(min_value=0.05, max_value=30.0),
-)
-def test_beta_symmetry_and_unit_second_argument(p, q):
-    assert beta(p, q) == beta(q, p)  # identical expression, bitwise equal
-    assert beta(p, 1.0) == pytest.approx(1.0 / p, rel=1e-12)
-
-
-def test_gegenbauer_small_degrees():
-    assert gegenbauer(0, 0.5, 0.3) == 1.0
-    assert gegenbauer(1, 0.5, 0.7) == pytest.approx(0.7)
-    assert gegenbauer(2, 0.5, 1.0) == pytest.approx(1.0)  # Legendre P_2(1) = 1
-    with pytest.raises(ValueError):
-        gegenbauer(2, 0.5, 1.5)
-
-
-@pytest.mark.parametrize("k,alpha", [(3, 0.5), (7, 1.0), (12, 1.5), (20, 2.5)])
-def test_gegenbauer_against_scipy(k, alpha):
-    t = np.linspace(-1.0, 1.0, 17)
-    ref = sp.eval_gegenbauer(k, alpha, t)
-    assert gegenbauer(k, alpha, t) == pytest.approx(ref, rel=1e-12, abs=1e-12)
-
-
-def test_bessel_first_zeros():
-    assert bessel_j_zero(0, 1) == pytest.approx(2.4048255577, abs=1e-10)
-    assert bessel_j_zero(1, 1) == pytest.approx(3.8317059702, abs=1e-10)
-
-
-def test_bessel_zero_interlacing_and_monotonicity():
-    assert bessel_j_zero(0, 1) < bessel_j_zero(1, 1) < bessel_j_zero(0, 2)
-    for k in (0, 3, 11):
-        zeros = [bessel_j_zero(k, m) for m in range(1, 9)]
-        assert all(a < b for a, b in zip(zeros, zeros[1:]))
-
-
-@pytest.mark.parametrize("k", [0, 1, 2, 5, 17, 60])
-def test_bessel_zeros_against_scipy(k):
-    ref = sp.jn_zeros(k, 6)
-    mine = [bessel_j_zero(k, m) for m in range(1, 7)]
-    assert mine == pytest.approx(ref, abs=1e-10)
-    # residual at the zeros
-    assert np.max(np.abs(sp.jv(k, np.array(mine)))) < 1e-10
-
-
 def test_bessel_zeros_upto_groups():
     # n_k(x) from one sweep equals the number of scipy zeros of J_k below x
     x = np.array([0.5, 3.0, 9.7, 25.0, 41.3, 77.0])
@@ -176,6 +110,13 @@ def test_bessel_zeros_upto_groups():
         ref = [int(np.sum(sp.jn_zeros(k, 40) < xi)) for xi in x]
         assert counts[k].tolist() == ref, k
     assert all(not n.any() for k, n in counts.items() if k >= 77)
+    # and at x = j_(k,m) (1 -+ 1e-12), on either side of each of the first six zeros
+    orders = [0, 1, 2, 5, 17, 60]
+    zeros = np.array([sp.jn_zeros(k, 6) for k in orders])
+    counts = dict(bessel_zero_counts(np.stack([zeros * (1.0 - 1e-12), zeros * (1.0 + 1e-12)])))
+    for i, k in enumerate(orders):
+        below, above = counts[k][:, i]
+        assert below.tolist() == [0, 1, 2, 3, 4, 5] and above.tolist() == [1, 2, 3, 4, 5, 6], k
 
 
 def test_symmetric_eigen_small_cases():

@@ -16,17 +16,15 @@ from harmotop.radial_toeplitz import (
     asymptotic_fit,
     boundary_law_constant,
     counting,
-    log_decay_at,
     log_radial_eigenvalue,
     power_constant,
     radial_eigenvalue,
     radial_spectrum,
     schatten_radial,
-    step_constant,
-    superpolynomial_decay_check,
 )
 from harmotop.radial_toeplitz import _cumulative_multiplicities, _multiplicities
 from harmotop.symbols import Power, Sampled, Step, SymbolSum
+from reference import log_decay_at, step_constant, superpolynomial_decay_check
 
 CONST_ONE = Sampled([0.0, 0.5], [1.0, 1.0])
 
