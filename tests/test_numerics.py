@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from harmotop.harmonic_basis import multiplicity, sphere_surface_area
+from harmotop.kernel_berezin import _kernel_sum
 from harmotop.numerics import bessel_zero_counts, gauss_jacobi01, gauss_legendre, log_gamma, symmetric_eigen
 
 
@@ -100,6 +102,60 @@ def test_log_gamma_values():
     assert log_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-12)
     with pytest.raises(ValueError):
         log_gamma(0.0)
+
+
+def gegenbauer_ratio(k, alpha, t):
+    """C_k^alpha(t)/C_k^alpha(1) as the kernel sum's recurrence forms it: its degree-k term at rho = 1, d = 2 alpha + 2."""
+    d = round(2.0 * alpha + 2.0)
+    t = np.asarray(t, dtype=float)
+    rho = np.ones_like(t)
+    term = _kernel_sum(d, k, rho, t) - (_kernel_sum(d, k - 1, rho, t) if k > 0 else 0.0)
+    return term * sphere_surface_area(d) / ((2 * k + d) * multiplicity(d, k))
+
+
+def test_gegenbauer_small_degrees():
+    assert gegenbauer_ratio(0, 0.5, [0.3]) == pytest.approx([1.0])
+    assert gegenbauer_ratio(1, 0.5, [0.7]) == pytest.approx([0.7])
+    assert gegenbauer_ratio(2, 0.5, [1.0]) == pytest.approx([1.0])  # Legendre P_2(1) = 1
+    # arguments past 1 (rounding in x^.y^) are clipped to the endpoint
+    assert gegenbauer_ratio(2, 0.5, [1.5]) == pytest.approx([1.0])
+    # d = 2: the Chebyshev T_k(t) = cos(k arccos t)
+    t = np.linspace(-1.0, 1.0, 17)
+    assert gegenbauer_ratio(5, 0.0, t) == pytest.approx(np.cos(5.0 * np.arccos(t)), abs=1e-13)
+
+
+@pytest.mark.parametrize("k,alpha", [(3, 0.5), (7, 1.0), (12, 1.5), (20, 2.5)])
+def test_gegenbauer_against_scipy(k, alpha):
+    t = np.linspace(-1.0, 1.0, 17)
+    ref = sp.eval_gegenbauer(k, alpha, t) / sp.eval_gegenbauer(k, alpha, 1.0)
+    assert gegenbauer_ratio(k, alpha, t) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_bessel_first_zeros():
+    # J_0 and J_1 change sign at j_(0,1) = 2.4048255577 and j_(1,1) = 3.8317059702
+    counts = dict(bessel_zero_counts(np.array([2.4048255576, 2.4048255578, 3.8317059701, 3.8317059703])))
+    assert counts[0].tolist() == [0, 1, 1, 1]
+    assert counts[1].tolist() == [0, 0, 0, 1]
+
+
+def test_bessel_zero_interlacing_and_monotonicity():
+    x = np.linspace(0.05, 60.0, 2000)
+    counts = dict(bessel_zero_counts(x))
+    for k in range(len(counts) - 1):
+        n, n_next = counts[k], counts[k + 1]
+        assert set(np.diff(n).tolist()) <= {0, 1}, k  # zeros are further apart than the grid step
+        assert np.all((n_next <= n) & (n <= n_next + 1)), k  # j_(k,m) < j_(k+1,m) < j_(k,m+1)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 17, 60])
+def test_bessel_zeros_against_scipy(k):
+    # on a fine grid up to midway between the sixth and seventh zeros, n_k(x)
+    # is the number of scipy zeros below x
+    zeros = sp.jn_zeros(k, 40)
+    x = np.linspace(0.01, 0.5 * (zeros[5] + zeros[6]), 1500)
+    counts = dict(bessel_zero_counts(x))[k]
+    assert counts.tolist() == np.searchsorted(zeros, x).tolist()
+    assert counts[-1] == 6
 
 
 def test_bessel_zeros_upto_groups():
