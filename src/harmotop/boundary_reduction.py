@@ -16,8 +16,7 @@ import math
 
 import numpy as np
 
-from .numerics import log_gamma
-from .radial_toeplitz import AsymptoticFit, counting
+from .radial_toeplitz import AsymptoticFit, _as_doubles, counting
 from .symbols import Power
 
 __all__ = [
@@ -47,7 +46,7 @@ def principal_symbol_value(gamma: float, a: float) -> float:
     """Leading symbol amplitude 2^-gamma Gamma(gamma+1) a of the reduced operator."""
     if gamma <= 0.0 or a <= 0.0:
         raise ValueError("principal symbol needs gamma > 0 and a > 0")
-    return a * math.exp(-gamma * math.log(2.0) + log_gamma(gamma + 1.0))
+    return a * math.exp(-gamma * math.log(2.0) + math.lgamma(gamma + 1.0))
 
 
 def symbol_order_check(gamma: float, a: float, d: int, k_max: int) -> float:
@@ -81,7 +80,7 @@ def inverse_power_weyl_fit(gamma: float, a: float, d: int, e_grid) -> Asymptotic
     v = Power(a, gamma)
     ln_lam = -gamma * np.log(e_arr)
     counts = counting(v, d, ln_lam=ln_lam)
-    n = np.array(counts, dtype=float)
+    n = _as_doubles(counts, d, e_arr.tolist(), "E = {!r}")
     if np.any(n < 1.0):
         raise ValueError("counting vanished on part of the energy grid")
     roots = n ** (1.0 / (d - 1))

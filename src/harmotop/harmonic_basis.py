@@ -15,8 +15,6 @@ import math
 
 import numpy as np
 
-from .numerics import log_gamma
-
 __all__ = [
     "multiplicity",
     "cumulative_multiplicity",
@@ -57,7 +55,7 @@ def cumulative_multiplicity(d: int, k: int) -> int:
 def sphere_surface_area(d: int) -> float:
     """Surface measure of the unit sphere S^(d-1): 2 pi^(d/2) / Gamma(d/2)."""
     _check_dimension(d)
-    return 2.0 * math.pi ** (0.5 * d) / math.exp(log_gamma(0.5 * d))
+    return 2.0 * math.pi ** (0.5 * d) / math.exp(math.lgamma(0.5 * d))
 
 
 def basis_degrees(d: int, max_degree: int) -> np.ndarray:

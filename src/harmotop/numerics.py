@@ -13,7 +13,6 @@ __all__ = [
     "QuadratureRule",
     "gauss_legendre",
     "gauss_jacobi01",
-    "log_gamma",
     "bessel_zero_counts",
     "symmetric_eigen",
 ]
@@ -114,13 +113,6 @@ def gauss_jacobi01(order: int, gamma: float) -> QuadratureRule:
     w = v[0, :] ** 2 / (gamma + 1.0)
     u = 0.5 * (x + 1.0)
     return QuadratureRule(nodes=u, weights=w, order=order, a=0.0, b=1.0)
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 # ---------------------------------------------------------------------------

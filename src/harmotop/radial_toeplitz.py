@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import TailNotCertifiedError
 from .harmonic_basis import cumulative_multiplicity
-from .numerics import log_gamma
 from .symbols import RadialSymbol, _signed_log_add
 
 __all__ = [
@@ -154,27 +153,28 @@ def _sorted_table(v: RadialSymbol, d: int, K: int, sign: int = 0):
 _DOUBLE_LIMIT = 2**1024 - 2**970
 
 
-def _as_doubles(counts: np.ndarray, d: int, degrees) -> np.ndarray:
-    """Exact eigenvalue counts, one per degree of `degrees`, as doubles; a
-    count past the double range raises TailNotCertifiedError naming its degree."""
+def _as_doubles(counts, d: int, keys, label: str = "degree {}") -> np.ndarray:
+    """Exact eigenvalue counts, one per key of `keys`, as doubles; a count
+    past the double range raises TailNotCertifiedError naming its key."""
     try:
-        return counts.astype(float)
+        return np.asarray(counts).astype(float)
     except OverflowError:
-        k = next(k for k, n in zip(degrees, counts) if n >= _DOUBLE_LIMIT)
-        raise TailNotCertifiedError(f"the eigenvalue count at degree {k} is beyond the double range (d={d})") from None
+        key = next(key for key, n in zip(keys, counts) if n >= _DOUBLE_LIMIT)
+        raise TailNotCertifiedError(
+            f"the eigenvalue count at {label.format(key)} is beyond the double range (d={d})"
+        ) from None
 
 
-def _log_tail_sup(profiles, d: int, k):
-    """log of a certified bound for sup_{j > k} |mu_j|, elementwise in k."""
-    rows = []
-    for kind, c0, c1 in profiles:
-        if kind == "geometric":
-            rows.append(c0 + (k + 1) * c1)
-        elif kind == "power":
-            rows.append(c0 - c1 * np.log(2 * (k + 1) + d))
-        else:  # floor
-            rows.append(c0)
-    return _signed_log_add((1, row) for row in rows)[1] if rows else _NEG_INF
+def _log_sum(logs):
+    """log of the sum of exp(l) over `logs` (scalars or arrays of one shape),
+    -inf for none: the sum rule of `TailTerm`."""
+    return _signed_log_add((1, l) for l in logs)[1]
+
+
+def _log_tail_sup(terms, d: int, k):
+    """log of a certified bound for sup_{j > k} |mu_j|, elementwise in k; each
+    term is nonincreasing, so its sup is its bound at k + 1."""
+    return _log_sum(t.log_bound(d, k + 1) for t in terms)
 
 
 # --- counting ----------------------------------------------------------------
@@ -269,9 +269,10 @@ def _first_not_exceeding(v: RadialSymbol, d: int, ln_lam: np.ndarray, sign: int)
 
 def _count_tabulated(v: RadialSymbol, d: int, ln_lam: np.ndarray, sign: int) -> np.ndarray:
     """Counts from the degree table up to the first certified degree of the lowest threshold."""
-    profiles = v.tail_profiles(d)
+    terms = v.tails(d)
     lowest = ln_lam.min()
-    if any(kind == "floor" and c0 > lowest for kind, c0, _ in profiles):
+    # the limit of the bound: the terms that do not decay
+    if _log_sum(t.log_c for t in terms if t.log_q == t.gamma == 0.0) > lowest:
         raise TailNotCertifiedError(
             "threshold lies below the certified boundary value of the symbol; "
             "the counting function is not finite there"
@@ -279,14 +280,14 @@ def _count_tabulated(v: RadialSymbol, d: int, ln_lam: np.ndarray, sign: int) -> 
     # The tail bound is nonincreasing in k: grow the block until its last
     # degree is certified (never, for a NaN threshold), then find the first.
     lo, hi = 0, 1024
-    while not _log_tail_sup(profiles, d, min(hi, _TABLE_CAP)) <= lowest:
+    while not _log_tail_sup(terms, d, min(hi, _TABLE_CAP)) <= lowest:
         if hi >= _TABLE_CAP:
             raise TailNotCertifiedError(
                 f"tail above degree {_TABLE_CAP} cannot be certified below the threshold"
             )
         lo, hi = hi + 1, 4 * hi
     k = np.arange(lo, min(hi, _TABLE_CAP) + 1)
-    logs, counts, _ = _sorted_table(v, d, int(k[np.argmax(_log_tail_sup(profiles, d, k) <= lowest)]), sign)
+    logs, counts, _ = _sorted_table(v, d, int(k[np.argmax(_log_tail_sup(terms, d, k) <= lowest)]), sign)
     exceeding = np.searchsorted(-logs, -ln_lam)  # how many logs lie above each threshold
     return np.concatenate((np.zeros(1, counts.dtype), counts))[exceeding]
 
@@ -300,8 +301,8 @@ def power_constant(d: int, gamma: float, a: float) -> float:
         raise ValueError("power constant needs gamma > 0 and a > 0")
     log_val = (
         (2 - d) * math.log(2.0)
-        - log_gamma(float(d))
-        + (d - 1) / gamma * (math.log(a) + log_gamma(gamma + 1.0))
+        - math.lgamma(float(d))
+        + (d - 1) / gamma * (math.log(a) + math.lgamma(gamma + 1.0))
     )
     return math.exp(log_val)
 
@@ -317,11 +318,11 @@ def boundary_law_constant(d: int, gamma: float, a0: float) -> float:
     if gamma <= 0.0 or a0 <= 0.0:
         raise ValueError("boundary law constant needs gamma > 0 and a0 > 0")
     n = d - 1
-    log_omega = 0.5 * n * math.log(math.pi) - log_gamma(1.0 + 0.5 * n)
-    log_area = math.log(2.0) + 0.5 * d * math.log(math.pi) - log_gamma(0.5 * d)
+    log_omega = 0.5 * n * math.log(math.pi) - math.lgamma(1.0 + 0.5 * n)
+    log_area = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
     log_val = (
         log_omega
-        + n * (log_gamma(gamma + 1.0) / gamma - math.log(4.0 * math.pi))
+        + n * (math.lgamma(gamma + 1.0) / gamma - math.log(4.0 * math.pi))
         + n / gamma * math.log(a0)
         + log_area
     )
@@ -372,7 +373,7 @@ def asymptotic_fit(
         raise ValueError(f"a pinned exponent must be positive, got {exponent!r}")
 
     counts = counting(v, d, sign=sign, ln_lam=ln_lam)
-    n = np.array(counts, dtype=float)
+    n = _as_doubles(counts, d, ln_lam.tolist(), "ln lambda = {!r}")
     if np.any(n < 1.0):
         raise ValueError("counting vanished on part of the grid; deepen the thresholds")
     ln_n = np.log(n)
@@ -415,43 +416,37 @@ def asymptotic_fit(
 # --- Schatten norms ----------------------------------------------------------
 
 
-def _tail_p_sum_log(profiles, d: int, k, p: float):
-    """log of a certified bound for sum_{j>k} m_j |mu_j|^p (Minkowski over parts), elementwise in k."""
-    if not profiles:
-        return _NEG_INF
+def _tail_p_sum_log(terms, d: int, k, p: float):
+    """log of a certified bound for sum_{j>k} m_j |mu_j|^p, elementwise in k."""
     # m_j <= 2 (j+d)^(d-2)/(d-2)!  (exact for d = 2, proven via Pascal splits).
-    log_m_pref = math.log(2.0) - log_gamma(float(d - 1))
+    log_m_pref = math.log(2.0) - math.lgamma(float(d - 1))
     roots = []
-    for kind, c0, c1 in profiles:
-        if kind == "floor":
-            return math.inf
-        if kind == "geometric":
-            log_q = p * c1
-            if log_q >= 0.0:
-                return math.inf
-            # (j+d)^(d-2) q^(j/2) decreases beyond k_star.
+    for t in terms:
+        if t.log_q < 0.0:
+            # (2j+d)^-gamma <= 1, and (j+d)^(d-2) q^(j/2) decreases beyond k_star
+            log_q = p * t.log_q
             k_star = -2.0 * (d - 2) / log_q - d
             log_geo = (
                 log_m_pref
-                + p * c0
+                + p * t.log_c
                 + (d - 2) * np.log(k + 1 + d)
                 + (k + 1) * log_q
                 - math.log(-math.expm1(0.5 * log_q))
             )
             roots.append(np.where(k + 1 < k_star, math.inf, log_geo / p))  # grow k before certifying
-        else:  # power: |mu_j| <= exp(c0) (2j+d)^(-c1)
-            beta = d - 2 - p * c1
+        else:
+            beta = d - 2 - p * t.gamma
             if beta >= -1.0:
-                return math.inf  # not p-summable against m_j
+                return math.inf  # not p-summable against m_j (a floor never is)
             log_pw = (
                 log_m_pref
-                + p * c0
-                - p * c1 * math.log(2.0)
+                + p * t.log_c
+                - p * t.gamma * math.log(2.0)
                 + (beta + 1.0) * np.log(k + d)
                 - math.log(-beta - 1.0)
             )
             roots.append(log_pw / p)
-    return p * _signed_log_add((1, r) for r in roots)[1]
+    return p * _log_sum(roots)
 
 
 def schatten_radial(
@@ -476,10 +471,14 @@ def schatten_radial(
             raise ValueError(f"weak Schatten exponent must be > 1, got {p}")
     elif p < 1.0:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
-    profiles = v.tail_profiles(d)
+    terms = v.tails(d)
 
     if not weak:
         limit = k_stop if k_stop is not None else 400_000
+        # the bound is nonincreasing in k: +inf at the last degree is +inf everywhere
+        last_tail = _tail_p_sum_log(terms, d, limit, p)
+        if last_tail == math.inf:
+            raise TailNotCertifiedError(f"p-th power tail beyond degree {limit} is not certified negligible")
         K = limit if k_stop is not None else min(1024, limit)
         while True:  # tables over geometrically growing degree ranges
             _, logs, m = _degree_table(v, d, K)
@@ -490,14 +489,14 @@ def schatten_radial(
             partial = np.cumsum(_as_doubles(m, d, range(K + 1)) * np.exp(p * (logs - top)))
             if k_stop is None:
                 log_floor = p * top + np.log(np.maximum(partial[8:], 1e-300)) + math.log(rel_tol)
-                certified = _tail_p_sum_log(profiles, d, np.arange(8, K + 1), p) <= log_floor
+                certified = _tail_p_sum_log(terms, d, np.arange(8, K + 1), p) <= log_floor
                 if certified.any():
                     return math.exp(top) * float(partial[8 + certified.argmax()]) ** (1.0 / p)
             if K == limit:
                 break
             K = min(4 * K, limit)
         total = float(partial[-1])
-        if _tail_p_sum_log(profiles, d, limit, p) > p * top + math.log(max(total, 1e-300)) + math.log(1e-9):
+        if last_tail > p * top + math.log(max(total, 1e-300)) + math.log(1e-9):
             raise TailNotCertifiedError(
                 f"p-th power tail beyond degree {limit} is not certified negligible"
             )
@@ -507,30 +506,29 @@ def schatten_radial(
     limit = k_stop if k_stop is not None else 40_000
     logs, counts, degrees = _sorted_table(v, d, limit)
     best_log = float(np.max(np.log(_as_doubles(counts, d, degrees)) / p + logs, initial=_NEG_INF))
-    if _weak_tail_sup_log(profiles, d, limit, p) > best_log:
+    if _weak_tail_sup_log(terms, d, limit, p) > best_log:
         raise TailNotCertifiedError(
             f"weak-norm tail beyond degree {limit} may exceed the enumerated sup"
         )
     return math.exp(best_log)
 
 
-def _weak_tail_sup_log(profiles, d: int, k_stop: int, p: float) -> float:
-    """Certified bound for sup over degrees beyond k_stop of M_k^(1/p) |mu_k|."""
-    worst = _NEG_INF
-    for kind, c0, c1 in profiles:
-        if kind == "floor":
-            return math.inf
-        if kind == "geometric":
-            peak = -2.0 * (d - 1) / (p * c1)  # stationary point of the log bound
-            k = np.arange(k_stop + 1, int(max(k_stop + 2, peak)) + 5)
-            vals = np.log(_as_doubles(_cumulative_multiplicities(d, k), d, k)) / p + c0 + k * c1
-        else:
-            if (d - 1) / p >= c1:
-                return math.inf
-            # M_k^(1/p)(2k+d)^-gamma decays beyond its peak; M_k <= 2(k+d)^(d-1)/(d-1)!
-            peak = max(k_stop + 2, int((d - 1) / (p * c1 - (d - 1)) * d) + 4)
-            k = np.arange(k_stop + 1, peak + 8)
-            bound_m = math.log(2.0) - log_gamma(float(d)) + (d - 1) * np.log(k + d)
-            vals = bound_m / p + c0 - c1 * np.log(2 * k + d)
-        worst = max(worst, float(vals.max()))
-    return worst
+def _weak_tail_sup_log(terms, d: int, k_stop: int, p: float) -> float:
+    """log of a certified bound for sup over degrees k > k_stop of M_k^(1/p) |mu_k|.
+
+    Per term, the derivative in k of ln(M_k)/p + log_bound(k) is at most
+    (d-1)/(p(k+1/2)) + log_q - gamma/(k+d/2), which is negative from the
+    degree `end` on; the term's sup is the largest value up to there.
+    """
+    sups = []
+    for t in terms:
+        end = min(
+            -(d - 1) / (p * t.log_q) if t.log_q < 0.0 else math.inf,
+            (d - 1) * d / (2.0 * (p * t.gamma - (d - 1))) if p * t.gamma > d - 1 else math.inf,
+        )
+        if end == math.inf:
+            return math.inf  # M_k^(1/p) times the term does not decay (a floor never does)
+        k = np.arange(k_stop + 1, max(k_stop + 1, math.ceil(end)) + 1)
+        vals = np.log(_as_doubles(_cumulative_multiplicities(d, k), d, k)) / p + t.log_bound(d, k)
+        sups.append(float(vals.max()))
+    return float(_log_sum(sups))

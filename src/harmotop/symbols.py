@@ -10,8 +10,8 @@ Radial variants (subclasses of RadialSymbol):
 
 For V(x) = v(|x|) the Toeplitz operator acts on the degree-k harmonics as
 multiplication by mu_k = (2k+d) int_0^1 v(r) r^(2k+d-1) dr, so each variant
-is described by its profile, its mu_k and a certified bound on |mu_k| for
-large k; SymbolSum composes the results of its parts.
+is described by its profile, its mu_k and a certified bound on |mu_k| (a
+sum of TailTerms); SymbolSum composes the results of its parts.
 
 General symbols evaluate pointwise on the open unit ball and may declare
 power-type boundary behaviour V(x) ~ (1-|x|)^gamma a0(x/|x|); tabulated
@@ -26,9 +26,9 @@ from typing import Callable
 import numpy as np
 
 from .grids import BallGrid, TruncationSpec, ball_grid
-from .numerics import log_gamma
 
 __all__ = [
+    "TailTerm",
     "RadialSymbol",
     "Step",
     "Power",
@@ -47,11 +47,11 @@ _NEG_INF = float("-inf")
 
 def _signed_log_add(terms, scalar: bool = False):
     """sum_i s_i exp(l_i) as (sign, log abs) over terms (s_i, l_i) of scalars
-    or arrays of one shape, with l_i = -inf where s_i = 0: arrays, or Python
-    (int, float) if `scalar`.  One pass with a running maximum `top`; acc
-    holds the sum over exp(top)."""
+    or arrays of one shape, with l_i = -inf where s_i = 0 (no terms give 0):
+    arrays, or Python (int, float) if `scalar`.  One pass with a running
+    maximum `top`; acc holds the sum over exp(top)."""
     terms = iter(terms)
-    s, top = next(terms)
+    s, top = next(terms, (0, _NEG_INF))
     acc = np.full(np.shape(top), s, dtype=float)
     for s, l in terms:
         new_top = np.maximum(top, l)
@@ -97,15 +97,30 @@ def _log_pow_diff(a, r_hi: float, r_lo: float):
 # --- radial symbols ----------------------------------------------------------
 
 
-class RadialSymbol:
-    """Radial profile v on [0, 1), acting as the multiplier V(x) = v(|x|).
+@dataclass(frozen=True)
+class TailTerm:
+    """The bound exp(log_c + k log_q) (2k+d)^-gamma over the degrees k, with
+    log_q <= 0 and gamma >= 0, so nonincreasing; log_q = gamma = 0 is a floor,
+    the limit v(1-) of a profile that does not vanish at the boundary.
 
-    Tail profiles are descriptors whose bounds sum to a certified bound on
-    |mu_k| for every k: ("geometric", logS, logq) stands for
-    exp(logS + k*logq), ("power", logA, gamma) for exp(logA) (2k+d)^-gamma,
-    and ("floor", log|v(1-)|, 0) for a profile that does not vanish at the
-    boundary.
+    The terms of `RadialSymbol.tails` sum to a certified bound on |mu_k| at
+    every degree.  Sum rule: each reader of that bound (its limit, its sup over
+    a tail, its p-sum against the multiplicities, its weak sup) is a seminorm
+    of the bound sequence, so it is at most the sum of its values on the
+    terms (the triangle inequality; Minkowski's for the p-sum).
     """
+
+    log_c: float
+    log_q: float = 0.0
+    gamma: float = 0.0
+
+    def log_bound(self, d: int, k):
+        """log of the bound at degree k, elementwise."""
+        return self.log_c + k * self.log_q - self.gamma * np.log(2 * k + d)
+
+
+class RadialSymbol:
+    """Radial profile v on [0, 1), acting as the multiplier V(x) = v(|x|)."""
 
     #: |mu_k| is nonincreasing in k with a fixed sign, so counting may search
     #: for the crossing degree (estimated by `crossing_degree`).
@@ -127,10 +142,6 @@ class RadialSymbol:
         """
         return ()
 
-    def boundary_value(self) -> float:
-        """v(1-) under the profile's continuation."""
-        return 0.0
-
     def log_mu(self, d: int, k):
         """(sign, log |mu_k|), exact in the log domain, elementwise over an integer ndarray k."""
         raise NotImplementedError
@@ -139,8 +150,8 @@ class RadialSymbol:
         """mu_k in closed form (a few ulp), elementwise over an integer ndarray k."""
         raise NotImplementedError
 
-    def tail_profiles(self, d: int) -> list[tuple[str, float, float]]:
-        """Certified tail descriptors (see the class docstring)."""
+    def tails(self, d: int) -> list[TailTerm]:
+        """Terms whose bounds sum to a certified bound on |mu_k| (see TailTerm)."""
         raise NotImplementedError
 
 
@@ -182,10 +193,10 @@ class Step(RadialSymbol):
         """b c^(2k+d): one libm power and one product."""
         return self.b * np.power(self.c, 2 * k + d)
 
-    def tail_profiles(self, d: int) -> list[tuple[str, float, float]]:
+    def tails(self, d: int) -> list[TailTerm]:
         if self.b == 0.0:
             return []
-        return [("geometric", math.log(abs(self.b)) + d * math.log(self.c), 2.0 * math.log(self.c))]
+        return [TailTerm(math.log(abs(self.b)) + d * math.log(self.c), 2.0 * math.log(self.c))]
 
 
 @dataclass(frozen=True)
@@ -263,11 +274,10 @@ class Power(RadialSymbol):
         e = -(x + (g - 0.5)) * (t * t * series) - (g - 0.5) * t + (stirling(x) - stirling(x + g))
         return np.array(exact)[np.minimum(n, n0)] * ((x[0] / x[1:]) ** g * np.exp(e[1:] - e[0]))
 
-    def tail_profiles(self, d: int) -> list[tuple[str, float, float]]:
+    def tails(self, d: int) -> list[TailTerm]:
         # Gamma(x)/Gamma(x+gamma) <= x^-gamma (1 + 1/x) for x >= 1 gives the
         # certified constant 4/3 at x = 2k+d+1 >= 3.
-        log_a = math.log(4.0 / 3.0) + math.log(self.a) + log_gamma(self.gamma + 1.0)
-        return [("power", log_a, self.gamma)]
+        return [TailTerm(math.log(4.0 / 3.0) + math.log(self.a) + math.lgamma(self.gamma + 1.0), gamma=self.gamma)]
 
 
 @dataclass(frozen=True)
@@ -295,9 +305,6 @@ class Sampled(RadialSymbol):
 
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(r for r in self.r if 0.0 < r < 1.0)
-
-    def boundary_value(self) -> float:
-        return self.v[-1]
 
     def log_mu(self, d: int, k):
         """(sign, log |mu_k|) by parts, n = 2k+d, s_j the slope of segment j:
@@ -332,16 +339,14 @@ class Sampled(RadialSymbol):
         hi = wide.astype(float)
         return np.array(list(map(math.fsum, np.hstack((hi, (wide - hi).astype(float))).tolist())), dtype=float)
 
-    def tail_profiles(self, d: int) -> list[tuple[str, float, float]]:
+    def tails(self, d: int) -> list[TailTerm]:
+        """sup|v| r_last^(2k+d) for the profile inside the last node, and the floor |v(1-)|."""
         out = []
-        sup_inner = self.sup()
+        sup_inner, v_last = self.sup(), self.v[-1]
         if sup_inner > 0.0:
-            out.append(
-                ("geometric", math.log(sup_inner) + d * math.log(self.r[-1]), 2.0 * math.log(self.r[-1]))
-            )
-        v_last = self.boundary_value()
+            out.append(TailTerm(math.log(sup_inner) + d * math.log(self.r[-1]), 2.0 * math.log(self.r[-1])))
         if v_last != 0.0:
-            out.append(("floor", math.log(abs(v_last)), 0.0))
+            out.append(TailTerm(math.log(abs(v_last))))
         return out
 
 
@@ -364,17 +369,14 @@ class SymbolSum(RadialSymbol):
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(sorted({b for p in self.parts for b in p.breakpoints()}))
 
-    def boundary_value(self) -> float:
-        return sum(p.boundary_value() for p in self.parts)
-
     def log_mu(self, d: int, k):
         return _signed_log_add((p.log_mu(d, k) for p in self.parts), scalar=np.ndim(k) == 0)
 
     def mu(self, d: int, k) -> np.ndarray:
         return sum(p.mu(d, k) for p in self.parts)
 
-    def tail_profiles(self, d: int) -> list[tuple[str, float, float]]:
-        return [t for p in self.parts for t in p.tail_profiles(d)]
+    def tails(self, d: int) -> list[TailTerm]:
+        return [t for p in self.parts for t in p.tails(d)]
 
 
 # --- general symbols ---------------------------------------------------------

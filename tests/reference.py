@@ -126,7 +126,7 @@ def superpolynomial_decay_check(v: RadialSymbol, d: int, alpha: float, k_stop: i
     cand = np.append(alpha * np.log(counts.astype(float)) + logs, -math.inf)
     at = int(np.argmax(cand))
     best_log, best_j = float(cand[at]), int(np.append(counts, 0)[at])
-    if rt._weak_tail_sup_log(v.tail_profiles(d), d, k_stop, 1.0 / alpha) > best_log:
+    if rt._weak_tail_sup_log(v.tails(d), d, k_stop, 1.0 / alpha) > best_log:
         raise TailNotCertifiedError("decay sup may live beyond the enumerated degrees")
     return DecayCheck(sup_value=math.exp(best_log), argmax_j=best_j, k_stop=k_stop)
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -599,6 +600,32 @@ def test_asymptotics_pinned_exponent_beyond_the_double_range_exits_three(capsys,
     code, out, err = run_cli(capsys, *argv, "--model", model, "--exponent", exponent)
     assert code == 3 and out == ""
     assert reason in err and "not a positive finite double" in err
+
+
+@pytest.mark.parametrize(
+    "argv, row",
+    [
+        (["asymptotics", "--symbol", "power:a=1,gamma=1", "--model", "power", "--lnlambda", "-30:-20:5"], "ln lambda = -20.0"),
+        (["boundary", "--symbol", "power:a=1,gamma=1", "--E", "1e6:1e7:6"], "E = 1000000.0"),
+    ],
+    ids=["asymptotics", "boundary"],
+)
+def test_fit_counts_beyond_the_double_range_exit_three(capsys, argv, row):
+    # the fits converted the exact counts with np.array(counts, dtype=float),
+    # which ended in an OverflowError traceback
+    code, out, err = run_cli(capsys, argv[0], "--d", "150", *argv[1:])
+    assert code == 3 and out == ""
+    assert f"the eigenvalue count at {row} is beyond the double range (d=150)" in err
+
+
+def test_schatten_refuses_a_law_that_is_not_p_summable_before_tabulating(capsys):
+    # p gamma = 2 <= d - 1 = 79: the tables grew until the counts left the
+    # double range near degree 265,000, which took about 17 s
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "schatten", "--d", "80", "--symbol", "power:a=1,gamma=1", "--p", "2")
+    assert time.perf_counter() - start < 5.0
+    assert code == 3 and out == ""
+    assert "p-th power tail beyond degree 400000 is not certified negligible" in err
 
 
 @pytest.mark.parametrize(

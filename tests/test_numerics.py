@@ -7,7 +7,7 @@ import scipy.special as sp
 
 from harmotop.harmonic_basis import multiplicity, sphere_surface_area
 from harmotop.kernel_berezin import _kernel_sum
-from harmotop.numerics import bessel_zero_counts, gauss_jacobi01, gauss_legendre, log_gamma, symmetric_eigen
+from harmotop.numerics import bessel_zero_counts, gauss_jacobi01, gauss_legendre, symmetric_eigen
 
 
 def test_gauss_legendre_order_one_is_midpoint():
@@ -94,14 +94,6 @@ def test_gauss_jacobi_weighted_moments(gamma):
         # int_0^1 u^gamma u^j du = 1/(gamma + j + 1)
         moment = float(np.dot(rule.weights, rule.nodes**j))
         assert abs(moment - 1.0 / (gamma + j + 1)) < 1e-14
-
-
-def test_log_gamma_values():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-    assert log_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-12)
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
 
 
 def gegenbauer_ratio(k, alpha, t):

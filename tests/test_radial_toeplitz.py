@@ -305,6 +305,17 @@ def test_schatten_radial_weak_matches_enumeration():
     assert schatten_radial(Power(1.0, 1.0), 2, 2.0, weak=True) == pytest.approx(oracle, rel=1e-9)
 
 
+def test_schatten_radial_weak_tail_of_a_sum_is_the_sum_of_its_parts_tails():
+    # the tail bound took the larger part's sup instead of the sum of the
+    # parts' sups, and returned 1.62 at K = 0 and 2.2728 at K = 1
+    both = SymbolSum((Step(1.0, 0.9), Step(1.0, 0.9)))
+    for K in (0, 1):
+        with pytest.raises(TailNotCertifiedError):
+            schatten_radial(both, 2, 2.0, weak=True, k_stop=K)
+    value = schatten_radial(both, 2, 2.0, weak=True, k_stop=2)
+    assert value == schatten_radial(Step(2.0, 0.9), 2, 2.0, weak=True, k_stop=2) == 2.3766764040609316
+
+
 def test_schatten_radial_refuses_divergent_exponents():
     with pytest.raises(TailNotCertifiedError):
         schatten_radial(Power(1.0, 0.4), 2, 2.0)  # p*gamma = 0.8 < d-1
@@ -470,8 +481,9 @@ def test_grid_counting_equals_scalar_counting(v, sign):
         signs, logs = v.log_mu(d, _SCAN)
         m = np.array([multiplicity(d, k) for k in _SCAN.tolist()])
         deepest = logs[3000] if np.isfinite(logs[3000]) else -9.0
-        if v.boundary_value():  # count above the floor, where the count is finite
-            deepest = max(deepest, math.log(abs(v.boundary_value())) + 0.01)
+        floor = sum(math.exp(t.log_c) for t in v.tails(d) if t.log_q == t.gamma == 0.0)
+        if floor:  # count above the certified limit |v(1-)|, where the count is finite
+            deepest = max(deepest, math.log(floor) + 0.01)
         exact = logs[np.isfinite(logs) & (logs > deepest)][:60]
         # random thresholds, thresholds equal to an exact log mu_k and one ulp either side
         grid = np.concatenate(

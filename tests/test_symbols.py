@@ -10,6 +10,7 @@ from harmotop.symbols import (
     Sampled,
     Step,
     SymbolSum,
+    TailTerm,
 )
 
 
@@ -57,8 +58,8 @@ def test_breakpoints_and_boundary_data():
     assert Sampled([0.0, 0.3, 0.9], [1.0, 2.0, 0.5]).breakpoints() == (0.3, 0.9)
     s = SymbolSum([Step(1.0, 0.5), Sampled([0.0, 0.5, 0.7], [1.0, 1.0, 0.0])])
     assert s.breakpoints() == (0.5, 0.7)
-    assert Step(1.0, 0.5).boundary_value() == 0.0
-    assert Sampled([0.0, 0.9], [1.0, 0.3]).boundary_value() == 0.3
+    assert Step(1.0, 0.5).tails(2) == [TailTerm(2.0 * math.log(0.5), 2.0 * math.log(0.5))]
+    assert Sampled([0.0, 0.9], [1.0, 0.3]).tails(2)[-1] == TailTerm(math.log(0.3))  # the floor v(1-)
     assert s.sup() == 2.0
 
 
@@ -203,3 +204,48 @@ def test_sampled_and_sum_log_mu_match_mpmath(name):
                 _assert_matches(sign, log_abs, mu, k)
                 if i < ks.size:
                     _assert_matches(int(signs[i]), float(logs[i]), mu, k)
+
+
+def _mp_mu(v, d: int, k: int):
+    """mu_k in mpmath from the closed forms, n = 2k+d."""
+    n = 2 * k + d
+    if isinstance(v, Step):
+        return v.b * mpmath.mpf(v.c) ** n
+    if isinstance(v, Power):  # a Gamma(gamma+1) Gamma(n+1)/Gamma(n+1+gamma)
+        g = mpmath.mpf(v.gamma)
+        return v.a * mpmath.exp(mpmath.loggamma(g + 1) + mpmath.loggamma(n + 1) - mpmath.loggamma(n + 1 + g))
+    if isinstance(v, Sampled):  # by parts: v(1-) - sum_j s_j (r_(j+1)^(n+1) - r_j^(n+1))/(n+1)
+        r, f = [mpmath.mpf(x) for x in v.r], [mpmath.mpf(x) for x in v.v]
+        segments = zip(r, r[1:], f, f[1:])
+        return f[-1] - mpmath.fsum((f1 - f0) / (r1 - r0) * (r1 ** (n + 1) - r0 ** (n + 1)) / (n + 1) for r0, r1, f0, f1 in segments)
+    return mpmath.fsum(_mp_mu(p, d, k) for p in v.parts)
+
+
+# log-spaced from 0 to 10^15
+_CERTIFIED_DEGREES = sorted({0, 1, 2, 3} | {round(10.0**e) for e in np.linspace(0.5, 15.0, 30)})
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_tail_terms_sum_to_a_bound_on_mu(d):
+    # against 50-digit mu_k; the allowance is four ulp of ln|mu_k|, for the
+    # rounding of the doubles that a term stores (a Step's bound is mu_k itself)
+    floored = Sampled([0.0, 0.5, 0.9], [1.0, 0.5, 0.3])
+    symbols = [
+        Step(1.0, 0.5),
+        Step(-1.7, 0.93),
+        *(Power(1.0, g) for g in (0.1, 0.5, 1.0, 1.778, 3.0, 40.0)),
+        Sampled([0.0, 0.4, 0.8, 0.95], [1.0, 0.8, 0.2, 0.0]),
+        floored,
+        SymbolSum([Power(2.0, 0.5), Step(-0.5, 0.4), floored]),
+    ]
+    with mpmath.workdps(50):
+        for v in symbols:
+            terms = v.tails(d)
+            for k in _CERTIFIED_DEGREES:
+                bound = mpmath.fsum(
+                    mpmath.exp(t.log_c + k * mpmath.mpf(t.log_q)) * mpmath.mpf(2 * k + d) ** -t.gamma for t in terms
+                )
+                log_mu = mpmath.log(abs(_mp_mu(v, d, k)))
+                # Power keeps the slack of its constant 4/3 at every degree
+                floor = math.log(4.0 / 3.0) if isinstance(v, Power) else 0.0
+                assert mpmath.log(bound) - log_mu >= floor - 4 * 2.0**-52 * max(1, abs(log_mu)), (v, k)
