@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic_basis import angular_basis_matrix, basis_degrees, multiplicity
+from .harmonic_basis import angular_basis_matrix, basis_degrees, cumulative_multiplicity
 from .numerics import gauss_legendre
 
 __all__ = [
@@ -131,13 +131,12 @@ def harmonic_node_matrix(d: int, max_degree: int, grid: BallGrid) -> np.ndarray:
     psi = angular_basis_matrix(d, max_degree, grid.ang_dirs)
     out = np.empty((psi.shape[0], grid.r_nodes.size, psi.shape[1]))
     r_pow = np.ones((grid.r_nodes.size, 1))
-    start = 0
+    starts = cumulative_multiplicity(d, np.arange(-1, max_degree + 1)).tolist()
     for k in range(max_degree + 1):
         if k > 0:
             r_pow = r_pow * grid.r_nodes[:, None]
-        rows = slice(start, start + multiplicity(d, k))
+        rows = slice(starts[k], starts[k + 1])
         out[rows] = math.sqrt(2.0 * k + d) * (r_pow * psi[rows, None, :])
-        start = rows.stop
     return out.reshape(psi.shape[0], -1)
 
 

@@ -12,6 +12,7 @@ downstream rely on this order.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -29,27 +30,40 @@ def _check_dimension(d: int) -> None:
         raise ValueError(f"space dimension must be >= 2, got {d}")
 
 
-def _binom(m: int, n: int) -> int:
-    # binom(m, n) = 0 whenever m < n (including negative m).
-    if n < 0 or m < n:
-        return 0
-    return math.comb(m, n)
-
-
-def multiplicity(d: int, k: int) -> int:
-    """Dimension m_k of the space of degree-k spherical harmonics on S^(d-1)."""
+def _degrees(d: int, k, least: int, what: str):
+    """k checked against `least` and typed as `cumulative_multiplicity` describes."""
     _check_dimension(d)
-    if k < 0:
-        raise ValueError(f"degree must be nonnegative, got {k}")
-    return _binom(d + k - 1, d - 1) - _binom(d + k - 3, d - 1)
+    if isinstance(k, np.ndarray):
+        low = k.min(initial=least)
+        fits = math.factorial(d - 1) * max(1, _cumulative(d, int(k.max(initial=least)))) < 2**63
+        k = k.astype(np.int64 if fits else object, copy=False)
+    else:
+        low = k = operator.index(k)
+    if low < least:
+        raise ValueError(f"{what}, got {low}")
+    return k
 
 
-def cumulative_multiplicity(d: int, k: int) -> int:
-    """M_k = sum of m_j for j <= k, in closed binomial form; M_{-1} = 0."""
-    _check_dimension(d)
-    if k < -1:
-        raise ValueError(f"cumulative multiplicity needs k >= -1, got {k}")
-    return _binom(d + k - 1, d - 1) + _binom(d + k - 2, d - 1)
+def _cumulative(d: int, k):
+    """M_k = (2k+d-1)(k+1)...(k+d-2)/(d-1)!, exact, elementwise; 0 at k = -1."""
+    out = 2 * k + (d - 1)
+    for j in range(1, d - 1):
+        out = out * (k + j)
+    out = out // math.factorial(d - 1)
+    return np.maximum(out, 0) if isinstance(out, np.ndarray) else max(out, 0)
+
+
+def multiplicity(d: int, k):
+    """Dimension m_k = M_k - M_(k-1) of the degree-k harmonics on S^(d-1), exact (types as M_k)."""
+    k = _degrees(d, k, 0, "degree must be nonnegative")
+    return _cumulative(d, k) - _cumulative(d, k - 1)
+
+
+def cumulative_multiplicity(d: int, k):
+    """M_k = m_0+...+m_k for k >= -1, exact: a Python int for an int k; for an
+    integer ndarray k, an int64 array while (d-1)! M_k < 2^63 at its largest
+    degree, else an array of Python ints."""
+    return _cumulative(d, _degrees(d, k, -1, "cumulative multiplicity needs k >= -1"))
 
 
 def sphere_surface_area(d: int) -> float:
@@ -60,7 +74,7 @@ def sphere_surface_area(d: int) -> float:
 
 def basis_degrees(d: int, max_degree: int) -> np.ndarray:
     """The degree k of each basis row, degree-major: k repeated m_k times."""
-    return np.repeat(np.arange(max_degree + 1), [multiplicity(d, k) for k in range(max_degree + 1)])
+    return np.repeat(np.arange(max_degree + 1), multiplicity(d, np.arange(max_degree + 1)))
 
 
 # --- pointwise harmonics (d = 2, 3) ----------------------------------------

@@ -23,7 +23,8 @@ __all__ = [
 
 
 def _degree_weights(d: int, max_degree: int) -> np.ndarray:
-    return np.array([(2 * k + d) * multiplicity(d, k) for k in range(max_degree + 1)], dtype=float)
+    k = np.arange(max_degree + 1)
+    return (multiplicity(d, k) * (2 * k + d)).astype(float)
 
 
 def _kernel_sum(d: int, max_degree: int, rho: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TailNotCertifiedError
-from .harmonic_basis import cumulative_multiplicity
+from .harmonic_basis import cumulative_multiplicity, multiplicity
 from .symbols import RadialSymbol, _signed_log_add
 
 __all__ = [
@@ -105,38 +105,17 @@ def radial_spectrum(v: RadialSymbol, d: int, max_degree: int) -> Spectrum:
     k = np.arange(max_degree + 1)
     mus = v.mu(d, k)
     order = np.argsort(-np.abs(mus), kind="stable")
-    return Spectrum(mus[order], _multiplicities(d, k)[order], max_degree=max_degree, d=d, provenance="exact-radial")
+    return Spectrum(mus[order], multiplicity(d, k)[order], max_degree=max_degree, d=d, provenance="exact-radial")
 
 
 # --- the degree table and certified tail bounds -------------------------------
-
-
-def _exact_degrees(d: int, k: np.ndarray) -> np.ndarray:
-    """Degrees k >= -1 as int64 while the product (d-1)! M_k of
-    `_cumulative_multiplicities` and the divisor (d-1)! fit, else as Python ints."""
-    fits = math.factorial(d - 1) * max(1, cumulative_multiplicity(d, int(k.max()))) < 2**63
-    return k.astype(np.int64 if fits else object)
-
-
-def _multiplicities(d: int, k: np.ndarray) -> np.ndarray:
-    """m_k = M_k - M_(k-1) over the degrees k, exact (see `_exact_degrees`)."""
-    return _cumulative_multiplicities(d, k) - _cumulative_multiplicities(d, k - 1)
-
-
-def _cumulative_multiplicities(d: int, k: np.ndarray) -> np.ndarray:
-    """M_k = m_0+...+m_k = (2k+d-1)(k+1)...(k+d-2)/(d-1)! for k >= -1, exact (see `_exact_degrees`)."""
-    k = _exact_degrees(d, k)
-    out = 2 * k + d - 1
-    for j in range(1, d - 1):
-        out = out * (k + j)
-    return np.maximum(out // math.factorial(d - 1), 0)
 
 
 def _degree_table(v: RadialSymbol, d: int, K: int):
     """(sign, log |mu_k|, m_k) as arrays over the degrees k <= K."""
     k = np.arange(K + 1)
     sign, logs = v.log_mu(d, k)
-    return np.broadcast_to(sign, logs.shape), logs, _multiplicities(d, k)
+    return np.broadcast_to(sign, logs.shape), logs, multiplicity(d, k)
 
 
 def _sorted_table(v: RadialSymbol, d: int, K: int, sign: int = 0):
@@ -208,7 +187,7 @@ def counting(v: RadialSymbol, d: int, *, ln_lam, sign: int = 1):
     ln_lams = np.asarray(ln_lam, dtype=float).reshape(-1)
 
     if v.monotone:
-        counts = _cumulative_multiplicities(d, _first_not_exceeding(v, d, ln_lams, sign) - 1)
+        counts = cumulative_multiplicity(d, _first_not_exceeding(v, d, ln_lams, sign) - 1)
     else:
         counts = _count_tabulated(v, d, ln_lams, sign)
     counts = counts.tolist()
@@ -529,6 +508,6 @@ def _weak_tail_sup_log(terms, d: int, k_stop: int, p: float) -> float:
         if end == math.inf:
             return math.inf  # M_k^(1/p) times the term does not decay (a floor never does)
         k = np.arange(k_stop + 1, max(k_stop + 1, math.ceil(end)) + 1)
-        vals = np.log(_as_doubles(_cumulative_multiplicities(d, k), d, k)) / p + t.log_bound(d, k)
+        vals = np.log(_as_doubles(cumulative_multiplicity(d, k), d, k)) / p + t.log_bound(d, k)
         sups.append(float(vals.max()))
     return float(_log_sum(sups))

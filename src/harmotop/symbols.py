@@ -45,11 +45,10 @@ _NEG_INF = float("-inf")
 # --- signed log arithmetic ---------------------------------------------------
 
 
-def _signed_log_add(terms, scalar: bool = False):
-    """sum_i s_i exp(l_i) as (sign, log abs) over terms (s_i, l_i) of scalars
-    or arrays of one shape, with l_i = -inf where s_i = 0 (no terms give 0):
-    arrays, or Python (int, float) if `scalar`.  One pass with a running
-    maximum `top`; acc holds the sum over exp(top)."""
+def _signed_log_add(terms):
+    """sum_i s_i exp(l_i) as (sign, log abs) arrays over terms (s_i, l_i) of one
+    shape, l_i = -inf where s_i = 0 (no terms give 0).  One pass with a
+    running maximum `top`; acc holds the sum over exp(top)."""
     terms = iter(terms)
     s, top = next(terms, (0, _NEG_INF))
     acc = np.full(np.shape(top), s, dtype=float)
@@ -60,13 +59,12 @@ def _signed_log_add(terms, scalar: bool = False):
         top = new_top
     with np.errstate(divide="ignore"):
         log_abs = np.where(acc != 0.0, top + np.log(np.abs(acc)), _NEG_INF)
-    sign = np.sign(acc).astype(np.int64)
-    return (int(sign), float(log_abs)) if scalar else (sign, log_abs)
+    return np.sign(acc).astype(np.int64), log_abs
 
 
-# ln Gamma(x) - ln Gamma(x+g) from x = _STIRLING_FROM on: the difference of
-# two Stirling series (DLMF 5.11.1) arranged so that no large terms cancel.
-# The plain lgamma difference loses about x ln(x) * 2^-52 to rounding (4e-13
+# ln Gamma(x) - ln Gamma(x+g) from x = _STIRLING_FROM on (`Power.log_mu`): the
+# difference of two Stirling series (DLMF 5.11.1), arranged so that no large
+# terms cancel.  The plain lgamma difference loses about x ln(x) * 2^-52 to rounding (4e-13
 # relative near x = 1000, 0.4 absolute near x = 1e14).  From x = 50 on, three
 # Bernoulli terms leave a truncation error below (1/1680) x^-7 < 1e-15 in each
 # series and far less in their difference, which is what enters.
@@ -77,13 +75,6 @@ def _stirling_series(x):
     """sum_(m=1..3) B_2m/(2m(2m-1)) x^(1-2m) for a float or an array x."""
     z = 1.0 / (x * x)
     return (1.0 / 12.0 + z * (-1.0 / 360.0 + z / 1260.0)) / x
-
-
-def _log_gamma_ratio(x, g: float, xp):
-    """ln Gamma(x) - ln Gamma(x+g) for x >= _STIRLING_FROM (finite but inexact
-    for any x >= 1); xp is math or numpy."""
-    y = x + g
-    return g - (x - 0.5) * xp.log1p(g / x) - g * xp.log(y) + (_stirling_series(x) - _stirling_series(y))
 
 
 def _log_pow_diff(a, r_hi: float, r_lo: float):
@@ -143,7 +134,7 @@ class RadialSymbol:
         return ()
 
     def log_mu(self, d: int, k):
-        """(sign, log |mu_k|), exact in the log domain, elementwise over an integer ndarray k."""
+        """(sign, log |mu_k|), exact in the log domain, elementwise over integer degrees k."""
         raise NotImplementedError
 
     def mu(self, d: int, k) -> np.ndarray:
@@ -176,9 +167,10 @@ class Step(RadialSymbol):
         return (self.c,)
 
     def log_mu(self, d: int, k):
-        """(sign b, ln|b| + (2k+d) ln c); an integer ndarray k gives an array of logs."""
+        """(sign b, ln|b| + (2k+d) ln c), elementwise."""
+        k = np.asarray(k)
         if self.b == 0.0:
-            return 0, np.full(k.shape, _NEG_INF) if isinstance(k, np.ndarray) else _NEG_INF
+            return 0, np.full(k.shape, _NEG_INF)
         return (1 if self.b > 0 else -1), math.log(abs(self.b)) + (2 * k + d) * math.log(self.c)
 
     def crossing_degree(self, d: int, ln_lam) -> np.ndarray:
@@ -223,18 +215,16 @@ class Power(RadialSymbol):
 
         Below x = 50 the lgamma difference is exact to a few ulp; from there
         on the Stirling difference keeps the relative error near 1e-14 up to
-        k = 1e15.  An integer ndarray k gives an array of logs.
+        k = 1e15.
         """
         g = self.gamma
         log_scale = math.log(self.a) + math.lgamma(g + 1.0)
-        x = 2 * k + (d + 1.0)
-        if not isinstance(k, np.ndarray):
-            if x < _STIRLING_FROM:
-                return 1, log_scale + math.lgamma(x) - math.lgamma(x + g)
-            return 1, log_scale + _log_gamma_ratio(x, g, math)
-        out = log_scale + _log_gamma_ratio(x, g, np)
+        k = np.asarray(k)
+        x = np.asarray(2 * k + (d + 1.0))  # 0-d for a scalar k, even beyond int64
+        ratio = g - (x - 0.5) * np.log1p(g / x) - g * np.log(x + g) + (_stirling_series(x) - _stirling_series(x + g))
+        out = np.asarray(log_scale + ratio)
         small = x < _STIRLING_FROM
-        if small.any():  # the scalar branch's value once per x = d+1, d+3, ... below 50, indexed by k
+        if small.any():  # the lgamma difference once per x = d+1, d+3, ... below 50, indexed by k
             xs = range(d + 1, int(x[small].max()) + 1, 2)
             out[small] = np.array([log_scale + math.lgamma(v) - math.lgamma(v + g) for v in xs])[k[small]]
         return 1, out
@@ -310,7 +300,7 @@ class Sampled(RadialSymbol):
         """(sign, log |mu_k|) by parts, n = 2k+d, s_j the slope of segment j:
         mu_k = v(1-) - sum_j s_j (r_(j+1)^(n+1) - r_j^(n+1)) / (n+1): one term
         per segment, so no two terms of a segment cancel (relative error near
-        1e-15 up to k = 1e15).  An integer ndarray k gives arrays."""
+        1e-15 up to k = 1e15)."""
         a = 2.0 * np.asarray(k, dtype=float) + (d + 1.0)  # n + 1
         log_a = np.log(a)
         v_last = self.v[-1]
@@ -322,7 +312,7 @@ class Sampled(RadialSymbol):
                     slope = (v1 - v0) / (r1 - r0)
                     yield -np.sign(slope), math.log(abs(slope)) + _log_pow_diff(a, r1, r0) - log_a
 
-        return _signed_log_add(terms(), scalar=np.ndim(k) == 0)
+        return _signed_log_add(terms())
 
     def mu(self, d: int, k) -> np.ndarray:
         """The terms of `log_mu` in the linear domain, a = n+1: v(1-) - sum_j s_j
@@ -370,7 +360,7 @@ class SymbolSum(RadialSymbol):
         return tuple(sorted({b for p in self.parts for b in p.breakpoints()}))
 
     def log_mu(self, d: int, k):
-        return _signed_log_add((p.log_mu(d, k) for p in self.parts), scalar=np.ndim(k) == 0)
+        return _signed_log_add(p.log_mu(d, k) for p in self.parts)
 
     def mu(self, d: int, k) -> np.ndarray:
         return sum(p.mu(d, k) for p in self.parts)

@@ -22,7 +22,6 @@ from harmotop.radial_toeplitz import (
     radial_spectrum,
     schatten_radial,
 )
-from harmotop.radial_toeplitz import _cumulative_multiplicities, _multiplicities
 from harmotop.symbols import Power, Sampled, Step, SymbolSum
 from reference import log_decay_at, step_constant, superpolynomial_decay_check
 
@@ -573,10 +572,10 @@ def test_multiplicity_arrays_equal_the_binomial_forms(d):
         lo, switch = (lo, mid) if leaves_int64(mid) else (mid, switch)
     small = [-1, 0, 1, 2, 7]
     for ks in ([small + [switch - 1], small + [switch]] if switch > 7 else [small]):
-        cum = _cumulative_multiplicities(d, np.array(ks))
+        cum = cumulative_multiplicity(d, np.array(ks))
         assert cum.dtype == (object if max(ks) >= switch else np.int64)
         assert cum.tolist() == [cumulative_multiplicity(d, k) for k in ks]
-        assert _multiplicities(d, np.array(ks[1:])).tolist() == [multiplicity(d, k) for k in ks[1:]]
+        assert multiplicity(d, np.array(ks[1:])).tolist() == [multiplicity(d, k) for k in ks[1:]]
 
 
 def test_radial_spectrum_expands_with_python_int_multiplicities():
