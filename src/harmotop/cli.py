@@ -287,16 +287,18 @@ COUNTING_FORMULA = "n_plus(lambda) = #{eigenvalues > lambda} = M_(nu-1), nu = #{
 def _cmd_spectrum(args):
     symbol = parse_symbol(args.symbol)
     k = _max_degree(args, symbol)
-    matrix = None
+    rows = None
     if isinstance(symbol, RadialSymbol):
         spectrum = rt.radial_spectrum(symbol, args.d, k)
-        if args.matrix_output:  # the exact section diag(mu_k), degree-major: mu_k on its m_k rows
-            matrix = np.diag(symbol.mu(args.d, np.arange(k + 1))[basis_degrees(args.d, k)])
+        if args.matrix_output:  # the exact section diag(mu_k), degree-major (mu_k on its m_k rows), a row at a time
+            diagonal = symbol.mu(args.d, np.arange(k + 1))[basis_degrees(args.d, k)]
+            rows = (np.where(np.arange(diagonal.size) == i, mu, 0.0) for i, mu in enumerate(diagonal))
     else:
         matrix = gt.assemble(symbol, args.d, _file_spec(args, symbol))
         spectrum = gt.section_spectrum(matrix, args.d, k)
+        rows = matrix  # a matrix is the sequence of its rows
     if args.matrix_output:
-        gt.write_matrix_csv(args.matrix_output, matrix, args.d, k)
+        gt.write_matrix_csv(args.matrix_output, rows, args.d, k)
     table = {
         "index": range(spectrum.values.size),
         "eigenvalue": spectrum.values.tolist(),

@@ -66,13 +66,22 @@ def section_spectrum(matrix: np.ndarray, d: int, max_degree: int) -> Spectrum:
     return Spectrum(eigs[order], np.ones(eigs.size, dtype=np.int64), max_degree=max_degree, d=d, provenance="galerkin")
 
 
-def write_matrix_csv(path, A: np.ndarray, d: int, max_degree: int) -> None:
-    """Row-major CSV dump with the header `# harmotop matrix d=<d> K=<K> n=<M_K>`."""
-    A = np.asarray(A, dtype=float)
+def write_matrix_csv(path, rows, d: int, max_degree: int) -> None:
+    """Row-major CSV dump with the header `# harmotop matrix d=<d> K=<K> n=<M_K>`.
+
+    `rows` yields the M_K rows of M_K values each (a matrix yields its rows)
+    and is read, formatted and written one row at a time; a row of another
+    length, or another number of rows, raises ValueError.
+    """
     n = cumulative_multiplicity(d, max_degree)
-    if A.shape != (n, n):
-        raise ValueError(f"matrix shape {A.shape} does not match M_K = {n}")
     row = ",".join(["%.17g"] * n) + "\n"
+    count = 0
     with open(path, "w") as fh:
         fh.write(f"# harmotop matrix d={d} K={max_degree} n={n}\n")
-        fh.writelines(row % tuple(values.tolist()) for values in A)  # one row's text at a time
+        for count, values in enumerate(rows, 1):
+            values = np.asarray(values, dtype=float)
+            if count > n or values.shape != (n,):
+                raise ValueError(f"row {count} of shape {values.shape} does not match M_K = {n}")
+            fh.write(row % tuple(values.tolist()))
+    if count != n:
+        raise ValueError(f"{count} rows do not match M_K = {n}")

@@ -492,12 +492,22 @@ def schatten_radial(
     return math.exp(best_log)
 
 
+# degrees of the exact scan in `_weak_tail_sup_log`; a majorant bounds the rest
+_WEAK_SCAN = 1 << 16
+
+
 def _weak_tail_sup_log(terms, d: int, k_stop: int, p: float) -> float:
     """log of a certified bound for sup over degrees k > k_stop of M_k^(1/p) |mu_k|.
 
     Per term, the derivative in k of ln(M_k)/p + log_bound(k) is at most
     (d-1)/(p(k+1/2)) + log_q - gamma/(k+d/2), which is negative from the
-    degree `end` on; the term's sup is the largest value up to there.
+    degree `end` on; the term's sup is the largest value up to there, scanned
+    with the exact M_k over at most _WEAK_SCAN degrees.  Past the scan,
+    M_k <= y^(d-1)/(2^(d-2) (d-1)!) with y = 2k+d-1 (AM-GM on k+1, ..., k+d-2),
+    and the log bound a ln y - c y - gamma ln(y+1) + const (a = (d-1)/p,
+    c = -log_q/2) is unimodal in y > 0: its sup there is its value at the
+    root of c y^2 + (c + gamma - a) y - a, or at the first degree past the
+    scan if that lies beyond the root.
     """
     sups = []
     for t in terms:
@@ -507,7 +517,16 @@ def _weak_tail_sup_log(terms, d: int, k_stop: int, p: float) -> float:
         )
         if end == math.inf:
             return math.inf  # M_k^(1/p) times the term does not decay (a floor never does)
-        k = np.arange(k_stop + 1, max(k_stop + 1, math.ceil(end)) + 1)
+        last = min(math.ceil(end), k_stop + _WEAK_SCAN)
+        k = np.arange(k_stop + 1, max(k_stop + 1, last) + 1)
         vals = np.log(_as_doubles(cumulative_multiplicity(d, k), d, k)) / p + t.log_bound(d, k)
-        sups.append(float(vals.max()))
+        sup = float(vals.max())
+        if end > last:
+            a, c = (d - 1) / p, -0.5 * t.log_q
+            b = c + t.gamma - a
+            root = math.sqrt(b * b + 4.0 * a * c)
+            y = max(2.0 * last + d + 1, 2.0 * a / (b + root) if b >= 0.0 else (root - b) / (2.0 * c))
+            log_m = (d - 1) * math.log(y) - (d - 2) * math.log(2.0) - math.lgamma(d)
+            sup = max(sup, log_m / p + float(t.log_bound(d, (y - (d - 1)) / 2.0)))
+        sups.append(sup)
     return float(_log_sum(sups))

@@ -77,6 +77,38 @@ def _stirling_series(x):
     return (1.0 / 12.0 + z * (-1.0 / 360.0 + z / 1260.0)) / x
 
 
+# ln 2^-1075: a positive value at most 2^-1075 rounds to +0.0
+_LOG_HALF_TINY = -1075.0 * math.log(2.0)
+
+
+def _linear_product(step: int, shift: int, lo: int, hi: int) -> int:
+    """prod (step j + shift) over lo <= j < hi, exact, by a product tree (halves
+    multiplied together, so the large products pair numbers of like size)."""
+    if hi - lo <= 32:
+        return math.prod(range(step * lo + shift, step * hi + shift, step))
+    mid = (lo + hi) // 2
+    return _linear_product(step, shift, lo, mid) * _linear_product(step, shift, mid, hi)
+
+
+def _prefix_products(a: float, g: float, at: list[int]) -> list[float]:
+    """a prod_(j=1..i) j/(j+g) for each i of the increasing list `at`, each the
+    correctly rounded quotient of two integers (g = p/q).  Each gap between
+    two indices is one product tree; from the first index whose lgamma
+    estimate (with a margin far above its rounding) lies below ln 2^-1075 on,
+    the value is +0.0 without forming it, as the quotient would round to."""
+    (num, den), (p, q) = a.as_integer_ratio(), g.as_integer_ratio()
+    out, last = [], 0
+    for i in at:
+        logs = (math.log(a), math.lgamma(g + 1.0), math.lgamma(i + 1.0), -math.lgamma(i + 1.0 + g))
+        if sum(logs) < _LOG_HALF_TINY - 1.0 - 1e-14 * sum(map(abs, logs)):
+            break
+        num *= _linear_product(q, 0, last + 1, i + 1)
+        den *= _linear_product(q, p, last + 1, i + 1)
+        out.append(num / den)
+        last = i
+    return out + [0.0] * (len(at) - len(out))
+
+
 def _log_pow_diff(a, r_hi: float, r_lo: float):
     """log(r_hi^a - r_lo^a) for 0 <= r_lo < r_hi < 1, elementwise in a > 0."""
     hi = a * math.log(r_hi)
@@ -243,18 +275,16 @@ class Power(RadialSymbol):
     def mu(self, d: int, k) -> np.ndarray:
         """mu_k = a prod_(j=1..n) j/(j+gamma), n = 2k+d, exactly.  Up to
         n0 = max(50, 8 gamma) the product is formed in integers (gamma = p/q)
-        and divided once, correctly rounded.  Beyond, with x = n+1, t = gamma/x,
+        and divided once, correctly rounded, at each distinct n asked for
+        (`_prefix_products`).  Beyond, with x = n+1, t = gamma/x,
         mu_k = mu(n0) (x0/x)^gamma exp(E(x) - E(x0)), where E(x) =
         -(x+gamma-1/2)(log1p(t)-t) - (gamma-1/2)t + S(x) - S(x+gamma), log1p(t)-t
         is its alternating series (t <= 1/8: 19 terms) and S the four-term
         Stirling series; rounding x0/x costs about gamma/2 ulp."""
         g, n = self.gamma, 2 * k + d
         n0 = max(50, math.ceil(8.0 * g))
-        (num, den), (p, q) = self.a.as_integer_ratio(), g.as_integer_ratio()
-        exact = [self.a]
-        for j in range(1, min(int(n.max(initial=0)), n0) + 1):
-            num, den = num * q * j, den * (q * j + p)
-            exact.append(num / den)
+        at, where = np.unique(np.minimum(n, n0), return_inverse=True)
+        exact = np.array(_prefix_products(self.a, g, at.tolist()), dtype=float)[where]
         x = np.append(n0, np.maximum(n, n0)) + 1.0  # x[0] = x0; the tail factor is 1 there
         t = g / x
         series = np.zeros_like(t)
@@ -262,7 +292,7 @@ class Power(RadialSymbol):
             series = series * t + (1.0 if m % 2 else -1.0) / m
         stirling = lambda z: _stirling_series(z) - 1.0 / (1680.0 * z**7)
         e = -(x + (g - 0.5)) * (t * t * series) - (g - 0.5) * t + (stirling(x) - stirling(x + g))
-        return np.array(exact)[np.minimum(n, n0)] * ((x[0] / x[1:]) ** g * np.exp(e[1:] - e[0]))
+        return exact * ((x[0] / x[1:]) ** g * np.exp(e[1:] - e[0]))
 
     def tails(self, d: int) -> list[TailTerm]:
         # Gamma(x)/Gamma(x+gamma) <= x^-gamma (1 + 1/x) for x >= 1 gives the

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from harmotop import krein_counting as kc
 from harmotop import radial_toeplitz as rt
 from harmotop.cli import _COMMANDS, SymbolSyntaxError, _glue_negative_values, build_parser, emit, main, parse_symbol
 from harmotop.grids import TruncationSpec, ball_grid
-from harmotop.harmonic_basis import basis_degrees
+from harmotop.harmonic_basis import basis_degrees, cumulative_multiplicity
 from harmotop.symbols import GeneralSymbol, Power, Sampled, Step, SymbolSum, TabulatedSymbol
 
 
@@ -720,6 +721,64 @@ def test_radial_matrix_dump_is_the_exact_diagonal_section(capsys, tmp_path, symb
     assert np.array_equal(diag, mus[basis_degrees(d, K)])  # degree-major
     printed = np.repeat([float(r[1]) for r in _rows(out)], [int(r[2]) for r in _rows(out)])
     assert np.array_equal(np.sort(diag), np.sort(printed))
+
+
+@pytest.mark.parametrize("d, K", [(2, 30), (3, 20)])
+def test_radial_matrix_dump_is_byte_identical_to_the_dense_diagonal(capsys, tmp_path, d, K):
+    # the radial route writes one one-hot row at a time; the bytes are those
+    # of the dense diag(mu_k) through the same %.17g template
+    symbol = "sum:[power:a=1,gamma=1.5; step:b=-0.5,c=0.4]"
+    dump, dense = tmp_path / "rows.csv", tmp_path / "dense.csv"
+    code, _, err = run_cli(
+        capsys, "spectrum", "--d", str(d), "--symbol", symbol, "--K", str(K), "--matrix-output", str(dump)
+    )
+    assert code == 0, err
+    gt.write_matrix_csv(dense, np.diag(parse_symbol(symbol).mu(d, np.arange(K + 1))[basis_degrees(d, K)]), d, K)
+    assert dump.read_bytes() == dense.read_bytes()
+
+
+def test_radial_matrix_dump_never_holds_the_dense_section(capsys, tmp_path, monkeypatch):
+    # d = 3, K = 40: M_K = 1681, so the dense section is 22.6 MB of doubles.
+    # The writer reads a row at a time (test_matrix_csv_dump_holds_one_row_of_
+    # text_at_a_time); here a stub takes its place, so that tracemalloc does
+    # not trace the 2.8 million floats of the text, and checks every row.
+    n, seen = cumulative_multiplicity(3, 40), []
+
+    def consume(path, rows, d, max_degree):
+        for i, row in enumerate(rows):
+            assert row.shape == (n,) and np.count_nonzero(row) == 1 and row[i] != 0.0
+            seen.append(float(row[i]))
+
+    monkeypatch.setattr(gt, "write_matrix_csv", consume)
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(
+            capsys, "spectrum", "--d", "3", "--symbol", "power:a=1,gamma=1", "--K", "40",
+            "--matrix-output", str(tmp_path / "section.csv"),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert seen == Power(1.0, 1.0).mu(3, np.arange(41))[basis_degrees(3, 40)].tolist()
+    assert peak < 8 * n * n / 20
+
+
+def test_weak_norm_near_the_critical_exponent_refuses_from_a_bounded_scan(capsys):
+    # p gamma = d - 1 + 2e-7 puts the tail's decreasing degree at 5e6; the
+    # exact scan of every degree up to it peaked at 200 MB traced (0.35 s),
+    # where 2^16 exact degrees and the majorant beyond give the same refusal
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "schatten", "--d", "2", "--symbol", "power:a=1,gamma=0.5000001", "--p", "2", "--weak"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err == "harmotop: certification failure: weak-norm tail beyond degree 40000 may exceed the enumerated sup\n"
+    assert peak < 20e6
 
 
 @pytest.mark.parametrize(

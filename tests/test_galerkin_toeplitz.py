@@ -162,6 +162,18 @@ def test_matrix_csv_round_trip(tmp_path):
         write_matrix_csv(path, A[:3, :3], 2, 4)
 
 
+def test_matrix_csv_takes_rows_and_refuses_a_wrong_count(tmp_path):
+    A = np.arange(25.0).reshape(5, 5) / 7.0
+    whole, lazy = tmp_path / "whole.csv", tmp_path / "lazy.csv"
+    write_matrix_csv(whole, A, 2, 2)
+    write_matrix_csv(lazy, (row.tolist() for row in A), 2, 2)  # any iterable of rows
+    assert lazy.read_bytes() == whole.read_bytes()
+    with pytest.raises(ValueError, match="4 rows do not match M_K = 5"):
+        write_matrix_csv(lazy, A[:4], 2, 2)
+    with pytest.raises(ValueError, match="row 6 of shape"):
+        write_matrix_csv(lazy, np.vstack((A, A[:1])), 2, 2)
+
+
 def test_matrix_csv_dump_holds_one_row_of_text_at_a_time(tmp_path):
     # d = 3, K = 22, the largest section the benchmark dumps: 529 x 529
     # values, 5.6 MB of text; the whole-matrix list and string took 15 MB

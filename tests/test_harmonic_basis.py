@@ -45,6 +45,74 @@ def test_cumulative_multiplicity_values():
         assert cumulative_multiplicity(d, -1) == 0
 
 
+def _binom(m: int, n: int) -> int:
+    # binom(m, n) = 0 whenever m < n (including negative m)
+    return math.comb(m, n) if 0 <= n <= m else 0
+
+
+def binomial_multiplicity(d: int, k: int) -> int:
+    """m_k = C(d+k-1, d-1) - C(d+k-3, d-1): degree-k homogeneous polynomials less |x|^2 times degree k-2."""
+    return _binom(d + k - 1, d - 1) - _binom(d + k - 3, d - 1)
+
+
+def binomial_cumulative(d: int, k: int) -> int:
+    """M_k = C(d+k-1, d-1) + C(d+k-2, d-1), the sum of the m_j for j <= k; M_(-1) = 0."""
+    return _binom(d + k - 1, d - 1) + _binom(d + k - 2, d - 1)
+
+
+_COUNT_DEGREES = [-1, 0, 1, 10, 10**6, 10**15]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 21, 25])
+def test_counts_equal_the_binomial_forms_for_ints_and_arrays(d):
+    # an int gives a Python int; an array is int64 while (d-1)! M_k < 2^63 at
+    # its largest degree and holds Python ints beyond: d = 2 stays int64 to
+    # 1e15, d = 3 switches between 1e6 and 1e15 and d = 5 between 10 and 1e6,
+    # d = 21 holds 20! M_0 < 2^63 but not 20! M_1, and 24! alone leaves int64
+    for k in _COUNT_DEGREES:
+        n = cumulative_multiplicity(d, k)
+        assert type(n) is int and n == binomial_cumulative(d, k)
+        if k >= 0:
+            m = multiplicity(d, k)
+            assert type(m) is int and m == binomial_multiplicity(d, k)
+        else:
+            with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+                multiplicity(d, k)
+    sides = set()
+    for top in range(len(_COUNT_DEGREES)):
+        ks = np.array(_COUNT_DEGREES[: top + 1], dtype=np.int64)
+        fits = math.factorial(d - 1) * max(1, binomial_cumulative(d, int(ks.max()))) < 2**63
+        sides.add(fits)
+        cum = cumulative_multiplicity(d, ks)
+        assert cum.dtype == (np.int64 if fits else object)
+        assert cum.tolist() == [binomial_cumulative(d, k) for k in ks.tolist()]
+        if top:
+            m = multiplicity(d, ks[1:])
+            assert m.dtype == cum.dtype
+            assert m.tolist() == [binomial_multiplicity(d, k) for k in ks[1:].tolist()]
+        # one degree at a time, as a 0-d and a 1-element array
+        assert cumulative_multiplicity(d, ks[top : top + 1]).tolist() == [binomial_cumulative(d, int(ks[top]))]
+        assert int(cumulative_multiplicity(d, ks[top])) == binomial_cumulative(d, int(ks[top]))
+    assert sides == ({True} if d == 2 else {False} if d == 25 else {True, False})
+
+
+def test_counts_refuse_bad_degrees_and_dimensions():
+    with pytest.raises(ValueError, match="cumulative multiplicity needs k >= -1, got -2"):
+        cumulative_multiplicity(3, np.array([4, -2, 0]))
+    with pytest.raises(ValueError, match="cumulative multiplicity needs k >= -1, got -2"):
+        cumulative_multiplicity(3, -2)
+    with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+        multiplicity(3, np.array([0, -1]))
+    with pytest.raises(ValueError, match="space dimension must be >= 2, got 1"):
+        multiplicity(1, np.array([0]))
+    with pytest.raises(ValueError, match="space dimension must be >= 2, got 1"):
+        cumulative_multiplicity(1, 0)
+    with pytest.raises(TypeError):
+        multiplicity(3, 2.0)  # a degree is an integer
+    assert cumulative_multiplicity(4, np.array([], dtype=np.int64)).tolist() == []
+    assert type(multiplicity(3, np.int64(4))) is int  # an integer scalar of numpy counts as an int
+
+
 @pytest.mark.parametrize("d", range(2, 7))
 def test_cumulative_equals_running_sum(d):
     running = 0

@@ -20,9 +20,11 @@ from harmotop.radial_toeplitz import (
     power_constant,
     radial_eigenvalue,
     radial_spectrum,
+    _WEAK_SCAN,
+    _weak_tail_sup_log,
     schatten_radial,
 )
-from harmotop.symbols import Power, Sampled, Step, SymbolSum
+from harmotop.symbols import Power, Sampled, Step, SymbolSum, TailTerm
 from reference import log_decay_at, step_constant, superpolynomial_decay_check
 
 CONST_ONE = Sampled([0.0, 0.5], [1.0, 1.0])
@@ -313,6 +315,30 @@ def test_schatten_radial_weak_tail_of_a_sum_is_the_sum_of_its_parts_tails():
             schatten_radial(both, 2, 2.0, weak=True, k_stop=K)
     value = schatten_radial(both, 2, 2.0, weak=True, k_stop=2)
     assert value == schatten_radial(Step(2.0, 0.9), 2, 2.0, weak=True, k_stop=2) == 2.3766764040609316
+
+
+def _weak_tail_sup_by_full_scan(terms, d, k_stop, p, end):
+    """sup over k_stop < k <= end of M_k^(1/p) times the summed bound, term by term, every degree exact."""
+    k = np.arange(k_stop + 1, end + 1)
+    m = np.log(cumulative_multiplicity(d, k).astype(float)) / p
+    return math.log(sum(math.exp(float(np.max(m + t.log_bound(d, k)))) for t in terms))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_weak_tail_sup_past_the_exact_scan_bounds_the_full_scan(d):
+    # p gamma = (d-1)(1 + eps) and a Step ratio near 1 put the decreasing
+    # degree `end` near 3e5 or beyond, past the exact window of 2^16 degrees;
+    # the majorant keeps the bound above the sup of a scan of every degree to
+    # `end` (every later degree only decreases) and, for these d, within 1e-9
+    p, k_stop = 2.0, 10
+    assert _WEAK_SCAN == 2**16
+    eps = (d - 1) * d / (2.0 * 3e5 * (d - 1))
+    power, step = TailTerm(0.3, gamma=(d - 1) * (1.0 + eps) / p), TailTerm(-0.2, 2.0 * math.log1p(-2e-6))
+    step_end = math.ceil((d - 1) / (p * 4e-6))
+    for terms, end in (([power], 300_000), ([step], step_end), ([power, step], max(300_000, step_end))):
+        bound = _weak_tail_sup_log(terms, d, k_stop, p)
+        full = _weak_tail_sup_by_full_scan(terms, d, k_stop, p, end)
+        assert full <= bound <= full + 1e-9, (d, terms)
 
 
 def test_schatten_radial_refuses_divergent_exponents():

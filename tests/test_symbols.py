@@ -11,6 +11,7 @@ from harmotop.symbols import (
     Step,
     SymbolSum,
     TailTerm,
+    _prefix_products,
 )
 
 
@@ -133,6 +134,49 @@ def test_power_log_mu_array_is_bit_identical_to_scalar_below_50(gamma, d):
             assert (sign, log_abs) == v.log_mu(d, k), k
         else:
             assert log_abs == v.log_mu(d, np.array([k]))[1][0], k
+
+
+def _sequential_prefix(a: float, g: float, at: list[int]) -> list[float]:
+    """a prod_(j=1..i) j/(j+g) at each i of `at`: the running product in
+    integers, one factor at a time, divided where an index asks for it."""
+    (num, den), (p, q) = a.as_integer_ratio(), g.as_integer_ratio()
+    out, asked = {0: a}, set(at)
+    for j in range(1, max(at) + 1):
+        num, den = num * q * j, den * (q * j + p)
+        if j in asked:
+            out[j] = num / den
+    return [out[i] for i in at]
+
+
+def _first_underflow(a: float, g: float, stop: int) -> int:
+    """The first index whose sequential prefix product is +0.0 (stop if none below it)."""
+    (num, den), (p, q) = a.as_integer_ratio(), g.as_integer_ratio()
+    for j in range(1, stop):
+        num, den = num * q * j, den * (q * j + p)
+        if num / den == 0.0:
+            return j
+    return stop
+
+
+@pytest.mark.parametrize("gamma", [100.0, 1000.0, 1000.3, 5000.0])
+def test_power_prefix_products_equal_the_sequential_product(gamma):
+    # the product trees and the underflow cut give the bits of the running
+    # product, at n = 2k+d for the degrees 0, n0-1, n0, n0+1 and 10^6, next to
+    # n0 (n0 - 1, n0, n0 + 1 for d = 2 and 3) and next to the first +0.0
+    v, n0 = Power(1.3, gamma), max(50, math.ceil(8.0 * gamma))
+    zero = _first_underflow(v.a, gamma, n0)
+    ks = {}
+    for d in (2, 3):
+        ks[d] = [0, n0 - 1, n0, n0 + 1, 10**6, (n0 - 1 - d) // 2, (n0 - d) // 2, (n0 + 1 - d) // 2]
+        ks[d] += [max(0, (zero - d) // 2 + s) for s in (-1, 0, 1)]
+    ats = {d: sorted({min(2 * k + d, n0) for k in ks[d]} | {zero - 1, zero, min(zero + 1, n0)}) for d in ks}
+    every = sorted(set(ats[2]) | set(ats[3]))
+    want = dict(zip(every, _sequential_prefix(v.a, gamma, every)))
+    for d, at in ats.items():
+        assert [x.hex() for x in _prefix_products(v.a, gamma, at)] == [want[i].hex() for i in at]
+        # mu is the prefix product itself up to n0 (its tail factor is 1 there)
+        inside = [k for k in ks[d] if 2 * k + d <= n0]
+        assert [m.hex() for m in v.mu(d, np.array(inside)).tolist()] == [want[2 * k + d].hex() for k in inside]
 
 
 def test_crossing_degree_estimates():

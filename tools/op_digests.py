@@ -1,6 +1,6 @@
 """Digest every output of one round of a benchmark workload.
 
-    python3 tools/op_digests.py WORKLOAD SEED [--root CHECKOUT]
+    python3 tools/op_digests.py WORKLOAD SEED [--root CHECKOUT] [--against OTHER]
 
 Builds the seeded invocation list of WORKLOAD exactly as perfbench/run.py
 does (same generator seed, same input files), runs each invocation once
@@ -9,10 +9,13 @@ exit code, the sha1 of its stdout, the sha1 of each file it writes
 (`--matrix-output`, `--output`), and its arguments.  The directory of the
 generated inputs is written as `{tmp}` in outputs and arguments before
 hashing, so two checkouts give the same digests exactly when their outputs
-are byte-identical.  To compare a change with its parent, run the tool on
-both and diff the two listings; --root picks the checkout whose
-`src/harmotop` and `perfbench/workloads.py` are used (default: the one
-holding this tool).  perfbench/ is only imported, never written.
+are byte-identical.  --root picks the checkout whose `src/harmotop` and
+`perfbench/workloads.py` are used (default: the one holding this tool).
+With --against OTHER, the listing of the checkout OTHER is made by this tool
+in a subprocess (so the two packages never share a process), and only the
+lines that differ are printed, OTHER's as `- ...` and --root's as `+ ...`;
+the exit code is 1 on any difference and 0 when the listings are equal.
+perfbench/ is only imported, never written.
 """
 from __future__ import annotations
 
@@ -20,7 +23,9 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -68,9 +73,22 @@ def main(argv=None) -> int:
     ap.add_argument("workload")
     ap.add_argument("seed", type=int)
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
+    ap.add_argument("--against", type=Path, default=None, help="print only the lines that differ from this checkout's")
     args = ap.parse_args(argv)
-    print("\n".join(digest_ops(args.workload, args.seed, args.root.resolve())))
-    return 0
+    lines = digest_ops(args.workload, args.seed, args.root.resolve())
+    if args.against is None:
+        print("\n".join(lines))
+        return 0
+    other = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), args.workload, str(args.seed), "--root", str(args.against.resolve())],
+        stdout=subprocess.PIPE, text=True, check=True,  # the other checkout's errors reach stderr
+    ).stdout.splitlines()
+    differ = False
+    for theirs, ours in itertools.zip_longest(other, lines):
+        if theirs != ours:
+            differ = True
+            print("\n".join(f"{mark} {line}" for mark, line in (("-", theirs), ("+", ours)) if line is not None))
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
