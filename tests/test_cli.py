@@ -701,6 +701,23 @@ def test_general_file_refuses_another_degree(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["counting", "--lambda", "0.1"],
+        ["asymptotics", "--model", "power", "--lnlambda", "-8:-4:5"],
+        ["krein", "--lnlambda", "-6:-2:5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_general_file_is_refused_where_no_section_runs(capsys, tmp_path, argv):
+    # these commands take the closed forms in mu_k only
+    path = _general_file(tmp_path, ODD_GRID)
+    code, out, err = run_cli(capsys, *argv, "--d", "2", "--symbol", f"general:@{path}")
+    assert (code, out) == (2, "")
+    assert err == f"harmotop: {argv[0]} requires a radial symbol; use spectrum for general symbols\n"
+
+
+@pytest.mark.parametrize(
     "symbol, d, K",
     [
         ("power:a=1,gamma=1.5", 2, 4),
