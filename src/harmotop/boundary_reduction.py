@@ -42,15 +42,13 @@ def dtn_eigenvalue(d: int, k: int) -> float:
     return float(k)
 
 
-def principal_symbol_value(gamma: float, a: float) -> float:
+def principal_symbol_value(v: Power) -> float:
     """Leading symbol amplitude 2^-gamma Gamma(gamma+1) a of the reduced operator."""
-    if gamma <= 0.0 or a <= 0.0:
-        raise ValueError("principal symbol needs gamma > 0 and a > 0")
-    return a * math.exp(-gamma * math.log(2.0) + math.lgamma(gamma + 1.0))
+    return v.a * math.exp(-v.gamma * math.log(2.0) + math.lgamma(v.gamma + 1.0))
 
 
-def symbol_order_check(gamma: float, a: float, d: int, k_max: int) -> float:
-    """Estimate lim k^gamma mu_k for the power symbol by Richardson extrapolation.
+def symbol_order_check(v: Power, d: int, k_max: int) -> float:
+    """Estimate lim k^gamma mu_k for the power symbol v by Richardson extrapolation.
 
     Two-point extrapolation over k_max/2 and k_max cancels the 1/k term of
     the expansion; compare against :func:`principal_symbol_value` (the
@@ -60,12 +58,12 @@ def symbol_order_check(gamma: float, a: float, d: int, k_max: int) -> float:
     if k_max < 1000:
         raise ValueError(f"k_max must be >= 1000, got {k_max}")
     half = k_max // 2
-    mu_half, mu_full = Power(a, gamma).mu(d, np.array([half, k_max]))
-    return 2.0 * (k_max**gamma * mu_full) - half**gamma * mu_half
+    mu_half, mu_full = v.mu(d, np.array([half, k_max]))
+    return 2.0 * (k_max**v.gamma * mu_full) - half**v.gamma * mu_half
 
 
-def inverse_power_weyl_fit(gamma: float, a: float, d: int, e_grid) -> AsymptoticFit:
-    """Counting law of the inverse-power reduced operator against C E^(d-1).
+def inverse_power_weyl_fit(v: Power, d: int, e_grid) -> AsymptoticFit:
+    """Counting law of the inverse-power reduced operator of v against C E^(d-1).
 
     Counts the degrees with mu_k^(-1/gamma) < E (with multiplicities),
     which coincides with the Toeplitz counting function at lam = E^-gamma,
@@ -77,8 +75,7 @@ def inverse_power_weyl_fit(gamma: float, a: float, d: int, e_grid) -> Asymptotic
         raise ValueError(f"need at least 4 grid points, got {e_arr.size}")
     if np.any(e_arr <= 1.0) or np.any(np.diff(e_arr) <= 0.0):
         raise ValueError("energy grid must be increasing and > 1")
-    v = Power(a, gamma)
-    ln_lam = -gamma * np.log(e_arr)
+    ln_lam = -v.gamma * np.log(e_arr)
     counts = counting(v, d, ln_lam=ln_lam)
     n = _as_doubles(counts, d, e_arr.tolist(), "E = {!r}")
     if np.any(n < 1.0):

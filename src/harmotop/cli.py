@@ -253,27 +253,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _max_degree(args, symbol) -> int:
-    """--K, else the degree a tabulated symbol was sampled for, else 12."""
-    if args.K is not None:
-        return args.K
-    return symbol.spec.max_degree if isinstance(symbol, TabulatedSymbol) else 12
-
-
-def _file_spec(args, symbol: TabulatedSymbol) -> TruncationSpec:
-    """The grid a general:@ file was sampled on; a --K must name its degree."""
-    if args.K not in (None, symbol.spec.max_degree):
+def _resolve(args, *, any_degree: bool = False):
+    """The --symbol and the grid its section runs on: None for a radial symbol
+    (closed forms in mu_k), else a general:@ file's own TruncationSpec, whose
+    degree a --K must name unless `any_degree`; commands without --K refuse it."""
+    symbol = parse_symbol(args.symbol)
+    if isinstance(symbol, RadialSymbol):
+        return symbol, None
+    if "K" not in args:
+        raise ValueError(f"{args.command} requires a radial symbol; use spectrum for general symbols")
+    if not (any_degree or args.K in (None, symbol.spec.max_degree)):
         raise ValueError(
             f"tabulated symbol was sampled on a different grid: --K {args.K}, the file's K = {symbol.spec.max_degree}"
         )
-    return symbol.spec
-
-
-def _radial_symbol(args) -> RadialSymbol:
-    symbol = parse_symbol(args.symbol)
-    if not isinstance(symbol, RadialSymbol):
-        raise ValueError(f"{args.command} requires a radial symbol; use spectrum for general symbols")
-    return symbol
+    return symbol, symbol.spec
 
 
 def _config_dict(args) -> dict:
@@ -285,18 +278,18 @@ COUNTING_FORMULA = "n_plus(lambda) = #{eigenvalues > lambda} = M_(nu-1), nu = #{
 
 
 def _cmd_spectrum(args):
-    symbol = parse_symbol(args.symbol)
-    k = _max_degree(args, symbol)
-    rows = None
-    if isinstance(symbol, RadialSymbol):
+    symbol, spec = _resolve(args)
+    k = args.K if args.K is not None else spec.max_degree if spec else 12
+    if spec is None:
         spectrum = rt.radial_spectrum(symbol, args.d, k)
         if args.matrix_output:  # the exact section diag(mu_k), degree-major (mu_k on its m_k rows), a row at a time
             diagonal = symbol.mu(args.d, np.arange(k + 1))[basis_degrees(args.d, k)]
             rows = (np.where(np.arange(diagonal.size) == i, mu, 0.0) for i, mu in enumerate(diagonal))
+        eigenvalue = f"eigenvalue: {MU_FORMULA}"
     else:
-        matrix = gt.assemble(symbol, args.d, _file_spec(args, symbol))
-        spectrum = gt.section_spectrum(matrix, args.d, k)
-        rows = matrix  # a matrix is the sequence of its rows
+        rows = gt.assemble(symbol, args.d, spec)  # a matrix is the sequence of its rows
+        spectrum = gt.section_spectrum(rows, args.d, k)
+        eigenvalue = "eigenvalue: finite-section eigenvalues of the compression"
     if args.matrix_output:
         gt.write_matrix_csv(args.matrix_output, rows, args.d, k)
     table = {
@@ -307,7 +300,7 @@ def _cmd_spectrum(args):
     meta = {
         "comments": [
             f"provenance={spectrum.provenance} max_degree={spectrum.max_degree} total={spectrum.total_count}",
-            f"eigenvalue: {MU_FORMULA}" if spectrum.provenance == "exact-radial" else "eigenvalue: finite-section eigenvalues of the compression",
+            eigenvalue,
         ],
         "formulas": [MU_FORMULA],
     }
@@ -315,7 +308,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_counting(args):
-    symbol = _radial_symbol(args)
+    symbol, _ = _resolve(args)
     sign = 1 if args.sign == "plus" else -1
     if (args.lam is None) == (args.lnlambda is None):
         raise ValueError("provide exactly one of --lambda, --lnlambda")
@@ -338,7 +331,7 @@ def _cmd_counting(args):
 
 
 def _cmd_asymptotics(args):
-    symbol = _radial_symbol(args)
+    symbol, _ = _resolve(args)
     sign = 1 if args.sign == "plus" else -1
     ln_grid = np.sort(np.unique(_parse_range(args.lnlambda, "lnlambda")))[::-1]
     fit = rt.asymptotic_fit(
@@ -372,15 +365,14 @@ def _cmd_asymptotics(args):
 
 
 def _cmd_berezin(args):
-    symbol = parse_symbol(args.symbol)
+    symbol, spec = _resolve(args)
     try:
         radii = [float(x) for x in args.radii.split(",") if x.strip()]
     except ValueError:
         raise ValueError(f"--radii expects a comma-separated list, got {args.radii!r}") from None
     if not radii or not all(map(math.isfinite, radii)):
         raise ValueError(f"--radii expects one or more finite radii, got {args.radii!r}")
-    k = _max_degree(args, symbol)
-    spec = None if isinstance(symbol, RadialSymbol) else _file_spec(args, symbol)
+    k = args.K if args.K is not None else spec.max_degree if spec else 12
     points = np.zeros((len(radii), args.d))
     points[:, 0] = radii
     table = {"radius": radii, "berezin": kb.berezin_transform(symbol, args.d, points, k, spec=spec).tolist()}
@@ -392,12 +384,12 @@ def _cmd_berezin(args):
 
 
 def _cmd_schatten(args):
-    symbol = parse_symbol(args.symbol)
-    if isinstance(symbol, RadialSymbol):
+    symbol, spec = _resolve(args)
+    if spec is None:
         value = rt.schatten_radial(symbol, args.d, args.p, weak=args.weak, k_stop=args.K)
         route = "radial-series"
     else:
-        spectrum = gt.spectrum(symbol, args.d, _file_spec(args, symbol))
+        spectrum = gt.spectrum(symbol, args.d, spec)
         value = spectrum.schatten_weak(args.p) if args.weak else spectrum.schatten(args.p)
         route = "galerkin"
     table = {"p": [args.p], "weak": [int(args.weak)], "value": [value], "route": [route]}
@@ -406,12 +398,12 @@ def _cmd_schatten(args):
 
 
 def _cmd_boundary(args):
-    symbol = parse_symbol(args.symbol)
+    symbol, spec = _resolve(args, any_degree=True)  # its table reads no value of a general symbol
     if args.e_grid is not None:
         if not isinstance(symbol, Power):
             raise ValueError("--E requires a power-type symbol in the boundary command")
         e_grid = _parse_range(args.e_grid, "E", want_count=True)
-        fit = br.inverse_power_weyl_fit(symbol.gamma, symbol.a, args.d, e_grid)
+        fit = br.inverse_power_weyl_fit(symbol, args.d, e_grid)
         meta = {
             "comments": [
                 "count: degrees with mu_k^(-1/gamma) < E, multiplicities included",
@@ -421,13 +413,13 @@ def _cmd_boundary(args):
             "fit": {"coefficient": fit.coefficient, "exponent": fit.exponent},
         }
         return {"E": e_grid.tolist(), "count": fit.counts}, meta
-    degrees = range(_max_degree(args, symbol) + 1)
+    degrees = range((args.K if args.K is not None else spec.max_degree if spec else 12) + 1)
     table = {
         "k": degrees,
         "gram_eigenvalue": [br.extension_gram_eigenvalue(args.d, k) for k in degrees],
         "dtn_eigenvalue": [br.dtn_eigenvalue(args.d, k) for k in degrees],
     }
-    if isinstance(symbol, RadialSymbol):
+    if spec is None:
         table["reduced_diagonal"] = symbol.mu(args.d, np.arange(len(degrees))).tolist()
     meta = {
         "comments": [
@@ -436,8 +428,8 @@ def _cmd_boundary(args):
         "formulas": ["J psi_k = psi_k/(2k+d)", "D psi_k = k psi_k"],
     }
     if isinstance(symbol, Power):
-        est = br.symbol_order_check(symbol.gamma, symbol.a, args.d, 10_000)
-        target = br.principal_symbol_value(symbol.gamma, symbol.a)
+        est = br.symbol_order_check(symbol, args.d, 10_000)
+        target = br.principal_symbol_value(symbol)
         meta["comments"].append(
             f"principal symbol check: k^gamma mu_k -> {est:{FULL}} (target 2^-gamma Gamma(gamma+1) a = {target:{FULL}})"
         )
@@ -446,7 +438,7 @@ def _cmd_boundary(args):
 
 
 def _cmd_krein(args):
-    symbol = _radial_symbol(args)
+    symbol, _ = _resolve(args)
     if (args.lnlambda is None) == (args.e_grid is None):
         raise ValueError("provide exactly one of --lnlambda, --E")
     if args.e_grid is not None:

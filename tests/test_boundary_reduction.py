@@ -106,19 +106,19 @@ def test_projection_reproduces_harmonic_polynomials():
 
 
 def test_symbol_order_limits():
-    assert symbol_order_check(1.0, 1.0, 2, 10_000) == pytest.approx(0.5, abs=1e-4)
-    assert symbol_order_check(2.0, 1.0, 3, 10_000) == pytest.approx(0.5, abs=1e-3)
-    est_1 = symbol_order_check(1.5, 1.0, 2, 10_000)
-    est_3 = symbol_order_check(1.5, 3.0, 2, 10_000)
+    assert symbol_order_check(Power(1.0, 1.0), 2, 10_000) == pytest.approx(0.5, abs=1e-4)
+    assert symbol_order_check(Power(1.0, 2.0), 3, 10_000) == pytest.approx(0.5, abs=1e-3)
+    est_1 = symbol_order_check(Power(1.0, 1.5), 2, 10_000)
+    est_3 = symbol_order_check(Power(3.0, 1.5), 2, 10_000)
     assert est_3 == pytest.approx(3.0 * est_1, rel=1e-9)  # linear in the amplitude
-    assert principal_symbol_value(1.0, 1.0) == pytest.approx(0.5)
+    assert principal_symbol_value(Power(1.0, 1.0)) == pytest.approx(0.5)
 
 
 def test_inverse_power_weyl_fit():
-    fit = inverse_power_weyl_fit(1.0, 1.0, 2, np.geomspace(1e3, 1e5, 12))
+    fit = inverse_power_weyl_fit(Power(1.0, 1.0), 2, np.geomspace(1e3, 1e5, 12))
     assert fit.coefficient == pytest.approx(rt.boundary_law_constant(2, 1.0, 1.0), rel=0.02)
     # coefficient scales like a^((d-1)/gamma)
-    fit2 = inverse_power_weyl_fit(1.0, 2.0, 2, np.geomspace(1e3, 1e5, 12))
+    fit2 = inverse_power_weyl_fit(Power(2.0, 1.0), 2, np.geomspace(1e3, 1e5, 12))
     assert fit2.coefficient == pytest.approx(2.0 * fit.coefficient, rel=0.02)
 
 
