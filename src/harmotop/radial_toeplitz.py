@@ -132,6 +132,10 @@ def _sorted_table(v: RadialSymbol, d: int, K: int, sign: int = 0):
 _DOUBLE_LIMIT = 2**1024 - 2**970
 
 
+def _beyond_doubles(d: int, where: str) -> TailNotCertifiedError:
+    return TailNotCertifiedError(f"the eigenvalue count at {where} is beyond the double range (d={d})")
+
+
 def _as_doubles(counts, d: int, keys, label: str = "degree {}") -> np.ndarray:
     """Exact eigenvalue counts, one per key of `keys`, as doubles; a count
     past the double range raises TailNotCertifiedError naming its key."""
@@ -139,9 +143,7 @@ def _as_doubles(counts, d: int, keys, label: str = "degree {}") -> np.ndarray:
         return np.asarray(counts).astype(float)
     except OverflowError:
         key = next(key for key, n in zip(keys, counts) if n >= _DOUBLE_LIMIT)
-        raise TailNotCertifiedError(
-            f"the eigenvalue count at {label.format(key)} is beyond the double range (d={d})"
-        ) from None
+        raise _beyond_doubles(d, label.format(key)) from None
 
 
 def _log_sum(logs):
@@ -253,8 +255,8 @@ def _count_tabulated(v: RadialSymbol, d: int, ln_lam: np.ndarray, sign: int) -> 
     # the limit of the bound: the terms that do not decay
     if _log_sum(t.log_c for t in terms if t.log_q == t.gamma == 0.0) > lowest:
         raise TailNotCertifiedError(
-            "threshold lies below the certified boundary value of the symbol; "
-            "the counting function is not finite there"
+            "threshold lies below the certified bound on the boundary value of the symbol; "
+            "the count cannot be certified there"
         )
     # The tail bound is nonincreasing in k: grow the block until its last
     # degree is certified (never, for a NaN threshold), then find the first.
@@ -428,14 +430,11 @@ def _tail_p_sum_log(terms, d: int, k, p: float):
     return p * _log_sum(roots)
 
 
-def schatten_radial(
-    v: RadialSymbol,
-    d: int,
-    p: float,
-    weak: bool = False,
-    k_stop: int | None = None,
-    rel_tol: float = 1e-12,
-) -> float:
+# the strong norm stops where its certified tail is below this fraction of the partial sum
+_REL_TOL = 1e-12
+
+
+def schatten_radial(v: RadialSymbol, d: int, p: float, weak: bool = False, k_stop: int | None = None) -> float:
     """Schatten norm (sum_k m_k |mu_k|^p)^(1/p), or the weak quasinorm.
 
     The tail beyond the cutoff degree is certified against the symbol's
@@ -443,7 +442,7 @@ def schatten_radial(
     certified (e.g. a boundary value that does not vanish, or an exponent
     for which the series diverges).  Without `k_stop` the strong norm stops
     at the first degree k >= 8 (up to 400,000) whose tail is certified below
-    rel_tol times the partial sum; the weak one stops at degree 40,000.
+    _REL_TOL times the partial sum; the weak one stops at degree 40,000.
     """
     if weak:
         if p <= 1.0:
@@ -467,7 +466,7 @@ def schatten_radial(
             top = top if top > _NEG_INF else 0.0
             partial = np.cumsum(_as_doubles(m, d, range(K + 1)) * np.exp(p * (logs - top)))
             if k_stop is None:
-                log_floor = p * top + np.log(np.maximum(partial[8:], 1e-300)) + math.log(rel_tol)
+                log_floor = p * top + np.log(np.maximum(partial[8:], 1e-300)) + math.log(_REL_TOL)
                 certified = _tail_p_sum_log(terms, d, np.arange(8, K + 1), p) <= log_floor
                 if certified.any():
                     return math.exp(top) * float(partial[8 + certified.argmax()]) ** (1.0 / p)
@@ -517,8 +516,14 @@ def _weak_tail_sup_log(terms, d: int, k_stop: int, p: float) -> float:
         )
         if end == math.inf:
             return math.inf  # M_k^(1/p) times the term does not decay (a floor never does)
-        last = min(math.ceil(end), k_stop + _WEAK_SCAN)
-        k = np.arange(k_stop + 1, max(k_stop + 1, last) + 1)
+        last = max(k_stop + 1, min(math.ceil(end), k_stop + _WEAK_SCAN))
+        if cumulative_multiplicity(d, last) >= _DOUBLE_LIMIT:  # refuse before forming the counts
+            lo, hi = k_stop + 1, last  # M_k increases: bisect for the first degree past the range
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if cumulative_multiplicity(d, mid) >= _DOUBLE_LIMIT else (mid + 1, hi)
+            raise _beyond_doubles(d, f"degree {lo}")
+        k = np.arange(k_stop + 1, last + 1)
         vals = np.log(_as_doubles(cumulative_multiplicity(d, k), d, k)) / p + t.log_bound(d, k)
         sup = float(vals.max())
         if end > last:

@@ -583,6 +583,23 @@ def test_schatten_counts_beyond_the_double_range_exit_three(capsys, argv):
     assert "certification failure" in err and f"d={argv[1]}" in err and "degree" in err
 
 
+@pytest.mark.parametrize("c", ["0.999", "0.9999"])
+def test_weak_tail_past_the_double_range_refuses_before_forming_the_counts(capsys, c):
+    # the scan would form up to 2^16 exact M_k, each a 1,000-bit int past
+    # degree 6467 at d = 150; the scalar count at the scan's end refuses first
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "schatten", "--d", "150", "--symbol", f"step:b=1,c={c}", "--K", "10", "--p", "2", "--weak"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err == "harmotop: certification failure: the eigenvalue count at degree 6467 is beyond the double range (d=150)\n"
+    assert peak < 1e6
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "symbol, lnlambda, model, exponent, reason",

@@ -217,6 +217,20 @@ def test_counting_refuses_uncertified_thresholds():
     assert counting(leaky, 2, ln_lam=math.log(0.5)) >= 0  # above the boundary value it resolves
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("d", [2, 3])
+def test_cancelling_floors_refuse_without_calling_the_count_infinite(d, sign):
+    # the sum is zero beyond r = 0.9, so its counts are finite; its tail terms
+    # are the parts' floors 0.3 and 0.3, which cannot show that they cancel
+    v = SymbolSum([Sampled([0.0, 0.5, 0.9], [1.0, 0.5, 0.3]), Sampled([0.0, 0.9], [-1.0, -0.3])])
+    with pytest.raises(TailNotCertifiedError) as exc:
+        counting(v, d, ln_lam=-1.0, sign=sign)
+    assert str(exc.value) == (
+        "threshold lies below the certified bound on the boundary value of the symbol; "
+        "the count cannot be certified there"
+    )
+
+
 def test_step_constant_values():
     assert step_constant(2, 0.5) == pytest.approx(1.0 / math.log(2.0), rel=1e-13)
     assert step_constant(2, math.exp(-1.0)) == pytest.approx(1.0, rel=1e-13)
