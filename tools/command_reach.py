@@ -32,23 +32,26 @@ def _functions(path: Path):
     lambda's or a comprehension's lines are its enclosing def's."""
     out = []
 
-    def walk(code: types.CodeType, owner: list | None) -> None:
+    def lines(code: types.CodeType) -> set[int]:
+        return {line for _, _, line in code.co_lines() if line is not None}
+
+    def walk(code: types.CodeType, owner: list | None, prefix: str) -> None:
         for const in code.co_consts:
             if isinstance(const, types.CodeType):
                 if not const.co_flags & inspect.CO_NEWLOCALS:  # a class body: its methods are listed
-                    walk(const, None)
+                    walk(const, None, f"{prefix}{const.co_name}.")
                 elif const.co_name.startswith("<"):  # a lambda, a genexpr or a comprehension
                     if owner is not None:
-                        owner[2].update(line for _, _, line in const.co_lines() if line is not None)
-                    walk(const, owner)
+                        owner[2] |= lines(const)
+                    walk(const, owner, prefix)
                 else:
-                    entry = [const.co_qualname, const.co_firstlineno, set()]
-                    entry[2].update(line for _, _, line in const.co_lines() if line is not None)
-                    entry[2].discard(const.co_firstlineno)  # the def line runs at import
+                    name = prefix + const.co_name
+                    # the def line runs at import, whether or not the function is called
+                    entry = [name, const.co_firstlineno, lines(const) - {const.co_firstlineno}]
                     out.append(entry)
-                    walk(const, entry)
+                    walk(const, entry, f"{name}.<locals>.")
 
-    walk(compile(path.read_text(), str(path), "exec"), None)
+    walk(compile(path.read_text(), str(path), "exec"), None, "")
     return out
 
 
@@ -60,8 +63,11 @@ def _run_commands(tracer) -> None:
     import workloads
     from harmotop import cli
 
-    quiet = contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())
-    with tempfile.TemporaryDirectory() as tmp, quiet[0], quiet[1]:
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
         cli.build_parser.cache_clear()  # a parser built before the trace would not be built in it
         previous = sys.gettrace()
         sys.settrace(tracer)
