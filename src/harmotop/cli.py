@@ -282,8 +282,9 @@ def _cmd_spectrum(args):
     k = args.K if args.K is not None else spec.max_degree if spec else 12
     if spec is None:
         spectrum = rt.radial_spectrum(symbol, args.d, k)
-        if args.matrix_output:  # the exact section diag(mu_k), degree-major (mu_k on its m_k rows)
-            rows = symbol.mu(args.d, np.arange(k + 1))[basis_degrees(args.d, k)]
+        if args.matrix_output:  # the exact section diag(mu_k), degree-major (mu_k on its m_k rows), a row at a time
+            diagonal = symbol.mu(args.d, np.arange(k + 1))[basis_degrees(args.d, k)]
+            rows = (np.where(np.arange(diagonal.size) == i, mu, 0.0) for i, mu in enumerate(diagonal))
         eigenvalue = f"eigenvalue: {MU_FORMULA}"
     else:
         rows = gt.assemble(symbol, args.d, spec)  # a matrix is the sequence of its rows

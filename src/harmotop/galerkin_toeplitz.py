@@ -71,23 +71,13 @@ def write_matrix_csv(path, rows, d: int, max_degree: int) -> None:
 
     `rows` yields the M_K rows of M_K values each (a matrix yields its rows)
     and is read, formatted and written one row at a time; a row of another
-    length, or another number of rows, raises ValueError.  A 1-D array of
-    M_K values stands for the diagonal matrix that carries it: only its
-    values are formatted, and each row's other cells are the "0" that the
-    format gives +0.0.
+    length, or another number of rows, raises ValueError.
     """
     n = cumulative_multiplicity(d, max_degree)
     row = ",".join(["%.17g"] * n) + "\n"
-    diagonal = np.asarray(rows, dtype=float).tolist() if np.ndim(rows) == 1 else None
-    if diagonal is not None and len(diagonal) != n:
-        raise ValueError(f"a diagonal of {len(diagonal)} values does not match M_K = {n}")
     count = 0
     with open(path, "w") as fh:
         fh.write(f"# harmotop matrix d={d} K={max_degree} n={n}\n")
-        if diagonal is not None:
-            zeros = row.replace("%.17g", "0")
-            fh.writelines(zeros[: 2 * i] + "%.17g" % x + zeros[2 * i + 1 :] for i, x in enumerate(diagonal))
-            return
         for count, values in enumerate(rows, 1):
             values = np.asarray(values, dtype=float)
             if count > n or values.shape != (n,):

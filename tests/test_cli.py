@@ -773,15 +773,15 @@ def test_radial_matrix_dump_is_byte_identical_to_the_dense_diagonal(capsys, tmp_
 
 def test_radial_matrix_dump_never_holds_the_dense_section(capsys, tmp_path, monkeypatch):
     # d = 3, K = 40: M_K = 1681, so the dense section is 22.6 MB of doubles.
-    # The radial route hands the writer the diagonal, whose rows it forms as
-    # text (test_matrix_csv_takes_rows_and_refuses_a_wrong_count); here a stub
-    # takes its place, so that tracemalloc does not trace the 5.7 MB of text,
-    # and checks every row's value.
+    # The writer reads a row at a time (test_matrix_csv_dump_holds_one_row_of_
+    # text_at_a_time); here a stub takes its place, so that tracemalloc does
+    # not trace the 2.8 million floats of the text, and checks every row.
     n, seen = cumulative_multiplicity(3, 40), []
 
     def consume(path, rows, d, max_degree):
-        assert rows.shape == (n,) and np.count_nonzero(rows) == n
-        seen.extend(rows.tolist())
+        for i, row in enumerate(rows):
+            assert row.shape == (n,) and np.count_nonzero(row) == 1 and row[i] != 0.0
+            seen.append(float(row[i]))
 
     monkeypatch.setattr(gt, "write_matrix_csv", consume)
     tracemalloc.start()

@@ -172,13 +172,6 @@ def test_matrix_csv_takes_rows_and_refuses_a_wrong_count(tmp_path):
         write_matrix_csv(lazy, A[:4], 2, 2)
     with pytest.raises(ValueError, match="row 6 of shape"):
         write_matrix_csv(lazy, np.vstack((A, A[:1])), 2, 2)
-    # a 1-D array is the diagonal of a diagonal matrix: the bytes of that matrix
-    diagonal = np.array([-0.0, np.inf, np.nan, 5e-324, 1.0 / 3.0])
-    write_matrix_csv(whole, np.diag(diagonal), 2, 2)
-    write_matrix_csv(lazy, diagonal, 2, 2)
-    assert lazy.read_bytes() == whole.read_bytes()
-    with pytest.raises(ValueError, match="a diagonal of 4 values does not match M_K = 5"):
-        write_matrix_csv(lazy, diagonal[:4], 2, 2)
 
 
 def test_matrix_csv_dump_holds_one_row_of_text_at_a_time(tmp_path):
