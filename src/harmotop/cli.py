@@ -254,19 +254,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args, *, any_degree: bool = False):
-    """The --symbol and the grid its section runs on: None for a radial symbol
-    (closed forms in mu_k), else a general:@ file's own TruncationSpec, whose
-    degree a --K must name unless `any_degree`; commands without --K refuse it."""
+    """The --symbol, the grid its section runs on and the degree K: the grid is
+    None for a radial symbol (closed forms in mu_k), else a general:@ file's own
+    TruncationSpec, whose degree a --K must name unless `any_degree`; commands
+    without --K refuse a file.  K is --K, else the file's K, else 12."""
     symbol = parse_symbol(args.symbol)
+    k = getattr(args, "K", None)
     if isinstance(symbol, RadialSymbol):
-        return symbol, None
+        return symbol, None, 12 if k is None else k
     if "K" not in args:
         raise ValueError(f"{args.command} requires a radial symbol; use spectrum for general symbols")
-    if not (any_degree or args.K in (None, symbol.spec.max_degree)):
+    if not (any_degree or k in (None, symbol.spec.max_degree)):
         raise ValueError(
-            f"tabulated symbol was sampled on a different grid: --K {args.K}, the file's K = {symbol.spec.max_degree}"
+            f"tabulated symbol was sampled on a different grid: --K {k}, the file's K = {symbol.spec.max_degree}"
         )
-    return symbol, symbol.spec
+    return symbol, symbol.spec, symbol.spec.max_degree if k is None else k
 
 
 def _config_dict(args) -> dict:
@@ -278,8 +280,7 @@ COUNTING_FORMULA = "n_plus(lambda) = #{eigenvalues > lambda} = M_(nu-1), nu = #{
 
 
 def _cmd_spectrum(args):
-    symbol, spec = _resolve(args)
-    k = args.K if args.K is not None else spec.max_degree if spec else 12
+    symbol, spec, k = _resolve(args)
     if spec is None:
         spectrum = rt.radial_spectrum(symbol, args.d, k)
         if args.matrix_output:  # the exact section diag(mu_k), degree-major (mu_k on its m_k rows), a row at a time
@@ -308,7 +309,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_counting(args):
-    symbol, _ = _resolve(args)
+    symbol, _, _ = _resolve(args)
     sign = 1 if args.sign == "plus" else -1
     if (args.lam is None) == (args.lnlambda is None):
         raise ValueError("provide exactly one of --lambda, --lnlambda")
@@ -331,7 +332,7 @@ def _cmd_counting(args):
 
 
 def _cmd_asymptotics(args):
-    symbol, _ = _resolve(args)
+    symbol, _, _ = _resolve(args)
     sign = 1 if args.sign == "plus" else -1
     ln_grid = np.sort(np.unique(_parse_range(args.lnlambda, "lnlambda")))[::-1]
     fit = rt.asymptotic_fit(
@@ -365,14 +366,13 @@ def _cmd_asymptotics(args):
 
 
 def _cmd_berezin(args):
-    symbol, spec = _resolve(args)
+    symbol, spec, k = _resolve(args)
     try:
         radii = [float(x) for x in args.radii.split(",") if x.strip()]
     except ValueError:
         raise ValueError(f"--radii expects a comma-separated list, got {args.radii!r}") from None
     if not radii or not all(map(math.isfinite, radii)):
         raise ValueError(f"--radii expects one or more finite radii, got {args.radii!r}")
-    k = args.K if args.K is not None else spec.max_degree if spec else 12
     points = np.zeros((len(radii), args.d))
     points[:, 0] = radii
     table = {"radius": radii, "berezin": kb.berezin_transform(symbol, args.d, points, k, spec=spec).tolist()}
@@ -384,7 +384,7 @@ def _cmd_berezin(args):
 
 
 def _cmd_schatten(args):
-    symbol, spec = _resolve(args)
+    symbol, spec, _ = _resolve(args)
     if spec is None:
         value = rt.schatten_radial(symbol, args.d, args.p, weak=args.weak, k_stop=args.K)
         route = "radial-series"
@@ -398,7 +398,7 @@ def _cmd_schatten(args):
 
 
 def _cmd_boundary(args):
-    symbol, spec = _resolve(args, any_degree=True)  # its table reads no value of a general symbol
+    symbol, spec, k = _resolve(args, any_degree=True)  # its table reads no value of a general symbol
     if args.e_grid is not None:
         if not isinstance(symbol, Power):
             raise ValueError("--E requires a power-type symbol in the boundary command")
@@ -413,7 +413,7 @@ def _cmd_boundary(args):
             "fit": {"coefficient": fit.coefficient, "exponent": fit.exponent},
         }
         return {"E": e_grid.tolist(), "count": fit.counts}, meta
-    degrees = range((args.K if args.K is not None else spec.max_degree if spec else 12) + 1)
+    degrees = range(k + 1)
     table = {
         "k": degrees,
         "gram_eigenvalue": [br.extension_gram_eigenvalue(args.d, k) for k in degrees],
@@ -438,7 +438,7 @@ def _cmd_boundary(args):
 
 
 def _cmd_krein(args):
-    symbol, _ = _resolve(args)
+    symbol, _, _ = _resolve(args)
     if (args.lnlambda is None) == (args.e_grid is None):
         raise ValueError("provide exactly one of --lnlambda, --E")
     if args.e_grid is not None:
