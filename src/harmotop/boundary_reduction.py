@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .radial_toeplitz import AsymptoticFit, _as_doubles, counting
+from .radial_toeplitz import AsymptoticFit, _as_doubles, _power_law_fit, counting
 from .symbols import Power
 
 __all__ = [
@@ -67,8 +67,10 @@ def inverse_power_weyl_fit(v: Power, d: int, e_grid) -> AsymptoticFit:
 
     Counts the degrees with mu_k^(-1/gamma) < E (with multiplicities),
     which coincides with the Toeplitz counting function at lam = E^-gamma,
-    and fits the power law with pinned exponent d-1.  The coefficient
-    approaches the boundary counting constant.
+    and fits the power law with pinned exponent d-1 by regressing
+    count^(1/(d-1)) on E.  The coefficient approaches the boundary counting
+    constant; one that is not a positive finite double (a grid over which
+    the count does not grow) raises TailNotCertifiedError.
     """
     e_arr = np.asarray(e_grid, dtype=float)
     if e_arr.size < 4:
@@ -80,14 +82,4 @@ def inverse_power_weyl_fit(v: Power, d: int, e_grid) -> AsymptoticFit:
     n = _as_doubles(counts, d, e_arr.tolist(), "E = {!r}")
     if np.any(n < 1.0):
         raise ValueError("counting vanished on part of the energy grid")
-    roots = n ** (1.0 / (d - 1))
-    alpha = np.polyfit(e_arr, roots, 1)[0]
-    coefficient = float(alpha) ** (d - 1)
-    resid = np.log(n) - (math.log(coefficient) + (d - 1) * np.log(e_arr))
-    return AsymptoticFit(
-        coefficient=coefficient,
-        exponent=float(d - 1),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        ln_lam=ln_lam,
-        counts=counts,
-    )
+    return _power_law_fit(ln_lam, counts, n, np.log(e_arr), d - 1, e_arr)

@@ -80,7 +80,7 @@ def _split_top_level(body: str) -> list[tuple[int, str]]:
     return parts
 
 
-def parse_symbol(text: str, base_dir: str | Path = "."):
+def parse_symbol(text: str):
     """Parse a symbol descriptor; raises SymbolSyntaxError with a position."""
     text = text.strip()
     head, sep, body = text.partition(":")
@@ -102,7 +102,7 @@ def parse_symbol(text: str, base_dir: str | Path = "."):
     if head == "sampled":
         if not body.startswith("@"):
             raise SymbolSyntaxError(text, offset, "expected sampled:@<path.csv>")
-        path = Path(base_dir) / body[1:]
+        path = Path(body[1:])
         rows = [
             line.split(",")
             for line in path.read_text().splitlines()
@@ -123,7 +123,7 @@ def parse_symbol(text: str, base_dir: str | Path = "."):
             if not chunk:
                 raise SymbolSyntaxError(text, offset + 1 + rel, "empty summand")
             try:
-                parts.append(parse_symbol(chunk, base_dir))
+                parts.append(parse_symbol(chunk))
             except SymbolSyntaxError as exc:
                 raise SymbolSyntaxError(text, offset + 1 + rel + exc.pos, str(exc).splitlines()[0]) from None
         if any(not isinstance(p, RadialSymbol) for p in parts):
@@ -134,7 +134,7 @@ def parse_symbol(text: str, base_dir: str | Path = "."):
             raise SymbolSyntaxError(text, offset, "expected general:@<path.json>")
         import orjson  # only tabulated symbols need it; radial commands never load it
 
-        path = Path(base_dir) / body[1:]
+        path = Path(body[1:])
         try:
             payload = orjson.loads(path.read_bytes())
             spec = TruncationSpec(
@@ -256,14 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve(args, *, any_degree: bool = False):
     """The --symbol, the grid its section runs on and the degree K: the grid is
     None for a radial symbol (closed forms in mu_k), else a general:@ file's own
-    TruncationSpec, whose degree a --K must name unless `any_degree`; commands
-    without --K refuse a file.  K is --K, else the file's K, else 12."""
+    TruncationSpec, whose d the --d must name and whose degree a --K must name
+    unless `any_degree`; commands without --K refuse a file.  K is --K, else
+    the file's K, else 12."""
     symbol = parse_symbol(args.symbol)
     k = getattr(args, "K", None)
     if isinstance(symbol, RadialSymbol):
         return symbol, None, 12 if k is None else k
     if "K" not in args:
         raise ValueError(f"{args.command} requires a radial symbol; use spectrum for general symbols")
+    if symbol.d != args.d:
+        raise ValueError(f"tabulated symbol was sampled for d = {symbol.d}, not --d {args.d}")
     if not (any_degree or k in (None, symbol.spec.max_degree)):
         raise ValueError(
             f"tabulated symbol was sampled on a different grid: --K {k}, the file's K = {symbol.spec.max_degree}"
@@ -286,11 +289,11 @@ def _cmd_spectrum(args):
         if args.matrix_output:  # the exact section diag(mu_k), degree-major (mu_k on its m_k rows), a row at a time
             diagonal = symbol.mu(args.d, np.arange(k + 1))[basis_degrees(args.d, k)]
             rows = (np.where(np.arange(diagonal.size) == i, mu, 0.0) for i, mu in enumerate(diagonal))
-        eigenvalue = f"eigenvalue: {MU_FORMULA}"
+        route, eigenvalue = "exact-radial", f"eigenvalue: {MU_FORMULA}"
     else:
         rows = gt.assemble(symbol, args.d, spec)  # a matrix is the sequence of its rows
-        spectrum = gt.section_spectrum(rows, args.d, k)
-        eigenvalue = "eigenvalue: finite-section eigenvalues of the compression"
+        spectrum = gt.section_spectrum(rows)
+        route, eigenvalue = "galerkin", "eigenvalue: finite-section eigenvalues of the compression"
     if args.matrix_output:
         gt.write_matrix_csv(args.matrix_output, rows, args.d, k)
     table = {
@@ -299,10 +302,7 @@ def _cmd_spectrum(args):
         "multiplicity": spectrum.multiplicities.tolist(),
     }
     meta = {
-        "comments": [
-            f"provenance={spectrum.provenance} max_degree={spectrum.max_degree} total={spectrum.total_count}",
-            eigenvalue,
-        ],
+        "comments": [f"provenance={route} max_degree={k} total={spectrum.total_count}", eigenvalue],
         "formulas": [MU_FORMULA],
     }
     return table, meta
@@ -469,7 +469,7 @@ def _cmd_krein(args):
     )
     table = {"lambda": [math.exp(t) for t in ln_grid], "eps": epss, "lower": lower, "upper": upper}
     if gamma:
-        table["envelope_main"] = kc.counting_envelope(args.d, gamma, symbol.a, ln_lam=ln_grid).main
+        table["envelope_main"] = kc.counting_envelope(args.d, gamma, symbol.a, ln_lam=ln_grid)
     meta = {
         "comments": [
             "bounds: n_plus(lambda) <= N_minus(lambda) <= n_plus((1-eps) lambda) + remainder(eps)",

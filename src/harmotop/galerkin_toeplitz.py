@@ -1,6 +1,6 @@
 """Finite-section (Galerkin) compression of the Toeplitz operator for
-general symbols in d = 2, 3: assembly, spectra (counts and Schatten norms are
-`Spectrum` methods) and the matrix CSV dump.
+general symbols in d = 2, 3: assembly, spectra (the total count and the
+Schatten norms are `Spectrum` methods) and the matrix CSV dump.
 
 The section is the compression to harmonic degrees <= max_degree.  For
 nonnegative symbols its eigenvalues are monotone nondecreasing in the
@@ -56,14 +56,14 @@ def assemble(V, d: int, spec: TruncationSpec) -> np.ndarray:
 
 def spectrum(V, d: int, spec: TruncationSpec) -> Spectrum:
     """Eigenvalues of the finite section, sorted by decreasing magnitude."""
-    return section_spectrum(assemble(V, d, spec), d, spec.max_degree)
+    return section_spectrum(assemble(V, d, spec))
 
 
-def section_spectrum(matrix: np.ndarray, d: int, max_degree: int) -> Spectrum:
+def section_spectrum(matrix: np.ndarray) -> Spectrum:
     """Eigenvalues of an assembled section matrix, sorted by decreasing magnitude."""
     eigs = symmetric_eigen(matrix)
     order = np.argsort(-np.abs(eigs), kind="stable")
-    return Spectrum(eigs[order], np.ones(eigs.size, dtype=np.int64), max_degree=max_degree, d=d, provenance="galerkin")
+    return Spectrum(eigs[order], np.ones(eigs.size, dtype=np.int64))
 
 
 def write_matrix_csv(path, rows, d: int, max_degree: int) -> None:

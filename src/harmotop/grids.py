@@ -61,11 +61,8 @@ class TruncationSpec:
 
 @dataclass(frozen=True)
 class BallGrid:
-    d: int
     r_nodes: np.ndarray
-    r_weights: np.ndarray
     ang_dirs: np.ndarray      # (n_ang_total, d) unit vectors
-    ang_weights: np.ndarray   # sums to |S^(d-1)|
     antipodes: np.ndarray     # index of -a for each direction a of the first half; empty if n_ang is odd
     points: np.ndarray        # (n_r * n_ang_total, d), radial-major
     weights: np.ndarray       # includes the r^(d-1) Jacobian
@@ -115,11 +112,8 @@ def ball_grid(d: int, spec: TruncationSpec, radial_breaks: tuple[float, ...] = (
     pts = r_nodes[:, None, None] * dirs[None, :, :]
     w = (r_weights * r_nodes ** (d - 1))[:, None] * ang_w[None, :]
     return BallGrid(
-        d=d,
         r_nodes=r_nodes,
-        r_weights=r_weights,
         ang_dirs=dirs,
-        ang_weights=ang_w,
         antipodes=antipodes,
         points=pts.reshape(-1, d),
         weights=w.reshape(-1),

@@ -11,7 +11,6 @@ so the sandwich arithmetic itself never depends on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .radial_toeplitz import boundary_law_constant
 __all__ = [
     "lam_power",
     "sandwich_minus",
-    "CountingEnvelope",
     "counting_envelope",
     "disk_counting",
     "weyl_L_fit",
@@ -62,34 +60,17 @@ def sandwich_minus(*, ln_lam, eps, n_plus, remainder) -> tuple[list[int], list[i
     return lower, upper
 
 
-@dataclass(frozen=True)
-class CountingEnvelope:
-    """Leading term and error exponents of the two-sided counting envelopes."""
-
-    main: list[float]
-    error_exponent_inner: float   # lam^-(d-2)/gamma side
-    error_exponent_sandwich: float  # lam^-(d-1) kappa / gamma side
-    kappa: float
-
-
-def counting_envelope(d: int, gamma: float, a0: float, *, ln_lam) -> CountingEnvelope:
+def counting_envelope(d: int, gamma: float, a0: float, *, ln_lam) -> list[float]:
     """Envelope main term C lam^(-(d-1)/gamma) at every lam = exp(t), t in
-    ln_lam, with the remainder dichotomy kappa = d/(d+2) for 2 <= d <= 4 and
-    (d-2)/(d-1) for d >= 4.  A main term beyond the double range raises
-    TailNotCertifiedError."""
+    ln_lam, with C the boundary law constant.  A main term beyond the double
+    range raises TailNotCertifiedError."""
     if d < 2:
         raise ValueError(f"space dimension must be >= 2, got {d}")
-    kappa = d / (d + 2.0) if d <= 4 else (d - 2.0) / (d - 1.0)
     coeff = boundary_law_constant(d, gamma, a0)
     main = [coeff * x for x in lam_power(ln_lam, -(d - 1) / gamma)]
     if not all(map(math.isfinite, main)):
         raise TailNotCertifiedError(f"envelope_main is beyond the double range at ln lambda = {float(min(ln_lam))!r}")
-    return CountingEnvelope(
-        main=main,
-        error_exponent_inner=(d - 2) / gamma,
-        error_exponent_sandwich=(d - 1) * kappa / gamma,
-        kappa=kappa,
-    )
+    return main
 
 
 # --- disk buckling oracle ----------------------------------------------------

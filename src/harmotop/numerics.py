@@ -20,21 +20,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights of a quadrature rule on the open interval (a, b).
+    """Nodes/weights of a quadrature rule: sum w_i f(x_i) approximates the integral of f.
 
-    For a plain Gauss-Legendre rule the weights sum to b - a and polynomials
-    up to degree 2*order - 1 are integrated exactly.  Rules carrying a weight
-    function (see :func:`gauss_jacobi01`) sum to the mass of that weight.
+    For a plain Gauss-Legendre rule on (a, b) the weights sum to b - a and
+    polynomials up to degree 2*order - 1 are integrated exactly.  Rules
+    carrying a weight function (see :func:`gauss_jacobi01`) sum to the mass
+    of that weight.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
-    a: float
-    b: float
-
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
 
 
 def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
@@ -78,9 +73,6 @@ def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule(
         nodes=centre + half * np.concatenate([-x, [0.0] * len(mid), x[::-1]]),
         weights=half * np.concatenate([w, mid, w[::-1]]),
-        order=order,
-        a=float(a),
-        b=float(b),
     )
 
 
@@ -112,7 +104,7 @@ def gauss_jacobi01(order: int, gamma: float) -> QuadratureRule:
     # map u = (1+x)/2 divides them by 2^(gamma+1), leaving v0^2/(gamma+1).
     w = v[0, :] ** 2 / (gamma + 1.0)
     u = 0.5 * (x + 1.0)
-    return QuadratureRule(nodes=u, weights=w, order=order, a=0.0, b=1.0)
+    return QuadratureRule(nodes=u, weights=w)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +140,11 @@ def bessel_zero_counts(x):
         yield k, count
 
 
-def symmetric_eigen(A: np.ndarray, vectors: bool = False):
+def symmetric_eigen(A: np.ndarray) -> np.ndarray:
     """All eigenvalues (ascending) of a real symmetric matrix.
 
-    With vectors=True also returns the orthonormal eigenvector matrix
-    (columns).  Rejects non-finite input and input whose asymmetry exceeds
-    1e-10 relative.
+    Rejects non-finite input and input whose asymmetry exceeds 1e-10
+    relative.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
@@ -165,7 +156,4 @@ def symmetric_eigen(A: np.ndarray, vectors: bool = False):
         if float(np.max(np.abs(A - A.T))) > 1e-10 * scale:
             raise ValueError("matrix is not symmetric to 1e-10 relative")
         A = 0.5 * (A + A.T)
-    if vectors:
-        vals, vecs = np.linalg.eigh(A)
-        return vals, vecs
     return np.linalg.eigvalsh(A)

@@ -27,7 +27,6 @@ __all__ = [
     "log_radial_eigenvalue",
     "radial_spectrum",
     "counting",
-    "power_constant",
     "boundary_law_constant",
     "AsymptoticFit",
     "asymptotic_fit",
@@ -63,22 +62,10 @@ class Spectrum:
 
     values: np.ndarray
     multiplicities: np.ndarray  # integers; Python ints where (d-1)! M_K leaves int64 (radial, d >= 21)
-    max_degree: int
-    d: int
-    provenance: str  # "exact-radial" | "galerkin"
 
     @property
     def total_count(self) -> int:
         return int(self.multiplicities.sum())
-
-    def eigenvalues(self) -> np.ndarray:
-        """All eigenvalues expanded with multiplicity, |.|-descending."""
-        return np.repeat(self.values, self.multiplicities.astype(np.int64))
-
-    def count_above(self, lam: float, sign: int = 1) -> int:
-        if lam <= 0.0:
-            raise ValueError(f"threshold must be positive, got {lam}")
-        return int(self.multiplicities[sign * self.values > lam].sum())
 
     def schatten(self, p: float) -> float:
         if p < 1.0:
@@ -94,9 +81,6 @@ class Spectrum:
             raise ValueError(f"weak Schatten exponent must be > 1, got {p}")
         return float(np.max(np.cumsum(self.multiplicities) ** (1.0 / p) * np.abs(self.values), initial=0.0))
 
-    def trace(self) -> float:
-        return float(np.cumsum(self.multiplicities * self.values)[-1])
-
 
 def radial_spectrum(v: RadialSymbol, d: int, max_degree: int) -> Spectrum:
     """Exact-radial spectrum on degrees <= max_degree: (mu_k, m_k) pairs, |mu|-descending (ties by degree)."""
@@ -105,7 +89,7 @@ def radial_spectrum(v: RadialSymbol, d: int, max_degree: int) -> Spectrum:
     k = np.arange(max_degree + 1)
     mus = v.mu(d, k)
     order = np.argsort(-np.abs(mus), kind="stable")
-    return Spectrum(mus[order], multiplicity(d, k)[order], max_degree=max_degree, d=d, provenance="exact-radial")
+    return Spectrum(mus[order], multiplicity(d, k)[order])
 
 
 # --- the degree table and certified tail bounds -------------------------------
@@ -276,25 +260,13 @@ def _count_tabulated(v: RadialSymbol, d: int, ln_lam: np.ndarray, sign: int) -> 
 # --- asymptotic constants ----------------------------------------------------
 
 
-def power_constant(d: int, gamma: float, a: float) -> float:
-    """Leading coefficient 2^(2-d)/(d-1)! (a Gamma(gamma+1))^((d-1)/gamma)."""
-    if gamma <= 0.0 or a <= 0.0:
-        raise ValueError("power constant needs gamma > 0 and a > 0")
-    log_val = (
-        (2 - d) * math.log(2.0)
-        - math.lgamma(float(d))
-        + (d - 1) / gamma * (math.log(a) + math.lgamma(gamma + 1.0))
-    )
-    return math.exp(log_val)
-
-
 def boundary_law_constant(d: int, gamma: float, a0: float) -> float:
     """Counting coefficient from the boundary reduction, for constant trace a0.
 
     omega_{d-1} (Gamma(gamma+1)^(1/gamma) / (4 pi))^(d-1) a0^((d-1)/gamma)
     times the sphere area |S^(d-1)|, with omega_n the volume of the unit
-    ball in R^n.  Coincides with :func:`power_constant` on the ball by the
-    Legendre duplication identity.
+    ball in R^n.  By the Legendre duplication identity it equals the ball's
+    power-law coefficient 2^(2-d)/(d-1)! (a0 Gamma(gamma+1))^((d-1)/gamma).
     """
     if gamma <= 0.0 or a0 <= 0.0:
         raise ValueError("boundary law constant needs gamma > 0 and a0 > 0")
@@ -337,10 +309,9 @@ def asymptotic_fit(
     model="log-power":  n ~ C |ln lam|^e     (fit of ln n against ln |ln lam|)
 
     Passing `exponent` pins e > 0 and fits only the coefficient; for the
-    log-power model the pinned fit regresses n^(1/e) linearly on |ln lam|,
-    which cancels the O(1) degree offset that otherwise biases the
-    coefficient at moderate depths.  A coefficient that is not a positive
-    finite double (e.g. a pinned exponent far from the data's) raises
+    log-power model the pinned fit is :func:`_power_law_fit`'s root
+    regression on |ln lam|.  A coefficient that is not a positive finite
+    double (e.g. a pinned exponent far from the data's) raises
     TailNotCertifiedError.
     """
     ln_lam = np.asarray(ln_lam_grid, dtype=float)
@@ -357,25 +328,32 @@ def asymptotic_fit(
     n = _as_doubles(counts, d, ln_lam.tolist(), "ln lambda = {!r}")
     if np.any(n < 1.0):
         raise ValueError("counting vanished on part of the grid; deepen the thresholds")
-    ln_n = np.log(n)
-
     if model == "power":
-        basis = -ln_lam
-        if exponent is None:
-            slope, intercept = np.polyfit(basis, ln_n, 1)
-        else:
-            slope = float(exponent)
-            intercept = float(np.mean(ln_n - slope * basis))
+        return _power_law_fit(ln_lam, counts, n, -ln_lam, exponent)
+    big_l = -ln_lam
+    if np.any(big_l <= 0.0):
+        raise ValueError("log-power model needs thresholds below 1")
+    return _power_law_fit(ln_lam, counts, n, np.log(big_l), exponent, big_l, "log-power")
+
+
+def _power_law_fit(ln_lam, counts, n, ln_x, exponent, x=None, model="power") -> AsymptoticFit:
+    """Least-squares fit of the counts `n` (doubles >= 1) to n ~ C x^e, given ln x.
+
+    A free e regresses ln n on ln x.  A pinned e takes ln C as the mean of
+    ln n - e ln x or, given x, regresses n^(1/e) linearly on x, which
+    cancels an O(1) offset in x (the degree offset of a counting function)
+    that otherwise biases the coefficient.  A coefficient that is not a
+    positive finite double raises TailNotCertifiedError.
+    """
+    ln_n = np.log(n)
+    if exponent is None:
+        slope, intercept = np.polyfit(ln_x, ln_n, 1)
+    elif x is None:
+        slope = float(exponent)
+        intercept = float(np.mean(ln_n - slope * ln_x))
     else:
-        big_l = -ln_lam
-        if np.any(big_l <= 0.0):
-            raise ValueError("log-power model needs thresholds below 1")
-        basis = np.log(big_l)
-        if exponent is None:
-            slope, intercept = np.polyfit(basis, ln_n, 1)
-        else:
-            alpha, _beta = np.polyfit(big_l, n ** (1.0 / float(exponent)), 1)
-            slope, intercept = float(exponent), None
+        alpha, _beta = np.polyfit(x, n ** (1.0 / float(exponent)), 1)
+        slope, intercept = float(exponent), None
     try:
         coefficient = float(alpha) ** slope if intercept is None else math.exp(intercept)
     except OverflowError:
@@ -384,7 +362,7 @@ def asymptotic_fit(
         raise TailNotCertifiedError(
             f"fit coefficient {coefficient!r} is not a positive finite double ({model} model, exponent {float(slope)!r})"
         )
-    resid = ln_n - ((math.log(coefficient) if intercept is None else intercept) + slope * basis)
+    resid = ln_n - ((math.log(coefficient) if intercept is None else intercept) + slope * ln_x)
     return AsymptoticFit(
         coefficient=float(coefficient),
         exponent=float(slope),
@@ -407,11 +385,13 @@ def _tail_p_sum_log(terms, d: int, k, p: float):
             # (2j+d)^-gamma <= 1, and (j+d)^(d-2) q^(j/2) decreases beyond k_star
             log_q = p * t.log_q
             k_star = -2.0 * (d - 2) / log_q - d
+            with np.errstate(over="ignore"):  # at a huge p the product goes to -inf: the term vanishes
+                log_decay = (k + 1) * log_q
             log_geo = (
                 log_m_pref
                 + p * t.log_c
                 + (d - 2) * np.log(k + 1 + d)
-                + (k + 1) * log_q
+                + log_decay
                 - math.log(-math.expm1(0.5 * log_q))
             )
             roots.append(np.where(k + 1 < k_star, math.inf, log_geo / p))  # grow k before certifying
@@ -464,7 +444,9 @@ def schatten_radial(v: RadialSymbol, d: int, p: float, weak: bool = False, k_sto
             # that no term underflows before the root at large p
             top = float(np.max(logs))
             top = top if top > _NEG_INF else 0.0
-            partial = np.cumsum(_as_doubles(m, d, range(K + 1)) * np.exp(p * (logs - top)))
+            with np.errstate(over="ignore"):  # p (logs - top) goes to -inf at a huge p: exp gives 0
+                scaled = np.exp(p * (logs - top))
+            partial = np.cumsum(_as_doubles(m, d, range(K + 1)) * scaled)
             if k_stop is None:
                 log_floor = p * top + np.log(np.maximum(partial[8:], 1e-300)) + math.log(_REL_TOL)
                 certified = _tail_p_sum_log(terms, d, np.arange(8, K + 1), p) <= log_floor

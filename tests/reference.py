@@ -23,6 +23,23 @@ def step_constant(d: int, c: float) -> float:
     return 2.0 ** (2 - d) / (math.factorial(d - 1) * abs(math.log(c)) ** (d - 1))
 
 
+def power_constant(d: int, gamma: float, a: float) -> float:
+    """Leading coefficient 2^(2-d)/(d-1)! (a Gamma(gamma+1))^((d-1)/gamma) of the power counting law."""
+    if gamma <= 0.0 or a <= 0.0:
+        raise ValueError("power constant needs gamma > 0 and a > 0")
+    log_val = (
+        (2 - d) * math.log(2.0)
+        - math.lgamma(float(d))
+        + (d - 1) / gamma * (math.log(a) + math.lgamma(gamma + 1.0))
+    )
+    return math.exp(log_val)
+
+
+def envelope_kappa(d: int) -> float:
+    """Remainder exponent of the counting envelopes: d/(d+2) for 2 <= d <= 4, (d-2)/(d-1) for d >= 4."""
+    return d / (d + 2.0) if d <= 4 else (d - 2.0) / (d - 1.0)
+
+
 def multiplicity_asymptotic_check(d: int, k_max: int) -> float:
     """max over k in [k_max/2, k_max] of |M_k (d-1)!/(2 k^(d-1)) - 1| * k.
 

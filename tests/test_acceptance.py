@@ -23,9 +23,11 @@ from harmotop.harmonic_basis import cumulative_multiplicity, multiplicity
 from harmotop.symbols import GeneralSymbol, Power, Sampled, Step, SymbolSum
 from reference import (
     density_integral,
+    envelope_kappa,
     log_decay_at,
     multiplicity_asymptotic_check,
     norm_domination_check,
+    power_constant,
     sandwich_plus,
     step_constant,
     superpolynomial_decay_check,
@@ -64,7 +66,8 @@ def test_c01_eigenvalue_quadrature_matches_closed_forms():
 def test_c02_trace_identity():
     with budget("02 trace identity", 5.0):
         v = Step(1.0, 0.5)
-        trace = rt.radial_spectrum(v, 2, 40).trace()
+        spectrum = rt.radial_spectrum(v, 2, 40)
+        trace = float(np.cumsum(spectrum.multiplicities * spectrum.values)[-1])
         assert trace == pytest.approx(5.0 / 12.0, abs=1e-6)
         integral = density_integral(v, 2, 40)
         assert trace == pytest.approx(integral, rel=1e-8)
@@ -90,7 +93,7 @@ def test_c04_power_symbol_asymptotics():
         for d in (2, 3):
             for g in (0.5, 1.0, 2.0):
                 v = Power(1.0, g)
-                target = rt.power_constant(d, g, 1.0)
+                target = power_constant(d, g, 1.0)
                 # local power-law coefficient from exact counting at the
                 # 1e-5 threshold scale (the n^(1/(d-1)) slope against
                 # lambda^(-1/gamma) cancels the O(1) degree offset)
@@ -109,7 +112,7 @@ def test_c05_boundary_constant_consistency():
         for d in (2, 3, 4, 5):
             for g in (0.5, 1.0, 2.0):
                 lhs = rt.boundary_law_constant(d, g, 1.0)
-                rhs = rt.power_constant(d, g, 1.0)
+                rhs = power_constant(d, g, 1.0)
                 assert abs(lhs / rhs - 1.0) <= 1e-12
 
 
@@ -123,7 +126,9 @@ def test_c06_boundary_reduction_equals_galerkin_section():
     with budget("06 non-radial counting law of the boundary reduction", 10.0):
         V = GeneralSymbol(lambda p: (1.0 - np.linalg.norm(p, axis=1)) * np.exp(p[:, 0]))
         lam = 0.01
-        n_200, n_400 = (gt.spectrum(V, 2, TruncationSpec.for_degree(K)).count_above(lam) for K in (200, 400))
+        n_200, n_400 = (
+            int(np.count_nonzero(gt.spectrum(V, 2, TruncationSpec.for_degree(K)).values > lam)) for K in (200, 400)
+        )
         assert n_200 == n_400
         law = n_400 * lam / rt.boundary_law_constant(2, 1.0, 1.0)  # measured 1.23
         assert abs(law / sp.i0(1.0) - 1.0) <= 0.05
@@ -187,7 +192,7 @@ def test_c11_bump_perturbation_keeps_coefficient():
     with budget("11 bump-insensitive counting coefficient", 5.0):
         lam = 1e-5
         for d in (2, 3):
-            target = rt.power_constant(d, 1.0, 1.0)
+            target = power_constant(d, 1.0, 1.0)
             for sign in (0.5, -0.5):
                 v = SymbolSum([Power(1.0, 1.0), Step(sign, 0.5)])
                 coeff = lam ** (d - 1) * rt.counting(v, d, ln_lam=math.log(lam))
@@ -224,7 +229,7 @@ def test_c12_weyl_inequalities_random_matrices():
 def test_c13_essential_spectrum_filling():
     with budget("13 essential-spectrum filling", 60.0):
         V = GeneralSymbol(lambda p: 0.5 * (1.0 + p[:, 0]))
-        eigs = gt.spectrum(V, 2, TruncationSpec.for_degree(40)).eigenvalues()
+        eigs = gt.spectrum(V, 2, TruncationSpec.for_degree(40)).values  # a section's multiplicities are 1
         for target in (0.1, 0.3, 0.5, 0.7, 0.9):
             assert np.min(np.abs(eigs - target)) < 0.02, target
         accum = Sampled([0.0, 0.5, 0.9], [1.0, 0.5, 0.3])
@@ -248,13 +253,13 @@ def test_c14_sandwich_arithmetic():
         # optimal-eps choice reproduces the sandwich remainder exponent
         d, gamma = 2, 1.0
         theta = 2.0 * (d - 1) / (gamma * (d + 2))
-        kappa = kc.counting_envelope(d, gamma, 1.0, ln_lam=[math.log(1e-4)]).kappa
+        kappa = envelope_kappa(d)
         lams = np.geomspace(1e-6, 1e-3, 13)
         ln_lams = [math.log(lam) for lam in lams]
         _, upper = kc.sandwich_minus(
             ln_lam=ln_lams, eps=[float(lam**theta) for lam in lams], n_plus=n_plus, remainder=remainder
         )
-        excess = np.array(upper) - np.array(kc.counting_envelope(d, gamma, 1.0, ln_lam=ln_lams).main)
+        excess = np.array(upper) - np.array(kc.counting_envelope(d, gamma, 1.0, ln_lam=ln_lams))
         slope = float(np.polyfit(np.log(lams), np.log(excess), 1)[0])
         target = -(d - 1) * kappa / gamma
         assert abs(slope / target - 1.0) <= 0.15, slope
@@ -302,7 +307,7 @@ def test_c17_sharp_remainder_band(d):
         for gamma in (0.5, 1.0, 2.0):
             ln_lam = np.linspace(-4.0, -14.0 * gamma, 400)
             n = np.array(rt.counting(Power(1.0, gamma), d, ln_lam=ln_lam.tolist()), dtype=float)
-            main = rt.power_constant(d, gamma, 1.0) * np.exp(-(d - 1) / gamma * ln_lam)
+            main = power_constant(d, gamma, 1.0) * np.exp(-(d - 1) / gamma * ln_lam)
             scaled = (n - main) * np.exp((d - 2) / gamma * ln_lam)
             A = math.gamma(gamma + 1.0)
             unit = 1.0 if d == 2 else A ** (1.0 / gamma) / 2.0

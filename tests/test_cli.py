@@ -636,6 +636,27 @@ def test_fit_counts_beyond_the_double_range_exit_three(capsys, argv, row):
     assert f"the eigenvalue count at {row} is beyond the double range (d=150)" in err
 
 
+@pytest.mark.parametrize("grid", ["30:30.001:5", "21:21.5:4", "100:100.0001:6"])
+def test_boundary_fit_on_a_flat_count_exits_three(capsys, grid):
+    # the count does not grow over the grid, so the fitted slope is 0 up to
+    # rounding; the log of such a coefficient ended in "math domain error"
+    # with exit 2
+    code, out, err = run_cli(capsys, "boundary", "--d", "2", "--symbol", "power:a=1,gamma=1", "--E", grid)
+    assert code == 3 and out == ""
+    assert err.startswith("harmotop: certification failure: fit coefficient ")
+    assert err.endswith(" is not a positive finite double (power model, exponent 1.0)\n")
+
+
+def test_schatten_at_a_huge_exponent_writes_nothing_to_stderr():
+    # exp(p (log mu - top)) and the tail bound's (k + 1) p log q overflow to
+    # -inf on purpose; each wrote a RuntimeWarning beside the right value
+    env = dict(os.environ, PYTHONPATH=str(Path(harmotop.__file__).parents[1]))
+    argv = ["schatten", "--d", "2", "--symbol", "step:b=1,c=0.5", "--p", "1e308"]
+    run = subprocess.run([sys.executable, "-m", "harmotop.cli", *argv], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert _rows(run.stdout) == [["1e+308", "0", "0.25", "radial-series"]]
+
+
 def test_schatten_refuses_a_law_that_is_not_p_summable_before_tabulating(capsys):
     # p gamma = 2 <= d - 1 = 79: the tables grew until the counts left the
     # double range near degree 265,000, which took about 17 s
@@ -715,6 +736,21 @@ def test_general_file_refuses_another_degree(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv, "--d", "2", "--symbol", f"general:@{path}", "--K", "3")
     assert code == 2 and out == ""
     assert "sampled on a different grid" in err and "--K 3" in err and "K = 4" in err
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum"], ["boundary"], ["schatten", "--p", "2"], ["berezin", "--radii", "0.5"]],
+    ids=lambda argv: argv[0],
+)
+def test_general_file_refuses_another_dimension(capsys, tmp_path, argv, d):
+    # boundary printed its degree table with exit 0; the others refused the
+    # grid without naming d
+    path = _general_file(tmp_path, ODD_GRID)
+    code, out, err = run_cli(capsys, *argv, "--d", str(d), "--symbol", f"general:@{path}")
+    assert (code, out) == (2, "")
+    assert err == f"harmotop: tabulated symbol was sampled for d = 2, not --d {d}\n"
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from harmotop.krein_counting import (
     weyl_L_fit,
 )
 from harmotop.symbols import Power, Step
-from reference import sandwich_plus
+from reference import envelope_kappa, sandwich_plus
 
 
 def nplus_power(ln_lam):
@@ -145,20 +145,19 @@ def test_lam_power_keeps_the_python_float_bits():
 
 
 def test_counting_envelope_kappa_dichotomy():
-    ln_lam = [math.log(1e-4)]
-    assert counting_envelope(3, 1.0, 1.0, ln_lam=ln_lam).kappa == pytest.approx(3.0 / 5.0)
-    assert counting_envelope(4, 1.0, 1.0, ln_lam=ln_lam).kappa == pytest.approx(2.0 / 3.0)
-    assert counting_envelope(5, 1.0, 1.0, ln_lam=ln_lam).kappa == pytest.approx(3.0 / 4.0)
-    env = counting_envelope(2, 1.0, 1.0, ln_lam=ln_lam)
-    assert env.main == [pytest.approx(1e4, rel=1e-10)]
-    assert env.error_exponent_inner == pytest.approx(0.0)
-    assert env.error_exponent_sandwich == pytest.approx(0.5)
+    assert envelope_kappa(3) == pytest.approx(3.0 / 5.0)
+    assert envelope_kappa(4) == pytest.approx(2.0 / 3.0)
+    assert envelope_kappa(5) == pytest.approx(3.0 / 4.0)
+    d, gamma = 2, 1.0
+    assert counting_envelope(d, gamma, 1.0, ln_lam=[math.log(1e-4)]) == [pytest.approx(1e4, rel=1e-10)]
+    assert (d - 2) / gamma == pytest.approx(0.0)  # the error exponent on the inner side
+    assert (d - 1) * envelope_kappa(d) / gamma == pytest.approx(0.5)  # and on the sandwich side
 
 
 def test_counting_envelope_is_one_column_or_a_refusal():
     ln_lam = np.linspace(-9.0, -1.0, 9).tolist()
     coeff = rt.boundary_law_constant(3, 2.0, 1.5)
-    assert counting_envelope(3, 2.0, 1.5, ln_lam=ln_lam).main == [coeff * math.exp(t) ** -1.0 for t in ln_lam]
+    assert counting_envelope(3, 2.0, 1.5, ln_lam=ln_lam) == [coeff * math.exp(t) ** -1.0 for t in ln_lam]
     # C lambda^(-39) at lambda = e^-30 is about e^1040
     with pytest.raises(TailNotCertifiedError, match=r"envelope_main is beyond the double range at ln lambda = -30.0"):
         counting_envelope(40, 1.0, 1.0, ln_lam=[-20.0, -30.0])
@@ -243,7 +242,7 @@ def test_weyl_L_fit_disk():
 def test_optimized_eps_reproduces_remainder_exponent():
     d, gamma = 2, 1.0
     theta = 2.0 * (d - 1) / (gamma * (d + 2))
-    target = -(d - 1) * counting_envelope(d, gamma, 1.0, ln_lam=[math.log(1e-4)]).kappa / gamma
+    target = -(d - 1) * envelope_kappa(d) / gamma
     lams = np.geomspace(1e-6, 1e-3, 13)
     ln_lam = np.log(lams).tolist()
     _, upper = sandwich_minus(
@@ -252,7 +251,7 @@ def test_optimized_eps_reproduces_remainder_exponent():
         n_plus=nplus_power,
         remainder=lambda e: remainder_model(e, 1.0, 10.0, d),
     )
-    excess = np.array(upper) - np.array(counting_envelope(d, gamma, 1.0, ln_lam=ln_lam).main)
+    excess = np.array(upper) - np.array(counting_envelope(d, gamma, 1.0, ln_lam=ln_lam))
     assert np.all(excess > 0.0)
     slope = float(np.polyfit(np.log(lams), np.log(excess), 1)[0])
     assert slope == pytest.approx(target, rel=0.15)

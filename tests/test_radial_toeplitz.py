@@ -17,7 +17,6 @@ from harmotop.radial_toeplitz import (
     boundary_law_constant,
     counting,
     log_radial_eigenvalue,
-    power_constant,
     radial_eigenvalue,
     radial_spectrum,
     _WEAK_SCAN,
@@ -25,7 +24,7 @@ from harmotop.radial_toeplitz import (
     schatten_radial,
 )
 from harmotop.symbols import Power, Sampled, Step, SymbolSum, TailTerm
-from reference import log_decay_at, step_constant, superpolynomial_decay_check
+from reference import log_decay_at, power_constant, step_constant, superpolynomial_decay_check
 
 CONST_ONE = Sampled([0.0, 0.5], [1.0, 1.0])
 
@@ -305,7 +304,7 @@ def test_schatten_norms_at_large_p_match_mpmath(p, capsys):
             assert schatten_radial(v, 2, p) == pytest.approx(expected, rel=1e-14, abs=0.0)
         values = np.array([0.9, -0.9 + 1e-3, 0.85, 1e-3, 0.0])
         mults = np.array([1, 3, 2, 7, 4])
-        s = Spectrum(values, mults, max_degree=0, d=2, provenance="test")
+        s = Spectrum(values, mults)
         total = mpmath.fsum(int(m) * abs(mpmath.mpf(float(e))) ** p for e, m in zip(values, mults))
         assert s.schatten(p) == pytest.approx(float(total ** (1 / mpmath.mpf(p))), rel=1e-15, abs=0.0)
     assert main(["schatten", "--d", "2", "--symbol", "step:b=1,c=0.5", "--p", repr(p)]) == 0
@@ -401,15 +400,12 @@ def test_bump_does_not_move_the_counting_constant():
 
 def test_radial_spectrum_structure():
     spectrum = radial_spectrum(Step(1.0, 0.5), 2, 6)
-    assert spectrum.provenance == "exact-radial"
     assert spectrum.total_count == cumulative_multiplicity(2, 6)
     mults = sorted(spectrum.multiplicities.tolist())
     assert mults == sorted(multiplicity(2, k) for k in range(7))
-    eigs = spectrum.eigenvalues()
+    eigs = np.repeat(spectrum.values, spectrum.multiplicities)
     assert np.all(np.diff(np.abs(eigs)) <= 1e-15)
-    assert spectrum.count_above(0.01) == 5
-    with pytest.raises(ValueError):
-        spectrum.count_above(0.0)
+    assert spectrum.multiplicities[spectrum.values > 0.01].sum() == 5
 
 
 
@@ -429,11 +425,11 @@ _TIED = st.sampled_from([-2.5, -1.0, -0.3, 0.0, 0.3, 1.0, 2.5])  # ties in value
 def test_spectrum_reductions_match_the_loops_over_pairs(pairs, lam, p):
     # the formulas of the (value, multiplicity) tuple the arrays replace
     pairs = sorted(pairs, key=lambda pair: -abs(pair[0]))
-    s = Spectrum(np.array([e for e, _ in pairs]), np.array([m for _, m in pairs]), max_degree=0, d=2, provenance="test")
+    s = Spectrum(np.array([e for e, _ in pairs]), np.array([m for _, m in pairs]))
     assert s.total_count == sum(m for _, m in pairs)
     for sign in (1, -1):
-        assert s.count_above(lam, sign) == sum(m for e, m in pairs if sign * e > lam)
-    assert s.trace() == float(sum(m * e for e, m in pairs))
+        assert s.multiplicities[sign * s.values > lam].sum() == sum(m for e, m in pairs if sign * e > lam)
+    assert float(np.cumsum(s.multiplicities * s.values)[-1]) == float(sum(m * e for e, m in pairs))
     # the strong norm against 30 digits: the double loop underflows to 0
     # where every |e|^p does (|e| near 1e-158 at p = 2), the norm does not
     with mpmath.workdps(30):
@@ -445,7 +441,7 @@ def test_spectrum_reductions_match_the_loops_over_pairs(pairs, lam, p):
             count += m
             best = max(best, count ** (1.0 / p) * abs(e))
         assert s.schatten_weak(p) == pytest.approx(best, rel=1e-14, abs=0.0)
-    assert s.eigenvalues().tolist() == [e for e, m in pairs for _ in range(m)]
+    assert np.repeat(s.values, s.multiplicities).tolist() == [e for e, m in pairs for _ in range(m)]
 
 # --- counting over threshold grids ------------------------------------------------
 
@@ -622,7 +618,7 @@ def test_radial_spectrum_expands_with_python_int_multiplicities():
     # from d = 21 on, (d-1)! M_k leaves int64 and the multiplicities are Python ints
     s = radial_spectrum(Power(1.0, 1.0), 22, 3)
     assert s.multiplicities.dtype == object
-    assert s.eigenvalues().size == s.total_count == cumulative_multiplicity(22, 3)
+    assert np.repeat(s.values, s.multiplicities.astype(np.int64)).size == s.total_count == cumulative_multiplicity(22, 3)
 
 
 def test_count_near_the_degree_cap_is_exact_past_2_63():
