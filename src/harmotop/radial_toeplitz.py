@@ -116,10 +116,6 @@ def _sorted_table(v: RadialSymbol, d: int, K: int, sign: int = 0):
 _DOUBLE_LIMIT = 2**1024 - 2**970
 
 
-def _beyond_doubles(d: int, where: str) -> TailNotCertifiedError:
-    return TailNotCertifiedError(f"the eigenvalue count at {where} is beyond the double range (d={d})")
-
-
 def _as_doubles(counts, d: int, keys, label: str = "degree {}") -> np.ndarray:
     """Exact eigenvalue counts, one per key of `keys`, as doubles; a count
     past the double range raises TailNotCertifiedError naming its key."""
@@ -127,7 +123,8 @@ def _as_doubles(counts, d: int, keys, label: str = "degree {}") -> np.ndarray:
         return np.asarray(counts).astype(float)
     except OverflowError:
         key = next(key for key, n in zip(keys, counts) if n >= _DOUBLE_LIMIT)
-        raise _beyond_doubles(d, label.format(key)) from None
+        where = label.format(key)
+        raise TailNotCertifiedError(f"the eigenvalue count at {where} is beyond the double range (d={d})") from None
 
 
 def _log_sum(logs):
@@ -473,47 +470,38 @@ def schatten_radial(v: RadialSymbol, d: int, p: float, weak: bool = False, k_sto
     return math.exp(best_log)
 
 
-# degrees of the exact scan in `_weak_tail_sup_log`; a majorant bounds the rest
-_WEAK_SCAN = 1 << 16
-
-
 def _weak_tail_sup_log(terms, d: int, k_stop: int, p: float) -> float:
     """log of a certified bound for sup over degrees k > k_stop of M_k^(1/p) |mu_k|.
 
-    Per term, the derivative in k of ln(M_k)/p + log_bound(k) is at most
-    (d-1)/(p(k+1/2)) + log_q - gamma/(k+d/2), which is negative from the
-    degree `end` on; the term's sup is the largest value up to there, scanned
-    with the exact M_k over at most _WEAK_SCAN degrees.  Past the scan,
-    M_k <= y^(d-1)/(2^(d-2) (d-1)!) with y = 2k+d-1 (AM-GM on k+1, ..., k+d-2),
-    and the log bound a ln y - c y - gamma ln(y+1) + const (a = (d-1)/p,
-    c = -log_q/2) is unimodal in y > 0: its sup there is its value at the
-    root of c y^2 + (c + gamma - a) y - a, or at the first degree past the
-    scan if that lies beyond the root.
+    Per term, f(k) = ln(M_k)/p + log_bound(k), with ln M_k = ln(2k+d-1) +
+    sum_{j=1..d-2} ln(k+j) - ln (d-1)! taken at real k, is unimodal: every
+    part of (2k+d) f'(k) decreases in k (pair j with d-1-j in the sum).  So
+    its sup over the degrees past k_stop is f(m) or f(m+1), where m is the
+    last degree at which f' > 0 (found by doubling, then halving the step),
+    or k_stop+1 if f' <= 0 there.
     """
+    j = np.arange(1, d - 1)
     sups = []
     for t in terms:
-        end = min(
-            -(d - 1) / (p * t.log_q) if t.log_q < 0.0 else math.inf,
-            (d - 1) * d / (2.0 * (p * t.gamma - (d - 1))) if p * t.gamma > d - 1 else math.inf,
-        )
-        if end == math.inf:
+        if t.log_q == 0.0 and p * t.gamma <= d - 1:
             return math.inf  # M_k^(1/p) times the term does not decay (a floor never does)
-        last = max(k_stop + 1, min(math.ceil(end), k_stop + _WEAK_SCAN))
-        if cumulative_multiplicity(d, last) >= _DOUBLE_LIMIT:  # refuse before forming the counts
-            lo, hi = k_stop + 1, last  # M_k increases: bisect for the first degree past the range
-            while lo < hi:
-                mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if cumulative_multiplicity(d, mid) >= _DOUBLE_LIMIT else (mid + 1, hi)
-            raise _beyond_doubles(d, f"degree {lo}")
-        k = np.arange(k_stop + 1, last + 1)
-        vals = np.log(_as_doubles(cumulative_multiplicity(d, k), d, k)) / p + t.log_bound(d, k)
-        sup = float(vals.max())
-        if end > last:
-            a, c = (d - 1) / p, -0.5 * t.log_q
-            b = c + t.gamma - a
-            root = math.sqrt(b * b + 4.0 * a * c)
-            y = max(2.0 * last + d + 1, 2.0 * a / (b + root) if b >= 0.0 else (root - b) / (2.0 * c))
-            log_m = (d - 1) * math.log(y) - (d - 2) * math.log(2.0) - math.lgamma(d)
-            sup = max(sup, log_m / p + float(t.log_bound(d, (y - (d - 1)) / 2.0)))
-        sups.append(sup)
+
+        def f(k):  # raised by 1e-14 of its parts' sizes, past their rounding
+            x = float(k)
+            log_m = math.log(2.0 * x + d - 1) + float(np.log(x + j).sum())
+            parts = (log_m / p, -math.lgamma(d) / p, t.log_c, x * t.log_q, -t.gamma * math.log(2.0 * x + d))
+            return math.fsum(parts) + 1e-14 * math.fsum(map(abs, parts))
+
+        def rises(k):  # f'(k) > 0
+            x = float(k)
+            return (2.0 / (2.0 * x + d - 1) + float((1.0 / (x + j)).sum())) / p + t.log_q > 2.0 * t.gamma / (2.0 * x + d)
+
+        k, step = k_stop + 1, 1
+        if rises(k):  # keep f rising at k and not at k + step, down to step 1
+            while rises(k + step):
+                step *= 2
+            while step > 1:
+                step //= 2
+                k += step if rises(k + step) else 0
+        sups.append(max(f(k), f(k + 1)))  # f rises up to degree k and falls from k + 1 on
     return float(_log_sum(sups))

@@ -572,8 +572,8 @@ def test_krein_envelope_beyond_the_double_range_exits_three(capsys):
         # at d = 120 the multiplicities pass DBL_MAX near degree 18,000, below --K
         ["--d", "120", "--symbol", "power:a=1,gamma=1", "--K", "20000", "--p", "200"],
         ["--d", "120", "--symbol", "power:a=1,gamma=1", "--K", "20000", "--p", "2", "--weak"],
-        # the weak tail bound scans the degrees past --K up to its peak, 74,500
-        ["--d", "150", "--symbol", "step:b=1,c=0.999", "--K", "10", "--p", "2", "--weak"],
+        # the weak norm's table runs to degree 40,000, past 6467 at d = 150
+        ["--d", "150", "--symbol", "step:b=1,c=0.999", "--p", "2", "--weak"],
     ],
     ids=["strong", "weak", "weak-tail"],
 )
@@ -581,12 +581,15 @@ def test_schatten_counts_beyond_the_double_range_exit_three(capsys, argv):
     code, out, err = run_cli(capsys, "schatten", *argv)
     assert code == 3 and out == ""
     assert "certification failure" in err and f"d={argv[1]}" in err and "degree" in err
+    if argv[3] == "step:b=1,c=0.999":
+        assert err == "harmotop: certification failure: the eigenvalue count at degree 6467 is beyond the double range (d=150)\n"
 
 
 @pytest.mark.parametrize("c", ["0.999", "0.9999"])
 def test_weak_tail_past_the_double_range_refuses_before_forming_the_counts(capsys, c):
-    # the scan would form up to 2^16 exact M_k, each a 1,000-bit int past
-    # degree 6467 at d = 150; the scalar count at the scan's end refuses first
+    # the tail's sup past degree 10 (about e^384 at c = 0.999) lies far above
+    # the table's and past the degree-6467 counts that leave the double
+    # range; the tail bound is one closed form per term and forms no count
     tracemalloc.start()
     try:
         code, out, err = run_cli(
@@ -596,8 +599,17 @@ def test_weak_tail_past_the_double_range_refuses_before_forming_the_counts(capsy
     finally:
         tracemalloc.stop()
     assert (code, out) == (3, "")
-    assert err == "harmotop: certification failure: the eigenvalue count at degree 6467 is beyond the double range (d=150)\n"
+    assert err == "harmotop: certification failure: weak-norm tail beyond degree 10 may exceed the enumerated sup\n"
     assert peak < 1e6
+
+
+def test_weak_tail_at_a_large_dimension_certifies_a_small_table(capsys):
+    # past degree 10 the tail falls from degree 11 on, from e^-100.20, just
+    # below the table's sup e^-100.16; the AM-GM majorant of M_k, which
+    # gives e^-87.5 there, would refuse it
+    code, out, _ = run_cli(capsys, "schatten", "--d", "150", "--symbol", "step:b=1,c=0.5", "--K", "10", "--p", "2", "--weak")
+    assert code == 0
+    assert _rows(out) == [["2", "1", "3.1818330972116663e-44", "radial-series"]]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -44,10 +44,7 @@ UNREACHED = {
         "symbols.GeneralSymbol.check_boundary_meta",
     ],
     # refusals that no traced case triggers; tests do
-    "refusal paths": [
-        "radial_toeplitz._beyond_doubles",
-        "cli.SymbolSyntaxError.__init__",
-    ],
+    "refusal paths": ["cli.SymbolSyntaxError.__init__"],
     # the default grid of a degree, for library callers and tests; a command
     # runs on a general:@ file's own grid
     "TruncationSpec.for_degree": ["grids.TruncationSpec.for_degree"],
