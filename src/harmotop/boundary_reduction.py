@@ -69,8 +69,8 @@ def inverse_power_weyl_fit(v: Power, d: int, e_grid) -> AsymptoticFit:
     which coincides with the Toeplitz counting function at lam = E^-gamma,
     and fits the power law with pinned exponent d-1 by regressing
     count^(1/(d-1)) on E.  The coefficient approaches the boundary counting
-    constant; one that is not a positive finite double (a grid over which
-    the count does not grow) raises TailNotCertifiedError.
+    constant.  A count that does not grow over the grid, or a coefficient
+    that is not a positive finite double, raises TailNotCertifiedError.
     """
     e_arr = np.asarray(e_grid, dtype=float)
     if e_arr.size < 4:

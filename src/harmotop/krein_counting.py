@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import TailNotCertifiedError
 from .numerics import bessel_zero_counts
-from .radial_toeplitz import boundary_law_constant
+from .radial_toeplitz import _refuse_flat, boundary_law_constant
 
 __all__ = [
     "lam_power",
@@ -110,6 +110,7 @@ def weyl_L_fit(e_grid) -> tuple[float, float, np.ndarray]:
 
     The exponent comes from a free log-log fit; the coefficient from the
     deepest grid point.  The planar leading coefficient is area/(4 pi) = 1/4.
+    Counts that are the same at every grid point raise TailNotCertifiedError.
     """
     e_arr = np.asarray(e_grid, dtype=float)
     if e_arr.size < 2 or np.any(np.diff(e_arr) <= 0.0):
@@ -117,6 +118,7 @@ def weyl_L_fit(e_grid) -> tuple[float, float, np.ndarray]:
     counts = disk_counting(e_arr)
     if np.any(counts < 1):
         raise ValueError("energy grid starts below the first buckling value")
+    _refuse_flat(counts)
     exponent = float(np.polyfit(np.log(e_arr), np.log(counts), 1)[0])
     coefficient = float(counts[-1] / e_arr[-1])
     return exponent, coefficient, counts

@@ -333,15 +333,23 @@ def asymptotic_fit(
     return _power_law_fit(ln_lam, counts, n, np.log(big_l), exponent, big_l, "log-power")
 
 
+def _refuse_flat(counts) -> None:
+    """Refuse a fit over a grid where the count does not grow: its slope would be rounding noise."""
+    if min(counts) == max(counts):
+        raise TailNotCertifiedError(f"the count is {counts[0]} at every grid point; no law fits a count that does not grow")
+
+
 def _power_law_fit(ln_lam, counts, n, ln_x, exponent, x=None, model="power") -> AsymptoticFit:
     """Least-squares fit of the counts `n` (doubles >= 1) to n ~ C x^e, given ln x.
 
     A free e regresses ln n on ln x.  A pinned e takes ln C as the mean of
     ln n - e ln x or, given x, regresses n^(1/e) linearly on x, which
     cancels an O(1) offset in x (the degree offset of a counting function)
-    that otherwise biases the coefficient.  A coefficient that is not a
-    positive finite double raises TailNotCertifiedError.
+    that otherwise biases the coefficient.  Counts that are the same at
+    every grid point, or a coefficient that is not a positive finite
+    double, raise TailNotCertifiedError.
     """
+    _refuse_flat(counts)
     ln_n = np.log(n)
     if exponent is None:
         slope, intercept = np.polyfit(ln_x, ln_n, 1)
