@@ -5,10 +5,11 @@
 Each argument names one set of runs (for a hot-path change: its parent
 commit and the change) and the JSONL file that `perfbench/steady.py run`
 wrote for that set.  For every set and workload the record holds the number
-of runs, their seeds, the run length in seconds, and the best (lowest),
-first quartile, median and third quartile of `wall_s` and of `peak_rss_mb`.
-Traced runs carry no end-to-end metrics and are skipped.  Without --out the
-record goes to stdout.
+of runs, their seeds, the run length in seconds, and, for every metric the
+runs carry, its best, first quartile, median and third quartile.  The best
+is the highest for a metric that BENCHMARK.json marks "better": "higher",
+else the lowest.  Traced runs carry no end-to-end metrics and are skipped.
+Without --out the record goes to stdout.
 """
 from __future__ import annotations
 
@@ -18,32 +19,43 @@ import statistics
 import sys
 from pathlib import Path
 
-METRICS = ("wall_s", "peak_rss_mb")
+
+def _better() -> dict:
+    """name -> "lower" or "higher" for each end-to-end metric of BENCHMARK.json."""
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
-def _summary(values: list[float]) -> dict:
+def _summary(values: list[float], better: str) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    return {"best": min(values), "q1": q1, "median": median, "q3": q3}
+    return {"best": max(values) if better == "higher" else min(values), "q1": q1, "median": median, "q3": q3}
 
 
 def summarise(lines: list[str]) -> dict:
-    """workload -> {runs, seeds, run_seconds, wall_s, peak_rss_mb} over untraced runs."""
+    """workload -> {runs, seeds, run_seconds, and one summary per metric} over untraced runs."""
     runs: dict[str, list[dict]] = {}
     for line in lines:
         if line.strip():
             run = json.loads(line)
             if not run.get("trace"):
                 runs.setdefault(run["workload"], []).append(run)
+    better = _better()
     out = {}
     for workload, rs in sorted(runs.items()):
         seconds = sorted({r["seconds"] for r in rs})
         if len(seconds) != 1:
             raise ValueError(f"{workload}: runs of different lengths {seconds} in one set")
+        names = list(rs[0]["metrics"])
+        if any(list(r["metrics"]) != names for r in rs):
+            raise ValueError(f"{workload}: runs with different metrics in one set")
+        unknown = [m for m in names if m not in better]
+        if unknown:
+            raise ValueError(f"{workload}: {', '.join(unknown)} is not an end-to-end metric of BENCHMARK.json")
         out[workload] = {
             "runs": len(rs),
             "seeds": [r["seed"] for r in rs],
             "run_seconds": seconds[0],
-            **{m: _summary([r["metrics"][m]["value"] for r in rs]) for m in METRICS},
+            **{m: _summary([r["metrics"][m]["value"] for r in rs], better[m]) for m in names},
         }
     return out
 
