@@ -648,7 +648,7 @@ def test_fit_counts_beyond_the_double_range_exit_three(capsys, argv, row):
     assert f"the eigenvalue count at {row} is beyond the double range (d=150)" in err
 
 
-_FLAT = ["--symbol", "power:a=1,gamma=1", "--lnlambda", "-4.0:-4.0001:5", "--model"]
+_FLAT = ["asymptotics", "--d", "2", "--lnlambda", "-4.0:-4.0001:5", "--model"]
 
 
 @pytest.mark.parametrize(
@@ -659,9 +659,9 @@ _FLAT = ["--symbol", "power:a=1,gamma=1", "--lnlambda", "-4.0:-4.0001:5", "--mod
         pytest.param(["boundary", "--d", "2", "--E", "100:100.0001:6"], 97, id="100:100.0001:6"),
         pytest.param(["boundary", "--d", "2", "--E", "15:15.0015:4"], 13, id="boundary-d2-rising-slope"),
         pytest.param(["boundary", "--d", "3", "--E", "21:21.5:4"], 81, id="boundary-d3-even-exponent"),
-        pytest.param(["asymptotics", "--d", "2", *_FLAT, "power"], 51, id="asymptotics-free"),
-        pytest.param(["asymptotics", "--d", "2", *_FLAT, "power", "--exponent", "1"], 51, id="asymptotics-pinned"),
-        pytest.param(["asymptotics", "--d", "2", *_FLAT, "log-power", "--exponent", "2"], 51, id="asymptotics-log-power"),
+        pytest.param([*_FLAT, "power"], 51, id="asymptotics-free"),
+        pytest.param([*_FLAT, "power", "--exponent", "1"], 51, id="asymptotics-pinned"),
+        pytest.param([*_FLAT, "log-power", "--exponent", "2"], 51, id="asymptotics-log-power"),
         pytest.param(["krein", "--d", "2", "--E", "20:20.5:3"], 1, id="krein-E"),
     ],
 )
@@ -671,9 +671,7 @@ def test_boundary_fit_on_a_flat_count_exits_three(capsys, argv, count):
     # domain error" with exit 2; a positive one, or a negative one raised
     # to an even exponent, printed a coefficient near 0 with exit 0, as did
     # the free fits (exponent -1.06e-11, and 0 from `krein --E`)
-    if "--symbol" not in argv:
-        argv = [*argv, "--symbol", "power:a=1,gamma=1"]
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, "--symbol", "power:a=1,gamma=1")
     assert (code, out) == (3, "")
     assert err == f"harmotop: certification failure: the count is {count} at every grid point; no law fits a count that does not grow\n"
 
