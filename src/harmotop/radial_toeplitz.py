@@ -127,6 +127,11 @@ def _as_doubles(counts, d: int, keys, label: str = "degree {}") -> np.ndarray:
         raise TailNotCertifiedError(f"the eigenvalue count at {where} is beyond the double range (d={d})") from None
 
 
+def _table_ends(cap: int) -> list[int]:
+    """Last degrees of the growing degree tables: 1024 times the powers of 4 below `cap`, then `cap`."""
+    return [k for k in (1024 << 2 * i for i in range(cap.bit_length())) if k < cap] + [cap]
+
+
 def _log_sum(logs):
     """log of the sum of exp(l) over `logs` (scalars or arrays of one shape),
     -inf for none: the sum rule of `TailTerm`."""
@@ -241,14 +246,14 @@ def _count_tabulated(v: RadialSymbol, d: int, ln_lam: np.ndarray, sign: int) -> 
         )
     # The tail bound is nonincreasing in k: grow the block until its last
     # degree is certified (never, for a NaN threshold), then find the first.
-    lo, hi = 0, 1024
-    while not _log_tail_sup(terms, d, min(hi, _TABLE_CAP)) <= lowest:
-        if hi >= _TABLE_CAP:
-            raise TailNotCertifiedError(
-                f"tail above degree {_TABLE_CAP} cannot be certified below the threshold"
-            )
-        lo, hi = hi + 1, 4 * hi
-    k = np.arange(lo, min(hi, _TABLE_CAP) + 1)
+    lo = 0
+    for hi in _table_ends(_TABLE_CAP):
+        if _log_tail_sup(terms, d, hi) <= lowest:
+            break
+        lo = hi + 1
+    else:
+        raise TailNotCertifiedError(f"tail above degree {_TABLE_CAP} cannot be certified below the threshold")
+    k = np.arange(lo, hi + 1)
     logs, counts, _ = _sorted_table(v, d, int(k[np.argmax(_log_tail_sup(terms, d, k) <= lowest)]), sign)
     exceeding = np.searchsorted(-logs, -ln_lam)  # how many logs lie above each threshold
     return np.concatenate((np.zeros(1, counts.dtype), counts))[exceeding]
@@ -436,47 +441,41 @@ def schatten_radial(v: RadialSymbol, d: int, p: float, weak: bool = False, k_sto
     elif p < 1.0:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
     terms = v.tails(d)
-
-    if not weak:
-        limit = k_stop if k_stop is not None else 400_000
-        # the bound is nonincreasing in k: +inf at the last degree is +inf everywhere
-        last_tail = _tail_p_sum_log(terms, d, limit, p)
-        if last_tail == math.inf:
-            raise TailNotCertifiedError(f"p-th power tail beyond degree {limit} is not certified negligible")
-        K = limit if k_stop is not None else min(1024, limit)
-        while True:  # tables over geometrically growing degree ranges
-            _, logs, m = _degree_table(v, d, K)
-            # partial sums in units of exp(p * top), top the largest log, so
-            # that no term underflows before the root at large p
-            top = float(np.max(logs))
-            top = top if top > _NEG_INF else 0.0
-            with np.errstate(over="ignore"):  # p (logs - top) goes to -inf at a huge p: exp gives 0
-                scaled = np.exp(p * (logs - top))
-            partial = np.cumsum(_as_doubles(m, d, range(K + 1)) * scaled)
-            if k_stop is None:
-                log_floor = p * top + np.log(np.maximum(partial[8:], 1e-300)) + math.log(_REL_TOL)
-                certified = _tail_p_sum_log(terms, d, np.arange(8, K + 1), p) <= log_floor
-                if certified.any():
-                    return math.exp(top) * float(partial[8 + certified.argmax()]) ** (1.0 / p)
-            if K == limit:
-                break
-            K = min(4 * K, limit)
-        total = float(partial[-1])
-        if last_tail > p * top + math.log(max(total, 1e-300)) + math.log(1e-9):
-            raise TailNotCertifiedError(
-                f"p-th power tail beyond degree {limit} is not certified negligible"
-            )
-        return math.exp(top) * total ** (1.0 / p)
-
-    # Weak quasinorm: expand, sort by |mu| descending, take sup j^(1/p) s_j.
-    limit = k_stop if k_stop is not None else 40_000
-    logs, counts, degrees = _sorted_table(v, d, limit)
-    best_log = float(np.max(np.log(_as_doubles(counts, d, degrees)) / p + logs, initial=_NEG_INF))
-    if _weak_tail_sup_log(terms, d, limit, p) > best_log:
-        raise TailNotCertifiedError(
-            f"weak-norm tail beyond degree {limit} may exceed the enumerated sup"
-        )
-    return math.exp(best_log)
+    cap = k_stop if k_stop is not None else 40_000 if weak else 400_000
+    if weak:
+        tail, refusal = _weak_tail_sup_log, f"weak-norm tail beyond degree {cap} may exceed the enumerated sup"
+    else:
+        tail, refusal = _tail_p_sum_log, f"p-th power tail beyond degree {cap} is not certified negligible"
+    # each bound is nonincreasing in k: +inf at the last degree is +inf everywhere
+    last_tail = tail(terms, d, cap, p)
+    if last_tail == math.inf:
+        raise TailNotCertifiedError(refusal)
+    for K in _table_ends(cap) if k_stop is None else [k_stop]:
+        if weak:  # sort by |mu| descending, take sup j^(1/p) s_j, certified past K
+            logs, counts, degrees = _sorted_table(v, d, K)
+            best_log = float(np.max(np.log(_as_doubles(counts, d, degrees)) / p + logs, initial=_NEG_INF))
+            if tail(terms, d, K, p) <= best_log:
+                return math.exp(best_log)
+            continue
+        _, logs, m = _degree_table(v, d, K)
+        # partial sums in units of exp(p * top), top the largest log, so
+        # that no term underflows before the root at large p
+        top = float(np.max(logs))
+        top = top if top > _NEG_INF else 0.0
+        with np.errstate(over="ignore"):  # p (logs - top) goes to -inf at a huge p: exp gives 0
+            scaled = np.exp(p * (logs - top))
+        partial = np.cumsum(_as_doubles(m, d, range(K + 1)) * scaled)
+        if k_stop is None:
+            log_floor = p * top + np.log(np.maximum(partial[8:], 1e-300)) + math.log(_REL_TOL)
+            certified = tail(terms, d, np.arange(8, K + 1), p) <= log_floor
+            if certified.any():
+                return math.exp(top) * float(partial[8 + certified.argmax()]) ** (1.0 / p)
+    if weak:
+        raise TailNotCertifiedError(refusal)
+    total = float(partial[-1])
+    if last_tail > p * top + math.log(max(total, 1e-300)) + math.log(1e-9):
+        raise TailNotCertifiedError(refusal)
+    return math.exp(top) * total ** (1.0 / p)
 
 
 def _weak_tail_sup_log(terms, d: int, k_stop: int, p: float) -> float:

@@ -567,22 +567,35 @@ def test_krein_envelope_beyond_the_double_range_exits_three(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, reason",
     [
         # at d = 120 the multiplicities pass DBL_MAX near degree 18,000, below --K
-        ["--d", "120", "--symbol", "power:a=1,gamma=1", "--K", "20000", "--p", "200"],
-        ["--d", "120", "--symbol", "power:a=1,gamma=1", "--K", "20000", "--p", "2", "--weak"],
-        # the weak norm's table runs to degree 40,000, past 6467 at d = 150
-        ["--d", "150", "--symbol", "step:b=1,c=0.999", "--p", "2", "--weak"],
+        (["--d", "120", "--symbol", "power:a=1,gamma=1", "--K", "20000", "--p", "200"], None),
+        # p gamma = 2 <= d - 1: the weak tail does not decay, so no table is built
+        (
+            ["--d", "120", "--symbol", "power:a=1,gamma=1", "--K", "20000", "--p", "2", "--weak"],
+            "weak-norm tail beyond degree 20000 may exceed the enumerated sup",
+        ),
+        # a step's weak tail decays, so its table is built, and its counts leave the double range
+        (
+            ["--d", "120", "--symbol", "step:b=1,c=0.999", "--K", "20000", "--p", "2", "--weak"],
+            "the eigenvalue count at degree 17366 is beyond the double range (d=120)",
+        ),
+        # no table up to 4,096 certifies the weak norm; the next one, to 16,384, holds degree 6467
+        (
+            ["--d", "150", "--symbol", "step:b=1,c=0.999", "--p", "2", "--weak"],
+            "the eigenvalue count at degree 6467 is beyond the double range (d=150)",
+        ),
     ],
-    ids=["strong", "weak", "weak-tail"],
+    ids=["strong", "weak", "weak-count", "weak-tail"],
 )
-def test_schatten_counts_beyond_the_double_range_exit_three(capsys, argv):
+def test_schatten_counts_beyond_the_double_range_exit_three(capsys, argv, reason):
     code, out, err = run_cli(capsys, "schatten", *argv)
     assert code == 3 and out == ""
-    assert "certification failure" in err and f"d={argv[1]}" in err and "degree" in err
-    if argv[3] == "step:b=1,c=0.999":
-        assert err == "harmotop: certification failure: the eigenvalue count at degree 6467 is beyond the double range (d=150)\n"
+    if reason is None:
+        assert "certification failure" in err and f"d={argv[1]}" in err and "degree" in err
+    else:
+        assert err == f"harmotop: certification failure: {reason}\n"
 
 
 @pytest.mark.parametrize("c", ["0.999", "0.9999"])
@@ -610,6 +623,19 @@ def test_weak_tail_at_a_large_dimension_certifies_a_small_table(capsys):
     code, out, _ = run_cli(capsys, "schatten", "--d", "150", "--symbol", "step:b=1,c=0.5", "--K", "10", "--p", "2", "--weak")
     assert code == 0
     assert _rows(out) == [["2", "1", "3.1818330972116663e-44", "radial-series"]]
+
+
+@pytest.mark.parametrize("b, value", [("1", "3.1818330972116663e-44"), ("0", "0")])
+def test_weak_norm_at_a_large_dimension_stops_at_its_first_certified_table(capsys, b, value):
+    # the default table grows from degree 1,024, whose sup is certified here;
+    # a fixed table to 40,000 formed every M_k as a Python int (1.9 s), and at
+    # b = 1 refused at the count of degree 6467, past the double range
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "schatten", "--d", "150", "--symbol", f"step:b={b},c=0.5", "--p", "2", "--weak")
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert _rows(out) == [["2", "1", value, "radial-series"]]
+    assert elapsed < 0.2
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

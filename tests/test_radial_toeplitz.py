@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from harmotop import radial_toeplitz
 from harmotop.cli import main
 from harmotop.errors import TailNotCertifiedError
 from harmotop.harmonic_basis import cumulative_multiplicity, multiplicity
@@ -327,6 +328,44 @@ def test_schatten_radial_weak_tail_of_a_sum_is_the_sum_of_its_parts_tails():
             schatten_radial(both, 2, 2.0, weak=True, k_stop=K)
     value = schatten_radial(both, 2, 2.0, weak=True, k_stop=2)
     assert value == schatten_radial(Step(2.0, 0.9), 2, 2.0, weak=True, k_stop=2) == 2.3766764040609316
+
+
+def _random_radial_symbol(rng):
+    """A Power, Step, Sampled profile (vanishing at its last node or not) or a two-part sum of them."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return Power(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.2, 4.0)))
+    if kind == 1:
+        return Step(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.05, 0.95)))
+    if kind == 2:
+        r = np.sort(rng.choice(np.linspace(0.0, 0.98, 50), int(rng.integers(2, 6)), replace=False))
+        v = rng.uniform(-1.0, 1.0, r.size)
+        v[-1] *= rng.integers(2)
+        return Sampled(r.tolist(), v.tolist())
+    return SymbolSum((_random_radial_symbol(rng), _random_radial_symbol(rng)))
+
+
+def test_weak_norm_at_its_first_certified_table_is_the_sup_of_the_full_table(monkeypatch):
+    # a sup certified at the end K of the first table is the full sup: past K
+    # no rank exceeds the count M_J at the last degree J holding as large an
+    # eigenvalue, and below K the table's ranks are the true ones
+    rng = np.random.default_rng(27)
+    ends = []
+    table = radial_toeplitz._sorted_table
+    monkeypatch.setattr(radial_toeplitz, "_sorted_table", lambda v, d, K, *rest: ends.append(K) or table(v, d, K, *rest))
+    certified = early = 0
+    for _ in range(100):
+        v, d, p = _random_radial_symbol(rng), int(rng.choice([2, 3, 5])), float(rng.uniform(1.05, 6.0))
+        try:
+            full = schatten_radial(v, d, p, weak=True, k_stop=40_000)
+        except TailNotCertifiedError:
+            continue
+        ends.clear()
+        value = schatten_radial(v, d, p, weak=True)
+        assert value == full, (v, d, p, ends)
+        certified += 1
+        early += ends[-1] < 40_000
+    assert certified >= 40 and early >= 40, (certified, early)
 
 
 def _weak_tail_sup_by_full_scan(terms, d, k_stop, p, end):
