@@ -36,6 +36,9 @@ from .symbols import Power, RadialSymbol, Sampled, Step, SymbolSum, TabulatedSym
 
 FULL = ".17g"
 LN_DBL_MAX = math.log(sys.float_info.max)  # exp overflows above it
+# the most grid points or the highest degree an option may ask for: the
+# counting table's cap, far below sizes that no machine can hold
+SIZE_CAP = 10**6
 
 
 class SymbolSyntaxError(ValueError):
@@ -156,11 +159,15 @@ def _parse_range(text: str, name: str, want_count: bool = False) -> np.ndarray:
         lo, hi = float(parts[0]), float(parts[1])
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError
-        n = int(parts[2]) if len(parts) == 3 else max(4, round(abs(hi - lo)) + 1)
+        # without N, one point per unit of |HI - LO|; a span past the cap (or
+        # past the double range) makes SIZE_CAP + 1, refused below
+        n = int(parts[2]) if len(parts) == 3 else max(4, round(min(abs(hi - lo), SIZE_CAP)) + 1)
     except ValueError:
         raise ValueError(f"--{name} expects finite numeric LO:HI[:N], got {text!r}") from None
     if n < 2:
         raise ValueError(f"--{name} needs at least 2 points, got {n}")
+    if n > SIZE_CAP:
+        raise ValueError(f"--{name} asks for more than {SIZE_CAP} points")
     if want_count and len(parts) != 3:
         raise ValueError(f"--{name} requires LO:HI:N")
     return np.linspace(lo, hi, n)
@@ -185,9 +192,11 @@ def _finite(text: str) -> float:
 
 
 def _degree(text: str) -> int:
-    """A truncation degree, a decimal integer >= 0 (argparse names the option on refusal)."""
+    """A truncation degree, a decimal integer in [0, SIZE_CAP] (argparse names the option on refusal)."""
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    if int(text) > SIZE_CAP:
+        raise argparse.ArgumentTypeError(f"expected a degree of at most {SIZE_CAP}, got {text!r}")
     return int(text)
 
 

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -469,6 +470,28 @@ def test_non_finite_numeric_options_exit_two(capsys, argv, option):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert option in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["counting", "--d", "2", "--symbol", "step:b=1,c=0.5", "--lnlambda=-1e12:0"], "--lnlambda"),  # N from |HI-LO|
+        (["counting", "--d", "2", "--symbol", "step:b=1,c=0.5", "--lnlambda=-1:0:1000000000000"], "--lnlambda"),
+        (["counting", "--d", "2", "--symbol", "step:b=1,c=0.5", "--lnlambda=-1e308:1e308"], "--lnlambda"),  # |HI-LO| = inf
+        (["krein", *POWER, "--E", "100:200:1000000000000"], "--E"),
+        (["spectrum", "--d", "2", "--symbol", "step:b=1,c=0.5", "--K", "1000000000000"], "--K"),
+        (["schatten", "--d", "2", "--symbol", "step:b=1,c=0.5", "--p", "2", "--weak", "--K", "1000000000000"], "--K"),
+    ],
+)
+def test_sizes_past_the_cap_exit_two_before_any_array(capsys, argv, option):
+    # each asked numpy for 7.28 TiB (or rounded an infinite span) and ended in a traceback
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # refused by the argument parser
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert option in err and re.search(r"\b1000000\b", err) and "Traceback" not in err  # the bound, not the ask
 
 
 @pytest.mark.parametrize("exponent", ["0", "-1"])
