@@ -48,12 +48,6 @@ UNREACHED = {
     # the default grid of a degree, for library callers and tests; a command
     # runs on a general:@ file's own grid
     "TruncationSpec.for_degree": ["grids.TruncationSpec.for_degree"],
-    # a command reaches these, but no traced case does: spectrum or boundary
-    # on a sampled:@ profile, krein without --vsup on a sum: symbol
-    "reached by commands, not by the traced cases": [
-        "symbols.Sampled.mu",
-        "symbols.SymbolSum.sup",
-    ],
 }
 
 

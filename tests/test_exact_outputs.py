@@ -45,6 +45,8 @@ CASES = {
     ],
     "spectrum-radial": ["spectrum", "--d", "3", "--symbol", "power:a=1,gamma=1", "--K", "8"],
     "spectrum-general": ["spectrum", "--d", "2", "--symbol", GENERAL, "--matrix-output", MATRIX],
+    # the linear mu_k of a sampled profile (`Sampled.mu`)
+    "spectrum-sampled": ["spectrum", "--d", "2", "--symbol", PROFILE, "--K", "4"],
     "schatten-radial": ["schatten", "--d", "2", "--symbol", "step:b=1,c=0.5", "--p", "1.5"],
     # certified strong stops of a power tail, and of a step plus a power tail (the Minkowski sum)
     "schatten-radial-power": ["schatten", "--d", "2", "--symbol", "power:a=1,gamma=1", "--p", "4"],
@@ -59,6 +61,8 @@ CASES = {
     "boundary-power-E": ["boundary", "--d", "3", "--symbol", "power:a=1,gamma=2", "--E", "100:2000:6"],
     "krein-d2": ["krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--lnlambda", "-6:-2:5"],
     "krein-d3": ["krein", "--d", "3", "--symbol", "power:a=1,gamma=2", "--lnlambda", "-6:-2:5"],
+    # the default eps reads sup V of a sum (`SymbolSum.sup`)
+    "krein-sum": ["krein", "--d", "2", "--symbol", "sum:[power:a=1,gamma=1; step:b=0.5,c=0.3]", "--lnlambda", "-8:-4:3"],
     "krein-step": ["krein", "--d", "2", "--symbol", "step:b=1,c=0.5", "--lnlambda", "-9:-3:4", "--eps", "0.25"],
     # lambda prints sub-normal, then 0 below ln lambda = -745; the bounds are counted at ln lambda
     "krein-step-deep": ["krein", "--d", "2", "--symbol", "step:b=1,c=0.5", "--lnlambda", "-760:-700:5", "--eps", "0.5"],
