@@ -470,12 +470,9 @@ def schatten_radial(v: RadialSymbol, d: int, p: float, weak: bool = False, k_sto
             certified = tail(terms, d, np.arange(8, K + 1), p) <= log_floor
             if certified.any():
                 return math.exp(top) * float(partial[8 + certified.argmax()]) ** (1.0 / p)
-    if weak:
+    if weak or last_tail > p * top + math.log(max(float(partial[-1]), 1e-300)) + math.log(1e-9):
         raise TailNotCertifiedError(refusal)
-    total = float(partial[-1])
-    if last_tail > p * top + math.log(max(total, 1e-300)) + math.log(1e-9):
-        raise TailNotCertifiedError(refusal)
-    return math.exp(top) * total ** (1.0 / p)
+    return math.exp(top) * float(partial[-1]) ** (1.0 / p)
 
 
 def _weak_tail_sup_log(terms, d: int, k_stop: int, p: float) -> float:
