@@ -243,7 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default="0,0.25,0.5,0.75,0.9,0.95")
 
     p = sub.add_parser("schatten", help="Schatten norms")
-    common(p, "last degree of a radial series (default: a certified stop, degree 40,000 for --weak); a general:@ file fixes it")
+    common(
+        p,
+        "last degree of a radial series (default: the first certified table, up to degree 400,000, "
+        "or 40,000 for --weak); a general:@ file fixes it",
+    )
     p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--weak", action="store_true")
 

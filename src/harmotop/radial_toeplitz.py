@@ -431,9 +431,13 @@ def schatten_radial(v: RadialSymbol, d: int, p: float, weak: bool = False, k_sto
     The tail beyond the cutoff degree is certified against the symbol's
     decay profile; TailNotCertifiedError signals a cutoff that cannot be
     certified (e.g. a boundary value that does not vanish, or an exponent
-    for which the series diverges).  Without `k_stop` the strong norm stops
-    at the first degree k >= 8 (up to 400,000) whose tail is certified below
-    _REL_TOL times the partial sum; the weak one stops at degree 40,000.
+    for which the series diverges).  Without `k_stop` both grow their
+    tables by `_table_ends`: the strong norm stops at the first degree
+    k >= 8 (up to 400,000) whose tail is certified below _REL_TOL times the
+    partial sum, the weak one at the first table (up to degree 40,000) whose
+    sup bounds the tail's.  That sup is the whole sup: a rank past the
+    table is at most M_J, J the last degree with an eigenvalue as large, so
+    its term is at most the tail's bound, and below it the ranks are exact.
     """
     if weak:
         if p <= 1.0:
