@@ -129,7 +129,7 @@ def _as_doubles(counts, d: int, keys, label: str = "degree {}") -> np.ndarray:
 
 def _table_ends(cap: int) -> list[int]:
     """Last degrees of the growing degree tables: 1024 times the powers of 4 below `cap`, then `cap`."""
-    return [k for k in (1024 << 2 * i for i in range(cap.bit_length())) if k < cap] + [cap]
+    return [1024 * 4**i for i in range(cap.bit_length()) if 1024 * 4**i < cap] + [cap]
 
 
 def _log_sum(logs):

@@ -484,7 +484,7 @@ def test_non_finite_numeric_options_exit_two(capsys, argv, option):
     ],
 )
 def test_sizes_past_the_cap_exit_two_before_any_array(capsys, argv, option):
-    # each asked numpy for 7.28 TiB (or rounded an infinite span) and ended in a traceback
+    # each would ask numpy for 7.28 TiB, or round an infinite span to a count
     try:
         code = main(argv)
     except SystemExit as exc:  # refused by the argument parser
@@ -650,9 +650,8 @@ def test_weak_tail_at_a_large_dimension_certifies_a_small_table(capsys):
 
 @pytest.mark.parametrize("b, value", [("1", "3.1818330972116663e-44"), ("0", "0")])
 def test_weak_norm_at_a_large_dimension_stops_at_its_first_certified_table(capsys, b, value):
-    # the default table grows from degree 1,024, whose sup is certified here;
-    # a fixed table to 40,000 formed every M_k as a Python int (1.9 s), and at
-    # b = 1 refused at the count of degree 6467, past the double range
+    # the first table, to degree 1,024, certifies the sup; its counts fit in
+    # doubles, where those of a table past degree 6467 would not
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "schatten", "--d", "150", "--symbol", f"step:b={b},c=0.5", "--p", "2", "--weak")
     elapsed = time.perf_counter() - start
