@@ -2,8 +2,9 @@
 
 Each case runs one `harmotop` invocation per output format and compares its
 exit code, its stdout and any file it writes with the fixture recorded in
-`golden/exact_outputs.json`, with `==`: no ulp tolerance (test_golden.py
-allows 4 ulp).  A change to how results are formatted must keep these bytes.
+`golden/exact_outputs.json`, with `==`: no ulp tolerance, also for the
+outputs that go through LAPACK (`np.polyfit`, `eigvalsh`).  A change to how
+results are formatted must keep these bytes.
 Paths inside outputs are written as `{golden}` and `{tmp}`.  After a
 deliberate change of outputs, rewrite the named fixtures (all of them when
 no name is given) with
@@ -36,6 +37,11 @@ CASES = {
         "--lnlambda", "-8:-2:7", "--sign", "minus",
     ],
     "counting-sampled": ["counting", "--d", "2", "--symbol", PROFILE, "--lnlambda", "-6:-1:6"],
+    "counting-power": ["counting", "--d", "2", "--symbol", "power:a=1,gamma=1.5", "--lnlambda", "-12:-1:12"],
+    "counting-step": ["counting", "--d", "3", "--symbol", "step:b=0.8,c=0.6", "--lnlambda", "-120:-2:15"],
+    "counting-sum": [
+        "counting", "--d", "3", "--symbol", "sum:[power:a=1,gamma=2; step:b=-0.5,c=0.4]", "--lnlambda", "-8:-2:7",
+    ],
     "asymptotics-power": [
         "asymptotics", "--d", "3", "--symbol", "power:a=1.5,gamma=2", "--model", "power", "--lnlambda", "-10:-4:7",
     ],
@@ -43,22 +49,34 @@ CASES = {
         "asymptotics", "--d", "2", "--symbol", "step:b=1,c=0.5", "--model", "log-power",
         "--lnlambda", "-80:-10:8", "--exponent", "2",
     ],
+    "asymptotics-power-d2": [
+        "asymptotics", "--d", "2", "--symbol", "power:a=1,gamma=1", "--model", "power", "--lnlambda", "-10:-4:7",
+    ],
+    "asymptotics-step": [
+        "asymptotics", "--d", "3", "--symbol", "step:b=1,c=0.5", "--model", "log-power", "--lnlambda", "-80:-10:8",
+    ],
     "spectrum-radial": ["spectrum", "--d", "3", "--symbol", "power:a=1,gamma=1", "--K", "8"],
     "spectrum-general": ["spectrum", "--d", "2", "--symbol", GENERAL, "--matrix-output", MATRIX],
     # the linear mu_k of a sampled profile (`Sampled.mu`)
     "spectrum-sampled": ["spectrum", "--d", "2", "--symbol", PROFILE, "--K", "4"],
+    "spectrum-sampled-K12": ["spectrum", "--d", "2", "--symbol", PROFILE, "--K", "12"],
+    "spectrum-power": ["spectrum", "--d", "3", "--symbol", "power:a=1,gamma=1", "--K", "20"],
     "schatten-radial": ["schatten", "--d", "2", "--symbol", "step:b=1,c=0.5", "--p", "1.5"],
     # certified strong stops of a power tail, and of a step plus a power tail (the Minkowski sum)
     "schatten-radial-power": ["schatten", "--d", "2", "--symbol", "power:a=1,gamma=1", "--p", "4"],
     "schatten-radial-sum": ["schatten", "--d", "2", "--symbol", "sum:[step:b=1,c=0.5; power:a=1,gamma=1]", "--p", "4"],
     "schatten-radial-weak": ["schatten", "--d", "3", "--symbol", "power:a=1,gamma=3", "--p", "2", "--weak", "--K", "200"],
+    "schatten-weak-power": ["schatten", "--d", "3", "--symbol", "power:a=1,gamma=3", "--p", "2", "--weak", "--K", "2000"],
     "schatten-galerkin": ["schatten", "--d", "2", "--symbol", GENERAL, "--p", "2"],
     "schatten-galerkin-weak": ["schatten", "--d", "2", "--symbol", GENERAL, "--p", "2", "--weak"],
     "berezin": ["berezin", "--d", "2", "--symbol", "step:b=1,c=0.5", "--K", "20", "--radii", "0,0.5,0.9"],
+    "berezin-power": ["berezin", "--d", "2", "--symbol", "power:a=1,gamma=2", "--K", "60", "--radii", "0,0.3,0.6,0.9"],
     "boundary-power": ["boundary", "--d", "2", "--symbol", "power:a=1,gamma=1.5", "--K", "5"],
     "boundary-sum": ["boundary", "--d", "3", "--symbol", "sum:[step:b=1,c=0.5; power:a=1,gamma=1]", "--K", "4"],
+    "boundary-sum-d2": ["boundary", "--d", "2", "--symbol", "sum:[step:b=1,c=0.5; power:a=1,gamma=1]", "--K", "6"],
     "boundary-general": ["boundary", "--d", "2", "--symbol", GENERAL, "--K", "3"],
     "boundary-power-E": ["boundary", "--d", "3", "--symbol", "power:a=1,gamma=2", "--E", "100:2000:6"],
+    "boundary-power-E-d2": ["boundary", "--d", "2", "--symbol", "power:a=1,gamma=1.5", "--E", "100:2000:6"],
     "krein-d2": ["krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--lnlambda", "-6:-2:5"],
     "krein-d3": ["krein", "--d", "3", "--symbol", "power:a=1,gamma=2", "--lnlambda", "-6:-2:5"],
     # the default eps reads sup V of a sum (`SymbolSum.sup`)
@@ -110,6 +128,11 @@ def exact():
 
 def test_fixtures_cover_every_case(exact):
     assert sorted(exact) == sorted(f"{n}/{f}" for n in CASES for f in FORMATS)
+
+
+def test_every_case_runs_its_own_argv():
+    # a second name for one invocation pins nothing more
+    assert len({tuple(argv) for argv in CASES.values()}) == len(CASES)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
