@@ -21,15 +21,16 @@ claimed from perfbench/run.py.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib
 import importlib.util
-import io
 import random
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from op_digests import run  # noqa: E402
 
 
 def load_cli(root: Path, name: str):
@@ -42,17 +43,6 @@ def load_cli(root: Path, name: str):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return importlib.import_module(f"{name}.cli")
-
-
-def _run(cli, argv: list[str]) -> tuple[float, str]:
-    out = io.StringIO()
-    t0 = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            cli.main(list(argv))
-        except SystemExit:
-            pass
-    return time.perf_counter() - t0, out.getvalue()
 
 
 def ab_ops(workload: str, seed: int, root_a: Path, root_b: Path, reps: int) -> list[str]:
@@ -74,8 +64,9 @@ def ab_ops(workload: str, seed: int, root_a: Path, root_b: Path, reps: int) -> l
             best, texts = [float("inf")] * 2, [None, None]
             for rep in range(reps):
                 for side in ((0, 1) if (i + rep) % 2 == 0 else (1, 0)):
-                    dt, texts[side] = _run(sides[side], op["argv"])
-                    best[side] = min(best[side], dt)
+                    t0 = time.perf_counter()
+                    texts[side] = run(sides[side], op["argv"])[1]
+                    best[side] = min(best[side], time.perf_counter() - t0)
             totals = [t + b for t, b in zip(totals, best)]
             same = "same" if texts[0] == texts[1] else "DIFFERS"
             argv = " ".join(op["argv"]).replace(tmp, "{tmp}")

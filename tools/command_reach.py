@@ -56,12 +56,13 @@ def _functions(path: Path):
 
 
 def _run_commands(tracer) -> None:
-    for path in (str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")):
+    for path in (str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench"), str(ROOT / "tools")):
         if path not in sys.path:
             sys.path.insert(0, path)
     import test_exact_outputs as exact
     import workloads
     from harmotop import cli
+    from op_digests import run
 
     with (
         tempfile.TemporaryDirectory() as tmp,
@@ -77,10 +78,7 @@ def _run_commands(tracer) -> None:
                     exact.run_case(exact.CASES[name], fmt, Path(tmp))
             for workload, build in sorted(workloads.WORKLOADS.items()):
                 for op in build(random.Random(f"{workload}:1"), Path(tmp)):
-                    try:
-                        cli.main(list(op["argv"]))
-                    except SystemExit:
-                        pass
+                    run(cli, op["argv"])
         finally:
             sys.settrace(previous)
 

@@ -15,7 +15,8 @@ With --against OTHER, the listing of the checkout OTHER is made by this tool
 in a subprocess (so the two packages never share a process), and only the
 lines that differ are printed, OTHER's as `- ...` and --root's as `+ ...`;
 the exit code is 1 on any difference and 0 when the listings are equal.
-perfbench/ is only imported, never written.
+perfbench/ is only imported, never written.  The runner (`run`) and the
+diff (`report`) are the ones tools/schatten_sweep.py and tools/ab_ops.py use.
 """
 from __future__ import annotations
 
@@ -37,6 +38,37 @@ def _sha1(text: str) -> str:
     return hashlib.sha1(text.encode()).hexdigest()
 
 
+def run(cli, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one `cli.main` call; argparse's SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code if isinstance(exc.code, int) else 2
+    return rc, out.getvalue(), err.getvalue()
+
+
+def report(lines: list[str], tool: str, args: list[str], against: Path | None) -> int:
+    """Print `lines`, or with `against` only those that differ from the listing
+    `tool args --root against` makes in a subprocess (so the two packages never
+    share a process): the other's as `- ...`, ours as `+ ...`, exit code 1 on
+    any difference and 0 when the listings are equal."""
+    if against is None:
+        print("\n".join(lines))
+        return 0
+    other = subprocess.run(
+        [sys.executable, str(Path(tool).resolve()), *args, "--root", str(against.resolve())],
+        stdout=subprocess.PIPE, text=True, check=True,  # the other checkout's errors reach stderr
+    ).stdout.splitlines()
+    differ = False
+    for theirs, ours in itertools.zip_longest(other, lines):
+        if theirs != ours:
+            differ = True
+            print("\n".join(f"{mark} {line}" for mark, line in (("-", theirs), ("+", ours)) if line is not None))
+    return 1 if differ else 0
+
+
 def digest_ops(workload: str, seed: int, root: Path) -> list[str]:
     """One line per invocation of the workload's round: index, rc, digests, argv."""
     for path in (str(root / "perfbench"), str(root / "src")):
@@ -52,13 +84,8 @@ def digest_ops(workload: str, seed: int, root: Path) -> list[str]:
         ops = workloads.WORKLOADS[workload](random.Random(f"{workload}:{seed}"), Path(tmp))
         for i, op in enumerate(ops):
             argv = op["argv"]
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                try:
-                    rc = cli.main(list(argv))
-                except SystemExit as exc:
-                    rc = exc.code if isinstance(exc.code, int) else 2
-            fields = [str(i), f"rc={rc}", f"stdout={_sha1(out.getvalue().replace(tmp, '{tmp}'))}"]
+            rc, out, _ = run(cli, argv)
+            fields = [str(i), f"rc={rc}", f"stdout={_sha1(out.replace(tmp, '{tmp}'))}"]
             for flag, value in zip(argv, argv[1:]):
                 if flag in OUTPUT_FLAGS:
                     written = Path(value).read_text().replace(tmp, "{tmp}")
@@ -76,19 +103,7 @@ def main(argv=None) -> int:
     ap.add_argument("--against", type=Path, default=None, help="print only the lines that differ from this checkout's")
     args = ap.parse_args(argv)
     lines = digest_ops(args.workload, args.seed, args.root.resolve())
-    if args.against is None:
-        print("\n".join(lines))
-        return 0
-    other = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), args.workload, str(args.seed), "--root", str(args.against.resolve())],
-        stdout=subprocess.PIPE, text=True, check=True,  # the other checkout's errors reach stderr
-    ).stdout.splitlines()
-    differ = False
-    for theirs, ours in itertools.zip_longest(other, lines):
-        if theirs != ours:
-            differ = True
-            print("\n".join(f"{mark} {line}" for mark, line in (("-", theirs), ("+", ours)) if line is not None))
-    return 1 if differ else 0
+    return report(lines, __file__, [args.workload, str(args.seed)], args.against)
 
 
 if __name__ == "__main__":

@@ -20,14 +20,13 @@ any difference and 0 when the listings are equal.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
-import itertools
 import random
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from op_digests import report, run  # noqa: E402
 
 DIMENSIONS = (2, 3, 4, 5, 8, 12, 20, 40, 80, 150)
 PROFILES = 8
@@ -80,14 +79,9 @@ def outcomes(seed: int, n: int, root: Path) -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, argv in enumerate(sweep_commands(seed, n, Path(tmp))):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    rc = cli.main(list(argv))
-                except SystemExit as exc:
-                    rc = exc.code if isinstance(exc.code, int) else 2
+            rc, out, err = run(cli, argv)
             # the value column of the one row, or the last line of the refusal
-            result = out.getvalue().splitlines()[-1].split(",")[2] if rc == 0 else err.getvalue().strip().splitlines()[-1]
+            result = out.splitlines()[-1].split(",")[2] if rc == 0 else err.strip().splitlines()[-1]
             lines.append("  ".join([str(i), f"rc={rc}", result, " ".join(argv)]).replace(tmp, "{tmp}"))
     return lines
 
@@ -100,19 +94,7 @@ def main(argv=None) -> int:
     ap.add_argument("--against", type=Path, default=None, help="print only the lines that differ from this checkout's")
     args = ap.parse_args(argv)
     lines = outcomes(args.seed, args.n, args.root.resolve())
-    if args.against is None:
-        print("\n".join(lines))
-        return 0
-    other = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), str(args.seed), str(args.n), "--root", str(args.against.resolve())],
-        stdout=subprocess.PIPE, text=True, check=True,  # the other checkout's errors reach stderr
-    ).stdout.splitlines()
-    differ = False
-    for theirs, ours in itertools.zip_longest(other, lines):
-        if theirs != ours:
-            differ = True
-            print("\n".join(f"{mark} {line}" for mark, line in (("-", theirs), ("+", ours)) if line is not None))
-    return 1 if differ else 0
+    return report(lines, __file__, [str(args.seed), str(args.n)], args.against)
 
 
 if __name__ == "__main__":
