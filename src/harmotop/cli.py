@@ -38,7 +38,7 @@ FULL = ".17g"
 LN_DBL_MAX = math.log(sys.float_info.max)  # exp overflows above it
 # the most grid points or the highest degree an option may ask for: the
 # counting table's cap, far below sizes that no machine can hold
-SIZE_CAP = 10**6
+SIZE_CAP = rt._TABLE_CAP
 
 
 class SymbolSyntaxError(ValueError):
@@ -261,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--E", dest="e_grid", default=None, help="energy grid LO:HI:N for the complementary-spectrum counting")
     p.add_argument("--eps", type=_finite, default=None, help="fixed eps (default lambda^theta)")
     p.add_argument("--lam1", type=_finite, default=10.0)
-    p.add_argument("--vsup", type=_finite, default=None)
 
     return parser
 
@@ -469,7 +468,7 @@ def _cmd_krein(args):
         }
         return {"E": e_grid, "count": counts.tolist()}, meta
     ln_grid = _ln_lambda_grid(args.lnlambda)
-    v_sup = args.vsup if args.vsup is not None else symbol.sup()
+    v_sup = symbol.sup()
     gamma = symbol.gamma if isinstance(symbol, Power) else None
     theta = 2.0 * (args.d - 1) / (gamma * (args.d + 2)) if gamma else 0.5
     epss = [args.eps] * len(ln_grid) if args.eps is not None else [min(0.5, x) for x in kc.lam_power(ln_grid, theta)]
@@ -539,7 +538,7 @@ _COMMANDS = {
 }
 
 
-_VALUE_FLAGS = ("--lnlambda", "--E", "--lambda", "--radii", "--eps", "--vsup", "--exponent")
+_VALUE_FLAGS = ("--lnlambda", "--E", "--lambda", "--radii", "--eps", "--exponent")
 
 
 def _glue_negative_values(argv: list[str]) -> list[str]:
@@ -562,14 +561,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negative_values(list(sys.argv[1:] if argv is None else argv)))
     try:
-        table, meta = _COMMANDS[args.command](args)
+        emit(*_COMMANDS[args.command](args), args)
     except TailNotCertifiedError as exc:
         print(f"harmotop: certification failure: {exc}", file=sys.stderr)
         return 3
     except (SymbolSyntaxError, ValueError, OSError, KeyError) as exc:
         print(f"harmotop: {exc}", file=sys.stderr)
         return 2
-    emit(table, meta, args)
     return 0
 
 

@@ -459,7 +459,6 @@ POWER = ["--d", "2", "--symbol", "power:a=1,gamma=1"]
         (["krein", *POWER, "--lnlambda", "-8:-4:3", "--lam1", "nan"], "--lam1"),
         (["krein", "--d", "3", "--symbol", "power:a=1,gamma=1", "--lnlambda", "-8:-4:3", "--lam1", "inf"], "--lam1"),
         (["krein", *POWER, "--lnlambda", "-8:-4:3", "--eps", "nan"], "--eps"),
-        (["krein", *POWER, "--lnlambda", "-8:-4:3", "--vsup", "inf"], "--vsup"),
     ],
 )
 def test_non_finite_numeric_options_exit_two(capsys, argv, option):
@@ -470,6 +469,18 @@ def test_non_finite_numeric_options_exit_two(capsys, argv, option):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert option in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("flag", ["--output", "--matrix-output"])
+def test_writing_into_a_missing_directory_exits_two(capsys, tmp_path, flag, fmt):
+    # both files are written inside main's try, so a path that cannot be
+    # written is refused like any other input: exit 2, one line, no stdout
+    target = str(tmp_path / "missing" / "x.csv")
+    argv = ["spectrum", "--d", "2", "--symbol", "step:b=1,c=0.5", "--K", "3", flag, target, "--format", fmt]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("harmotop: ") and err.count("\n") == 1 and target in err
 
 
 @pytest.mark.parametrize(
