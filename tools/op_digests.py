@@ -15,8 +15,8 @@ With --against OTHER, the listing of the checkout OTHER is made by this tool
 in a subprocess (so the two packages never share a process), and only the
 lines that differ are printed, OTHER's as `- ...` and --root's as `+ ...`;
 the exit code is 1 on any difference and 0 when the listings are equal.
-perfbench/ is only imported, never written.  The runner (`run`) and the
-diff (`report`) are the ones tools/schatten_sweep.py and tools/ab_ops.py use.
+perfbench/ is only imported, never written.  The other tools run commands
+through this tool's `run`, and schatten_sweep.py diffs through its `report`.
 """
 from __future__ import annotations
 
