@@ -2,12 +2,11 @@
 
 from .errors import TailNotCertifiedError
 from .grids import TruncationSpec
-from .symbols import GeneralSymbol, Power, RadialSymbol, Sampled, Step, SymbolSum
+from .symbols import Power, RadialSymbol, Sampled, Step, SymbolSum
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GeneralSymbol",
     "Power",
     "RadialSymbol",
     "Sampled",

@@ -16,7 +16,6 @@ from .harmonic_basis import multiplicity, sphere_surface_area
 from .symbols import RadialSymbol, symbol_on_grid
 
 __all__ = [
-    "density",
     "density_radial",
     "berezin_transform",
 ]
@@ -68,14 +67,6 @@ def density_radial(d: int, r, max_degree: int) -> np.ndarray:
     return acc
 
 
-def density(d: int, x, max_degree: int) -> float:
-    """Kernel diagonal at a point of the ball (positive, radial)."""
-    r = float(np.linalg.norm(np.asarray(x, dtype=float)))
-    if r >= 1.0:
-        raise ValueError("point must lie inside the unit ball")
-    return float(density_radial(d, np.array([r]), max_degree)[0])
-
-
 def berezin_transform(
     V,
     d: int,
@@ -105,6 +96,7 @@ def berezin_transform(
             coeff = weights * rx ** (2 * np.arange(max_degree + 1))
             return float(np.dot(coeff, mus) / np.sum(coeff))
 
+        values = [at(p, rx) for p, rx in zip(stack, radii)]
     else:
         if spec is None:
             spec = TruncationSpec.for_degree(max_degree)
@@ -116,7 +108,8 @@ def berezin_transform(
             # R_K(x, y_j) over all nodes from t = x^ . y^ and |x||y_j|.
             t = grid.points @ (p / rx) / safe_r if rx > 0.0 else np.ones(node_r.size)
             kernel_vals = _kernel_sum(d, max_degree, rx * node_r, t)
-            return float(np.dot(grid.weights, kernel_vals**2 * vals)) / density(d, p, max_degree)
+            return float(np.dot(grid.weights, kernel_vals**2 * vals))
 
-    values = [at(p, rx) for p, rx in zip(stack, radii)]
+        diagonal = density_radial(d, np.array(radii), max_degree)
+        values = [at(p, rx) / rho for p, rx, rho in zip(stack, radii, diagonal.tolist())]
     return values[0] if points.ndim == 1 else np.array(values)

@@ -13,15 +13,14 @@ multiplication by mu_k = (2k+d) int_0^1 v(r) r^(2k+d-1) dr, so each variant
 is described by its profile, its mu_k and a certified bound on |mu_k| (a
 sum of TailTerms); SymbolSum composes the results of its parts.
 
-General symbols evaluate pointwise on the open unit ball and may declare
-power-type boundary behaviour V(x) ~ (1-|x|)^gamma a0(x/|x|); tabulated
-symbols carry their values on one tensor quadrature grid.
+A general symbol is any callable V(points) that maps an (n, d) array of
+points of the open unit ball to n values; tabulated symbols carry their
+values on one tensor quadrature grid.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "Power",
     "Sampled",
     "SymbolSum",
-    "GeneralSymbol",
     "TabulatedSymbol",
     "symbol_on_grid",
 ]
@@ -402,34 +400,6 @@ class SymbolSum(RadialSymbol):
 # --- general symbols ---------------------------------------------------------
 
 
-@dataclass
-class GeneralSymbol:
-    """Multiplier on the unit ball, evaluated on (n, d) arrays of points.
-
-    boundary_gamma/boundary_trace, when set, declare the decay structure
-    V(x) = (1-|x|)^gamma a(x) with trace a0 on the sphere; spot-check with
-    :meth:`check_boundary_meta`.
-    """
-
-    func: Callable[[np.ndarray], np.ndarray]
-    boundary_gamma: float | None = None
-    boundary_trace: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.asarray(self.func(points), dtype=float)
-
-    def check_boundary_meta(self, d: int, n_dirs: int = 16, radius: float = 0.999, rtol: float = 0.05) -> bool:
-        if self.boundary_gamma is None or self.boundary_trace is None:
-            raise ValueError("no boundary metadata declared")
-        rng = np.random.default_rng(7)
-        dirs = rng.normal(size=(n_dirs, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        scaled = self(radius * dirs) * (1.0 - radius) ** (-self.boundary_gamma)
-        target = np.asarray(self.boundary_trace(dirs), dtype=float)
-        return bool(np.all(np.abs(scaled - target) <= rtol * np.maximum(1.0, np.abs(target))))
-
-
 @dataclass(frozen=True)
 class TabulatedSymbol:
     """Symbol given by its values on the tensor quadrature grid of `spec`.
@@ -463,7 +433,7 @@ def symbol_on_grid(V, d: int, spec: TruncationSpec) -> tuple[BallGrid, np.ndarra
 
     Radial profiles split the radial rule at their breakpoints; a
     TabulatedSymbol must have been sampled on exactly this grid; any other
-    callable (a GeneralSymbol, say) is evaluated on the (n, d) node array.
+    callable is evaluated on the (n, d) node array.
     """
     if isinstance(V, RadialSymbol):
         grid = ball_grid(d, spec, radial_breaks=V.breakpoints())

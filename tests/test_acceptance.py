@@ -20,7 +20,7 @@ from harmotop import krein_counting as kc
 from harmotop import radial_toeplitz as rt
 from harmotop.grids import TruncationSpec
 from harmotop.harmonic_basis import cumulative_multiplicity, multiplicity
-from harmotop.symbols import GeneralSymbol, Power, Sampled, Step, SymbolSum
+from harmotop.symbols import Power, Sampled, Step, SymbolSum
 from reference import (
     density_integral,
     envelope_kappa,
@@ -124,7 +124,7 @@ def test_c06_boundary_reduction_equals_galerkin_section():
     # <a> = I_0(1) = 1.2661; the radial a = 1 symbol would give 1.  The two
     # section sizes agree on the count (measured 123 at both).
     with budget("06 non-radial counting law of the boundary reduction", 10.0):
-        V = GeneralSymbol(lambda p: (1.0 - np.linalg.norm(p, axis=1)) * np.exp(p[:, 0]))
+        V = lambda p: (1.0 - np.linalg.norm(p, axis=1)) * np.exp(p[:, 0])
         lam = 0.01
         n_200, n_400 = (
             int(np.count_nonzero(gt.spectrum(V, 2, TruncationSpec.for_degree(K)).values > lam)) for K in (200, 400)
@@ -154,7 +154,7 @@ def test_c08_schatten_norm_domination():
             Step(1.0, 0.5),
             Power(1.0, 1.0),
             Sampled([0.0, 0.3, 0.8], [0.5, 1.0, 0.0]),
-            GeneralSymbol(lambda p: (1.0 - (p**2).sum(axis=1)) * (1.0 + 0.5 * p[:, 0])),
+            lambda p: (1.0 - (p**2).sum(axis=1)) * (1.0 + 0.5 * p[:, 0]),
         ]
         for V in symbols:
             for p in (1.0, 2.0, 3.0):
@@ -228,7 +228,7 @@ def test_c12_weyl_inequalities_random_matrices():
 
 def test_c13_essential_spectrum_filling():
     with budget("13 essential-spectrum filling", 60.0):
-        V = GeneralSymbol(lambda p: 0.5 * (1.0 + p[:, 0]))
+        V = lambda p: 0.5 * (1.0 + p[:, 0])
         eigs = gt.spectrum(V, 2, TruncationSpec.for_degree(40)).values  # a section's multiplicities are 1
         for target in (0.1, 0.3, 0.5, 0.7, 0.9):
             assert np.min(np.abs(eigs - target)) < 0.02, target

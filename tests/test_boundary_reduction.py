@@ -15,7 +15,7 @@ from harmotop.galerkin_toeplitz import assemble
 from harmotop.grids import TruncationSpec, ball_grid, harmonic_node_matrix, weighted_gram
 from harmotop.harmonic_basis import basis_degrees
 from harmotop.numerics import gauss_legendre
-from harmotop.symbols import GeneralSymbol, Power, Step, symbol_on_grid
+from harmotop.symbols import Power, Step, symbol_on_grid
 
 
 def test_gram_eigenvalue_against_quadrature_oracle():
@@ -61,7 +61,7 @@ def _weighted_gram(V, d: int, spec: TruncationSpec) -> np.ndarray:
 @pytest.mark.parametrize("d", [2, 3])
 def test_weighted_gram_of_unit_symbol_is_gram_diagonal(d):
     spec = TruncationSpec.for_degree(6)
-    unit = GeneralSymbol(lambda p: np.ones(p.shape[0]))
+    unit = lambda p: np.ones(p.shape[0])
     J = _weighted_gram(unit, d, spec)
     expected = np.diag([extension_gram_eigenvalue(d, k) for k in basis_degrees(d, 6)])
     assert np.max(np.abs(J - expected)) < 1e-12
@@ -83,7 +83,7 @@ def test_section_radial_diagonal_is_mu():
     R = assemble(Power(1.0, 1.0), 2, spec)
     expected = Power(1.0, 1.0).mu(2, basis_degrees(2, 8))
     assert np.max(np.abs(np.diag(R) - expected)) < 1e-10
-    unit = GeneralSymbol(lambda p: np.ones(p.shape[0]))
+    unit = lambda p: np.ones(p.shape[0])
     assert np.max(np.abs(assemble(unit, 2, spec) - np.eye(R.shape[0]))) < 1e-10
 
 

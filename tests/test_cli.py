@@ -25,7 +25,7 @@ from harmotop import radial_toeplitz as rt
 from harmotop.cli import _COMMANDS, SymbolSyntaxError, _glue_negative_values, build_parser, emit, main, parse_symbol
 from harmotop.grids import TruncationSpec, ball_grid
 from harmotop.harmonic_basis import basis_degrees, cumulative_multiplicity
-from harmotop.symbols import GeneralSymbol, Power, Sampled, Step, SymbolSum, TabulatedSymbol
+from harmotop.symbols import Power, Sampled, Step, SymbolSum, TabulatedSymbol
 
 
 def run_cli(capsys, *argv):
@@ -239,7 +239,7 @@ def test_berezin_command_on_tabulated_symbol(capsys, tmp_path):
     rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
     assert [float(r) for r, _ in rows] == [0.0, 0.4, 0.8]
     for r, value in rows:
-        want = kb.berezin_transform(GeneralSymbol(func), 2, [float(r), 0.0], K, spec=spec)
+        want = kb.berezin_transform(func, 2, [float(r), 0.0], K, spec=spec)
         assert float(value) == pytest.approx(want, rel=1e-12)
 
 

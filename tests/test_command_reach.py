@@ -37,12 +37,6 @@ UNREACHED = {
         "symbols.SymbolSum.values",
         "symbols.SymbolSum.breakpoints",
     ],
-    # the callable general symbol of library callers, which ROADMAP item 5
-    # will read for its boundary decay
-    "GeneralSymbol": [
-        "symbols.GeneralSymbol.__call__",
-        "symbols.GeneralSymbol.check_boundary_meta",
-    ],
     # refusals that no traced case triggers; tests do
     "refusal paths": ["cli.SymbolSyntaxError.__init__"],
     # the default grid of a degree, for library callers and tests; a command

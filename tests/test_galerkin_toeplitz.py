@@ -14,10 +14,10 @@ from harmotop.galerkin_toeplitz import assemble, spectrum, write_matrix_csv
 from harmotop.grids import TruncationSpec, ball_grid, harmonic_node_matrix, weighted_gram
 from harmotop.harmonic_basis import angular_basis_matrix, basis_degrees, cumulative_multiplicity
 from harmotop.numerics import symmetric_eigen
-from harmotop.symbols import GeneralSymbol, Power, Step, TabulatedSymbol, symbol_on_grid
+from harmotop.symbols import Power, Step, TabulatedSymbol, symbol_on_grid
 from reference import norm_domination_check
 
-UNIT = GeneralSymbol(lambda p: np.ones(p.shape[0]))
+UNIT = lambda p: np.ones(p.shape[0])
 
 
 def extension_node_matrix(d, max_degree, grid):
@@ -49,7 +49,7 @@ def test_unit_symbol_assembles_to_identity(d):
 
 
 def test_odd_symbol_kills_the_diagonal():
-    A = assemble(GeneralSymbol(lambda p: p[:, 0]), 2, TruncationSpec.for_degree(8))
+    A = assemble(lambda p: p[:, 0], 2, TruncationSpec.for_degree(8))
     assert np.max(np.abs(np.diag(A))) < 1e-12
 
 
@@ -66,7 +66,7 @@ def test_radial_symbol_gives_diagonal_blocks(d):
 def test_polynomial_symbol_matches_hand_computed_matrix():
     # V = x1^2 in d = 2, K = 2; radial-angular factorisation done by hand:
     # diag (1/4, 1/2, 1/6, 3/8, 3/8), coupling <const, cos 2theta> = sqrt(6)/12.
-    A = assemble(GeneralSymbol(lambda p: p[:, 0] ** 2), 2, TruncationSpec.for_degree(2))
+    A = assemble(lambda p: p[:, 0] ** 2, 2, TruncationSpec.for_degree(2))
     expected = np.diag([0.25, 0.5, 1.0 / 6.0, 0.375, 0.375])
     expected[0, 3] = expected[3, 0] = math.sqrt(6.0) / 12.0
     assert np.max(np.abs(A - expected)) < 1e-12
@@ -74,7 +74,7 @@ def test_polynomial_symbol_matches_hand_computed_matrix():
 
 def test_spectrum_of_zero_and_radial_symbols():
     spec = TruncationSpec.for_degree(10)
-    zero = spectrum(GeneralSymbol(lambda p: np.zeros(p.shape[0])), 2, spec)
+    zero = spectrum(lambda p: np.zeros(p.shape[0]), 2, spec)
     assert np.max(np.abs(zero.values)) < 1e-14
     sp_power = spectrum(Power(1.0, 1.0), 2, spec)
     exact = rt.radial_spectrum(Power(1.0, 1.0), 2, 10)
@@ -113,7 +113,7 @@ def test_section_schatten_values():
 
 
 def test_eigenvalue_range_bounded_by_symbol_range():
-    V = GeneralSymbol(lambda p: 0.3 + 0.25 * p[:, 0] + 0.1 * p[:, 1] ** 2)
+    V = lambda p: 0.3 + 0.25 * p[:, 0] + 0.1 * p[:, 1] ** 2
     eigs = spectrum(V, 2, TruncationSpec.for_degree(10)).values  # a section's multiplicities are 1
     # range of V on the closed ball: 0.3 +- 0.25 |x1| + ...
     assert eigs.min() >= 0.05 - 1e-9
@@ -131,7 +131,7 @@ def test_norm_domination_trace_equality_and_gaps():
 
 
 def test_constant_symbol_norm_is_tight():
-    V = GeneralSymbol(lambda p: np.full(p.shape[0], 0.7))
+    V = lambda p: np.full(p.shape[0], 0.7)
     eigs = spectrum(V, 2, TruncationSpec.for_degree(8)).values
     assert np.max(np.abs(eigs - 0.7)) < 1e-10
 
@@ -235,7 +235,7 @@ def test_tabulated_symbol_assembly():
     spec = TruncationSpec.for_degree(6)
     grid = ball_grid(2, spec)
     tab = TabulatedSymbol(d=2, spec=spec, values=0.5 * (1.0 + grid.points[:, 0]))
-    direct = assemble(GeneralSymbol(lambda p: 0.5 * (1.0 + p[:, 0])), 2, spec)
+    direct = assemble(lambda p: 0.5 * (1.0 + p[:, 0]), 2, spec)
     assert np.max(np.abs(assemble(tab, 2, spec) - direct)) < 1e-14
     with pytest.raises(ValueError):
         TabulatedSymbol(d=2, spec=spec, values=np.ones(7))
@@ -256,7 +256,7 @@ def test_non_finite_symbol_values_are_refused(bad):
     values[5] = bad
     with pytest.raises(ValueError, match="1 non-finite values, the first at index 5"):
         TabulatedSymbol(d=2, spec=spec, values=values)
-    ragged = GeneralSymbol(lambda p: np.where(np.arange(p.shape[0]) == 5, bad, 1.0))
+    ragged = lambda p: np.where(np.arange(p.shape[0]) == 5, bad, 1.0)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         spectrum(ragged, 2, spec)
 
@@ -278,7 +278,7 @@ def _kernel_cases():
         ("d3-nang19", 3, TruncationSpec(max_degree=7, n_r=23, n_ang=19)),
     ):
         tab = TabulatedSymbol(d=d, spec=spec, values=_sign_changing(ball_grid(d, spec).points))
-        for name, V in (("general", GeneralSymbol(_sign_changing)), ("tabulated", tab), ("step", Step(1.3, 0.4))):
+        for name, V in (("general", _sign_changing), ("tabulated", tab), ("step", Step(1.3, 0.4))):
             yield pytest.param(V, d, spec, id=f"{grid_id}-{name}")
 
 

@@ -7,8 +7,8 @@ import pytest
 from harmotop import galerkin_toeplitz as gt
 from harmotop.grids import TruncationSpec, ball_grid
 from harmotop.harmonic_basis import multiplicity, sphere_surface_area
-from harmotop.kernel_berezin import _kernel_sum, berezin_transform, density, density_radial
-from harmotop.symbols import GeneralSymbol, Power, Sampled, Step, TabulatedSymbol
+from harmotop.kernel_berezin import _kernel_sum, berezin_transform, density_radial
+from harmotop.symbols import Power, Sampled, Step, TabulatedSymbol
 from reference import QuadratureDivergence, density_integral, zonal_sum
 
 CONST_ONE = Sampled([0.0, 0.5], [1.0, 1.0])
@@ -29,7 +29,7 @@ def reproducing_kernel(d, x, y, max_degree):
 
 def test_kernel_at_origin():
     assert reproducing_kernel(2, [0.0, 0.0], [0.0, 0.0], 8) == pytest.approx(1.0 / math.pi)
-    assert density(3, [0.0, 0.0, 0.0], 8) == pytest.approx(3.0 / (4.0 * math.pi))
+    assert density_radial(3, 0.0, 8) == pytest.approx(3.0 / (4.0 * math.pi))
 
 
 def test_kernel_symmetry_and_cauchy_schwarz():
@@ -39,7 +39,7 @@ def test_kernel_symmetry_and_cauchy_schwarz():
         y = rng.uniform(-0.6, 0.6, 2)
         kxy = reproducing_kernel(2, x, y, 14)
         assert kxy == reproducing_kernel(2, y, x, 14)
-        assert abs(kxy) <= math.sqrt(density(2, x, 14) * density(2, y, 14)) + 1e-14
+        assert abs(kxy) <= math.sqrt(density_radial(2, np.linalg.norm(x), 14) * density_radial(2, np.linalg.norm(y), 14)) + 1e-14
 
 
 def test_density_monotone_in_radius():
@@ -48,7 +48,7 @@ def test_density_monotone_in_radius():
         rho = density_radial(d, r, 30)
         assert np.all(np.diff(rho) > 0.0)
     with pytest.raises(ValueError):
-        density(2, [1.0, 0.0], 10)
+        density_radial(2, 1.0, 10)
 
 
 def test_density_boundary_rate_bracket():
@@ -73,7 +73,7 @@ def test_density_integral_constants():
 
 
 def test_density_integral_general_matches_radial():
-    wrapped = GeneralSymbol(lambda p: (1.0 - np.linalg.norm(p, axis=1)) ** 2)
+    wrapped = lambda p: (1.0 - np.linalg.norm(p, axis=1)) ** 2
     direct = density_integral(Power(1.0, 2.0), 2, 10)
     tensor = density_integral(wrapped, 2, 10)
     assert tensor == pytest.approx(direct, rel=1e-10)
@@ -82,7 +82,7 @@ def test_density_integral_general_matches_radial():
 def test_density_integral_divergence_flag():
     # A discontinuous callable defeats the smooth tensor rule; consecutive
     # refinements disagree and the integral must refuse.
-    rough = GeneralSymbol(lambda p: (np.linalg.norm(p, axis=1) < 0.5).astype(float))
+    rough = lambda p: (np.linalg.norm(p, axis=1) < 0.5).astype(float)
     with pytest.raises(QuadratureDivergence):
         density_integral(rough, 2, 25, spec=TruncationSpec(25, 33, 52))
 
@@ -111,7 +111,7 @@ def test_berezin_nonnegative_and_decaying_for_step():
 
 
 def test_berezin_general_path_matches_radial_path():
-    wrapped = GeneralSymbol(lambda p: 1.0 - np.linalg.norm(p, axis=1))
+    wrapped = lambda p: 1.0 - np.linalg.norm(p, axis=1)
     for x in ([0.0, 0.0], [0.4, 0.2]):
         fast = berezin_transform(Power(1.0, 1.0), 2, x, 10)
         slow = berezin_transform(wrapped, 2, x, 10, spec=TruncationSpec.for_degree(12))
@@ -119,7 +119,7 @@ def test_berezin_general_path_matches_radial_path():
 
 
 def test_covariant_contravariant_sandwich():
-    V = GeneralSymbol(lambda p: 0.5 * (1.0 + p[:, 0]))
+    V = lambda p: 0.5 * (1.0 + p[:, 0])
     spec = TruncationSpec.for_degree(12)
     top = float(np.max(gt.spectrum(V, 2, spec).values))
     sampled = max(
@@ -130,7 +130,7 @@ def test_covariant_contravariant_sandwich():
 
 
 def test_trace_identity_structural():
-    V = GeneralSymbol(lambda p: (1.0 - (p**2).sum(axis=1)) * (1.0 + 0.5 * p[:, 0]) + 0.3)
+    V = lambda p: (1.0 - (p**2).sum(axis=1)) * (1.0 + 0.5 * p[:, 0]) + 0.3
     spec = TruncationSpec.for_degree(12)
     section = gt.spectrum(V, 2, spec)
     trace = float(np.cumsum(section.multiplicities * section.values)[-1])
@@ -162,19 +162,19 @@ def test_berezin_general_symbol_matches_the_zonal_sum_kernel(d, K):
         x[0], x[-1] = 0.8 * r, 0.6 * r
         t = grid.points @ x / (r * grid.radii) if r > 0.0 else np.ones(grid.radii.size)
         kernel = sum((2 * k + d) * (r * grid.radii) ** k * zonal_sum(d, k, np.clip(t, -1.0, 1.0)) for k in range(K + 1))
-        ref = np.dot(grid.weights, kernel**2 * vals) / density(d, x, K)
-        assert berezin_transform(GeneralSymbol(_bumpy), d, x, K, spec=spec) == pytest.approx(ref, rel=1e-13)
+        ref = np.dot(grid.weights, kernel**2 * vals) / density_radial(d, np.linalg.norm(x), K)
+        assert berezin_transform(_bumpy, d, x, K, spec=spec) == pytest.approx(ref, rel=1e-13)
 
 
 def test_berezin_of_a_point_stack_matches_single_points():
     stack = np.array([[0.0, 0.0], [0.3, -0.2], [0.0, 0.85]])
-    for V in (Step(1.0, 0.5), GeneralSymbol(_bumpy)):
+    for V in (Step(1.0, 0.5), _bumpy):
         values = berezin_transform(V, 2, stack, 16)
         assert isinstance(values, np.ndarray) and values.shape == (3,)
         assert values.tolist() == [berezin_transform(V, 2, x, 16) for x in stack]
     assert berezin_transform(Step(1.0, 0.5), 2, np.zeros((0, 2)), 16).shape == (0,)
     with pytest.raises(ValueError, match="inside the unit ball"):
-        berezin_transform(GeneralSymbol(_bumpy), 2, np.array([[0.1, 0.0], [1.0, 0.0]]), 16)
+        berezin_transform(_bumpy, 2, np.array([[0.1, 0.0], [1.0, 0.0]]), 16)
 
 
 def test_berezin_general_symbol_memory_is_linear_in_the_nodes():
@@ -182,7 +182,7 @@ def test_berezin_general_symbol_memory_is_linear_in_the_nodes():
     # be 140 MB; the kernel recurrence keeps a few node-length arrays.
     tracemalloc.start()
     try:
-        berezin_transform(GeneralSymbol(_bumpy), 2, [0.5, 0.3], 200)
+        berezin_transform(_bumpy, 2, [0.5, 0.3], 200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from harmotop.symbols import (
-    GeneralSymbol,
     Power,
     Sampled,
     Step,
@@ -62,23 +61,6 @@ def test_breakpoints_and_boundary_data():
     assert Step(1.0, 0.5).tails(2) == [TailTerm(2.0 * math.log(0.5), 2.0 * math.log(0.5))]
     assert Sampled([0.0, 0.9], [1.0, 0.3]).tails(2)[-1] == TailTerm(math.log(0.3))  # the floor v(1-)
     assert s.sup() == 2.0
-
-
-def test_general_symbol_boundary_meta():
-    # the radial profile 2 (1 - |x|)^1.5 as a general symbol with its boundary data
-    v = Power(2.0, 1.5)
-    g = GeneralSymbol(
-        func=lambda pts: v.values(np.linalg.norm(np.atleast_2d(pts), axis=1)),
-        boundary_gamma=v.gamma,
-        boundary_trace=lambda dirs: np.full(np.atleast_2d(dirs).shape[0], v.a),
-    )
-    assert g.boundary_gamma == 1.5
-    assert g.check_boundary_meta(2)
-    pts = np.array([[0.1, 0.2], [0.0, 0.0]])
-    assert g(pts) == pytest.approx(2.0 * (1.0 - np.linalg.norm(pts, axis=1)) ** 1.5)
-    plain = GeneralSymbol(lambda p: np.ones(p.shape[0]))
-    with pytest.raises(ValueError):
-        plain.check_boundary_meta(2)
 
 
 # --- log mu_k over integer arrays ---------------------------------------------
