@@ -456,6 +456,14 @@ def schatten_radial(v: RadialSymbol, d: int, p: float, weak: bool = False, k_sto
         raise TailNotCertifiedError(refusal)
     for K in _table_ends(cap) if k_stop is None else [k_stop]:
         if weak:  # sort by |mu| descending, take sup j^(1/p) s_j, certified past K
+            if v.monotone and v.sup() > 0.0 and cumulative_multiplicity(d, K) >= _DOUBLE_LIMIT:
+                # a nonzero monotone symbol's sorted order is degree order (a zero one counts
+                # no eigenvalue): bisect for the first count past the doubles
+                lo, hi = -1, K  # M_lo < _DOUBLE_LIMIT <= M_hi
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if cumulative_multiplicity(d, mid) >= _DOUBLE_LIMIT else (mid, hi)
+                _as_doubles([cumulative_multiplicity(d, hi)], d, [hi])  # raises, naming degree hi
             logs, counts, degrees = _sorted_table(v, d, K)
             best_log = float(np.max(np.log(_as_doubles(counts, d, degrees)) / p + logs, initial=_NEG_INF))
             if tail(terms, d, K, p) <= best_log:
