@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TailNotCertifiedError
 from .grids import BallGrid, TruncationSpec, ball_grid
 
 __all__ = [
@@ -245,9 +246,13 @@ class Power(RadialSymbol):
 
         Below x = 50 the lgamma difference is exact to a few ulp; from there
         on the Stirling difference keeps the relative error near 1e-14 up to
-        k = 1e15.
+        k = 1e15.  Past gamma = 1000 that fails: ln a + lgamma(gamma+1) and
+        the ratio both lie near gamma ln gamma and cancel (4e-11 relative at
+        gamma = 1e6), so TailNotCertifiedError is raised there.
         """
         g = self.gamma
+        if g > 1000.0:
+            raise TailNotCertifiedError(f"ln mu_k of a power symbol loses precision past gamma = 1000 (gamma = {g})")
         log_scale = math.log(self.a) + math.lgamma(g + 1.0)
         k = np.asarray(k)
         x = np.asarray(2 * k + (d + 1.0))  # 0-d for a scalar k, even beyond int64
