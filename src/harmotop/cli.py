@@ -44,7 +44,7 @@ SIZE_CAP = rt._TABLE_CAP
 class SymbolSyntaxError(ValueError):
     def __init__(self, text: str, pos: int, message: str):
         super().__init__(f"symbol descriptor error at position {pos}: {message}\n  {text}\n  {' ' * pos}^")
-        self.pos = pos
+        self.pos, self.message = pos, message
 
 
 def _parse_fields(text: str, body: str, offset: int, keys: tuple[str, ...]) -> dict[str, float]:
@@ -122,13 +122,14 @@ def parse_symbol(text: str):
             raise SymbolSyntaxError(text, offset, "expected sum:[<desc>; <desc> ...]")
         parts = []
         for rel, chunk in _split_top_level(body[1:-1]):
+            rel += len(chunk) - len(chunk.lstrip())  # the summand's positions count from its first non-blank
             chunk = chunk.strip()
             if not chunk:
                 raise SymbolSyntaxError(text, offset + 1 + rel, "empty summand")
             try:
                 parts.append(parse_symbol(chunk))
             except SymbolSyntaxError as exc:
-                raise SymbolSyntaxError(text, offset + 1 + rel + exc.pos, str(exc).splitlines()[0]) from None
+                raise SymbolSyntaxError(text, offset + 1 + rel + exc.pos, exc.message) from None
         if any(not isinstance(p, RadialSymbol) for p in parts):
             raise SymbolSyntaxError(text, offset, "sums may only combine radial symbols")
         return SymbolSum(parts)
