@@ -1,12 +1,9 @@
-import importlib.util
 from pathlib import Path
 
+import ab_ops
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-_SPEC = importlib.util.spec_from_file_location("ab_ops", ROOT / "tools" / "ab_ops.py")
-ab_ops = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(ab_ops)
 
 
 def test_a_a_round_runs_both_sides_with_identical_outputs(capsys):

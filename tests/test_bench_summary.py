@@ -1,14 +1,8 @@
-import importlib.util
 import json
 from pathlib import Path
 
+import bench_summary
 import pytest
-
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_summary", Path(__file__).resolve().parents[1] / "tools" / "bench_summary.py"
-)
-bench_summary = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_summary)
 
 
 def _run(workload, seed, wall, rss, seconds=40, trace=0):

@@ -177,6 +177,20 @@ def test_json_config_round_trip(capsys):
     assert second["results"] == first["results"]
 
 
+@pytest.mark.parametrize(
+    "symbol, pos, message",
+    [
+        ("sum:[step:b=1,c=0.5]]", 16, "not a number: '0.5]'"),
+        ("sum:[power:a=1,gamma=1;  step:b=1,c=x]", 36, "not a number: 'x'"),  # the blanks before a summand count
+        ("sum:[power:a=1,gamma=1; sum:[step:b=1,q=1]]", 38, "unknown field 'q'; expected one of ('b', 'c')"),
+    ],
+)
+def test_error_inside_a_sum_carries_one_prefix_and_its_column(capsys, symbol, pos, message):
+    code, out, err = run_cli(capsys, "counting", "--d", "2", "--symbol", symbol, "--lambda", "0.1")
+    assert (code, out) == (2, "")
+    assert err == f"harmotop: symbol descriptor error at position {pos}: {message}\n  {symbol}\n  {' ' * pos}^\n"
+
+
 def test_grammar_error_exits_two(capsys):
     code, _, err = run_cli(
         capsys, "counting", "--d", "2", "--symbol", "step:b=1,q=0.5", "--lambda", "0.1"
@@ -590,6 +604,16 @@ def test_krein_default_eps_that_underflows_exits_three(capsys):
     assert [row[:2] for row in rows] == [["0", "0.5"], ["0", "0.5"]]
 
 
+def test_counting_a_power_past_gamma_1000_exits_three(capsys):
+    # ln a + lgamma(gamma+1) and lgamma(x+gamma) both lie near gamma ln gamma:
+    # at gamma = 1e18 ln mu_0 came out 0 (true -82.2) and every row read 107
+    code, out, err = run_cli(capsys, "counting", "--d", "2", "--symbol", "power:a=1,gamma=1e18", "--lnlambda=-300:-50:6")
+    assert (code, out) == (3, "")
+    assert err == "harmotop: certification failure: ln mu_k of a power symbol loses precision past gamma = 1000 (gamma = 1e+18)\n"
+    code, _, err = run_cli(capsys, "counting", "--d", "2", "--symbol", "power:a=1,gamma=1000", "--lnlambda=-300:-50:6")
+    assert code == 0, err
+
+
 def test_krein_envelope_beyond_the_double_range_exits_three(capsys):
     # C lambda^(-39) at lambda = e^-30 is about e^1040
     argv = ["krein", "--d", "40", "--symbol", "power:a=1,gamma=1", "--eps", "0.5"]
@@ -630,6 +654,32 @@ def test_schatten_counts_beyond_the_double_range_exit_three(capsys, argv, reason
         assert "certification failure" in err and f"d={argv[1]}" in err and "degree" in err
     else:
         assert err == f"harmotop: certification failure: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, degree, tables",
+    [
+        (["--d", "120", "--K", "20000"], 17366, []),
+        (["--d", "150"], 6467, [1024, 4096]),  # the table to 16,384 is the refusing one
+    ],
+)
+def test_weak_counts_of_a_monotone_symbol_refuse_before_the_overflowing_table(capsys, monkeypatch, argv, degree, tables):
+    # a monotone symbol's sorted order is degree order, so the degree whose
+    # count leaves the double range is found by bisection, with no table
+    formed = []
+    sorted_table = rt._sorted_table
+    monkeypatch.setattr(rt, "_sorted_table", lambda v, d, K, sign=0: formed.append(K) or sorted_table(v, d, K, sign))
+    code, out, err = run_cli(capsys, "schatten", *argv, "--symbol", "step:b=1,c=0.999", "--p", "2", "--weak")
+    assert (code, out) == (3, "")
+    assert err == f"harmotop: certification failure: the eigenvalue count at degree {degree} is beyond the double range (d={argv[1]})\n"
+    assert formed == tables
+
+
+def test_weak_norm_of_a_zero_step_counts_nothing_past_the_double_range(capsys):
+    # M_1024 leaves the double range at d = 400, but a zero symbol has no eigenvalue to count
+    code, out, err = run_cli(capsys, "schatten", "--d", "400", "--symbol", "step:b=0,c=0.5", "--p", "2", "--weak")
+    assert code == 0, err
+    assert _rows(out) == [["2", "1", "0", "radial-series"]]
 
 
 @pytest.mark.parametrize("c", ["0.999", "0.9999"])

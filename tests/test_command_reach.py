@@ -1,10 +1,4 @@
-import importlib.util
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
-_SPEC = importlib.util.spec_from_file_location("command_reach", ROOT / "tools" / "command_reach.py")
-command_reach = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(command_reach)
+import command_reach
 
 # The package functions that no command reaches, each group with the reason
 # it stays.  A new function that no command reaches fails the test below

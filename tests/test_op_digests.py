@@ -1,12 +1,10 @@
-import importlib.util
 import re
 import shutil
 from pathlib import Path
 
+import op_digests
+
 ROOT = Path(__file__).resolve().parents[1]
-_SPEC = importlib.util.spec_from_file_location("op_digests", ROOT / "tools" / "op_digests.py")
-op_digests = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(op_digests)
 
 SHA1 = re.compile(r"^[0-9a-f]{40}$")
 

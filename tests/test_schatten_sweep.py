@@ -1,11 +1,9 @@
-import importlib.util
 import time
 from pathlib import Path
 
+import schatten_sweep
+
 ROOT = Path(__file__).resolve().parents[1]
-_SPEC = importlib.util.spec_from_file_location("schatten_sweep", ROOT / "tools" / "schatten_sweep.py")
-schatten_sweep = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(schatten_sweep)
 
 
 def test_sweep_lists_one_outcome_per_command_in_order():

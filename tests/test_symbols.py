@@ -76,7 +76,7 @@ def _mp_log_mu_power(a, gamma, d, k):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("gamma", [0.5, 0.55, 1.0, 2.9])
+@pytest.mark.parametrize("gamma", [0.5, 0.55, 1.0, 2.9, 40.0, 1000.0])
 def test_power_log_mu_matches_mpmath(gamma, d):
     # The lgamma difference alone misses by 0.4 near k = 1e14 (cancellation).
     v = Power(1.0, gamma)
