@@ -20,9 +20,11 @@ UNREACHED = {
         "symbols.RadialSymbol.mu",
         "symbols.RadialSymbol.tails",
     ],
-    # a radial profile on the tensor grid: library Galerkin cross-checks of
-    # radial symbols call them, commands take the closed forms in mu_k
+    # a radial profile on the tensor grid (and the node radii it reads):
+    # library Galerkin cross-checks of radial symbols call them, commands
+    # take the closed forms in mu_k
     "radial values and breakpoints": [
+        "grids.BallGrid.radii",
         "symbols.Step.values",
         "symbols.Step.breakpoints",
         "symbols.Power.values",

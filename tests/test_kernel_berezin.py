@@ -6,8 +6,7 @@ import pytest
 
 from harmotop import galerkin_toeplitz as gt
 from harmotop.grids import TruncationSpec, ball_grid
-from harmotop.harmonic_basis import multiplicity, sphere_surface_area
-from harmotop.kernel_berezin import _kernel_sum, berezin_transform, density_radial
+from harmotop.kernel_berezin import berezin_transform, density_radial
 from harmotop.symbols import Power, Sampled, Step, TabulatedSymbol
 from reference import QuadratureDivergence, density_integral, zonal_sum
 
@@ -24,7 +23,7 @@ def reproducing_kernel(d, x, y, max_degree):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     rx, ry = float(np.linalg.norm(x)), float(np.linalg.norm(y))
     t = float(np.dot(x, y) / (rx * ry)) if rx > 0.0 and ry > 0.0 else 1.0
-    return float(_kernel_sum(d, max_degree, np.array([rx * ry]), np.array([t]))[0])
+    return sum((2 * k + d) * (rx * ry) ** k * zonal_sum(d, k, t) for k in range(max_degree + 1))
 
 
 def test_kernel_at_origin():
@@ -142,16 +141,6 @@ def _bumpy(p):
     return 1.0 + 0.5 * np.sin(3.0 * p[:, 0]) * np.cos(2.0 * p[:, 1]) + 0.3 * p[:, -1] ** 2
 
 
-@pytest.mark.parametrize("d, K", [(2, 200), (3, 40)])
-def test_kernel_sum_matches_zonal_sum(d, K):
-    t = np.concatenate([np.linspace(-1.0, 1.0, 41), np.cos([1e-3, 1e-2, 3.1])])
-    for rho in (0.0, 0.3, 0.7, 0.95):
-        ref = sum((2 * k + d) * rho**k * zonal_sum(d, k, t) for k in range(K + 1))
-        scale = sum((2 * k + d) * rho**k * multiplicity(d, k) for k in range(K + 1)) / sphere_surface_area(d)
-        got = _kernel_sum(d, K, np.full(t.shape, rho), t)
-        assert np.max(np.abs(got - ref)) <= 2e-13 * scale
-
-
 @pytest.mark.parametrize("d, K", [(2, 30), (3, 10)])
 def test_berezin_general_symbol_matches_the_zonal_sum_kernel(d, K):
     spec = TruncationSpec.for_degree(K)
@@ -179,7 +168,8 @@ def test_berezin_of_a_point_stack_matches_single_points():
 
 def test_berezin_general_symbol_memory_is_linear_in_the_nodes():
     # d = 2, K = 200: 87,264 nodes.  A (K+1) x nodes zonal table alone would
-    # be 140 MB; the kernel recurrence keeps a few node-length arrays.
+    # be 140 MB; the section route holds the symbol's node values, the
+    # assembly's moment and angular arrays and the 401 x 401 section.
     tracemalloc.start()
     try:
         berezin_transform(_bumpy, 2, [0.5, 0.3], 200)
@@ -187,3 +177,9 @@ def test_berezin_general_symbol_memory_is_linear_in_the_nodes():
     finally:
         tracemalloc.stop()
     assert peak < 15e6
+
+
+def test_berezin_refuses_a_degree_above_its_grid():
+    # The section of a degree-10 grid holds no kernel of degree 12.
+    with pytest.raises(ValueError, match="Berezin degree 12 exceeds the grid's degree 10"):
+        berezin_transform(_bumpy, 2, [0.3, 0.0], 12, spec=TruncationSpec.for_degree(10))

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from harmotop.harmonic_basis import multiplicity, sphere_surface_area
-from harmotop.kernel_berezin import _kernel_sum
 from harmotop.numerics import bessel_zero_counts, gauss_jacobi01, gauss_legendre, symmetric_eigen
 
 
@@ -94,33 +92,6 @@ def test_gauss_jacobi_weighted_moments(gamma):
         # int_0^1 u^gamma u^j du = 1/(gamma + j + 1)
         moment = float(np.dot(rule.weights, rule.nodes**j))
         assert abs(moment - 1.0 / (gamma + j + 1)) < 1e-14
-
-
-def gegenbauer_ratio(k, alpha, t):
-    """C_k^alpha(t)/C_k^alpha(1) as the kernel sum's recurrence forms it: its degree-k term at rho = 1, d = 2 alpha + 2."""
-    d = round(2.0 * alpha + 2.0)
-    t = np.asarray(t, dtype=float)
-    rho = np.ones_like(t)
-    term = _kernel_sum(d, k, rho, t) - (_kernel_sum(d, k - 1, rho, t) if k > 0 else 0.0)
-    return term * sphere_surface_area(d) / ((2 * k + d) * multiplicity(d, k))
-
-
-def test_gegenbauer_small_degrees():
-    assert gegenbauer_ratio(0, 0.5, [0.3]) == pytest.approx([1.0])
-    assert gegenbauer_ratio(1, 0.5, [0.7]) == pytest.approx([0.7])
-    assert gegenbauer_ratio(2, 0.5, [1.0]) == pytest.approx([1.0])  # Legendre P_2(1) = 1
-    # arguments past 1 (rounding in x^.y^) are clipped to the endpoint
-    assert gegenbauer_ratio(2, 0.5, [1.5]) == pytest.approx([1.0])
-    # d = 2: the Chebyshev T_k(t) = cos(k arccos t)
-    t = np.linspace(-1.0, 1.0, 17)
-    assert gegenbauer_ratio(5, 0.0, t) == pytest.approx(np.cos(5.0 * np.arccos(t)), abs=1e-13)
-
-
-@pytest.mark.parametrize("k,alpha", [(3, 0.5), (7, 1.0), (12, 1.5), (20, 2.5)])
-def test_gegenbauer_against_scipy(k, alpha):
-    t = np.linspace(-1.0, 1.0, 17)
-    ref = sp.eval_gegenbauer(k, alpha, t) / sp.eval_gegenbauer(k, alpha, 1.0)
-    assert gegenbauer_ratio(k, alpha, t) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_bessel_first_zeros():
