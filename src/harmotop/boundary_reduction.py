@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .errors import TailNotCertifiedError
 from .radial_toeplitz import AsymptoticFit, _as_doubles, _power_law_fit, counting
 from .symbols import Power
 
@@ -26,6 +27,8 @@ __all__ = [
     "symbol_order_check",
     "inverse_power_weyl_fit",
 ]
+
+ORDER_CHECK_DEGREE = 10_000  # the k of symbol_order_check's extrapolation over k/2 and k
 
 
 def extension_gram_eigenvalue(d: int, k: int) -> float:
@@ -47,19 +50,22 @@ def principal_symbol_value(v: Power) -> float:
     return v.a * math.exp(-v.gamma * math.log(2.0) + math.lgamma(v.gamma + 1.0))
 
 
-def symbol_order_check(v: Power, d: int, k_max: int) -> float:
+def symbol_order_check(v: Power, d: int) -> float:
     """Estimate lim k^gamma mu_k for the power symbol v by Richardson extrapolation.
 
-    Two-point extrapolation over k_max/2 and k_max cancels the 1/k term of
-    the expansion; compare against :func:`principal_symbol_value` (the
-    degree k plays the co-sphere frequency, with the O(1/k) mismatch
-    absorbed by the extrapolation).
+    Two-point extrapolation over k/2 and k = ORDER_CHECK_DEGREE cancels the
+    1/k term of the expansion; compare against :func:`principal_symbol_value`
+    (the degree k plays the co-sphere frequency, with the O(1/k) mismatch
+    absorbed by the extrapolation).  A k^gamma beyond the double range
+    (gamma above 77.06) raises TailNotCertifiedError.
     """
-    if k_max < 1000:
-        raise ValueError(f"k_max must be >= 1000, got {k_max}")
-    half = k_max // 2
-    mu_half, mu_full = v.mu(d, np.array([half, k_max]))
-    return 2.0 * (k_max**v.gamma * mu_full) - half**v.gamma * mu_half
+    k = ORDER_CHECK_DEGREE
+    try:
+        scale = float(k) ** v.gamma
+    except OverflowError:
+        raise TailNotCertifiedError(f"k^gamma at k = {k} is beyond the double range (gamma = {v.gamma})") from None
+    mu_half, mu_full = v.mu(d, np.array([k // 2, k]))
+    return 2.0 * (scale * mu_full) - (k // 2) ** v.gamma * mu_half
 
 
 def inverse_power_weyl_fit(v: Power, d: int, e_grid) -> AsymptoticFit:

@@ -441,7 +441,7 @@ def _cmd_boundary(args):
         "formulas": ["J psi_k = psi_k/(2k+d)", "D psi_k = k psi_k"],
     }
     if isinstance(symbol, Power):
-        est = br.symbol_order_check(symbol, args.d, 10_000)
+        est = br.symbol_order_check(symbol, args.d)
         target = br.principal_symbol_value(symbol)
         meta["comments"].append(
             f"principal symbol check: k^gamma mu_k -> {est:{FULL}} (target 2^-gamma Gamma(gamma+1) a = {target:{FULL}})"

@@ -614,6 +614,20 @@ def test_counting_a_power_past_gamma_1000_exits_three(capsys):
     assert code == 0, err
 
 
+def test_boundary_order_check_past_the_double_range_exits_three(capsys):
+    # 10000^78 overflows a double (an OverflowError traceback, exit 1, before);
+    # 10000^77 = 1e308 does not, and that comment keeps its value
+    code, out, err = run_cli(capsys, "boundary", "--d", "2", "--symbol", "power:a=1,gamma=78", "--K", "2")
+    assert (code, out) == (3, "")
+    assert err == "harmotop: certification failure: k^gamma at k = 10000 is beyond the double range (gamma = 78.0)\n"
+    code, out, err = run_cli(capsys, "boundary", "--d", "2", "--symbol", "power:a=1,gamma=77", "--K", "2")
+    assert code == 0, err
+    assert (
+        "# principal symbol check: k^gamma mu_k -> 9.4001398552820581e+89 "
+        "(target 2^-gamma Gamma(gamma+1) a = 9.6074111197041231e+89)\n"
+    ) in out
+
+
 def test_krein_envelope_beyond_the_double_range_exits_three(capsys):
     # C lambda^(-39) at lambda = e^-30 is about e^1040
     argv = ["krein", "--d", "40", "--symbol", "power:a=1,gamma=1", "--eps", "0.5"]
