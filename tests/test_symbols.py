@@ -232,21 +232,6 @@ def test_sampled_and_sum_log_mu_match_mpmath(name):
                     _assert_matches(int(signs[i]), float(logs[i]), mu, k)
 
 
-def _mp_mu(v, d: int, k: int):
-    """mu_k in mpmath from the closed forms, n = 2k+d."""
-    n = 2 * k + d
-    if isinstance(v, Step):
-        return v.b * mpmath.mpf(v.c) ** n
-    if isinstance(v, Power):  # a Gamma(gamma+1) Gamma(n+1)/Gamma(n+1+gamma)
-        g = mpmath.mpf(v.gamma)
-        return v.a * mpmath.exp(mpmath.loggamma(g + 1) + mpmath.loggamma(n + 1) - mpmath.loggamma(n + 1 + g))
-    if isinstance(v, Sampled):  # by parts: v(1-) - sum_j s_j (r_(j+1)^(n+1) - r_j^(n+1))/(n+1)
-        r, f = [mpmath.mpf(x) for x in v.r], [mpmath.mpf(x) for x in v.v]
-        segments = zip(r, r[1:], f, f[1:])
-        return f[-1] - mpmath.fsum((f1 - f0) / (r1 - r0) * (r1 ** (n + 1) - r0 ** (n + 1)) / (n + 1) for r0, r1, f0, f1 in segments)
-    return mpmath.fsum(_mp_mu(p, d, k) for p in v.parts)
-
-
 # log-spaced from 0 to 10^15
 _CERTIFIED_DEGREES = sorted({0, 1, 2, 3} | {round(10.0**e) for e in np.linspace(0.5, 15.0, 30)})
 
