@@ -6,6 +6,7 @@ import pytest
 
 from harmotop import galerkin_toeplitz as gt
 from harmotop.grids import TruncationSpec, ball_grid
+from harmotop.harmonic_basis import angular_basis_matrix, basis_degrees, multiplicity, sphere_surface_area
 from harmotop.kernel_berezin import berezin_transform, density_radial
 from harmotop.symbols import Power, Sampled, Step, TabulatedSymbol
 from reference import QuadratureDivergence, density_integral, zonal_sum
@@ -139,6 +140,30 @@ def test_trace_identity_structural():
 
 def _bumpy(p):
     return 1.0 + 0.5 * np.sin(3.0 * p[:, 0]) * np.cos(2.0 * p[:, 1]) + 0.3 * p[:, -1] ** 2
+
+
+def _pole_pairs(d, rho, t):
+    """Points x = sqrt(rho) e_d and y_j = sqrt(rho) eta_j with eta_j . e_d = t_j (row 0 is x)."""
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    eta = np.stack([s, t], axis=1) if d == 2 else np.stack([s, np.zeros_like(t), t], axis=1)
+    pole = np.zeros((1, d))
+    pole[0, -1] = 1.0
+    return np.sqrt(rho), np.vstack([pole, eta])
+
+
+@pytest.mark.parametrize("d, K", [(2, 200), (3, 40)])
+def test_kernel_sum_matches_zonal_sum(d, K):
+    # R_K(x, y) = phi(x)^T phi(y), with phi as the section route forms it, is
+    # the zonal kernel sum at the degrees the Berezin transform runs at.
+    t = np.concatenate([np.linspace(-1.0, 1.0, 41), np.cos([1e-3, 1e-2, 3.1])])
+    deg = basis_degrees(d, K)
+    for rho in (0.0, 0.3, 0.7, 0.95):
+        ref = sum((2 * k + d) * rho**k * zonal_sum(d, k, t) for k in range(K + 1))
+        scale = sum((2 * k + d) * rho**k * multiplicity(d, k) for k in range(K + 1)) / sphere_surface_area(d)
+        r, dirs = _pole_pairs(d, rho, t)
+        phi = angular_basis_matrix(d, K, dirs) * (np.sqrt(2.0 * deg + d) * r**deg)[:, None]
+        got = phi[:, 0] @ phi[:, 1:]
+        assert np.max(np.abs(got - ref)) <= 2e-13 * scale
 
 
 @pytest.mark.parametrize("d, K", [(2, 30), (3, 10)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from harmotop.harmonic_basis import angular_basis_matrix, basis_degrees, multiplicity, sphere_surface_area
 from harmotop.numerics import bessel_zero_counts, gauss_jacobi01, gauss_legendre, symmetric_eigen
 
 
@@ -92,6 +93,44 @@ def test_gauss_jacobi_weighted_moments(gamma):
         # int_0^1 u^gamma u^j du = 1/(gamma + j + 1)
         moment = float(np.dot(rule.weights, rule.nodes**j))
         assert abs(moment - 1.0 / (gamma + j + 1)) < 1e-14
+
+
+def gegenbauer_ratio(k, alpha, t):
+    """C_k^alpha(t)/C_k^alpha(1) by the addition theorem of the degree-k angular basis, d = 2 alpha + 2.
+
+    sum_l psi_{k,l}(xi) psi_{k,l}(eta) = m_k/|S^(d-1)| C_k^alpha(xi.eta)/C_k^alpha(1),
+    read at xi = e_d and eta of polar cosine t; for d = 2 the ratio is T_k(t).
+    """
+    d = round(2.0 * alpha + 2.0)
+    t = np.asarray(t, dtype=float)
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    eta = np.stack([s, t], axis=1) if d == 2 else np.stack([s, np.zeros_like(t), t], axis=1)
+    pole = np.zeros((1, d))
+    pole[0, -1] = 1.0
+    psi = angular_basis_matrix(d, k, np.vstack([pole, eta]))[basis_degrees(d, k) == k]
+    return psi[:, 0] @ psi[:, 1:] * sphere_surface_area(d) / multiplicity(d, k)
+
+
+def test_gegenbauer_small_degrees():
+    assert gegenbauer_ratio(0, 0.5, [0.3]) == pytest.approx([1.0])
+    assert gegenbauer_ratio(1, 0.5, [0.7]) == pytest.approx([0.7])
+    assert gegenbauer_ratio(2, 0.5, [1.0]) == pytest.approx([1.0])  # Legendre P_2(1) = 1
+    # a polar cosine rounded past 1, as x/|x| can give, is read at the pole
+    assert gegenbauer_ratio(2, 0.5, [1.0 + 4e-16]) == pytest.approx([1.0])
+    # d = 2: the Chebyshev T_k(t) = cos(k arccos t)
+    t = np.linspace(-1.0, 1.0, 17)
+    assert gegenbauer_ratio(5, 0.0, t) == pytest.approx(np.cos(5.0 * np.arccos(t)), abs=1e-13)
+
+
+# Only d = 2 and d = 3 carry pointwise harmonics, so alpha is 0 or 1/2.
+@pytest.mark.parametrize("k,alpha", [(3, 0.5), (12, 0.5), (40, 0.5), (200, 0.0)])
+def test_gegenbauer_against_scipy(k, alpha):
+    t = np.linspace(-1.0, 1.0, 17)
+    if alpha == 0.0:  # C_k^0/C_k^0(1) is the limit T_k; scipy returns C_k^0 = 0
+        ref = sp.eval_chebyt(k, t)
+    else:
+        ref = sp.eval_gegenbauer(k, alpha, t) / sp.eval_gegenbauer(k, alpha, 1.0)
+    assert gegenbauer_ratio(k, alpha, t) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_bessel_first_zeros():
