@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -518,9 +519,9 @@ def emit(table, meta, args) -> None:
         lines = [f"# harmotop {args.command}"]
         lines += [f"# {c}" for c in meta.get("comments", [])]
         lines.append("# columns: " + ",".join(names))
-        if len(columns[0]):
-            template = ",".join(map(_cell_format, columns))
-            lines.append("\n".join(map(template.__mod__, zip(*columns))))
+        if len(columns[0]):  # one % for the table: the row template once per row, over the cells row by row
+            body = "\n".join([",".join(map(_cell_format, columns))] * len(columns[0]))
+            lines.append(body % tuple(itertools.chain.from_iterable(zip(*columns))))
         text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_text(text)
@@ -559,8 +560,13 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    argv = _glue_negative_values(list(sys.argv[1:] if argv is None else argv))
     parser = build_parser()
-    args = parser.parse_args(_glue_negative_values(list(sys.argv[1:] if argv is None else argv)))
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    if argv and argv[0] in commands:  # one pass: the subcommand's parser reads the rest
+        args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:  # no subcommand named: the full parser reports it
+        args = parser.parse_args(argv)
     try:
         emit(*_COMMANDS[args.command](args), args)
     except TailNotCertifiedError as exc:

@@ -146,10 +146,9 @@ def _log_tail_sup(terms, d: int, k):
 
 # --- counting ----------------------------------------------------------------
 
-_MONOTONE_CAP = 10**15
-# The crossing search examines degrees up to 2^49, the largest power of two
-# below the cap, and refuses a threshold that is still exceeded there.
-_LAST_DEGREE = 1 << (_MONOTONE_CAP.bit_length() - 1)
+# The crossing search examines degrees up to this cap and refuses a threshold
+# that is still exceeded there.
+_LAST_DEGREE = 2**49
 # Other symbols are tabulated up to the first degree (at most this cap) with a certified tail.
 _TABLE_CAP = 1_000_000
 
@@ -217,7 +216,7 @@ def _first_not_exceeding(v: RadialSymbol, d: int, ln_lam: np.ndarray, sign: int)
         )
         e = (p < 0) | exceeds(np.maximum(p, 0), t[active])
         if np.any(u & e & (p == _LAST_DEGREE)):
-            raise TailNotCertifiedError(f"counting exceeds the degree cap {_MONOTONE_CAP}")
+            raise TailNotCertifiedError(f"counting exceeds the degree cap {_LAST_DEGREE}")
         lo[active] = np.where(e, p, lo[active])
         hi[active] = np.where(e, hi[active], p)
         step[active] *= 2
@@ -423,6 +422,8 @@ def _tail_p_sum_log(terms, d: int, k, p: float):
 
 # the strong norm stops where its certified tail is below this fraction of the partial sum
 _REL_TOL = 1e-12
+# the fraction the last table (the cap, or a k_stop) accepts
+_LAST_TABLE_REL_TOL = 1e-9
 
 
 def schatten_radial(v: RadialSymbol, d: int, p: float, weak: bool = False, k_stop: int | None = None) -> float:
@@ -438,6 +439,9 @@ def schatten_radial(v: RadialSymbol, d: int, p: float, weak: bool = False, k_sto
     sup bounds the tail's.  That sup is the whole sup: a rank past the
     table is at most M_J, J the last degree with an eigenvalue as large, so
     its term is at most the tail's bound, and below it the ranks are exact.
+    The strong norm's last table (degree 400,000, or `k_stop`) is accepted
+    with a certified tail of up to _LAST_TABLE_REL_TOL = 1e-9 of its sum,
+    not _REL_TOL.
     """
     if weak:
         if p <= 1.0:
@@ -473,6 +477,7 @@ def schatten_radial(v: RadialSymbol, d: int, p: float, weak: bool = False, k_sto
         # partial sums in units of exp(p * top), top the largest log, so
         # that no term underflows before the root at large p
         top = float(np.max(logs))
+        scale = abs(float(v.mu(d, logs.argmax(keepdims=True))[0]))  # exp(top) from the ulp-accurate linear mu
         top = top if top > _NEG_INF else 0.0
         with np.errstate(over="ignore"):  # p (logs - top) goes to -inf at a huge p: exp gives 0
             scaled = np.exp(p * (logs - top))
@@ -481,10 +486,10 @@ def schatten_radial(v: RadialSymbol, d: int, p: float, weak: bool = False, k_sto
             log_floor = p * top + np.log(np.maximum(partial[8:], 1e-300)) + math.log(_REL_TOL)
             certified = tail(terms, d, np.arange(8, K + 1), p) <= log_floor
             if certified.any():
-                return math.exp(top) * float(partial[8 + certified.argmax()]) ** (1.0 / p)
-    if weak or last_tail > p * top + math.log(max(float(partial[-1]), 1e-300)) + math.log(1e-9):
+                return scale * float(partial[8 + certified.argmax()]) ** (1.0 / p)
+    if weak or last_tail > p * top + math.log(max(float(partial[-1]), 1e-300)) + math.log(_LAST_TABLE_REL_TOL):
         raise TailNotCertifiedError(refusal)
-    return math.exp(top) * float(partial[-1]) ** (1.0 / p)
+    return scale * float(partial[-1]) ** (1.0 / p)
 
 
 def _weak_tail_sup_log(terms, d: int, k_stop: int, p: float) -> float:

@@ -62,3 +62,49 @@ def test_summary_refuses_runs_it_cannot_summarise():
 def test_summary_refuses_mixed_run_lengths():
     with pytest.raises(ValueError, match="different lengths"):
         bench_summary.summarise([_run("galerkin", 1, 0.3, 70.0), _run("galerkin", 2, 0.3, 70.0, seconds=20)])
+
+
+def _pair_files(tmp_path, parent_walls, change_walls):
+    for name, walls in (("parent", parent_walls), ("change", change_walls)):
+        lines = [_run("radial-closed", 100 + i, w, 64.0) for i, w in enumerate(walls)]
+        lines.append(_run("radial-closed", 99, 0.0, 0.0, trace=1))  # traced: not a pair
+        (tmp_path / f"{name}.jsonl").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "BENCH.json"
+    sets = [f"{name}={tmp_path / name}.jsonl" for name in ("parent", "change")]
+    assert bench_summary.main([*sets, "--out", str(out)]) == 0
+    return json.loads(out.read_text())["pairs"]["radial-closed"]
+
+
+def test_pairs_meet_the_claim_rule(tmp_path):
+    parent = [0.0170, 0.0172, 0.0171, 0.0169, 0.0173, 0.0170, 0.0171, 0.0172, 0.0170, 0.0171]
+    change = [w * 0.92 for w in parent[:9]] + [0.0171]  # nine wins and one tie, 8% faster
+    wall = _pair_files(tmp_path, parent, change)["wall_s"]
+    assert (wall["pairs"], wall["wins"], wall["ties"]) == (10, 9, 1)
+    assert wall["parent_median"] == pytest.approx(0.01710) and wall["change_median"] < 0.0160
+    assert wall["gap"] == pytest.approx(wall["parent_median"] - wall["change_median"])
+    assert 0.0 < wall["parent_spread"] < wall["gap"] and wall["claim_holds"]
+    rows = _pair_files(tmp_path, parent, change)["rows_per_s"]  # higher is better: the faster side wins there too
+    assert (rows["wins"], rows["ties"], rows["claim_holds"]) == (9, 1, True)
+    assert rows["gap"] == pytest.approx(rows["change_median"] - rows["parent_median"]) and rows["gap"] > 0.0
+
+
+_PARENT = [0.0160, 0.0180, 0.0170, 0.0175, 0.0165, 0.0172, 0.0168, 0.0178, 0.0162, 0.0171]
+
+
+@pytest.mark.parametrize(
+    "change, why",
+    [
+        ([w * 0.9 for w in _PARENT[:8]] + [w * 1.01 for w in _PARENT[8:]], "two of ten pairs lost"),
+        ([w - 1e-6 for w in _PARENT], "ten wins by a gap below the parent's spread"),
+        ([w * 0.9 for w in _PARENT[:9]], "nine pairs, all won"),
+    ],
+)
+def test_pairs_that_miss_the_claim_rule(tmp_path, change, why):
+    wall = _pair_files(tmp_path, _PARENT[: len(change)], change)["wall_s"]
+    assert not wall["claim_holds"], why
+    assert wall["wins"] == sum(c < p for p, c in zip(_PARENT, change))
+
+
+def test_pairs_refuse_sets_of_different_sizes(tmp_path):
+    with pytest.raises(ValueError, match="3 parent runs and 2 change runs"):
+        _pair_files(tmp_path, [0.017, 0.017, 0.017], [0.016, 0.016])

@@ -1083,3 +1083,73 @@ def test_every_declared_option_is_read(capsys, command):
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
     declared = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
     assert declared - reads == set()
+
+
+def _parse_cases():
+    """The `_MINIMAL` argv of every subcommand, and every exact case's argv in both formats."""
+    from test_exact_outputs import CASES, FORMATS
+
+    cases = [pytest.param([command, *args], id=command) for command, args in sorted(_MINIMAL.items())]
+    return cases + [
+        pytest.param([*argv, "--format", fmt], id=f"{name}/{fmt}") for name, argv in CASES.items() for fmt in FORMATS
+    ]
+
+
+@pytest.mark.parametrize("argv", _parse_cases())
+def test_one_pass_parse_equals_the_full_parser(capsys, monkeypatch, argv):
+    # the same attributes, values and order: the order is that of the JSON config keys
+    seen = []
+    monkeypatch.setitem(_COMMANDS, argv[0], lambda args: seen.append(args) or ({"x": []}, {}))
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    full = build_parser().parse_args(_glue_negative_values(argv))
+    assert list(vars(seen[0]).items()) == list(vars(full).items())
+
+
+@pytest.mark.parametrize("command", sorted(_MINIMAL))
+def test_a_command_argv_skips_the_full_parser(capsys, monkeypatch, command):
+    parser, calls = build_parser(), []
+    for name in ("parse_args", "parse_known_args"):
+        method = getattr(parser, name)
+        monkeypatch.setattr(parser, name, lambda *a, _m=method, _n=name, **k: calls.append(_n) or _m(*a, **k))
+    assert main([command, *_MINIMAL[command]]) == 0
+    capsys.readouterr()
+    assert calls == []
+    with pytest.raises(SystemExit):  # no subcommand named: the full parser runs, once
+        main(["bogus"])
+    capsys.readouterr()
+    assert calls == ["parse_args", "parse_known_args"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        ([], 2, "harmotop: error: the following arguments are required: command"),
+        (["bogus"], 2, "harmotop: error: argument command: invalid choice: 'bogus'"),
+        (["-h"], 0, ""),
+        (["--d", "2", "counting"], 2, "harmotop: error: argument command: invalid choice: '2'"),
+    ],
+    ids=["empty", "unknown", "help", "option-first"],
+)
+def test_argv_naming_no_subcommand_goes_to_the_full_parser(capsys, argv, code, err):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, stderr = capsys.readouterr()
+    assert exc.value.code == code and err in stderr
+    assert out == (build_parser().format_help() if code == 0 else "")
+    if code:
+        assert stderr.startswith("usage: harmotop [-h]")
+
+
+def test_subcommand_errors_and_help_come_from_the_subcommand_parser(capsys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices["counting"]
+    with pytest.raises(SystemExit) as exc:
+        main(["counting", "--symbol", "step:b=1,c=0.5", "--lambda", "0.1", "--nr", "20"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: harmotop counting") and err.endswith(
+        "harmotop counting: error: unrecognized arguments: --nr 20\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["counting", "-h"])
+    assert (exc.value.code, capsys.readouterr().out) == (0, sub.format_help())

@@ -57,6 +57,10 @@ CASES = {
     ],
     "spectrum-radial": ["spectrum", "--d", "3", "--symbol", "power:a=1,gamma=1", "--K", "8"],
     "spectrum-general": ["spectrum", "--d", "2", "--symbol", GENERAL, "--matrix-output", MATRIX],
+    # the radial dump: diag(mu_k), each mu_k on its m_k rows
+    "spectrum-radial-matrix": [
+        "spectrum", "--d", "3", "--symbol", "power:a=1,gamma=1", "--K", "3", "--matrix-output", MATRIX,
+    ],
     # the linear mu_k of a sampled profile (`Sampled.mu`)
     "spectrum-sampled": ["spectrum", "--d", "2", "--symbol", PROFILE, "--K", "4"],
     "spectrum-sampled-K12": ["spectrum", "--d", "2", "--symbol", PROFILE, "--K", "12"],

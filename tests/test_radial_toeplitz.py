@@ -311,6 +311,27 @@ def test_schatten_norms_at_large_p_match_mpmath(p, capsys):
     assert float(capsys.readouterr().out.splitlines()[-1].split(",")[2]) == 0.25
 
 
+@pytest.mark.parametrize("p", [600.0, 1e300])
+def test_strong_norm_at_large_p_is_the_correctly_rounded_top_eigenvalue(p, capsys):
+    # the scale is the linear mu at the top degree, not exp(ln mu_0), which was 7 ulp below 1/3
+    assert schatten_radial(Power(1.0, 1.0), 2, p) == 1.0 / 3.0  # mu_0 = 1/(n+1), n = 2k+d
+    assert schatten_radial(Power(1.0, 1.0), 3, p) == 0.25
+    assert schatten_radial(Power(2.0, 2.0), 2, p) == 1.0 / 3.0  # 2 * (1/3) * (2/4)
+    assert main(["schatten", "--d", "2", "--symbol", "power:a=1,gamma=1", "--p", repr(p)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split(",")[2] == "0.33333333333333331"
+
+
+def test_strong_norm_accepts_its_last_table_within_the_named_tolerance(monkeypatch):
+    # at p = 3 no table up to degree 400,000 certifies its tail below _REL_TOL; the
+    # last one is accepted with a tail below _LAST_TABLE_REL_TOL of its sum
+    exact = ((7 / mpmath.mpf(4)) * mpmath.zeta(3) - 2 - 1 / mpmath.mpf(27)) ** (1 / mpmath.mpf(3))
+    value = schatten_radial(Power(1.0, 1.0), 2, 3.0)
+    assert value == pytest.approx(float(exact), rel=radial_toeplitz._LAST_TABLE_REL_TOL / 3)
+    monkeypatch.setattr(radial_toeplitz, "_LAST_TABLE_REL_TOL", radial_toeplitz._REL_TOL)
+    with pytest.raises(TailNotCertifiedError, match="beyond degree 400000"):
+        schatten_radial(Power(1.0, 1.0), 2, 3.0)
+
+
 def test_schatten_radial_weak_matches_enumeration():
     # mu_k = 1/(2k+3) with multiplicities (1, 2, 2, ...): brute-force the sup
     mus = np.array([1.0 / (2 * k + 3) for k in range(200_000)])
@@ -611,7 +632,7 @@ def test_counting_cap_raises_exactly_beyond_the_last_degree():
     for v, d in ((Step(1.0, 1.0 - 2.0**-52), 2), (Step(0.8, 0.5), 3)):
         at_cap = v.log_mu(d, _LAST_DEGREE)[1]
         assert counting(v, d, ln_lam=at_cap) == cumulative_multiplicity(d, _LAST_DEGREE - 1)
-        with pytest.raises(TailNotCertifiedError, match="counting exceeds the degree cap 1000000000000000"):
+        with pytest.raises(TailNotCertifiedError, match="counting exceeds the degree cap 562949953421312"):
             counting(v, d, ln_lam=math.nextafter(at_cap, -math.inf))
         with pytest.raises(TailNotCertifiedError):
             counting(v, d, ln_lam=[at_cap + 1.0, math.nextafter(at_cap, -math.inf)])
