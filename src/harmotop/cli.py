@@ -176,7 +176,8 @@ def _parse_range(text: str, name: str, want_count: bool = False) -> np.ndarray:
 
 
 def _ln_lambda_grid(text: str) -> list[float]:
-    """The --lnlambda grid; above ln(DBL_MAX) lambda is not a double (and every count is 0)."""
+    """The --lnlambda grid; above ln(DBL_MAX) lambda is not a double (and every count is 0).
+    A row's printed lambda is the double math.exp(ln lambda), 0 only where it underflows (below -745.13)."""
     grid = _parse_range(text, "lnlambda").tolist()
     if max(grid) > LN_DBL_MAX:
         raise ValueError(f"--lnlambda must stay at or below ln(DBL_MAX) = {LN_DBL_MAX!r}, got {max(grid)!r}")
@@ -334,9 +335,7 @@ def _cmd_counting(args):
         ln_grid = [math.log(args.lam)]
     else:
         ln_grid = _ln_lambda_grid(args.lnlambda)
-        # display column only; counting itself stays in the log domain and
-        # the emitted value never goes sub-normal
-        lam_grid = [math.exp(l) if l > -700.0 else 0.0 for l in ln_grid]
+        lam_grid = [math.exp(t) for t in ln_grid]
     table = {"lambda": lam_grid, "ln_lambda": ln_grid, "n": rt.counting(symbol, args.d, sign=sign, ln_lam=ln_grid)}
     meta = {
         "comments": [f"n: {COUNTING_FORMULA} (sign={args.sign})"],
@@ -348,7 +347,7 @@ def _cmd_counting(args):
 def _cmd_asymptotics(args):
     symbol, _, _ = _resolve(args)
     sign = 1 if args.sign == "plus" else -1
-    ln_grid = np.sort(np.unique(_parse_range(args.lnlambda, "lnlambda")))[::-1]
+    ln_grid = np.unique(_ln_lambda_grid(args.lnlambda))[::-1]  # descending, each point once
     fit = rt.asymptotic_fit(
         symbol, args.d, model=args.model, exponent=args.exponent, sign=sign, ln_lam_grid=ln_grid
     )

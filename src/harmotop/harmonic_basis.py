@@ -113,29 +113,26 @@ def angular_basis_matrix(d: int, max_degree: int, dirs: np.ndarray) -> np.ndarra
     Returns the (M_K, n) matrix whose rows follow :func:`basis_degrees`.
     Only d = 2 and d = 3 carry pointwise harmonics.
     """
+    if d not in (2, 3):
+        raise ValueError(f"pointwise harmonics are implemented for d in {{2, 3}}, got d={d}")
     dirs = np.asarray(dirs, dtype=float)
-    if d == 2:
-        theta = np.arctan2(dirs[:, 1], dirs[:, 0])
-        rows = [np.full(dirs.shape[0], 1.0 / math.sqrt(2.0 * math.pi))]
-        inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-        for k in range(1, max_degree + 1):
-            rows.append(np.cos(k * theta) * inv_sqrt_pi)
-            rows.append(np.sin(k * theta) * inv_sqrt_pi)
-        return np.vstack(rows)
-    if d == 3:
-        # The Legendre recurrence runs once per distinct polar cosine (a
-        # tensor grid has n_ang/2 + 1 of them) and cos/sin once per order
-        # and distinct azimuth; row (k, m) is N[k, |m|] times the order-m
-        # trig row (ones at m = 0), each spread to the directions by a take.
+    # One trig table serves both dimensions: the rows 1, cos(j phi), sin(j phi)
+    # for j <= K on the distinct azimuths, from one outer product.  Basis row
+    # (k, m) is its order-m trig row (sin(|m| phi) for m < 0), spread to the
+    # directions by a take, times the row's factor.
+    phi, azimuth = np.unique(np.arctan2(dirs[:, 1], dirs[:, 0]), return_inverse=True)
+    angles = np.arange(1, max_degree + 1)[:, None] * phi
+    trig = np.vstack([np.ones_like(phi), np.cos(angles), np.sin(angles)])
+    k = basis_degrees(d, max_degree)
+    if d == 2:  # orders 0, 1, -1, 2, -2, ...: the rows 1, cos, sin, cos 2, sin 2, ...
+        m = np.where(np.arange(k.size) % 2, k, -k)
+        factor = np.where(k > 0, 1.0 / math.sqrt(math.pi), 1.0 / math.sqrt(2.0 * math.pi))[:, None]
+    else:  # the Legendre recurrence runs once per distinct polar cosine (n_ang/2 + 1 on a tensor grid)
         u, polar = np.unique(dirs[:, 2], return_inverse=True)
-        phi, azimuth = np.unique(np.arctan2(dirs[:, 1], dirs[:, 0]), return_inverse=True)
-        N = _normalized_alp_table(max_degree, u)
-        angles = np.arange(1, max_degree + 1)[:, None] * phi
-        trig = np.vstack([np.ones_like(phi), np.cos(angles), np.sin(angles)])
-        k = basis_degrees(3, max_degree)
         m = np.arange(k.size) - k * (k + 1)
-        out = np.take(N[k, np.abs(m)], polar, axis=1)
-        out *= np.take(trig[np.where(m < 0, max_degree - m, m)], azimuth, axis=1)
+        factor = np.take(_normalized_alp_table(max_degree, u)[k, np.abs(m)], polar, axis=1)
+    out = np.take(trig[np.where(m < 0, max_degree - m, m)], azimuth, axis=1)
+    out *= factor
+    if d == 3:
         out *= 1.0 / math.sqrt(4.0 * math.pi)
-        return out
-    raise ValueError(f"pointwise harmonics are implemented for d in {{2, 3}}, got d={d}")
+    return out

@@ -1040,6 +1040,43 @@ def test_lnlambda_above_the_double_range_exits_two(capsys, command, fmt):
     assert code == 0, err
 
 
+@pytest.mark.parametrize("grid", ["-712:-700:4", "-708:-700:5", "-760:-740:5"])
+def test_counting_and_krein_print_one_lambda_column(capsys, grid):
+    # lambda is the double exp(ln lambda), sub-normal from -708 down and 0
+    # only below -745.13, in both commands
+    lo, hi, n = grid.split(":")
+    ln_grid = np.linspace(float(lo), float(hi), int(n)).tolist()
+    columns = []
+    for argv in (["counting"], ["krein", "--eps", "0.5"]):
+        code, out, err = run_cli(capsys, *argv, "--d", "2", "--symbol", "step:b=1,c=0.5", f"--lnlambda={grid}")
+        assert code == 0, err
+        columns.append([l.split(",")[0] for l in out.splitlines() if not l.startswith("#")])
+    assert columns[0] == columns[1] == ["%.17g" % math.exp(t) for t in ln_grid]
+    assert [float(lam) == 0.0 for lam in columns[0]] == [t < -745.13 for t in ln_grid]
+    if grid == "-708:-700:5":
+        assert columns[0][0] == "3.3075530036384078e-308"
+
+
+def test_asymptotics_refuses_lnlambda_above_the_double_range(capsys):
+    argv = ["asymptotics", "--d", "2", "--symbol", "power:a=1,gamma=1", "--model", "power"]
+    code, out, err = run_cli(capsys, *argv, "--lnlambda=700:720:5")
+    assert (code, out) == (2, "")
+    assert "--lnlambda" in err and "ln(DBL_MAX)" in err
+
+
+def test_asymptotics_reads_its_grid_descending_once_per_point(capsys, monkeypatch):
+    # an ascending grid prints the rows of its descending form; a repeated
+    # point, which LO:HI:N makes only on spans too short to fit, is read once
+    argv = ["asymptotics", "--d", "2", "--symbol", "power:a=1,gamma=1", "--model", "power"]
+    code, descending, err = run_cli(capsys, *argv, "--lnlambda", "-4:-12:5")
+    assert code == 0, err
+    assert run_cli(capsys, *argv, "--lnlambda", "-12:-4:5") == (0, descending, "")
+    parse_range = harmotop.cli._parse_range
+    monkeypatch.setattr(harmotop.cli, "_parse_range", lambda text, name: np.insert(parse_range(text, name), 2, -8.0))
+    assert harmotop.cli._parse_range("-12:-4:5", "lnlambda").tolist() == [-12.0, -10.0, -8.0, -8.0, -6.0, -4.0]
+    assert run_cli(capsys, *argv, "--lnlambda", "-12:-4:5") == (0, descending, "")
+
+
 def test_krein_sub_normal_eps_refusal_writes_one_stderr_line():
     # eps = lambda^(1/2) is sub-normal, so sup V / eps overflows to inf
     env = dict(os.environ, PYTHONPATH=str(Path(harmotop.__file__).parents[1]))

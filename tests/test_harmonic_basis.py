@@ -247,3 +247,35 @@ def test_d3_harmonics_equal_the_three_index_gather(K):
     ref *= trig[np.where(m < 0, K - m, m)]
     ref *= 1.0 / math.sqrt(4.0 * math.pi)
     assert np.array_equal(angular_basis_matrix(3, K, dirs), ref)
+
+
+def _d2_basis_by_degree(K, dirs):
+    # the per-degree rows the one trig table replaced: 1/sqrt(2 pi), then
+    # cos(k theta) and sin(k theta) times 1/sqrt(pi) for k = 1..K
+    theta = np.arctan2(dirs[:, 1], dirs[:, 0])
+    rows = [np.full(dirs.shape[0], 1.0 / math.sqrt(2.0 * math.pi))]
+    for k in range(1, K + 1):
+        rows += [np.cos(k * theta) * (1.0 / math.sqrt(math.pi)), np.sin(k * theta) * (1.0 / math.sqrt(math.pi))]
+    return np.vstack(rows)
+
+
+def _d2_directions(K, case):
+    if case == "for_degree":  # n_ang = 2K + 4, as the benchmark's files and berezin's default
+        return ball_grid(2, TruncationSpec.for_degree(K)).ang_dirs
+    if case == "odd":  # n_ang = 2K + 3: no direction has its antipode
+        return ball_grid(2, TruncationSpec(max_degree=K, n_r=K + 8, n_ang=2 * K + 3)).ang_dirs
+    if case == "half":  # the directions weighted_gram evaluates, n_ang = 4K + 8
+        grid = ball_grid(2, TruncationSpec(max_degree=K, n_r=K + 8, n_ang=4 * K + 8))
+        return grid.ang_dirs[: grid.ang_dirs.shape[0] - grid.antipodes.size]
+    x = np.random.default_rng(K).normal(size=(9, 2))  # unit vectors, as berezin passes them
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("case", ["for_degree", "odd", "half", "random"])
+@pytest.mark.parametrize("K", [0, 1, 7, 40, 120])
+def test_d2_harmonics_equal_the_per_degree_rows_bit_for_bit(K, case):
+    dirs = _d2_directions(K, case)
+    psi = angular_basis_matrix(2, K, dirs)
+    ref = _d2_basis_by_degree(K, dirs)
+    assert psi.shape == ref.shape == (2 * K + 1, dirs.shape[0])
+    assert psi.tobytes() == ref.tobytes()
