@@ -185,10 +185,12 @@ def _ln_lambda_grid(text: str) -> list[float]:
 
 
 def _finite(text: str) -> float:
-    """A finite real number (argparse names the option on refusal)."""
+    """A finite real number, not nonzero text that underflows to 0.0 (argparse names the option on refusal)."""
     try:
         if math.isfinite(value := float(text)):
-            return value
+            if value or not any(c.isdecimal() and int(c) for c in text.lower().partition("e")[0]):
+                return value
+            raise argparse.ArgumentTypeError(f"{text!r} is not 0 but underflows to 0.0 (small thresholds: --lnlambda)")
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("krein", help="sandwich bounds for the perturbed counting functions")
     common(p)
     p.add_argument("--lnlambda", default=None, help="log-threshold grid LO:HI[:N]")
-    p.add_argument("--E", dest="e_grid", default=None, help="energy grid LO:HI:N for the complementary-spectrum counting")
+    p.add_argument("--E", dest="e_grid", default=None, help="energy grid LO:HI:N: the ball's buckling count, fit to C E^(d/2)")
     p.add_argument("--eps", type=_finite, default=None, help="fixed eps (default lambda^theta)")
     p.add_argument("--lam1", type=_finite, default=10.0)
 
@@ -455,16 +457,14 @@ def _cmd_krein(args):
     if (args.lnlambda is None) == (args.e_grid is None):
         raise ValueError("provide exactly one of --lnlambda, --E")
     if args.e_grid is not None:
-        if args.d != 2:
-            raise ValueError(f"krein --E needs --d 2: the buckling oracle covers the disk only, got d={args.d}")
         e_grid = _parse_range(args.e_grid, "E", want_count=True).tolist()
-        exponent, coefficient, counts = kc.weyl_L_fit(e_grid)
+        exponent, coefficient, counts = kc.weyl_L_fit(args.d, e_grid)
         meta = {
             "comments": [
-                "count: disk buckling values below E (multiplicity counted)",
+                "count: buckling values of the unit ball below E (multiplicity m_k counted)",
                 f"fit count ~ C E^(d/2): exponent={exponent:{FULL}} coefficient={coefficient:{FULL}}",
             ],
-            "formulas": ["count(E) ~ C E^(d/2), values j_(k+1,m)^2"],
+            "formulas": ["count(E) ~ C E^(d/2), values j_(k+d/2,m)^2"],
             "fit": {"exponent": exponent, "coefficient": coefficient},
         }
         return {"E": e_grid, "count": counts.tolist()}, meta

@@ -3,9 +3,9 @@
 The counting functions of the perturbed operator near zero are sandwiched
 between Toeplitz counting functions evaluated at shifted thresholds plus a
 resolvent remainder.  The remainder is modelled through the spectrum of the
-complementary restriction, which on the disk is the classical clamped
-buckling spectrum {j_{k+1,m}^2} (multiplicity 1 for k = 0, 2 for k >= 1);
-that identification is a working oracle confined to :func:`disk_counting`,
+complementary restriction, which on the unit ball is the clamped buckling
+spectrum {j_{k+d/2,m}^2} (multiplicity m_k(d), that of the degree-k harmonics);
+that identification is a working oracle confined to :func:`ball_counting`,
 so the sandwich arithmetic itself never depends on it.
 """
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import TailNotCertifiedError
+from .harmonic_basis import multiplicity
 from .numerics import bessel_zero_counts
 from .radial_toeplitz import _refuse_flat, boundary_law_constant
 
@@ -22,7 +23,7 @@ __all__ = [
     "lam_power",
     "sandwich_minus",
     "counting_envelope",
-    "disk_counting",
+    "ball_counting",
     "weyl_L_fit",
     "remainder_model",
 ]
@@ -73,7 +74,7 @@ def counting_envelope(d: int, gamma: float, a0: float, *, ln_lam) -> list[float]
     return main
 
 
-# --- disk buckling oracle ----------------------------------------------------
+# --- ball buckling oracle ----------------------------------------------------
 
 # A count sweeps sqrt(E) + 16 E^(1/4) + 24 Bessel orders: 1.05e5 at E = 1e10,
 # a third of a second on a 2-core VM.  Larger energies are refused rather
@@ -81,13 +82,14 @@ def counting_envelope(d: int, gamma: float, a0: float, *, ln_lam) -> list[float]
 _MAX_SWEEP_ENERGY = 1e10
 
 
-def disk_counting(energy):
-    """Number of disk buckling values strictly below `energy` (with multiplicity).
+def ball_counting(d: int, energy):
+    """Number of buckling values of the unit ball in R^d strictly below `energy` (with multiplicity).
 
-    The values are j_{k+1,m}^2 with multiplicity 1 for k = 0 and 2 for
-    k >= 1, so the count is n_1 + 2 sum_{k>=2} n_k at sqrt(energy), where
-    n_k counts the zeros of J_k below it: one Bessel sweep per call, for a
-    scalar energy (returns an int) or an array of them (an int array).
+    The values are j_{k+d/2,m}^2 with multiplicity m_k(d), so the count is
+    sum_k m_k(d) n_{k+d/2} at sqrt(energy), n_nu counting the zeros of J_nu
+    below it: one Bessel sweep per call over the orders d/2 - [d/2] + j, for a
+    scalar energy (returns an int) or an array of them (an int array).  A
+    count past the int64 range raises TailNotCertifiedError.
     """
     e = np.asarray(energy, dtype=float)
     beyond = ~(e <= _MAX_SWEEP_ENERGY)
@@ -96,31 +98,35 @@ def disk_counting(energy):
             f"buckling count at E={float(e[beyond].flat[0])!r}: the Bessel sweep is bounded to E <= {_MAX_SWEEP_ENERGY:g}"
         )
     # every count is 0 below j_{1,1}^2 = 14.68, so clamping at 1 keeps x > 0
-    total = np.zeros(e.shape, dtype=np.int64)
-    for k, n in bessel_zero_counts(np.sqrt(np.maximum(e, 1.0))):
-        if k == 0:
-            break
-        total += n if k == 1 else 2 * n
+    total, x = np.zeros(e.shape, dtype=np.int64), np.sqrt(np.maximum(e, 1.0))
+    deepest, peak = int(np.argmax(x)), 0  # the exact count at the largest energy bounds every count
+    m = [0] * (d // 2) + multiplicity(d, np.arange(int(x.item(deepest)) + 1)).tolist()  # m_k at j = k + [d/2]
+    for j, n in bessel_zero_counts(x, d / 2 - d // 2):
+        if top := n.item(deepest):
+            if (peak := peak + m[j] * top) >= 2**63:
+                raise TailNotCertifiedError(f"buckling count at d={d}, E={e.item(deepest)!r} is beyond int64")
+            total += m[j] * n
     return int(total) if total.ndim == 0 else total
 
 
-def weyl_L_fit(e_grid) -> tuple[float, float, np.ndarray]:
-    """Fit of the disk buckling counting function to C E: (exponent,
+def weyl_L_fit(d: int, e_grid) -> tuple[float, float, np.ndarray]:
+    """Fit of the ball buckling counting function to C E^(d/2): (exponent,
     coefficient, counts), with the counts at every grid energy.
 
-    The exponent comes from a free log-log fit; the coefficient from the
-    deepest grid point.  The planar leading coefficient is area/(4 pi) = 1/4.
+    The exponent comes from a free log-log fit; the coefficient count/E^(d/2)
+    from the deepest grid point.  The Weyl coefficient is |B^d|^2/(2 pi)^d:
+    1/4 at d = 2, 2/(9 pi) at d = 3.
     Counts that are the same at every grid point raise TailNotCertifiedError.
     """
     e_arr = np.asarray(e_grid, dtype=float)
     if e_arr.size < 2 or np.any(np.diff(e_arr) <= 0.0):
         raise ValueError("energy grid must be increasing with >= 2 points")
-    counts = disk_counting(e_arr)
+    counts = ball_counting(d, e_arr)
     if np.any(counts < 1):
         raise ValueError("energy grid starts below the first buckling value")
     _refuse_flat(counts)
     exponent = float(np.polyfit(np.log(e_arr), np.log(counts), 1)[0])
-    coefficient = float(counts[-1] / e_arr[-1])
+    coefficient = float(counts[-1] / e_arr[-1] ** (d / 2))
     return exponent, coefficient, counts
 
 
@@ -128,7 +134,7 @@ def remainder_model(eps, v_sup: float, lam1: float, d: int):
     """Model for the resolvent remainder: counting of the complementary
     spectrum below lam1 + v_sup/eps.
 
-    For d = 2 the disk buckling oracle is evaluated exactly; for d >= 3 a
+    For d = 2 the buckling oracle is evaluated exactly; for d >= 3 a
     unit-constant E^(d/2) growth model stands in (a model, not a certified
     bound).  A scalar eps gives an int; an array of them gives one count per
     entry from a single oracle sweep (at d >= 3 an object array of Python
@@ -143,7 +149,7 @@ def remainder_model(eps, v_sup: float, lam1: float, d: int):
     with np.errstate(over="ignore"):  # the oracle or the model check below refuses an infinite energy
         energy = lam1 + v_sup / eps
     if d == 2:
-        return disk_counting(energy)
+        return ball_counting(d, energy)
     with np.errstate(over="ignore"):
         model = energy ** (0.5 * d)
     beyond = ~np.isfinite(model)

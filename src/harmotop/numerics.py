@@ -112,19 +112,19 @@ def gauss_jacobi01(order: int, gamma: float) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 
 
-def bessel_zero_counts(x):
-    """Yield (k, n_k(x)) for k = N-1, N-2, ..., 0, where n_k(x) counts the zeros of J_k in (0, x).
+def bessel_zero_counts(x, nu0: float = 0.0):
+    """Yield (j, n_{nu0+j}(x)) for j = N-1, N-2, ..., 0, where n_nu(x) counts the zeros of J_nu in (0, x).
 
     x is a scalar or an array of positive arguments; the counts have its
-    shape.  For x > 0 the zeros of J_k and J_{k+1} interlace (DLMF 10.21(i))
-    and J_k(x) has sign (-1)^{n_k(x)}, so n_k(x) = n_{k+1}(x) + 1 exactly
-    where J_k(x) and J_{k+1}(x) differ in sign; and n_k(x) = 0 for k >= x.
-    One backward (Miller) sweep over all orders therefore counts every order
-    at once.  It carries the ratio r_k = J_k(x)/J_{k+1}(x) =
-    2(k+1)/x - 1/r_{k+1}, the unnormalised sweep with its scale divided out
-    at each step, so nothing overflows.  It starts from r_N = inf at
-    N = x + 16 sqrt(x + 1) + 24 (largest x); the start's error has decayed
-    below rounding long before the orders below x, where zeros occur.
+    shape; nu0 >= 0.  For x > 0 the zeros of J_nu and J_{nu+1} interlace
+    (DLMF 10.21(i)) and J_nu(x) has sign (-1)^{n_nu(x)}, so n_nu = n_{nu+1} + 1
+    exactly where J_nu(x) and J_{nu+1}(x) differ in sign; and n_nu(x) = 0 for
+    nu >= x.  One backward (Miller) sweep over the orders nu0 + j therefore
+    counts every order at once.  It carries r_nu = J_nu(x)/J_{nu+1}(x) =
+    2(nu+1)/x - 1/r_{nu+1}, the unnormalised sweep with its scale divided out
+    at each step, so nothing overflows.  It starts from r = inf at j = N =
+    x + 16 sqrt(x + 1) + 24 (largest x); the start's error has decayed below
+    rounding long before the orders below x, where zeros occur.
     A count can be off by one only within a few ulp of a zero.
     """
     x = np.asarray(x, dtype=float)
@@ -134,10 +134,10 @@ def bessel_zero_counts(x):
     top = int(x_max + 16.0 * math.sqrt(x_max + 1.0) + 24)
     ratio = np.full(x.shape, np.inf)
     count = np.zeros(x.shape, dtype=np.int64)
-    for k in range(top - 1, -1, -1):
-        ratio = 2.0 * (k + 1) / x - 1.0 / ratio
+    for j in range(top - 1, -1, -1):
+        ratio = 2.0 * (j + 1 + nu0) / x - 1.0 / ratio
         count = count + (ratio < 0.0)
-        yield k, count
+        yield j, count
 
 
 def symmetric_eigen(A: np.ndarray) -> np.ndarray:

@@ -271,12 +271,12 @@ def test_c15_buckling_oracle_and_weyl_bound():
         j11 = float(sp.jn_zeros(1, 1)[0]) ** 2
         j21 = float(sp.jn_zeros(2, 1)[0]) ** 2
         assert abs(j11 - 14.68197064) <= 1e-6
-        steps = kc.disk_counting(np.array([j11 - 1e-8, j11 + 1e-8, j21 - 1e-8, j21 + 1e-8]))
+        steps = kc.ball_counting(2, np.array([j11 - 1e-8, j11 + 1e-8, j21 - 1e-8, j21 + 1e-8]))
         assert steps.tolist() == [0, 1, 1, 3]
-        exponent, coefficient, counts = kc.weyl_L_fit(np.geomspace(2e3, 1e4, 8))
+        exponent, coefficient, counts = kc.weyl_L_fit(2, np.geomspace(2e3, 1e4, 8))
         assert abs(exponent - 1.0) <= 0.05, exponent
         assert abs(coefficient - 0.25) <= 0.025, coefficient
-        assert counts.tolist() == kc.disk_counting(np.geomspace(2e3, 1e4, 8)).tolist()
+        assert counts.tolist() == kc.ball_counting(2, np.geomspace(2e3, 1e4, 8)).tolist()
 
 
 def test_c16_multiplicity_combinatorics():

@@ -359,15 +359,19 @@ def test_emit_of_an_empty_table_writes_the_header_only(capsys):
     assert capsys.readouterr().out == "# harmotop demo\n# columns: k,value\n"
 
 
-def test_krein_energy_scan_refuses_dimensions_other_than_two(capsys):
-    for d in ("3", "4"):
+def test_krein_energy_scan_prints_every_dimension_until_int64(capsys):
+    # the counts at E = 200, 1100, 2000 equal a scipy enumeration of the j_(k+d/2,m)^2
+    for d, rows in (("2", ["200,34", "1100,238", "2000,451"]), ("3", ["200,116", "1100,2037", "2000,5330"]),
+                    ("4", ["200,264", "1100,13971", "2000,50079"])):
         code, out, err = run_cli(
             capsys, "krein", "--d", d, "--symbol", "power:a=1,gamma=1", "--E", "200:2000:3"
         )
-        assert code == 2 and out == ""
-        assert "disk only" in err
-    code, out, _ = run_cli(capsys, "krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--E", "200:2000:3")
-    assert code == 0 and out.splitlines()[-1] == "2000,451"
+        assert code == 0 and err == ""
+        assert out.splitlines()[-3:] == rows
+    # the Weyl estimate at d = 10, E = 2e5 is about 2e19, past int64: refused, not wrapped
+    code, out, err = run_cli(capsys, "krein", "--d", "10", "--symbol", "power:a=1,gamma=1", "--E", "2000:200000:5")
+    assert code == 3 and out == ""
+    assert "d=10" in err and "E=200000.0" in err and "int64" in err
 
 
 @pytest.mark.parametrize(
@@ -397,8 +401,8 @@ def test_krein_remainder_at_a_large_energy_prints_rows(capsys):
 def test_krein_rows_share_one_remainder_sweep(capsys, monkeypatch):
     # every row's remainder energy lam1 + sup V / eps is counted by one call
     calls = []
-    sweep = kc.disk_counting
-    monkeypatch.setattr(kc, "disk_counting", lambda energy: calls.append(np.size(energy)) or sweep(energy))
+    sweep = kc.ball_counting
+    monkeypatch.setattr(kc, "ball_counting", lambda d, energy: calls.append(np.size(energy)) or sweep(d, energy))
     code, out, _ = run_cli(
         capsys, "krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--lnlambda", "-8:-4:30", "--lam1", "1e9"
     )
@@ -410,8 +414,8 @@ def test_krein_rows_share_one_remainder_sweep(capsys, monkeypatch):
 def test_krein_energy_scan_sweeps_once(capsys, monkeypatch):
     # the fit and the printed counts share one Bessel sweep
     calls = []
-    sweep = kc.disk_counting
-    monkeypatch.setattr(kc, "disk_counting", lambda energy: calls.append(np.size(energy)) or sweep(energy))
+    sweep = kc.ball_counting
+    monkeypatch.setattr(kc, "ball_counting", lambda d, energy: calls.append(np.size(energy)) or sweep(d, energy))
     code, out, _ = run_cli(capsys, "krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--E", "2000:200000:5")
     assert code == 0 and len([l for l in out.splitlines() if not l.startswith("#")]) == 5
     assert calls == [5]
@@ -483,6 +487,26 @@ def test_non_finite_numeric_options_exit_two(capsys, argv, option):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert option in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["counting", *POWER, "--lambda", "1e-400"], "--lambda"),
+        (["krein", *POWER, "--lnlambda", "-8:-4:3", "--eps", "1e-400"], "--eps"),
+    ],
+)
+def test_an_option_that_underflows_to_zero_is_refused_as_an_underflow(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"argument {option}: '1e-400' is not 0 but underflows to 0.0" in err and "--lnlambda" in err
+    # a typed 0 keeps its own refusal
+    code, out, err = run_cli(capsys, *argv[:-1], "0")
+    assert code == 2 and out == ""
+    assert err == ("harmotop: --lambda must be positive, got 0.0\n" if option == "--lambda"
+                   else "harmotop: eps must lie in (0, 1), got 0.0\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

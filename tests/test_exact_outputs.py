@@ -91,6 +91,8 @@ CASES = {
     "krein-power-deep": ["krein", "--d", "2", "--symbol", "power:a=1,gamma=40", "--lnlambda", "-800:-790:3"],
     "krein-E-d2": ["krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--E", "200:2000:3"],
     "krein-E-d2-wide": ["krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--E", "2000:200000:5"],
+    # the d = 3 counts equal a scipy enumeration of j_(k+3/2,m)^2 with multiplicity 2k+1
+    "krein-E-d3": ["krein", "--d", "3", "--symbol", "power:a=1,gamma=1", "--E", "2000:200000:5"],
 }
 
 

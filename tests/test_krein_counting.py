@@ -1,14 +1,16 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
+from scipy.optimize import brentq
 
 from harmotop import radial_toeplitz as rt
 from harmotop.errors import TailNotCertifiedError
 from harmotop.krein_counting import (
     counting_envelope,
-    disk_counting,
+    ball_counting,
     lam_power,
     remainder_model,
     sandwich_minus,
@@ -170,7 +172,7 @@ def test_buckling_disk_values_against_independent_oracle():
     j11 = float(sp.jn_zeros(1, 1)[0]) ** 2
     j21 = float(sp.jn_zeros(2, 1)[0]) ** 2
     assert j11 == pytest.approx(14.68197064, abs=1e-6)
-    assert [disk_counting(e) for e in (j11 - 1e-8, j11 + 1e-8, j21 - 1e-8, j21 + 1e-8)] == [0, 1, 1, 3]
+    assert [ball_counting(2, e) for e in (j11 - 1e-8, j11 + 1e-8, j21 - 1e-8, j21 + 1e-8)] == [0, 1, 1, 3]
 
 
 def _scipy_buckling_values(e_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -194,8 +196,8 @@ def test_buckling_orders_interlace():
     j3 = sp.jn_zeros(3, 3)
     assert j2[0] < j3[0] < j2[1] < j3[1] < j2[2]
     vals, mults = _scipy_buckling_values(300.0)
-    below = disk_counting(vals - 1e-8)
-    above = disk_counting(vals + 1e-8)
+    below = ball_counting(2, vals - 1e-8)
+    above = ball_counting(2, vals + 1e-8)
     assert (above - below).tolist() == mults.tolist()
     assert below.tolist() == (np.cumsum(mults) - mults).tolist()
 
@@ -204,16 +206,59 @@ def test_disk_counting_matches_scipy_enumeration():
     vals, mults = _scipy_buckling_values(2e4)
     energies = np.random.default_rng(14).uniform(0.0, 2e4, 200)
     ref = [int(np.sum(mults[vals < e])) for e in energies]
-    assert disk_counting(energies).tolist() == ref
-    assert [disk_counting(float(e)) for e in energies] == ref
-    assert isinstance(disk_counting(100.0), int)
+    assert ball_counting(2, energies).tolist() == ref
+    assert [ball_counting(2, float(e)) for e in energies] == ref
+    assert isinstance(ball_counting(2, 100.0), int)
 
 
 def test_disk_counting_monotone_and_zero_below_first():
-    assert disk_counting(10.0) == 0
-    assert disk_counting(14.6) == 0
-    counts = [disk_counting(e) for e in np.linspace(10.0, 300.0, 40)]
+    assert ball_counting(2, 10.0) == 0
+    assert ball_counting(2, 14.6) == 0
+    counts = [ball_counting(2, e) for e in np.linspace(10.0, 300.0, 40)]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+
+def _multiplicity(d: int, k: int) -> int:
+    """m_k(d) = C(k+d-1, d-1) - C(k+d-3, d-1), the degree-k harmonic polynomials minus |x|^2 times degree k-2."""
+    return math.comb(k + d - 1, d - 1) - (math.comb(k + d - 3, d - 1) if k >= 2 else 0)
+
+
+def _jv_zeros_below(nu: float, x_max: float) -> np.ndarray:
+    """The zeros of J_nu in (0, x_max): sign changes of scipy's jv on a 1/4 grid from nu (below which J_nu
+    has none, and consecutive zeros lie more than pi apart), each refined by brentq."""
+    t = np.arange(nu, x_max + 0.25, 0.25)
+    f = sp.jv(nu, t)
+    changes = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))
+    zeros = np.array([brentq(lambda s: sp.jv(nu, s), t[i], t[i + 1], xtol=1e-14) for i in changes])
+    return zeros[zeros < x_max]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_ball_counting_matches_an_independent_enumeration(d):
+    # every buckling value j_(k+d/2,m)^2 below 2e4, with multiplicity m_k(d)
+    x_max = math.sqrt(2e4)
+    zeros = {k: _jv_zeros_below(k + d / 2, x_max) for k in range(int(x_max - d / 2) + 1)}
+    for k in range(3):  # the first zeros of the first orders are mpmath's
+        ref = [float(mp.besseljzero(mp.mpf(2 * k + d) / 2, m)) for m in (1, 2, 3)]
+        assert zeros[k][:3] == pytest.approx(ref, rel=1e-13, abs=0.0), k
+    vals = np.concatenate([z**2 for z in zeros.values()])
+    mults = np.concatenate([np.full(z.size, _multiplicity(d, k)) for k, z in zeros.items()])
+    energies = np.random.default_rng(30 + d).uniform(0.0, 2e4, 100)
+    assert ball_counting(d, energies).tolist() == [int(np.sum(mults[vals < e])) for e in energies]
+    # the count steps by m_k(d) at each of the first values, to 1e-8
+    first = np.argsort(vals)[:12]
+    below, above = ball_counting(d, vals[first] - 1e-8), ball_counting(d, vals[first] + 1e-8)
+    assert (above - below).tolist() == mults[first].tolist()
+    assert below.tolist() == (np.cumsum(mults[first]) - mults[first]).tolist()
+
+
+def test_ball_counting_refuses_a_count_beyond_int64():
+    # the Weyl estimate at d = 10, E = 2e5 is about 2e19; at E = 2000 the count is far below 2^63
+    assert 0 < ball_counting(10, 2000.0) < 2**63 - 1
+    with pytest.raises(TailNotCertifiedError, match=r"d=10, E=200000.0 is beyond int64"):
+        ball_counting(10, np.array([2000.0, 2e5]))
+    with pytest.raises(TailNotCertifiedError, match=r"d=40, E=10000.0"):  # m_k(40) alone passes 2^63 early
+        ball_counting(40, 1e4)
 
 
 def test_remainder_model():
@@ -232,10 +277,10 @@ def test_remainder_model():
 
 def test_weyl_L_fit_disk():
     grid = np.geomspace(2e3, 1e4, 8)
-    exponent, coefficient, counts = weyl_L_fit(grid)
+    exponent, coefficient, counts = weyl_L_fit(2, grid)
     assert exponent == pytest.approx(1.0, abs=0.05)
     assert coefficient == pytest.approx(0.25, rel=0.10)
-    assert counts.tolist() == disk_counting(grid).tolist()
+    assert counts.tolist() == ball_counting(2, grid).tolist()
     assert coefficient == counts[-1] / grid[-1]
 
 

@@ -177,6 +177,22 @@ def test_bessel_zeros_upto_groups():
         assert below.tolist() == [0, 1, 2, 3, 4, 5] and above.tolist() == [1, 2, 3, 4, 5, 6], k
 
 
+def test_bessel_zero_counts_at_half_integer_orders():
+    # DLMF 10.49: J_(1/2)(x) = sqrt(2/(pi x)) sin x and J_(3/2)(x) = sqrt(2/(pi x)) (sin x/x - cos x),
+    # so n_(1/2)(x) counts the multiples of pi below x and n_(3/2)(x) the positive roots of tan t = t
+    from scipy.optimize import brentq
+
+    pi_multiples = math.pi * np.arange(1, 21)
+    tan_roots = np.array([brentq(lambda t: math.sin(t) - t * math.cos(t), m * math.pi, (m + 0.5) * math.pi,
+                                 xtol=1e-15) for m in range(1, 21)])
+    for j, zeros in ((0, pi_multiples), (1, tan_roots)):
+        x = np.linspace(0.01, 0.5 * (zeros[-2] + zeros[-1]), 3001)
+        assert dict(bessel_zero_counts(x, 0.5))[j].tolist() == np.searchsorted(zeros, x).tolist(), j
+        # and on either side of each zero, at (1 -+ 1e-12) times it
+        below, above = dict(bessel_zero_counts(np.stack([zeros * (1.0 - 1e-12), zeros * (1.0 + 1e-12)]), 0.5))[j]
+        assert below.tolist() == list(range(20)) and above.tolist() == list(range(1, 21)), j
+
+
 def test_symmetric_eigen_small_cases():
     assert symmetric_eigen(np.eye(3)) == pytest.approx([1.0, 1.0, 1.0])
     assert symmetric_eigen(np.diag([3.0, 1.0, 2.0])) == pytest.approx([1.0, 2.0, 3.0])
