@@ -9,6 +9,9 @@ Symbol descriptors:
     sampled:@<path.csv>        (two columns r,v)
     sum:[<desc>; <desc> ...]   general:@<path.json>
 
+Every number in a descriptor or a sample file must be finite, and the d, K,
+n_r and n_ang of a general:@ file must be JSON integers.
+
 Outputs are deterministic for a fixed configuration.  Exit codes: 0
 success, 2 malformed configuration or descriptor, 3 numerical certification
 failure.
@@ -61,6 +64,8 @@ def _parse_fields(text: str, body: str, offset: int, keys: tuple[str, ...]) -> d
             out[key] = float(val)
         except ValueError:
             raise SymbolSyntaxError(text, pos + len(key) + 1, f"not a number: {val!r}") from None
+        if not math.isfinite(out[key]):
+            raise SymbolSyntaxError(text, pos + len(key) + 1, f"field {key!r} is not finite: {val!r}")
         pos += len(item) + 1
     missing = [k for k in keys if k not in out]
     if missing:
@@ -107,14 +112,15 @@ def parse_symbol(text: str):
         if not body.startswith("@"):
             raise SymbolSyntaxError(text, offset, "expected sampled:@<path.csv>")
         path = Path(body[1:])
-        rows = [
-            line.split(",")
-            for line in path.read_text().splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+        r, v = [], []
         try:
-            r = [float(row[0]) for row in rows]
-            v = [float(row[1]) for row in rows]
+            for n, line in enumerate(path.read_text().splitlines(), 1):
+                if line.strip() and not line.lstrip().startswith("#"):
+                    row = line.split(",")
+                    r.append(float(row[0]))
+                    v.append(float(row[1]))
+                    if not (math.isfinite(r[-1]) and math.isfinite(v[-1])):
+                        raise ValueError(f"line {n} is not a finite pair r,v: {line!r}")
             return Sampled(r, v)
         except (IndexError, ValueError) as exc:
             raise SymbolSyntaxError(text, offset + 1, f"bad sample file {path}: {exc}") from None
@@ -142,12 +148,12 @@ def parse_symbol(text: str):
         path = Path(body[1:])
         try:
             payload = orjson.loads(path.read_bytes())
-            spec = TruncationSpec(
-                max_degree=int(payload["K"]), n_r=int(payload["n_r"]), n_ang=int(payload["n_ang"])
-            )
-            return TabulatedSymbol(
-                d=int(payload["d"]), spec=spec, values=np.asarray(payload["values"], dtype=float)
-            )
+            grid = {key: payload[key] for key in ("d", "K", "n_r", "n_ang")}
+            for key, value in grid.items():
+                if type(value) is not int:  # not bool, float or text: int() would round 4.9 to 4
+                    raise ValueError(f"field {key!r} must be a JSON integer, got {value!r}")
+            spec = TruncationSpec(max_degree=grid["K"], n_r=grid["n_r"], n_ang=grid["n_ang"])
+            return TabulatedSymbol(d=grid["d"], spec=spec, values=np.asarray(payload["values"], dtype=float))
         except (KeyError, TypeError, ValueError, OSError) as exc:
             raise SymbolSyntaxError(text, offset + 1, f"bad symbol file {path}: {exc}") from None
     raise SymbolSyntaxError(text, 0, f"unknown symbol kind {head!r}")

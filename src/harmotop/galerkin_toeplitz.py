@@ -16,8 +16,6 @@ grid one eigenvalue was off by 2.4% relative to a 3x grid.
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .grids import TruncationSpec, weighted_gram
@@ -37,28 +35,19 @@ __all__ = [
 def assemble(V, d: int, spec: TruncationSpec) -> np.ndarray:
     """Section matrix with entries int_B V phi_i phi_j dx on degrees <= max_degree.
 
-    Entries come from the tensor quadrature of the grid; the result is
-    symmetrised by averaging.  Both triangles come from the same quadrature,
-    so the asymmetry measures rounding only (in the diagonal Gram blocks and
-    in the two-sided scaling); beyond 1e-8 relative it raises a warning.
+    Entries come from the tensor quadrature of the grid.  The Gram kernel is
+    exactly symmetric and the normalisation sqrt(2k+d) sqrt(2k'+d) scales it
+    by one symmetric outer product, so the section equals its transpose bit
+    for bit.  A skewed kernel is not repaired here: `symmetric_eigen` refuses
+    a matrix whose asymmetry exceeds 1e-10 relative.
     """
     if d not in (2, 3):
         raise ValueError(f"general-symbol assembly supports d in {{2, 3}}, got d={d}")
     grid, vals = symbol_on_grid(V, d, spec)
     norm = np.sqrt(2 * basis_degrees(d, spec.max_degree) + d)
     A = weighted_gram(d, spec.max_degree, grid, grid.weights * vals)
-    A *= norm[:, None]
-    A *= norm[None, :]
-    out = A - A.T
-    asym = float(out.max())  # A - A.T is antisymmetric, so its largest entry is its largest |entry|
-    scale = max(float(A.max()), -float(A.min()), 1e-300)
-    if asym > 1e-8 * scale:
-        warnings.warn(
-            f"assembly asymmetry {asym:.2e} exceeds 1e-8 relative; both triangles use the same "
-            "quadrature, so this is rounding error in the Gram kernel",
-            RuntimeWarning,
-        )
-    return np.multiply(np.add(A, A.T, out=out), 0.5, out=out)
+    A *= np.outer(norm, norm)
+    return A
 
 
 def spectrum(V, d: int, spec: TruncationSpec) -> Spectrum:

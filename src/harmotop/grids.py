@@ -148,12 +148,11 @@ def weighted_gram(d: int, max_degree: int, grid: BallGrid, node_weights: np.ndar
     antipodal pairs; there the same loop runs over every direction with
     nothing folded in.  Each degree's block column is then one angular GEMM.
     The form is symmetric, so block column k' runs over the degrees k <= k'
-    only (it weights those M_k' rows, the smaller side in d = 3) and the
-    blocks below the diagonal are mirrored: about M^2 n_ang/2 flops against
-    2 M^2 n_r n_ang for the dense node matrix, and no array exceeds
-    M x n_ang/2 (M x n_ang when n_ang is odd).  Each diagonal block (k, k)
-    is a full product, so its two triangles are rounded independently and
-    the result is symmetric only up to rounding there.
+    only (it weights those M_k' rows, the smaller side in d = 3): about
+    M^2 n_ang/2 flops against 2 M^2 n_r n_ang for the dense node matrix, and
+    no array exceeds M x n_ang/2 (M x n_ang when n_ang is odd).  The lower
+    triangle, diagonal blocks included, is then copied from the upper one,
+    so the result equals its transpose bit for bit.
     """
     pairs = grid.antipodes.size
     half = grid.ang_dirs.shape[0] - pairs
@@ -176,6 +175,8 @@ def weighted_gram(d: int, max_degree: int, grid: BallGrid, node_weights: np.ndar
         np.take(folded, k + degs[:stop], axis=0, out=weighted, mode="clip")
         weighted *= psi[:stop]
         out[:stop, cols] = weighted @ psi[cols].T
-        out[cols, :start] = out[:start, cols].T
         start = stop
+    # row by row: a whole-matrix copy would make an M x M temporary
+    for i in range(1, out.shape[0]):
+        out[i, :i] = out[:i, i]
     return out

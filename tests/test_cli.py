@@ -128,6 +128,42 @@ def test_bad_symbol_files_exit_two(capsys, tmp_path, name):
         assert "bad symbol file" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("counting", "--symbol", "power:a=nan,gamma=1", "--lambda", "0.1"), "field 'a' is not finite: 'nan'"),
+        (("counting", "--symbol", "power:a=1,gamma=nan", "--lambda", "0.1"), "field 'gamma' is not finite: 'nan'"),
+        (("spectrum", "--symbol", "step:b=nan,c=0.5", "--K", "2"), "field 'b' is not finite: 'nan'"),
+        (("spectrum", "--symbol", "step:b=inf,c=0.5", "--K", "2"), "field 'b' is not finite: 'inf'"),
+        (("spectrum", "--symbol", "power:a=inf,gamma=1", "--K", "2"), "field 'a' is not finite: 'inf'"),
+        (("spectrum", "--symbol", "sampled:@{tmp}/nan-radius.csv", "--K", "2"), "line 3 is not a finite pair r,v: 'nan,0.5'"),
+        (("spectrum", "--symbol", "sampled:@{tmp}/nan-value.csv", "--K", "2"), "line 3 is not a finite pair r,v: '0.5,nan'"),
+    ],
+    ids=["power-a-nan", "power-gamma-nan", "step-b-nan", "step-b-inf", "power-a-inf", "sampled-r-nan", "sampled-v-nan"],
+)
+def test_non_finite_descriptor_numbers_exit_two(capsys, tmp_path, argv, message):
+    (tmp_path / "nan-radius.csv").write_text("# r,v\n0.0,1.0\nnan,0.5\n0.9,0.3\n")
+    (tmp_path / "nan-value.csv").write_text("# r,v\n0.0,1.0\n0.5,nan\n0.9,0.3\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out, err = run_cli(capsys, argv[0], "--d", "2", *argv[1:])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("K", 0.9), ("K", "0"), ("K", False), ("n_r", 16.7), ("n_ang", 4.0), ("d", 2.0), ("d", True)],
+)
+def test_general_file_grid_fields_must_be_json_integers(capsys, tmp_path, field, value):
+    payload = {"d": 2, "K": 0, "n_r": 16, "n_ang": 4, "values": [1.0] * 64}
+    payload[field] = value
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "spectrum", "--d", "2", "--symbol", f"general:@{path}")
+    assert (code, out) == (2, "")
+    assert f"field {field!r} must be a JSON integer, got {value!r}" in err
+
+
 def test_counting_command_single_threshold(capsys):
     code, out, _ = run_cli(
         capsys, "counting", "--d", "2", "--symbol", "step:b=1,c=0.5", "--lambda", "1e-2"

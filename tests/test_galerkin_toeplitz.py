@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -209,7 +208,7 @@ def test_matrix_csv_matches_the_per_cell_rule(tmp_path):
     assert path.read_text() == rule
 
 
-def test_assembly_warns_on_asymmetry_beyond_1e_8(monkeypatch):
+def test_skewed_kernel_is_refused_not_averaged(monkeypatch):
     spec = TruncationSpec.for_degree(4)
     exact = gt.weighted_gram
 
@@ -219,16 +218,27 @@ def test_assembly_warns_on_asymmetry_beyond_1e_8(monkeypatch):
         return G
 
     monkeypatch.setattr(gt, "weighted_gram", skewed)
-    with pytest.warns(RuntimeWarning, match="rounding error in the Gram kernel"):
-        assemble(Step(1.0, 0.5), 2, spec)
+    with pytest.raises(ValueError, match="not symmetric"):
+        gt.spectrum(Step(1.0, 0.5), 2, spec)
 
 
-def test_assembly_at_d3_k22_raises_no_asymmetry_warning():
-    spec = TruncationSpec.for_degree(22)
-    tab = TabulatedSymbol(d=3, spec=spec, values=_sign_changing(ball_grid(3, spec).points))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assemble(tab, 3, spec)
+@pytest.mark.parametrize(
+    "d, spec",
+    [
+        (2, TruncationSpec.for_degree(40)),
+        (3, TruncationSpec.for_degree(22)),
+        (3, TruncationSpec(7, 23, 19)),
+        (2, TruncationSpec(14, 30, 31)),
+    ],
+    ids=["d2-K40", "d3-K22", "d3-odd-n_ang", "d2-odd-n_ang"],
+)
+def test_gram_and_section_equal_their_transpose(d, spec):
+    grid = ball_grid(d, spec)
+    values = _sign_changing(grid.points)
+    G = weighted_gram(d, spec.max_degree, grid, grid.weights * values)
+    assert np.array_equal(G, G.T)
+    A = assemble(TabulatedSymbol(d=d, spec=spec, values=values), d, spec)
+    assert np.array_equal(A, A.T)
 
 
 def test_tabulated_symbol_assembly():
