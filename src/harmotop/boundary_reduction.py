@@ -28,7 +28,7 @@ __all__ = [
     "inverse_power_weyl_fit",
 ]
 
-ORDER_CHECK_DEGREE = 10_000  # the k of symbol_order_check's extrapolation over k/2 and k
+ORDER_CHECK_DEGREE = 10_000  # the degree k at which symbol_order_check evaluates mu_k's large-degree law
 
 
 def extension_gram_eigenvalue(d: int, k: int) -> float:
@@ -47,25 +47,29 @@ def dtn_eigenvalue(d: int, k: int) -> float:
 
 def principal_symbol_value(v: Power) -> float:
     """Leading symbol amplitude 2^-gamma Gamma(gamma+1) a of the reduced operator."""
-    return v.a * math.exp(-v.gamma * math.log(2.0) + math.lgamma(v.gamma + 1.0))
+    return _exp_or_refuse(math.log(v.a) - v.gamma * math.log(2.0) + math.lgamma(v.gamma + 1.0), v)
 
 
 def symbol_order_check(v: Power, d: int) -> float:
-    """Estimate lim k^gamma mu_k for the power symbol v by Richardson extrapolation.
+    """(w/2)^gamma mu_k / (1 + gamma(gamma^2-1)/(24 w^2)) at k = ORDER_CHECK_DEGREE,
+    w = 2k+d+(gamma+1)/2, which tends to :func:`principal_symbol_value`.
 
-    Two-point extrapolation over k/2 and k = ORDER_CHECK_DEGREE cancels the
-    1/k term of the expansion; compare against :func:`principal_symbol_value`
-    (the degree k plays the co-sphere frequency, with the O(1/k) mismatch
-    absorbed by the extrapolation).  A k^gamma beyond the double range
-    (gamma above 77.06) raises TailNotCertifiedError.
+    With x = 2k+d+1 = w - (gamma-1)/2 (the shift `Power.crossing_degree`
+    inverts), mu_k = a Gamma(gamma+1) Gamma(x)/Gamma(x+gamma) and
+    Gamma(x)/Gamma(x+gamma) = w^-gamma (1 + gamma(gamma^2-1)/(24 w^2) + O(w^-4)),
+    with no w^-1 term (DLMF 5.11.13-15).  Formed in the log domain from `Power.log_mu`.
     """
-    k = ORDER_CHECK_DEGREE
+    g, w = v.gamma, 2.0 * ORDER_CHECK_DEGREE + d + 0.5 * (v.gamma + 1.0)
+    log_mu = float(v.log_mu(d, ORDER_CHECK_DEGREE)[1])
+    return _exp_or_refuse(g * math.log(0.5 * w) + log_mu - math.log1p(g * (g * g - 1.0) / (24.0 * w * w)), v)
+
+
+def _exp_or_refuse(log_value: float, v: Power) -> float:
+    """exp(log_value), a value near the principal symbol of v; TailNotCertifiedError past the doubles."""
     try:
-        scale = float(k) ** v.gamma
+        return math.exp(log_value)
     except OverflowError:
-        raise TailNotCertifiedError(f"k^gamma at k = {k} is beyond the double range (gamma = {v.gamma})") from None
-    mu_half, mu_full = v.mu(d, np.array([k // 2, k]))
-    return 2.0 * (scale * mu_full) - (k // 2) ** v.gamma * mu_half
+        raise TailNotCertifiedError(f"2^-gamma Gamma(gamma+1) a overflows a double (gamma = {v.gamma})") from None
 
 
 def inverse_power_weyl_fit(v: Power, d: int, e_grid) -> AsymptoticFit:

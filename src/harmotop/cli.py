@@ -43,6 +43,8 @@ LN_DBL_MAX = math.log(sys.float_info.max)  # exp overflows above it
 # the most grid points or the highest degree an option may ask for: the
 # counting table's cap, far below sizes that no machine can hold
 SIZE_CAP = rt._TABLE_CAP
+# the commands that run the section of a general:@ file; the others read mu_k only
+SECTION_COMMANDS = ("spectrum", "berezin", "schatten")
 
 
 class SymbolSyntaxError(ValueError):
@@ -116,13 +118,16 @@ def parse_symbol(text: str):
         try:
             for n, line in enumerate(path.read_text().splitlines(), 1):
                 if line.strip() and not line.lstrip().startswith("#"):
-                    row = line.split(",")
-                    r.append(float(row[0]))
-                    v.append(float(row[1]))
-                    if not (math.isfinite(r[-1]) and math.isfinite(v[-1])):
-                        raise ValueError(f"line {n} is not a finite pair r,v: {line!r}")
+                    try:  # exactly two fields, both finite numbers
+                        x, y = map(float, line.split(","))
+                        if not (math.isfinite(x) and math.isfinite(y)):
+                            raise ValueError
+                    except ValueError:
+                        raise ValueError(f"line {n} is not a finite pair r,v: {line!r}") from None
+                    r.append(x)
+                    v.append(y)
             return Sampled(r, v)
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise SymbolSyntaxError(text, offset + 1, f"bad sample file {path}: {exc}") from None
     if head == "sum":
         if not (body.startswith("[") and body.endswith("]")):
@@ -254,16 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default="0,0.25,0.5,0.75,0.9,0.95")
 
     p = sub.add_parser("schatten", help="Schatten norms")
-    common(
-        p,
-        "last degree of a radial series (default: the first certified table, up to degree 400,000, "
-        "or 40,000 for --weak); a general:@ file fixes it",
-    )
+    common(p)
     p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--weak", action="store_true")
 
     p = sub.add_parser("boundary", help="boundary reduction diagnostics")
-    common(p, "last degree of the table (default: a general:@ file's K, else 12)")
+    common(p, "last degree of the table (default 12)")
     p.add_argument("--E", dest="e_grid", default=None, help="energy grid LO:HI:N for the inverse-power counting fit")
 
     p = sub.add_parser("krein", help="sandwich bounds for the perturbed counting functions")
@@ -276,29 +277,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args, *, any_degree: bool = False):
+def _resolve(args):
     """The --symbol, the grid its section runs on and the degree K: the grid is
     None for a radial symbol (closed forms in mu_k), else a general:@ file's own
-    TruncationSpec, whose d the --d must name and whose degree a --K must name
-    unless `any_degree`; commands without --K refuse a file.  K is --K, else
-    the file's K, else 12."""
+    TruncationSpec, which only the SECTION_COMMANDS take, at the file's d and K
+    (a --d or --K naming another refuses it).  K is --K, else the file's K,
+    else 12."""
     symbol = parse_symbol(args.symbol)
     k = getattr(args, "K", None)
     if isinstance(symbol, RadialSymbol):
         return symbol, None, 12 if k is None else k
-    if "K" not in args:
+    if args.command not in SECTION_COMMANDS:
         raise ValueError(f"{args.command} requires a radial symbol; use spectrum for general symbols")
     if symbol.d != args.d:
         raise ValueError(f"tabulated symbol was sampled for d = {symbol.d}, not --d {args.d}")
-    if not (any_degree or k in (None, symbol.spec.max_degree)):
+    if k not in (None, symbol.spec.max_degree):
         raise ValueError(
             f"tabulated symbol was sampled on a different grid: --K {k}, the file's K = {symbol.spec.max_degree}"
         )
-    return symbol, symbol.spec, symbol.spec.max_degree if k is None else k
-
-
-def _config_dict(args) -> dict:
-    return {k: v for k, v in vars(args).items() if v is not None and k != "func"}
+    return symbol, symbol.spec, symbol.spec.max_degree
 
 
 MU_FORMULA = "mu_k = (2k+d) * int_0^1 v(r) r^(2k+d-1) dr"
@@ -407,7 +404,7 @@ def _cmd_berezin(args):
 def _cmd_schatten(args):
     symbol, spec, _ = _resolve(args)
     if spec is None:
-        value = rt.schatten_radial(symbol, args.d, args.p, weak=args.weak, k_stop=args.K)
+        value = rt.schatten_radial(symbol, args.d, args.p, weak=args.weak)
         route = "radial-series"
     else:
         spectrum = gt.spectrum(symbol, args.d, spec)
@@ -419,7 +416,7 @@ def _cmd_schatten(args):
 
 
 def _cmd_boundary(args):
-    symbol, spec, k = _resolve(args, any_degree=True)  # its table reads no value of a general symbol
+    symbol, _, k = _resolve(args)
     if args.e_grid is not None:
         if not isinstance(symbol, Power):
             raise ValueError("--E requires a power-type symbol in the boundary command")
@@ -439,9 +436,8 @@ def _cmd_boundary(args):
         "k": degrees,
         "gram_eigenvalue": [br.extension_gram_eigenvalue(args.d, k) for k in degrees],
         "dtn_eigenvalue": [br.dtn_eigenvalue(args.d, k) for k in degrees],
+        "reduced_diagonal": symbol.mu(args.d, np.arange(len(degrees))).tolist(),
     }
-    if spec is None:
-        table["reduced_diagonal"] = symbol.mu(args.d, np.arange(len(degrees))).tolist()
     meta = {
         "comments": [
             "gram_eigenvalue: <G psi_k, G psi_k> = 1/(2k+d); dtn_eigenvalue: normal derivative order k",
@@ -452,7 +448,8 @@ def _cmd_boundary(args):
         est = br.symbol_order_check(symbol, args.d)
         target = br.principal_symbol_value(symbol)
         meta["comments"].append(
-            f"principal symbol check: k^gamma mu_k -> {est:{FULL}} (target 2^-gamma Gamma(gamma+1) a = {target:{FULL}})"
+            f"principal symbol check: (w/2)^gamma mu_k / (1 + gamma(gamma^2-1)/(24 w^2)) = {est:{FULL}} "
+            f"at k = {br.ORDER_CHECK_DEGREE}, w = 2k+d+(gamma+1)/2 (target 2^-gamma Gamma(gamma+1) a = {target:{FULL}})"
         )
         meta["fit"] = {"symbol_order_estimate": est, "principal_symbol": target}
     return table, meta
@@ -513,7 +510,7 @@ def emit(table, meta, args) -> None:
     names, columns = list(table), list(table.values())
     if args.format == "json":
         payload = {
-            "config": _config_dict(args),
+            "config": {k: v for k, v in vars(args).items() if v is not None},
             "results": [dict(zip(names, row)) for row in zip(*columns)],
             "provenance": {"equations": meta.get("formulas", []), "comments": meta.get("comments", [])},
         }

@@ -39,7 +39,7 @@ def assemble(V, d: int, spec: TruncationSpec) -> np.ndarray:
     exactly symmetric and the normalisation sqrt(2k+d) sqrt(2k'+d) scales it
     by one symmetric outer product, so the section equals its transpose bit
     for bit.  A skewed kernel is not repaired here: `symmetric_eigen` refuses
-    a matrix whose asymmetry exceeds 1e-10 relative.
+    a matrix that is not equal to its transpose.
     """
     if d not in (2, 3):
         raise ValueError(f"general-symbol assembly supports d in {{2, 3}}, got d={d}")

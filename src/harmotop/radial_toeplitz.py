@@ -422,26 +422,25 @@ def _tail_p_sum_log(terms, d: int, k, p: float):
 
 # the strong norm stops where its certified tail is below this fraction of the partial sum
 _REL_TOL = 1e-12
-# the fraction the last table (the cap, or a k_stop) accepts
+# the fraction the last table (the strong norm's cap) accepts
 _LAST_TABLE_REL_TOL = 1e-9
 
 
-def schatten_radial(v: RadialSymbol, d: int, p: float, weak: bool = False, k_stop: int | None = None) -> float:
+def schatten_radial(v: RadialSymbol, d: int, p: float, weak: bool = False) -> float:
     """Schatten norm (sum_k m_k |mu_k|^p)^(1/p), or the weak quasinorm.
 
     The tail beyond the cutoff degree is certified against the symbol's
     decay profile; TailNotCertifiedError signals a cutoff that cannot be
     certified (e.g. a boundary value that does not vanish, or an exponent
-    for which the series diverges).  Without `k_stop` both grow their
-    tables by `_table_ends`: the strong norm stops at the first degree
-    k >= 8 (up to 400,000) whose tail is certified below _REL_TOL times the
-    partial sum, the weak one at the first table (up to degree 40,000) whose
-    sup bounds the tail's.  That sup is the whole sup: a rank past the
-    table is at most M_J, J the last degree with an eigenvalue as large, so
-    its term is at most the tail's bound, and below it the ranks are exact.
-    The strong norm's last table (degree 400,000, or `k_stop`) is accepted
-    with a certified tail of up to _LAST_TABLE_REL_TOL = 1e-9 of its sum,
-    not _REL_TOL.
+    for which the series diverges).  Both grow their tables by
+    `_table_ends`: the strong norm stops at the first degree k >= 8 (up to
+    400,000) whose tail is certified below _REL_TOL times the partial sum,
+    the weak one at the first table (up to degree 40,000) whose sup bounds
+    the tail's.  That sup is the whole sup: a rank past the table is at
+    most M_J, J the last degree with an eigenvalue as large, so its term is
+    at most the tail's bound, and below it the ranks are exact.  The strong
+    norm's last table (degree 400,000) is accepted with a certified tail of
+    up to _LAST_TABLE_REL_TOL = 1e-9 of its sum, not _REL_TOL.
     """
     if weak:
         if p <= 1.0:
@@ -449,16 +448,16 @@ def schatten_radial(v: RadialSymbol, d: int, p: float, weak: bool = False, k_sto
     elif p < 1.0:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
     terms = v.tails(d)
-    cap = k_stop if k_stop is not None else 40_000 if weak else 400_000
+    ends = _table_ends(40_000 if weak else 400_000)
     if weak:
-        tail, refusal = _weak_tail_sup_log, f"weak-norm tail beyond degree {cap} may exceed the enumerated sup"
+        tail, refusal = _weak_tail_sup_log, f"weak-norm tail beyond degree {ends[-1]} may exceed the enumerated sup"
     else:
-        tail, refusal = _tail_p_sum_log, f"p-th power tail beyond degree {cap} is not certified negligible"
+        tail, refusal = _tail_p_sum_log, f"p-th power tail beyond degree {ends[-1]} is not certified negligible"
     # each bound is nonincreasing in k: +inf at the last degree is +inf everywhere
-    last_tail = tail(terms, d, cap, p)
+    last_tail = tail(terms, d, ends[-1], p)
     if last_tail == math.inf:
         raise TailNotCertifiedError(refusal)
-    for K in _table_ends(cap) if k_stop is None else [k_stop]:
+    for K in ends:
         if weak:  # sort by |mu| descending, take sup j^(1/p) s_j, certified past K
             if v.monotone and v.sup() > 0.0 and cumulative_multiplicity(d, K) >= _DOUBLE_LIMIT:
                 # a nonzero monotone symbol's sorted order is degree order (a zero one counts
@@ -482,11 +481,10 @@ def schatten_radial(v: RadialSymbol, d: int, p: float, weak: bool = False, k_sto
         with np.errstate(over="ignore"):  # p (logs - top) goes to -inf at a huge p: exp gives 0
             scaled = np.exp(p * (logs - top))
         partial = np.cumsum(_as_doubles(m, d, range(K + 1)) * scaled)
-        if k_stop is None:
-            log_floor = p * top + np.log(np.maximum(partial[8:], 1e-300)) + math.log(_REL_TOL)
-            certified = tail(terms, d, np.arange(8, K + 1), p) <= log_floor
-            if certified.any():
-                return scale * float(partial[8 + certified.argmax()]) ** (1.0 / p)
+        log_floor = p * top + np.log(np.maximum(partial[8:], 1e-300)) + math.log(_REL_TOL)
+        certified = tail(terms, d, np.arange(8, K + 1), p) <= log_floor
+        if certified.any():
+            return scale * float(partial[8 + certified.argmax()]) ** (1.0 / p)
     if weak or last_tail > p * top + math.log(max(float(partial[-1]), 1e-300)) + math.log(_LAST_TABLE_REL_TOL):
         raise TailNotCertifiedError(refusal)
     return scale * float(partial[-1]) ** (1.0 / p)

@@ -151,6 +151,25 @@ def test_non_finite_descriptor_numbers_exit_two(capsys, tmp_path, argv, message)
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        # a third column was read past, as if it were not there
+        ("0.0,1.0,7\n0.5,0.5,9\n0.9,0.3\n", "line 1 is not a finite pair r,v: '0.0,1.0,7'"),
+        # one column ended in a bare "list index out of range"
+        ("0.0,1.0\n0.5\n0.9,0.3\n", "line 2 is not a finite pair r,v: '0.5'"),
+        # text that is no number got Python's bare "could not convert string to float"
+        ("0.0,1.0\n0.5,abc\n0.9,0.3\n", "line 2 is not a finite pair r,v: '0.5,abc'"),
+    ],
+    ids=["three-fields", "one-field", "not-a-number"],
+)
+def test_sampled_lines_hold_exactly_two_numbers(capsys, tmp_path, text, message):
+    (tmp_path / "profile.csv").write_text(text)
+    code, out, err = run_cli(capsys, "spectrum", "--d", "2", "--symbol", f"sampled:@{tmp_path}/profile.csv", "--K", "1")
+    assert (code, out) == (2, "")
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("K", 0.9), ("K", "0"), ("K", False), ("n_r", 16.7), ("n_ang", 4.0), ("d", 2.0), ("d", True)],
 )
@@ -565,7 +584,7 @@ def test_writing_into_a_missing_directory_exits_two(capsys, tmp_path, flag, fmt)
         (["counting", "--d", "2", "--symbol", "step:b=1,c=0.5", "--lnlambda=-1e308:1e308"], "--lnlambda"),  # |HI-LO| = inf
         (["krein", *POWER, "--E", "100:200:1000000000000"], "--E"),
         (["spectrum", "--d", "2", "--symbol", "step:b=1,c=0.5", "--K", "1000000000000"], "--K"),
-        (["schatten", "--d", "2", "--symbol", "step:b=1,c=0.5", "--p", "2", "--weak", "--K", "1000000000000"], "--K"),
+        (["boundary", "--d", "2", "--symbol", "step:b=1,c=0.5", "--K", "1000000000000"], "--K"),
     ],
 )
 def test_sizes_past_the_cap_exit_two_before_any_array(capsys, argv, option):
@@ -674,18 +693,17 @@ def test_counting_a_power_past_gamma_1000_exits_three(capsys):
     assert code == 0, err
 
 
-def test_boundary_order_check_past_the_double_range_exits_three(capsys):
-    # 10000^78 overflows a double (an OverflowError traceback, exit 1, before);
-    # 10000^77 = 1e308 does not, and that comment keeps its value
-    code, out, err = run_cli(capsys, "boundary", "--d", "2", "--symbol", "power:a=1,gamma=78", "--K", "2")
+def test_boundary_order_check_past_the_principal_symbols_double_range_exits_three(capsys):
+    # 2^-gamma Gamma(gamma+1) passes DBL_MAX near gamma = 196.5 (an OverflowError
+    # traceback would be exit 1); the law is formed in the log domain, so
+    # gamma = 170 prints, where k^gamma at k = 10,000 overflowed from gamma = 78 on
+    code, out, err = run_cli(capsys, "boundary", "--d", "2", "--symbol", "power:a=1,gamma=197", "--K", "2")
     assert (code, out) == (3, "")
-    assert err == "harmotop: certification failure: k^gamma at k = 10000 is beyond the double range (gamma = 78.0)\n"
-    code, out, err = run_cli(capsys, "boundary", "--d", "2", "--symbol", "power:a=1,gamma=77", "--K", "2")
+    assert err == "harmotop: certification failure: 2^-gamma Gamma(gamma+1) a overflows a double (gamma = 197.0)\n"
+    code, out, err = run_cli(capsys, "boundary", "--d", "2", "--symbol", "power:a=1,gamma=170", "--K", "2", "--format", "json")
     assert code == 0, err
-    assert (
-        "# principal symbol check: k^gamma mu_k -> 9.4001398552820581e+89 "
-        "(target 2^-gamma Gamma(gamma+1) a = 9.6074111197041231e+89)\n"
-    ) in out
+    fit = json.loads(out)["fit"]
+    assert fit["symbol_order_estimate"] == pytest.approx(fit["principal_symbol"], rel=1e-6)
 
 
 def test_krein_envelope_beyond_the_double_range_exits_three(capsys):
@@ -698,30 +716,40 @@ def test_krein_envelope_beyond_the_double_range_exits_three(capsys):
     assert code == 0, err
 
 
+def _one_table(monkeypatch, K):
+    """Run the radial Schatten series on the one table of the degrees up to K."""
+    monkeypatch.setattr(rt, "_table_ends", lambda cap: [K])
+
+
 @pytest.mark.parametrize(
-    "argv, reason",
+    "argv, table, reason",
     [
-        # at d = 120 the multiplicities pass DBL_MAX near degree 18,000, below --K
-        (["--d", "120", "--symbol", "power:a=1,gamma=1", "--K", "20000", "--p", "200"], None),
+        # at d = 120 the multiplicities pass DBL_MAX near degree 18,000, below the table's end
+        (["--d", "120", "--symbol", "power:a=1,gamma=1", "--p", "200"], 20000, None),
         # p gamma = 2 <= d - 1: the weak tail does not decay, so no table is built
         (
-            ["--d", "120", "--symbol", "power:a=1,gamma=1", "--K", "20000", "--p", "2", "--weak"],
+            ["--d", "120", "--symbol", "power:a=1,gamma=1", "--p", "2", "--weak"],
+            20000,
             "weak-norm tail beyond degree 20000 may exceed the enumerated sup",
         ),
         # a step's weak tail decays, so its table is built, and its counts leave the double range
         (
-            ["--d", "120", "--symbol", "step:b=1,c=0.999", "--K", "20000", "--p", "2", "--weak"],
+            ["--d", "120", "--symbol", "step:b=1,c=0.999", "--p", "2", "--weak"],
+            20000,
             "the eigenvalue count at degree 17366 is beyond the double range (d=120)",
         ),
         # no table up to 4,096 certifies the weak norm; the next one, to 16,384, holds degree 6467
         (
             ["--d", "150", "--symbol", "step:b=1,c=0.999", "--p", "2", "--weak"],
+            None,
             "the eigenvalue count at degree 6467 is beyond the double range (d=150)",
         ),
     ],
     ids=["strong", "weak", "weak-count", "weak-tail"],
 )
-def test_schatten_counts_beyond_the_double_range_exit_three(capsys, argv, reason):
+def test_schatten_counts_beyond_the_double_range_exit_three(capsys, monkeypatch, argv, table, reason):
+    if table is not None:
+        _one_table(monkeypatch, table)
     code, out, err = run_cli(capsys, "schatten", *argv)
     assert code == 3 and out == ""
     if reason is None:
@@ -731,15 +759,19 @@ def test_schatten_counts_beyond_the_double_range_exit_three(capsys, argv, reason
 
 
 @pytest.mark.parametrize(
-    "argv, degree, tables",
+    "argv, table, degree, tables",
     [
-        (["--d", "120", "--K", "20000"], 17366, []),
-        (["--d", "150"], 6467, [1024, 4096]),  # the table to 16,384 is the refusing one
+        (["--d", "120"], 20000, 17366, []),
+        (["--d", "150"], None, 6467, [1024, 4096]),  # the table to 16,384 is the refusing one
     ],
 )
-def test_weak_counts_of_a_monotone_symbol_refuse_before_the_overflowing_table(capsys, monkeypatch, argv, degree, tables):
+def test_weak_counts_of_a_monotone_symbol_refuse_before_the_overflowing_table(
+    capsys, monkeypatch, argv, table, degree, tables
+):
     # a monotone symbol's sorted order is degree order, so the degree whose
     # count leaves the double range is found by bisection, with no table
+    if table is not None:
+        _one_table(monkeypatch, table)
     formed = []
     sorted_table = rt._sorted_table
     monkeypatch.setattr(rt, "_sorted_table", lambda v, d, K, sign=0: formed.append(K) or sorted_table(v, d, K, sign))
@@ -757,15 +789,14 @@ def test_weak_norm_of_a_zero_step_counts_nothing_past_the_double_range(capsys):
 
 
 @pytest.mark.parametrize("c", ["0.999", "0.9999"])
-def test_weak_tail_past_the_double_range_refuses_before_forming_the_counts(capsys, c):
+def test_weak_tail_past_the_double_range_refuses_before_forming_the_counts(capsys, monkeypatch, c):
     # the tail's sup past degree 10 (about e^384 at c = 0.999) lies far above
     # the table's and past the degree-6467 counts that leave the double
     # range; the tail bound is one closed form per term and forms no count
+    _one_table(monkeypatch, 10)
     tracemalloc.start()
     try:
-        code, out, err = run_cli(
-            capsys, "schatten", "--d", "150", "--symbol", f"step:b=1,c={c}", "--K", "10", "--p", "2", "--weak"
-        )
+        code, out, err = run_cli(capsys, "schatten", "--d", "150", "--symbol", f"step:b=1,c={c}", "--p", "2", "--weak")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -774,11 +805,12 @@ def test_weak_tail_past_the_double_range_refuses_before_forming_the_counts(capsy
     assert peak < 1e6
 
 
-def test_weak_tail_at_a_large_dimension_certifies_a_small_table(capsys):
+def test_weak_tail_at_a_large_dimension_certifies_a_small_table(capsys, monkeypatch):
     # past degree 10 the tail falls from degree 11 on, from e^-100.20, just
     # below the table's sup e^-100.16; the AM-GM majorant of M_k, which
     # gives e^-87.5 there, would refuse it
-    code, out, _ = run_cli(capsys, "schatten", "--d", "150", "--symbol", "step:b=1,c=0.5", "--K", "10", "--p", "2", "--weak")
+    _one_table(monkeypatch, 10)
+    code, out, _ = run_cli(capsys, "schatten", "--d", "150", "--symbol", "step:b=1,c=0.5", "--p", "2", "--weak")
     assert code == 0
     assert _rows(out) == [["2", "1", "3.1818330972116663e-44", "radial-series"]]
 
@@ -938,11 +970,7 @@ def test_general_file_runs_on_its_own_grid(capsys, tmp_path):
     assert [float(row[1]) for row in _rows(out)] == want.tolist()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["spectrum"], ["schatten", "--p", "2"], ["berezin", "--radii", "0.5"]],
-    ids=lambda argv: argv[0],
-)
+@pytest.mark.parametrize("argv", [["spectrum"], ["berezin", "--radii", "0.5"]], ids=lambda argv: argv[0])
 def test_general_file_refuses_another_degree(capsys, tmp_path, argv):
     path = _general_file(tmp_path, ODD_GRID)
     code, out, err = run_cli(capsys, *argv, "--d", "2", "--symbol", f"general:@{path}", "--K", "3")
@@ -950,15 +978,25 @@ def test_general_file_refuses_another_degree(capsys, tmp_path, argv):
     assert "sampled on a different grid" in err and "--K 3" in err and "K = 4" in err
 
 
+@pytest.mark.parametrize("kind", ["radial", "general"])
+def test_schatten_takes_no_degree_option(capsys, tmp_path, kind):
+    # the radial series grows its own tables; a section runs at its file's K
+    symbol = "step:b=1,c=0.5" if kind == "radial" else f"general:@{_general_file(tmp_path, ODD_GRID)}"
+    with pytest.raises(SystemExit) as exc:
+        main(["schatten", "--d", "2", "--symbol", symbol, "--p", "2", "--K", "10"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "unrecognized arguments: --K 10" in err
+
+
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize(
     "argv",
-    [["spectrum"], ["boundary"], ["schatten", "--p", "2"], ["berezin", "--radii", "0.5"]],
+    [["spectrum"], ["schatten", "--p", "2"], ["berezin", "--radii", "0.5"]],
     ids=lambda argv: argv[0],
 )
 def test_general_file_refuses_another_dimension(capsys, tmp_path, argv, d):
-    # boundary printed its degree table with exit 0; the others refused the
-    # grid without naming d
+    # the section commands refused the grid without naming d
     path = _general_file(tmp_path, ODD_GRID)
     code, out, err = run_cli(capsys, *argv, "--d", str(d), "--symbol", f"general:@{path}")
     assert (code, out) == (2, "")
@@ -971,11 +1009,13 @@ def test_general_file_refuses_another_dimension(capsys, tmp_path, argv, d):
         ["counting", "--lambda", "0.1"],
         ["asymptotics", "--model", "power", "--lnlambda", "-8:-4:5"],
         ["krein", "--lnlambda", "-6:-2:5"],
+        ["boundary"],
     ],
     ids=lambda argv: argv[0],
 )
 def test_general_file_is_refused_where_no_section_runs(capsys, tmp_path, argv):
-    # these commands take the closed forms in mu_k only
+    # these commands take the closed forms in mu_k only; boundary printed
+    # a degree table that reads no value of the file
     path = _general_file(tmp_path, ODD_GRID)
     code, out, err = run_cli(capsys, *argv, "--d", "2", "--symbol", f"general:@{path}")
     assert (code, out) == (2, "")

@@ -69,16 +69,16 @@ CASES = {
     # certified strong stops of a power tail, and of a step plus a power tail (the Minkowski sum)
     "schatten-radial-power": ["schatten", "--d", "2", "--symbol", "power:a=1,gamma=1", "--p", "4"],
     "schatten-radial-sum": ["schatten", "--d", "2", "--symbol", "sum:[step:b=1,c=0.5; power:a=1,gamma=1]", "--p", "4"],
-    "schatten-radial-weak": ["schatten", "--d", "3", "--symbol", "power:a=1,gamma=3", "--p", "2", "--weak", "--K", "200"],
-    "schatten-weak-power": ["schatten", "--d", "3", "--symbol", "power:a=1,gamma=3", "--p", "2", "--weak", "--K", "2000"],
+    "schatten-radial-weak": ["schatten", "--d", "3", "--symbol", "power:a=1,gamma=3", "--p", "2", "--weak"],
     "schatten-galerkin": ["schatten", "--d", "2", "--symbol", GENERAL, "--p", "2"],
     "schatten-galerkin-weak": ["schatten", "--d", "2", "--symbol", GENERAL, "--p", "2", "--weak"],
     "berezin": ["berezin", "--d", "2", "--symbol", "step:b=1,c=0.5", "--K", "20", "--radii", "0,0.5,0.9"],
     "berezin-power": ["berezin", "--d", "2", "--symbol", "power:a=1,gamma=2", "--K", "60", "--radii", "0,0.3,0.6,0.9"],
+    # the principal-symbol comment: mu_k's large-degree law at k = 10,000, which prints
+    # 0.46999280149331241 (its 50-digit value is 0.46999280149331259421)
     "boundary-power": ["boundary", "--d", "2", "--symbol", "power:a=1,gamma=1.5", "--K", "5"],
     "boundary-sum": ["boundary", "--d", "3", "--symbol", "sum:[step:b=1,c=0.5; power:a=1,gamma=1]", "--K", "4"],
     "boundary-sum-d2": ["boundary", "--d", "2", "--symbol", "sum:[step:b=1,c=0.5; power:a=1,gamma=1]", "--K", "6"],
-    "boundary-general": ["boundary", "--d", "2", "--symbol", GENERAL, "--K", "3"],
     "boundary-power-E": ["boundary", "--d", "3", "--symbol", "power:a=1,gamma=2", "--E", "100:2000:6"],
     "boundary-power-E-d2": ["boundary", "--d", "2", "--symbol", "power:a=1,gamma=1.5", "--E", "100:2000:6"],
     "krein-d2": ["krein", "--d", "2", "--symbol", "power:a=1,gamma=1", "--lnlambda", "-6:-2:5"],

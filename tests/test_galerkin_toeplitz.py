@@ -106,9 +106,7 @@ def test_section_schatten_values():
     assert ident.schatten(1.0) == pytest.approx(m_k, rel=1e-10)
     sp_step = spectrum(Step(1.0, 0.5), 2, TruncationSpec.for_degree(10))
     assert sp_step.schatten(2.0) <= sp_step.schatten(1.0)
-    assert sp_step.schatten(2.0) == pytest.approx(
-        rt.schatten_radial(Step(1.0, 0.5), 2, 2.0, k_stop=10), rel=1e-9
-    )
+    assert sp_step.schatten(2.0) == pytest.approx(rt.radial_spectrum(Step(1.0, 0.5), 2, 10).schatten(2.0), rel=1e-9)
 
 
 def test_eigenvalue_range_bounded_by_symbol_range():

@@ -203,6 +203,8 @@ def test_symmetric_eigen_small_cases():
 def test_symmetric_eigen_rejects_asymmetric():
     with pytest.raises(ValueError):
         symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):  # one ulp, no longer averaged away
+        symmetric_eigen(np.array([[2.0, 1.0], [np.nextafter(1.0, 2.0), 2.0]]))
     with pytest.raises(ValueError):
         symmetric_eigen(np.zeros((2, 3)))
 
@@ -226,5 +228,6 @@ def test_symmetric_eigen_trace_and_similarity_invariance():
         scale = float(np.max(np.abs(A)))
         assert abs(vals.sum() - np.trace(A)) < 1e-10 * max(scale, 1.0) * n
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        vals_rot = symmetric_eigen(Q @ A @ Q.T)
+        B = Q @ A @ Q.T
+        vals_rot = symmetric_eigen(0.5 * (B + B.T))  # the rotation is symmetric only to rounding
         assert np.max(np.abs(vals - vals_rot)) < 1e-10 * max(scale, 1.0) * n

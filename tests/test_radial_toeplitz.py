@@ -340,15 +340,17 @@ def test_schatten_radial_weak_matches_enumeration():
     assert schatten_radial(Power(1.0, 1.0), 2, 2.0, weak=True) == pytest.approx(oracle, rel=1e-9)
 
 
-def test_schatten_radial_weak_tail_of_a_sum_is_the_sum_of_its_parts_tails():
+def test_schatten_radial_weak_tail_of_a_sum_is_the_sum_of_its_parts_tails(monkeypatch):
     # the tail bound took the larger part's sup instead of the sum of the
-    # parts' sups, and returned 1.62 at K = 0 and 2.2728 at K = 1
+    # parts' sups, and returned 1.62 on the one table to K = 0 and 2.2728 to K = 1
     both = SymbolSum((Step(1.0, 0.9), Step(1.0, 0.9)))
     for K in (0, 1):
+        monkeypatch.setattr(radial_toeplitz, "_table_ends", lambda cap: [K])
         with pytest.raises(TailNotCertifiedError):
-            schatten_radial(both, 2, 2.0, weak=True, k_stop=K)
-    value = schatten_radial(both, 2, 2.0, weak=True, k_stop=2)
-    assert value == schatten_radial(Step(2.0, 0.9), 2, 2.0, weak=True, k_stop=2) == 2.3766764040609316
+            schatten_radial(both, 2, 2.0, weak=True)
+    monkeypatch.setattr(radial_toeplitz, "_table_ends", lambda cap: [2])
+    value = schatten_radial(both, 2, 2.0, weak=True)
+    assert value == schatten_radial(Step(2.0, 0.9), 2, 2.0, weak=True) == 2.3766764040609316
 
 
 def _random_radial_symbol(rng):
@@ -372,15 +374,18 @@ def test_weak_norm_at_its_first_certified_table_is_the_sup_of_the_full_table(mon
     # eigenvalue, and below K the table's ranks are the true ones
     rng = np.random.default_rng(27)
     ends = []
-    table = radial_toeplitz._sorted_table
+    table, growth = radial_toeplitz._sorted_table, radial_toeplitz._table_ends
     monkeypatch.setattr(radial_toeplitz, "_sorted_table", lambda v, d, K, *rest: ends.append(K) or table(v, d, K, *rest))
     certified = early = 0
     for _ in range(100):
         v, d, p = _random_radial_symbol(rng), int(rng.choice([2, 3, 5])), float(rng.uniform(1.05, 6.0))
+        monkeypatch.setattr(radial_toeplitz, "_table_ends", lambda cap: [cap])  # the full table only
         try:
-            full = schatten_radial(v, d, p, weak=True, k_stop=40_000)
+            full = schatten_radial(v, d, p, weak=True)
         except TailNotCertifiedError:
             continue
+        finally:
+            monkeypatch.setattr(radial_toeplitz, "_table_ends", growth)
         ends.clear()
         value = schatten_radial(v, d, p, weak=True)
         assert value == full, (v, d, p, ends)

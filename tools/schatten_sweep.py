@@ -4,9 +4,8 @@
 
 Draws N radial `schatten` invocations from SEED, strong and `--weak` alike
 (about three in four weak): Power, Step, eight Sampled profiles and two-part
-sums of them, d in {2, 3, 4, 5, 8, 12, 20, 40, 80, 150}, p from 1.05 to 6,
-and `--K` from 0 to 2,000 on three draws in ten (else the default stop).
-Each runs once through `harmotop.cli.main`, and the tool prints one line
+sums of them, d in {2, 3, 4, 5, 8, 12, 20, 40, 80, 150} and p from 1.05
+to 6.  Each runs once through `harmotop.cli.main`, and the tool prints one line
 per invocation: its index, exit code, the printed value or the refusal on
 stderr, and its arguments.  The Sampled profiles are written to a temporary
 directory, printed as `{tmp}`, so two checkouts give the same lines exactly
@@ -62,8 +61,6 @@ def sweep_commands(seed: int, n: int, tmp: Path) -> list[list[str]]:
     for _ in range(n):
         argv = ["schatten", "--d", str(rng.choice(DIMENSIONS)), "--symbol", _symbol(rng, tmp, parts=4)]
         argv += ["--p", repr(round(rng.uniform(1.05, 6.0), 3))]
-        if rng.random() < 0.3:
-            argv += ["--K", str(rng.randint(0, 2000))]
         if rng.random() < 0.75:
             argv.append("--weak")
         commands.append(argv)
