@@ -77,10 +77,11 @@ def inverse_power_weyl_fit(v: Power, d: int, e_grid) -> AsymptoticFit:
 
     Counts the degrees with mu_k^(-1/gamma) < E (with multiplicities),
     which coincides with the Toeplitz counting function at lam = E^-gamma,
-    and fits the power law with pinned exponent d-1 by regressing
-    count^(1/(d-1)) on E.  The coefficient approaches the boundary counting
-    constant.  A count that does not grow over the grid, or a coefficient
-    that is not a positive finite double, raises TailNotCertifiedError.
+    and fits count ~ C E^(d-1) by regressing count^(1/(d-1)) on E, which is
+    `asymptotic_fit(v, d, ln_lam_grid=-gamma ln E, exponent=(d-1)/gamma)` to
+    rounding.  C approaches the boundary counting constant.  A count that does
+    not grow over the grid, or a C that is not a positive finite double, raises
+    TailNotCertifiedError.
     """
     e_arr = np.asarray(e_grid, dtype=float)
     if e_arr.size < 4:
@@ -92,4 +93,4 @@ def inverse_power_weyl_fit(v: Power, d: int, e_grid) -> AsymptoticFit:
     n = _as_doubles(counts, d, e_arr.tolist(), "E = {!r}")
     if np.any(n < 1.0):
         raise ValueError("counting vanished on part of the energy grid")
-    return _power_law_fit(ln_lam, counts, n, np.log(e_arr), d - 1, e_arr)
+    return _power_law_fit(ln_lam, counts, n, np.log(e_arr), d - 1)

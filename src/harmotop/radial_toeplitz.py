@@ -309,11 +309,10 @@ def asymptotic_fit(
     model="power":      n ~ C lam^(-e)       (fit of ln n against -ln lam)
     model="log-power":  n ~ C |ln lam|^e     (fit of ln n against ln |ln lam|)
 
-    Passing `exponent` pins e > 0 and fits only the coefficient; for the
-    log-power model the pinned fit is :func:`_power_law_fit`'s root
-    regression on |ln lam|.  A coefficient that is not a positive finite
-    double (e.g. a pinned exponent far from the data's) raises
-    TailNotCertifiedError.
+    Passing `exponent` pins e > 0 and fits only C, under either model by
+    :func:`_power_law_fit`'s root regression, of n^(1/(d-1)) on lam^(-e/(d-1))
+    (power) or of n^(1/e) on |ln lam| (log-power).  A C that is not a positive
+    finite double (e.g. a pinned e far from the data's) raises TailNotCertifiedError.
     """
     ln_lam = np.asarray(ln_lam_grid, dtype=float)
     if ln_lam.size < 4:
@@ -330,11 +329,10 @@ def asymptotic_fit(
     if np.any(n < 1.0):
         raise ValueError("counting vanished on part of the grid; deepen the thresholds")
     if model == "power":
-        return _power_law_fit(ln_lam, counts, n, -ln_lam, exponent)
-    big_l = -ln_lam
-    if np.any(big_l <= 0.0):
+        return _power_law_fit(ln_lam, counts, n, -ln_lam, exponent, d - 1)
+    if np.any(ln_lam >= 0.0):
         raise ValueError("log-power model needs thresholds below 1")
-    return _power_law_fit(ln_lam, counts, n, np.log(big_l), exponent, big_l, "log-power")
+    return _power_law_fit(ln_lam, counts, n, np.log(-ln_lam), exponent, model="log-power")
 
 
 def _refuse_flat(counts) -> None:
@@ -344,37 +342,37 @@ def _refuse_flat(counts) -> None:
         raise TailNotCertifiedError(f"the count is {counts[0]} at every grid point; no law fits a count that does not grow")
 
 
-def _power_law_fit(ln_lam, counts, n, ln_x, exponent, x=None, model="power") -> AsymptoticFit:
+def _power_law_fit(ln_lam, counts, n, ln_x, exponent, root=None, model="power") -> AsymptoticFit:
     """Least-squares fit of the counts `n` (doubles >= 1) to n ~ C x^e, given ln x.
 
-    A free e regresses ln n on ln x.  A pinned e takes ln C as the mean of
-    ln n - e ln x or, given x, regresses n^(1/e) linearly on x, which
-    cancels an O(1) offset in x (the degree offset of a counting function)
-    that otherwise biases the coefficient.  Counts that are the same at
-    every grid point, or a coefficient that is not a positive finite
-    double, raise TailNotCertifiedError.
+    A free e regresses ln n on ln x.  A pinned e regresses n^(1/r) linearly on
+    exp(t - max t), t = (e/r) ln x, r = `root` (default e): the regressor stays
+    inside the doubles, ln C = r (ln slope - max t), and an O(1) offset in n^(1/r)
+    (a count's degree offset, at r = d-1) goes into the intercept, not into C.
+    Flat counts, or a C that is not a positive finite double, raise TailNotCertifiedError.
     """
     _refuse_flat(counts)
     ln_n = np.log(n)
     if exponent is None:
-        slope, intercept = np.polyfit(ln_x, ln_n, 1)
-    elif x is None:
-        slope = float(exponent)
-        intercept = float(np.mean(ln_n - slope * ln_x))
+        slope, ln_c = np.polyfit(ln_x, ln_n, 1)
     else:
-        alpha, _beta = np.polyfit(x, n ** (1.0 / float(exponent)), 1)
-        slope, intercept = float(exponent), None
+        slope, r = float(exponent), float(root or exponent)
+        t = slope / r * ln_x
+        # a slope <= 0, or none (a regressor constant in doubles, an infinite root at a tiny e), is refused below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            (alpha, _beta), _res, rank, _sv, _rcond = np.polyfit(np.exp(t - t.max()), n ** (1.0 / r), 1, full=True)
+            ln_c = r * (np.log(alpha) - t.max()) if rank == 2 else math.nan
     try:
-        coefficient = float(alpha) ** slope if intercept is None else math.exp(intercept)
+        coefficient = math.exp(ln_c)
     except OverflowError:
         coefficient = math.inf
     if not 0.0 < coefficient < math.inf:
         raise TailNotCertifiedError(
             f"fit coefficient {coefficient!r} is not a positive finite double ({model} model, exponent {float(slope)!r})"
         )
-    resid = ln_n - ((math.log(coefficient) if intercept is None else intercept) + slope * ln_x)
+    resid = ln_n - (ln_c + slope * ln_x)
     return AsymptoticFit(
-        coefficient=float(coefficient),
+        coefficient=coefficient,
         exponent=float(slope),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
         ln_lam=ln_lam,

@@ -35,6 +35,16 @@ def power_constant(d: int, gamma: float, a: float) -> float:
     return math.exp(log_val)
 
 
+# (d, gamma, a) where a pinned power-law fit of the counts at ln lambda = -gamma ln E
+# must land on power_constant (the degree offset cancelled, not absorbed into C)
+PINNED_CASES = [(3, 2.0, 1.3), (2, 1.0, 1.0), (2, 0.5, 2.0), (3, 1.0, 1.0)]
+
+
+def pinned_energies(gamma: float) -> np.ndarray:
+    """The E grid of PINNED_CASES: six points on 100..2000, or on 30..300 at gamma = 0.5."""
+    return np.linspace(30.0, 300.0, 6) if gamma == 0.5 else np.linspace(100.0, 2000.0, 6)
+
+
 def envelope_kappa(d: int) -> float:
     """Remainder exponent of the counting envelopes: d/(d+2) for 2 <= d <= 4, (d-2)/(d-1) for d >= 4."""
     return d / (d + 2.0) if d <= 4 else (d - 2.0) / (d - 1.0)

@@ -95,14 +95,10 @@ def test_c04_power_symbol_asymptotics():
                 v = Power(1.0, g)
                 target = power_constant(d, g, 1.0)
                 # local power-law coefficient from exact counting at the
-                # 1e-5 threshold scale (the n^(1/(d-1)) slope against
-                # lambda^(-1/gamma) cancels the O(1) degree offset)
-                lams = np.exp(np.linspace(math.log(1e-5), math.log(1e-5) - 1.2, 60))
-                roots = np.array(
-                    [rt.counting(v, d, ln_lam=math.log(l)) ** (1.0 / (d - 1)) for l in lams]
-                )
-                alpha = float(np.polyfit(lams ** (-1.0 / g), roots, 1)[0])
-                estimate = alpha ** (d - 1)
+                # 1e-5 threshold scale (the pinned fit's n^(1/(d-1)) slope
+                # against lambda^(-1/gamma) cancels the O(1) degree offset)
+                ln_lam = np.linspace(math.log(1e-5), math.log(1e-5) - 1.2, 60)
+                estimate = rt.asymptotic_fit(v, d, ln_lam_grid=ln_lam, model="power", exponent=(d - 1) / g).coefficient
                 single_point = 1e-5 ** ((d - 1) / g) * rt.counting(v, d, ln_lam=math.log(1e-5))
                 assert abs(estimate / target - 1.0) <= 0.01, (d, g, estimate, single_point)
 

@@ -17,6 +17,7 @@ from harmotop.grids import TruncationSpec, ball_grid, harmonic_node_matrix, weig
 from harmotop.harmonic_basis import basis_degrees
 from harmotop.numerics import gauss_legendre
 from harmotop.symbols import Power, Step, symbol_on_grid
+from reference import PINNED_CASES, pinned_energies
 
 
 def test_gram_eigenvalue_against_quadrature_oracle():
@@ -135,6 +136,18 @@ def test_inverse_power_weyl_fit():
     # coefficient scales like a^((d-1)/gamma)
     fit2 = inverse_power_weyl_fit(Power(2.0, 1.0), 2, np.geomspace(1e3, 1e5, 12))
     assert fit2.coefficient == pytest.approx(2.0 * fit.coefficient, rel=0.02)
+
+
+@pytest.mark.parametrize("d, gamma, a", [*PINNED_CASES, (2, 1.5, 1.0)])
+def test_inverse_power_weyl_fit_is_the_pinned_power_fit(d, gamma, a):
+    # `boundary --E LO:HI:N` is `asymptotics --model power --exponent (d-1)/gamma` at ln lambda = -gamma ln E
+    e_grid = pinned_energies(gamma)
+    fit = inverse_power_weyl_fit(Power(a, gamma), d, e_grid)
+    pinned = rt.asymptotic_fit(
+        Power(a, gamma), d, ln_lam_grid=-gamma * np.log(e_grid), model="power", exponent=(d - 1) / gamma
+    )
+    assert fit.counts == pinned.counts
+    assert fit.coefficient == pytest.approx(pinned.coefficient, rel=1e-14, abs=0.0)
 
 
 def test_inverse_power_counts_reindex_toeplitz_counting():

@@ -848,6 +848,31 @@ def test_asymptotics_pinned_exponent_beyond_the_double_range_exits_three(capsys,
 
 
 @pytest.mark.parametrize(
+    "model, exponent, reason",
+    [
+        ("power", "60", "model value inf"),
+        ("power", "1000", "fit coefficient 0.0"),
+        ("power", "1e-300", "fit coefficient nan"),
+        ("log-power", "0.001", "fit coefficient nan"),
+    ],
+)
+def test_asymptotics_pinned_exponent_refusal_is_one_stderr_line(model, exponent, reason):
+    # the pinned power fit regresses n^(1/(d-1)) on lambda^(-e/(d-1)); unscaled, that
+    # overflows at d = 3 and e = 1000 (np.polyfit then raised LinAlgError after
+    # LAPACK printed DLASCL lines), and a regressor underflowed but for one entry
+    # gave a RankWarning.  At e = 1e-300 the regressor is constant in doubles (a
+    # RankWarning and a printed fit), and at a log-power e = 0.001 the roots n^(1/e)
+    # overflow (a RuntimeWarning).  A subprocess sees what LAPACK and `warnings` write.
+    env = dict(os.environ, PYTHONPATH=str(Path(harmotop.__file__).parents[1]))
+    argv = ["asymptotics", "--d", "3", "--symbol", "power:a=1,gamma=1", "--lnlambda", "-12:-4:5"]
+    argv += ["--model", model, "--exponent", exponent]
+    run = subprocess.run([sys.executable, "-m", "harmotop.cli", *argv], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr.startswith("harmotop: ") and run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
+    assert reason in run.stderr and "not a positive finite double" in run.stderr
+
+
+@pytest.mark.parametrize(
     "argv, row",
     [
         (["asymptotics", "--symbol", "power:a=1,gamma=1", "--model", "power", "--lnlambda", "-30:-20:5"], "ln lambda = -20.0"),

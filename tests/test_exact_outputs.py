@@ -49,6 +49,12 @@ CASES = {
         "asymptotics", "--d", "2", "--symbol", "step:b=1,c=0.5", "--model", "log-power",
         "--lnlambda", "-80:-10:8", "--exponent", "2",
     ],
+    # a pinned exponent: n^(1/(d-1)) regressed on lambda^(-e/(d-1)), which prints
+    # C = 0.65004535236042194, 7.0e-5 above the ball's 0.65 (`reference.power_constant`)
+    "asymptotics-power-pinned": [
+        "asymptotics", "--d", "3", "--symbol", "power:a=1.3,gamma=2", "--model", "power", "--exponent", "1",
+        "--lnlambda", "-15.2:-9.2:7",
+    ],
     "asymptotics-power-d2": [
         "asymptotics", "--d", "2", "--symbol", "power:a=1,gamma=1", "--model", "power", "--lnlambda", "-10:-4:7",
     ],

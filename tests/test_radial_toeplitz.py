@@ -24,7 +24,14 @@ from harmotop.radial_toeplitz import (
     schatten_radial,
 )
 from harmotop.symbols import Power, Sampled, Step, SymbolSum, TailTerm
-from reference import log_decay_at, power_constant, step_constant, superpolynomial_decay_check
+from reference import (
+    PINNED_CASES,
+    log_decay_at,
+    pinned_energies,
+    power_constant,
+    step_constant,
+    superpolynomial_decay_check,
+)
 
 CONST_ONE = Sampled([0.0, 0.5], [1.0, 1.0])
 
@@ -282,6 +289,16 @@ def test_asymptotic_fit_power_law():
         Power(3.0, 0.5), 3, model="power", ln_lam_grid=np.linspace(-4.0, -11.6, 12)
     )
     assert fit.exponent == pytest.approx(4.0, rel=0.02)
+
+
+@pytest.mark.parametrize("d, gamma, a", PINNED_CASES)
+def test_pinned_power_fit_cancels_the_degree_offset(d, gamma, a):
+    # the pinned exponent (d-1)/gamma regresses n^(1/(d-1)) on lambda^(-1/gamma);
+    # the mean of ln n - e(-ln lambda) put the degree offset into C, 0.76-2.03% low
+    ln_lam = -gamma * np.log(pinned_energies(gamma))
+    fit = asymptotic_fit(Power(a, gamma), d, ln_lam_grid=ln_lam, model="power", exponent=(d - 1) / gamma)
+    assert fit.exponent == (d - 1) / gamma
+    assert abs(fit.coefficient / power_constant(d, gamma, a) - 1.0) <= 5e-4
 
 
 def test_schatten_radial_values():
